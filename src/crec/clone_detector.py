@@ -27,7 +27,7 @@ _OPS2 = ("->", "::", "++", "--", "&&", "||", "==", "!=", "<=", ">=",
          "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # keyword | identifier | literal | punct
     text: str
@@ -186,14 +186,19 @@ def _method_name(lex: list[Token], open_idx: int, header_start: int) -> str | No
 
 
 def extract_blocks(
-    source: str, path: str, diagnostics: list[str] | None = None
+    source: str,
+    path: str,
+    diagnostics: list[str] | None = None,
+    lex: list[Token] | None = None,
 ) -> list[CodeBlock]:
     """One block per balanced brace region, header tokens included.
 
     Unbalanced braces are reported into *diagnostics* (when given) and the
-    balanced portion is still emitted.
+    balanced portion is still emitted. *lex* is ``scan(source)`` when the
+    caller already holds it.
     """
-    lex = scan(source)
+    if lex is None:
+        lex = scan(source)
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []
     for idx, t in enumerate(lex):

@@ -17,6 +17,10 @@ class UnknownCommit(CrecError):
     pass
 
 
+class GitError(CrecError):
+    """A git process failed, died, or answered with missing or truncated objects."""
+
+
 class TooFewSamples(CrecError):
     pass
 

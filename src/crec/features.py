@@ -106,11 +106,12 @@ class FileContext:
     field_names: frozenset[str]
 
 
-def file_context(path: str, text: str) -> FileContext:
+def file_context(path: str, text: str, lex: list[Token] | None = None) -> FileContext:
+    """*lex* is ``scan(text)`` when the caller already holds it."""
     return FileContext(
         path=path,
         lines=tuple(text.splitlines()),
-        field_names=frozenset(_field_names(scan(text))),
+        field_names=frozenset(_field_names(scan(text) if lex is None else lex)),
     )
 
 
@@ -332,9 +333,15 @@ def extract_history_features(path: str, view: WindowView, commits) -> tuple[floa
 # -- group location features (F18-F23) ----------------------------------------
 
 
-def _top_level_classes(path: str, text: str) -> list[tuple[str, int, int, list[str]]]:
-    """(name, start_line, end_line, related names) for each top-level type."""
-    lex = scan(text)
+def _top_level_classes(
+    path: str, text: str, lex: list[Token] | None = None
+) -> list[tuple[str, int, int, list[str]]]:
+    """(name, start_line, end_line, related names) for each top-level type.
+
+    *lex* is ``scan(text)`` when the caller already holds it.
+    """
+    if lex is None:
+        lex = scan(text)
     classes = []
     depth = 0
     i = 0
@@ -385,11 +392,14 @@ def _top_level_classes(path: str, text: str) -> list[tuple[str, int, int, list[s
     return classes
 
 
-def _hierarchy_components(corpus: dict[str, str]) -> dict[str, int]:
-    """Connected components of the shallow extends/implements graph."""
+def _hierarchy_components(corpus: dict[str, str], classes_of) -> dict[str, int]:
+    """Connected components of the shallow extends/implements graph.
+
+    *classes_of(path)* gives the top-level classes of a file of *corpus*.
+    """
     adjacency: dict[str, set[str]] = {}
     for path in sorted(corpus):
-        for name, _, _, related in _top_level_classes(path, corpus[path]):
+        for name, _, _, related in classes_of(path):
             adjacency.setdefault(name, set())
             for other in related:
                 adjacency.setdefault(other, set())
@@ -409,11 +419,10 @@ def _hierarchy_components(corpus: dict[str, str]) -> dict[str, int]:
     return component
 
 
-def _member_class(member: CodeBlock, corpus: dict[str, str]) -> str | None:
-    text = corpus.get(member.path)
-    if text is None:
+def _member_class(member: CodeBlock, corpus: dict[str, str], classes_of) -> str | None:
+    if member.path not in corpus:
         return None
-    for name, start, end, _ in _top_level_classes(member.path, text):
+    for name, start, end, _ in classes_of(member.path):
         if start <= member.start_line and member.end_line <= end:
             return name
     return None
@@ -440,15 +449,31 @@ def path_copy_score(dir_a: str, dir_b: str, corpus_paths: list[str]) -> float:
     return ratio * overlap
 
 
-def extract_location_features(group, corpus: dict[str, str]) -> tuple[float, ...]:
+def extract_location_features(
+    group, corpus: dict[str, str], classes_of=None, hierarchy=None
+) -> tuple[float, ...]:
+    """F18-F23 of a group within *corpus*, the version's path -> text map.
+
+    *classes_of(path)* (a file's top-level classes) and *hierarchy()* (the
+    version's class-hierarchy components) default to lexing *corpus*; a caller
+    holding per-version caches passes its own lookups.
+    """
+    if classes_of is None:
+        def classes_of(path):
+            return _top_level_classes(path, corpus[path])
+
+    if hierarchy is None:
+        def hierarchy():
+            return _hierarchy_components(corpus, classes_of)
+
     members = group.members
     dirs = [posixpath.dirname(m.path) for m in members]
     f18 = 1.0 if len(set(dirs)) == 1 else 0.0
     f19 = 1.0 if len({m.path for m in members}) == 1 else 0.0
 
-    classes = [_member_class(m, corpus) for m in members]
+    classes = [_member_class(m, corpus, classes_of) for m in members]
     if all(c is not None for c in classes):
-        component = _hierarchy_components(corpus)
+        component = hierarchy()
         ids = {component.get(c) for c in classes}
         f20 = 1.0 if len(ids) == 1 and None not in ids else 0.0
     else:

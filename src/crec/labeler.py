@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .clone_detector import CodeBlock, extract_blocks, invoked_names
+from .clone_detector import CodeBlock, invoked_names
 from .genealogy import CloneLink, Lineage
 
 
@@ -34,29 +34,21 @@ class LabelDecision:
 
 
 class LabelContext:
-    """Corpus access for method resolution, keyed by sampled-version index."""
+    """Corpus access for method resolution, keyed by sampled-version index.
 
-    def __init__(self, files_at: Callable[[int], dict[str, str]]):
-        self._files_at = files_at
+    *blocks_at(version)* maps each path of that version to the file's blocks.
+    """
+
+    def __init__(self, blocks_at: Callable[[int], dict[str, list[CodeBlock]]]):
+        self._blocks_at = blocks_at
         self._methods: dict[int, dict[str, list[ExtractedMethodCandidate]]] = {}
-
-    @classmethod
-    def from_repository(cls, repo, samples, suffixes: tuple[str, ...] = (".java",)):
-        def files_at(version: int) -> dict[str, str]:
-            commit = samples[version].commit_id
-            return {
-                path: repo.file_text(commit, path) or ""
-                for path in repo.list_files(commit, suffixes)
-            }
-
-        return cls(files_at)
 
     def methods_at(self, version: int) -> dict[str, list[ExtractedMethodCandidate]]:
         if version not in self._methods:
             index: dict[str, list[ExtractedMethodCandidate]] = {}
-            for path in sorted(self._files_at(version)):
-                text = self._files_at(version)[path]
-                for block in extract_blocks(text, path):
+            files = self._blocks_at(version)
+            for path in sorted(files):
+                for block in files[path]:
                     if (
                         block.enclosing_method_name is None
                         or block.enclosing_method_start != block.start_line

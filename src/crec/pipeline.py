@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import artifacts
 from .artifacts import FeatureRow, GroupRecord
-from .clone_detector import CloneGroup, detect_clones, extract_blocks
+from .clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
 from .config import PipelineConfig
 from .errors import DegenerateData, MissingInput
 from .eval_harness import (
@@ -31,6 +31,8 @@ from .features import (
     extract_history_features,
     extract_location_features,
     file_context,
+    _hierarchy_components,
+    _top_level_classes,
 )
 from .genealogy import Lineage, build_genealogies
 from .labeler import LabelContext, label_lineage, sweep
@@ -65,39 +67,94 @@ def _require(out_dir: str | Path, name: str, producer: str) -> Path:
 
 
 class VersionData:
-    """Per-sampled-version caches of file lists, texts, and extracted blocks."""
+    """Per-sampled-version views of the repository, cached per blob.
+
+    A version's source files are listed once as path -> blob id. Each blob is
+    read, decoded and lexed once; blocks, file context and top-level classes
+    are derived once per (blob id, path), so a file unchanged across versions
+    is neither read nor lexed again.
+    """
 
     def __init__(self, repo: Repository, samples, suffixes=SOURCE_SUFFIXES):
         self.repo = repo
         self.samples = samples
         self.suffixes = suffixes
+        self._files: dict[int, dict[str, str]] = {}  # version -> path -> blob id
         self._corpus: dict[int, dict[str, str]] = {}
-        self._blocks: dict[int, dict[tuple, object]] = {}
-        self._contexts: dict[tuple[int, str], FileContext] = {}
+        self._blocks: dict[int, dict[tuple, CodeBlock]] = {}
+        self._hierarchy: dict[int, dict[str, int]] = {}
+        self._texts: dict[str, str] = {}  # blob id -> text
+        self._lex: dict[str, list[Token]] = {}  # blob id -> scan(text)
+        self._file_blocks: dict[tuple[str, str], list[CodeBlock]] = {}
+        self._contexts: dict[tuple[str, str], FileContext] = {}
+        self._classes: dict[tuple[str, str], list] = {}
+
+    def files(self, version: int) -> dict[str, str]:
+        if version not in self._files:
+            commit = self.samples[version].commit_id
+            self._files[version] = {
+                path: self.repo.blob_id(commit, path)
+                for path in self.repo.list_files(commit, self.suffixes)
+            }
+        return self._files[version]
 
     def corpus(self, version: int) -> dict[str, str]:
         if version not in self._corpus:
             commit = self.samples[version].commit_id
-            self._corpus[version] = {
-                path: self.repo.file_text(commit, path) or ""
-                for path in self.repo.list_files(commit, self.suffixes)
-            }
+            corpus = {}
+            for path, blob in self.files(version).items():
+                if blob not in self._texts:
+                    self._texts[blob] = self.repo.file_text(commit, path) or ""
+                corpus[path] = self._texts[blob]
+            self._corpus[version] = corpus
         return self._corpus[version]
 
-    def blocks(self, version: int) -> dict[tuple, object]:
+    def _text_and_lex(self, version: int, path: str) -> tuple[str, list[Token]]:
+        blob = self.files(version)[path]
+        text = self.corpus(version)[path]
+        if blob not in self._lex:
+            self._lex[blob] = scan(text)
+        return text, self._lex[blob]
+
+    def file_blocks(self, version: int, path: str) -> list[CodeBlock]:
+        key = (self.files(version)[path], path)
+        if key not in self._file_blocks:
+            text, lex = self._text_and_lex(version, path)
+            self._file_blocks[key] = extract_blocks(text, path, lex=lex)
+        return self._file_blocks[key]
+
+    def blocks(self, version: int) -> dict[tuple, CodeBlock]:
         if version not in self._blocks:
             index = {}
-            for path, text in sorted(self.corpus(version).items()):
-                for block in extract_blocks(text, path):
+            for path in sorted(self.files(version)):
+                for block in self.file_blocks(version, path):
                     index.setdefault(block.key, block)
             self._blocks[version] = index
         return self._blocks[version]
 
     def context(self, version: int, path: str) -> FileContext:
-        key = (version, path)
+        key = (self.files(version)[path], path)
         if key not in self._contexts:
-            self._contexts[key] = file_context(path, self.corpus(version).get(path, ""))
+            self._contexts[key] = file_context(path, *self._text_and_lex(version, path))
         return self._contexts[key]
+
+    def classes(self, version: int, path: str) -> list:
+        key = (self.files(version)[path], path)
+        if key not in self._classes:
+            self._classes[key] = _top_level_classes(path, *self._text_and_lex(version, path))
+        return self._classes[key]
+
+    def hierarchy(self, version: int) -> dict[str, int]:
+        if version not in self._hierarchy:
+            self._hierarchy[version] = _hierarchy_components(
+                self.corpus(version), lambda path: self.classes(version, path)
+            )
+        return self._hierarchy[version]
+
+    def label_context(self) -> LabelContext:
+        return LabelContext(
+            lambda version: {path: self.file_blocks(version, path) for path in self.files(version)}
+        )
 
 
 def materialize_groups(
@@ -147,8 +204,8 @@ def _rebuild_lineages(
 
 def stage_mine(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    repo = Repository(repo_path)
-    commits = repo.commits()
+    with Repository(repo_path) as repo:
+        commits = repo.commits()
     samples = sample_versions(commits, config.delta_threshold)
     artifacts.write_commits(_path(out_dir, "commits"), commits)
     artifacts.write_samples(_path(out_dir, "samples"), samples)
@@ -157,20 +214,20 @@ def stage_mine(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> s
 
 def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
-    repo = Repository(repo_path)
-    vdata = VersionData(repo, samples)
     all_groups = []
-    for s in samples:
-        blocks = sorted(vdata.blocks(s.index).values(), key=lambda b: b.key)
-        all_groups.extend(
-            detect_clones(
-                blocks,
-                min_tokens=config.min_tokens,
-                min_lines=config.min_lines,
-                theta=config.theta,
-                version=s.index,
+    with Repository(repo_path) as repo:
+        vdata = VersionData(repo, samples)
+        for s in samples:
+            blocks = sorted(vdata.blocks(s.index).values(), key=lambda b: b.key)
+            all_groups.extend(
+                detect_clones(
+                    blocks,
+                    min_tokens=config.min_tokens,
+                    min_lines=config.min_lines,
+                    theta=config.theta,
+                    version=s.index,
+                )
             )
-        )
     artifacts.write_groups(_path(out_dir, "clones"), all_groups)
     return f"detect: {len(all_groups)} clone groups over {len(samples)} versions -> {_path(out_dir, 'clones')}"
 
@@ -178,9 +235,8 @@ def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) ->
 def stage_genealogy(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
     records = artifacts.read_groups(_require(out_dir, "clones", "detect"))
-    repo = Repository(repo_path)
-    vdata = VersionData(repo, samples)
-    groups = materialize_groups(vdata, records, len(samples))
+    with Repository(repo_path) as repo:
+        groups = materialize_groups(VersionData(repo, samples), records, len(samples))
     lineages = build_genealogies(groups, config.link_floor)
     artifacts.write_lineages(_path(out_dir, "lineages"), lineages)
     return f"genealogy: {len(lineages)} lineages -> {_path(out_dir, 'lineages')}"
@@ -193,18 +249,18 @@ def stage_label(
     sweep_thresholds: list[float] | None = None,
 ) -> str:
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
-    repo = Repository(repo_path)
-    vdata = VersionData(repo, samples)
-    lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
-    ctx = LabelContext(vdata.corpus)
-    decisions = [label_lineage(lin, ctx, config.l_th) for lin in lineages]
+    with Repository(repo_path) as repo:
+        vdata = VersionData(repo, samples)
+        lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
+        ctx = vdata.label_context()
+        decisions = [label_lineage(lin, ctx, config.l_th) for lin in lineages]
+        rows = sweep(lineages, ctx, sweep_thresholds) if sweep_thresholds else None
     artifacts.write_labels(_path(out_dir, "labels"), decisions)
     summary = (
         f"label: {sum(1 for d in decisions if d.label == 'R')} R / "
         f"{sum(1 for d in decisions if d.label == 'NR')} NR -> {_path(out_dir, 'labels')}"
     )
-    if sweep_thresholds:
-        rows = sweep(lineages, ctx, sweep_thresholds)
+    if rows is not None:
         artifacts.write_sweep(_path(out_dir, "sweep"), rows)
         summary += f"; sweep -> {_path(out_dir, 'sweep')}"
     return summary
@@ -212,9 +268,7 @@ def stage_label(
 
 def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
-    repo = Repository(repo_path)
-    vdata = VersionData(repo, samples)
-    lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
+    commits = artifacts.read_commits(_require(out_dir, "commits", "mine"))
     labels_path = _path(out_dir, "labels")
     decisions = (
         {d.lineage_id: d for d in artifacts.read_labels(labels_path)}
@@ -227,33 +281,39 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
     else:
         window = None
         window_note = " (WindowUnavailable: <2 samples; history/co-change features zeroed)"
-    view = WindowView(repo, window)
-    commits = repo.commits()
 
     rows = []
-    for lineage in lineages:
-        decision = decisions.get(lineage.lineage_id)
-        if decision is not None and decision.label == "R":
-            version = decision.step_version
-        else:
-            version = lineage.groups[-1][0]
-        group = dict(lineage.groups)[version]
-        corpus = vdata.corpus(version)
-        per_clone = []
-        for member in group.members:
-            code = extract_code_features(member, vdata.context(version, member.path))
-            history = extract_history_features(member.path, view, commits)
-            per_clone.append(code + history)
-        group_values = (
-            extract_location_features(group, corpus)
-            + extract_diff_features(group)
-            + extract_cochange_features(group, lineage, version, view)
-        )
-        vector = assemble_vector(
-            per_clone, group_values, lineage.lineage_id, version, config.aggregation
-        )
-        label = None if decision is None else (1 if decision.label == "R" else 0)
-        rows.append(FeatureRow(lineage.lineage_id, version, vector.values, label))
+    with Repository(repo_path) as repo:
+        vdata = VersionData(repo, samples)
+        lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
+        view = WindowView(repo, window)
+        for lineage in lineages:
+            decision = decisions.get(lineage.lineage_id)
+            if decision is not None and decision.label == "R":
+                version = decision.step_version
+            else:
+                version = lineage.groups[-1][0]
+            group = dict(lineage.groups)[version]
+            per_clone = []
+            for member in group.members:
+                code = extract_code_features(member, vdata.context(version, member.path))
+                history = extract_history_features(member.path, view, commits)
+                per_clone.append(code + history)
+            group_values = (
+                extract_location_features(
+                    group,
+                    vdata.corpus(version),
+                    lambda path: vdata.classes(version, path),
+                    lambda: vdata.hierarchy(version),
+                )
+                + extract_diff_features(group)
+                + extract_cochange_features(group, lineage, version, view)
+            )
+            vector = assemble_vector(
+                per_clone, group_values, lineage.lineage_id, version, config.aggregation
+            )
+            label = None if decision is None else (1 if decision.label == "R" else 0)
+            rows.append(FeatureRow(lineage.lineage_id, version, vector.values, label))
     artifacts.write_features(_path(out_dir, "features"), rows)
     return f"featurize: {len(rows)} vectors -> {_path(out_dir, 'features')}{window_note}"
 

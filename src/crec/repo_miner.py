@@ -7,13 +7,14 @@ could be substituted. "Changed lines" throughout means added + deleted lines
 
 from __future__ import annotations
 
+import contextlib
 import math
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import EmptyRepository, NotARepository, TooFewSamples, UnknownCommit
+from .errors import EmptyRepository, GitError, NotARepository, TooFewSamples, UnknownCommit
 
 SOURCE_SUFFIXES = (".java",)
 
@@ -57,28 +58,71 @@ class Hunk:
 
 
 def _git(repo_path: str | Path, *args: str) -> bytes:
-    proc = subprocess.run(
-        ["git", "-C", str(repo_path), *args],
-        capture_output=True,
-    )
+    """Run one git command to completion; a nonzero exit raises GitError."""
+    proc = subprocess.run(["git", "-C", str(repo_path), *args], capture_output=True)
     if proc.returncode != 0:
-        raise subprocess.CalledProcessError(
-            proc.returncode, proc.args, proc.stdout, proc.stderr
-        )
+        message = proc.stderr.decode("utf-8", errors="replace").strip()
+        raise GitError(f"git {args[0]} exited {proc.returncode}: {message}")
     return proc.stdout
 
 
+def _path_text(raw: bytes) -> str:
+    return raw.decode("utf-8", errors="replace")
+
+
+_GITLINK = "160000"  # tree mode of a submodule commit, which has no blob here
+
+
 class Repository:
-    """Handle on an on-disk git repository. Read-only after construction."""
+    """Handle on an on-disk git repository. Read-only after construction.
+
+    Paths are read NUL-delimited, so non-ASCII names come back verbatim. Each
+    commit's tree is listed once (`ls-tree -r -z`, path -> blob id), and file
+    contents stream by blob id through one long-lived `git cat-file --batch`,
+    started on the first read. Use the repository as a context manager, or call
+    close(), to stop and reap that process.
+    """
 
     def __init__(self, path: str | Path):
+        self._batch: subprocess.Popen | None = None
         self.path = Path(path)
         try:
             _git(self.path, "rev-parse", "--git-dir")
-        except (subprocess.CalledProcessError, FileNotFoundError, NotADirectoryError):
+        except (GitError, FileNotFoundError, NotADirectoryError):
             raise NotARepository(f"not a git repository: {path}") from None
         self._commits: list[CommitRecord] | None = None
-        self._known: set[str] | None = None
+        self._known: frozenset[str] | None = None
+        self._trees: dict[str, dict[str, tuple[str, str]]] = {}  # commit -> path -> (mode, id)
+
+    def __enter__(self) -> Repository:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop the cat-file process, if one was started, and reap it."""
+        batch, self._batch = self._batch, None
+        if batch is None:
+            return
+        with contextlib.suppress(OSError):  # a dead process cannot take a flush
+            batch.stdin.close()
+        batch.stdout.close()
+        batch.wait()
+
+    def _head(self, *args: str) -> bytes:
+        """`git <args> HEAD`; EmptyRepository when HEAD has no commit yet."""
+        try:
+            return _git(self.path, *args, "HEAD")
+        except GitError:
+            try:
+                _git(self.path, "rev-parse", "--verify", "--quiet", "HEAD")
+            except GitError:
+                raise EmptyRepository(f"repository has no commits: {self.path}") from None
+            raise
 
     # -- commit stream -----------------------------------------------------
 
@@ -86,71 +130,122 @@ class Repository:
         """First-parent chain, oldest to newest, with populated metadata."""
         if self._commits is None:
             self._commits = self._enumerate()
-            self._known = {c.id for c in self._commits}
+            self._known = frozenset(c.id for c in self._commits)
         return self._commits
 
     def _enumerate(self) -> list[CommitRecord]:
-        try:
-            raw = _git(
-                self.path,
-                "log",
-                "--first-parent",
-                "--reverse",
-                "--format=%H%x00%ct%x00%an%x00%ae",
-                "HEAD",
-            )
-        except subprocess.CalledProcessError:
-            raise EmptyRepository(f"repository has no commits: {self.path}") from None
-        empty_tree = (
-            subprocess.run(
-                ["git", "-C", str(self.path), "hash-object", "-t", "tree", "--stdin"],
-                input=b"",
-                capture_output=True,
-                check=True,
-            )
-            .stdout.decode()
-            .strip()
-        )
-        records = []
-        prev = empty_tree
-        for line in raw.decode("utf-8", errors="replace").splitlines():
-            commit_id, ts, name, email = line.split("\x00")
-            author = f"{name} <{email}>".lower()
-            files, lines_changed = self._numstat(prev, commit_id)
-            records.append(
-                CommitRecord(commit_id, int(ts), author, frozenset(files), lines_changed)
-            )
-            prev = commit_id
-        return records
+        """One `git log` over the first-parent chain with per-commit numstat.
 
-    def _numstat(self, a: str, b: str) -> tuple[list[str], int]:
-        out = _git(self.path, "diff", "--numstat", "--no-renames", a, b)
-        files, total = [], 0
-        for line in out.decode("utf-8", errors="replace").splitlines():
-            added, deleted, path = line.split("\t", 2)
-            files.append(path)
-            if added != "-":  # binary files report "-" and contribute 0
-                total += int(added) + int(deleted)
-        return files, total
+        Each commit is diffed against its first parent, the root against the
+        empty tree, with renames off. Under -z every header field and numstat
+        entry ends in NUL; an entry always holds a tab and a commit id never
+        does, which is where one commit's entries stop.
+        """
+        raw = self._head(
+            "log",
+            "--first-parent",
+            "--reverse",
+            "--root",
+            "--no-renames",
+            "--diff-merges=first-parent",
+            "--numstat",
+            "-z",
+            "--format=%H%x00%ct%x00%an%x00%ae",
+        )
+        tokens = raw.split(b"\0")
+        records = []
+        i = 0
+        while i + 4 < len(tokens) and tokens[i]:
+            commit_id, ts, name, email = (
+                t.decode("utf-8", errors="replace") for t in tokens[i : i + 4]
+            )
+            i += 4
+            files, total = [], 0
+            while b"\t" in tokens[i]:
+                added, deleted, path = tokens[i].lstrip(b"\n").split(b"\t", 2)
+                files.append(_path_text(path))
+                if added != b"-":  # binary files report "-" and contribute 0
+                    total += int(added) + int(deleted)
+                i += 1
+            author = f"{name} <{email}>".lower()
+            records.append(CommitRecord(commit_id, int(ts), author, frozenset(files), total))
+        if tokens[i:] != [b""]:
+            raise GitError(f"unexpected git log output after {len(records)} commits")
+        return records
 
     # -- content access ----------------------------------------------------
 
     def _check_commit(self, commit_id: str) -> None:
         if self._known is None:
-            self.commits()
-        if commit_id not in self._known:  # type: ignore[operator]
+            self._known = frozenset(self._head("rev-list", "--first-parent").decode().split())
+        if commit_id not in self._known:
             raise UnknownCommit(commit_id)
 
-    def file_at(self, commit_id: str, path: str) -> bytes | None:
-        """Exact bytes of *path* at *commit_id*, or None when absent there."""
+    def _entries(self, commit_id: str) -> dict[str, tuple[str, str]]:
+        if commit_id not in self._trees:
+            self.list_files(commit_id)
+        return self._trees[commit_id]
+
+    def list_files(self, commit_id: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
+        """Every path in the commit's tree, in tree order; the tree is listed once."""
         self._check_commit(commit_id)
-        proc = subprocess.run(
-            ["git", "-C", str(self.path), "show", f"{commit_id}:{path}"],
-            capture_output=True,
-        )
-        if proc.returncode != 0:
+        if commit_id not in self._trees:
+            entries = {}
+            out = _git(self.path, "ls-tree", "-r", "-z", "--full-tree", commit_id)
+            for record in out.split(b"\0")[:-1]:
+                meta, _, path = record.partition(b"\t")
+                mode, _, object_id = meta.decode().split(" ")
+                entries[_path_text(path)] = (mode, object_id)
+            self._trees[commit_id] = entries
+        paths = list(self._trees[commit_id])
+        if suffixes is not None:
+            paths = [p for p in paths if p.endswith(suffixes)]
+        return paths
+
+    def blob_id(self, commit_id: str, path: str) -> str | None:
+        """Object id of the file at *path* in *commit_id*, or None when absent there."""
+        entry = self._entries(commit_id).get(path)
+        if entry is None or entry[0] == _GITLINK:
             return None
-        return proc.stdout
+        return entry[1]
+
+    def file_at(self, commit_id: str, path: str) -> bytes | None:
+        """Exact bytes of *path* at *commit_id*, or None when absent there.
+
+        An object the tree names but the batch reader cannot deliver raises
+        GitError rather than reading as absent.
+        """
+        self._check_commit(commit_id)
+        object_id = self.blob_id(commit_id, path)
+        return None if object_id is None else self._read_blob(object_id)
+
+    def _read_blob(self, object_id: str) -> bytes:
+        if self._batch is None:
+            self._batch = subprocess.Popen(
+                ["git", "-C", str(self.path), "cat-file", "--batch"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            )
+        batch = self._batch
+        try:
+            batch.stdin.write(object_id.encode() + b"\n")
+            batch.stdin.flush()
+            header = batch.stdout.readline()
+        except OSError as exc:
+            raise GitError(f"git cat-file --batch is gone: {exc}") from None
+        fields = header.split()
+        if not fields:
+            raise GitError(f"git cat-file --batch is gone (exit status {batch.poll()})")
+        if fields[-1] == b"missing":
+            raise GitError(f"object {object_id} is missing from {self.path}")
+        if len(fields) != 3 or fields[1] != b"blob":
+            raise GitError(f"unexpected git cat-file reply for {object_id}: {header!r}")
+        size = int(fields[2])
+        data = batch.stdout.read(size)
+        if len(data) != size or batch.stdout.read(1) != b"\n":
+            raise GitError(f"short read of object {object_id}: {len(data)} of {size} bytes")
+        return data
 
     def file_text(self, commit_id: str, path: str) -> str | None:
         data = self.file_at(commit_id, path)
@@ -158,33 +253,21 @@ class Repository:
             return None
         return data.decode("utf-8", errors="replace")
 
-    def list_files(self, commit_id: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
-        self._check_commit(commit_id)
-        out = _git(self.path, "ls-tree", "-r", "--name-only", commit_id)
-        paths = out.decode("utf-8", errors="replace").splitlines()
-        if suffixes is not None:
-            paths = [p for p in paths if p.endswith(suffixes)]
-        return paths
-
     def changed_paths(self, commit_a: str, commit_b: str) -> list[str]:
+        """Sorted paths whose tree entry differs between the two commits.
+
+        Compares the two listed trees, so it names the same paths as
+        `git diff --name-only --no-renames` without starting a process.
+        """
         self._check_commit(commit_a)
         self._check_commit(commit_b)
-        out = _git(self.path, "diff", "--name-only", "--no-renames", commit_a, commit_b)
-        return out.decode("utf-8", errors="replace").splitlines()
+        a, b = self._entries(commit_a), self._entries(commit_b)
+        return sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p))
 
     def diff_hunks(self, commit_a: str, commit_b: str, path: str) -> list[Hunk]:
         a = self.file_at(commit_a, path)
         b = self.file_at(commit_b, path)
         return diff_file_hunks(a, b)
-
-    def diff_lines(
-        self, commit_a: str, commit_b: str, path: str
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """(removed ranges in a, added ranges in b), 1-based inclusive."""
-        hunks = self.diff_hunks(commit_a, commit_b, path)
-        removed = [(h.a_start, h.a_end) for h in hunks if h.a_end >= h.a_start]
-        added = [(h.b_start, h.b_end) for h in hunks if h.b_end >= h.b_start]
-        return removed, added
 
 
 # -- line diff (LCS) -------------------------------------------------------
@@ -268,7 +351,8 @@ def hunk_touches(hunk: Hunk, start_line: int, end_line: int) -> bool:
 
 
 def enumerate_commits(repo_path: str | Path) -> list[CommitRecord]:
-    return Repository(repo_path).commits()
+    with Repository(repo_path) as repo:
+        return repo.commits()
 
 
 def sample_versions(

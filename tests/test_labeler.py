@@ -145,7 +145,9 @@ def _pipeline(corpora):
         blocks = [b for p in sorted(corpus) for b in extract_blocks(corpus[p], p)]
         per_version.append(detect_clones(blocks, version=v))
     lineages = build_genealogies(per_version)
-    return lineages, LabelContext(lambda v: corpora[v])
+    return lineages, LabelContext(
+        lambda v: {p: extract_blocks(text, p) for p, text in corpora[v].items()}
+    )
 
 
 def _planted_lineage(lineages):
@@ -239,17 +241,18 @@ class TestLabelLineage:
 class TestRepositoryContext:
     def test_methods_resolved_from_git_history(self, make_repo):
         from clone_fixtures import commit_corpora
+        from crec.pipeline import VersionData
         from crec.repo_miner import Repository, sample_versions
 
         rb = make_repo()
         commit_corpora(rb, PLANTED["exact"]())
-        repo = Repository(rb.path)
-        samples = sample_versions(repo.commits(), delta_threshold=1)
-        ctx = LabelContext.from_repository(repo, samples)
-        methods = ctx.methods_at(1)
-        assert "applyScaling" in methods
-        assert methods["applyScaling"][0].declaring_path == "src/exact/Alpha.java"
-        assert "applyScaling" not in ctx.methods_at(0)
+        with Repository(rb.path) as repo:
+            samples = sample_versions(repo.commits(), delta_threshold=1)
+            ctx = VersionData(repo, samples).label_context()
+            methods = ctx.methods_at(1)
+            assert "applyScaling" in methods
+            assert methods["applyScaling"][0].declaring_path == "src/exact/Alpha.java"
+            assert "applyScaling" not in ctx.methods_at(0)
 
 
 class TestSweep:

@@ -156,12 +156,20 @@ class TestFileAccess:
             repo.file_at("0" * 40, "a.java")
 
 
+def _hunk_ranges(hunks):
+    """(removed ranges in a, added ranges in b), 1-based inclusive."""
+    removed = [(h.a_start, h.a_end) for h in hunks if h.a_end >= h.a_start]
+    added = [(h.b_start, h.b_end) for h in hunks if h.b_end >= h.b_start]
+    return removed, added
+
+
 class TestDiffLines:
     def test_identical_content_empty(self, make_repo):
         rb = make_repo()
         c1 = rb.commit({"a.java": _fresh_lines("x", 5)})
         c2 = rb.commit({"b.java": "other\n"})
-        assert Repository(rb.path).diff_lines(c1, c2, "a.java") == ([], [])
+        with Repository(rb.path) as repo:
+            assert repo.diff_hunks(c1, c2, "a.java") == []
 
     def test_single_line_replacement(self, make_repo):
         rb = make_repo()
@@ -170,7 +178,8 @@ class TestDiffLines:
         changed[4] = "line five rewritten"
         c1 = rb.commit({"a.java": "\n".join(base) + "\n"})
         c2 = rb.commit({"a.java": "\n".join(changed) + "\n"})
-        removed, added = Repository(rb.path).diff_lines(c1, c2, "a.java")
+        with Repository(rb.path) as repo:
+            removed, added = _hunk_ranges(repo.diff_hunks(c1, c2, "a.java"))
         assert removed == [(5, 5)]
         assert added == [(5, 5)]
 
@@ -178,7 +187,8 @@ class TestDiffLines:
         rb = make_repo()
         c1 = rb.commit({"a.java": _fresh_lines("x", 4)})
         c2 = rb.commit({"a.java": None})
-        removed, added = Repository(rb.path).diff_lines(c1, c2, "a.java")
+        with Repository(rb.path) as repo:
+            removed, added = _hunk_ranges(repo.diff_hunks(c1, c2, "a.java"))
         assert removed == [(1, 4)]
         assert added == []
 
@@ -187,12 +197,8 @@ class TestDiffLines:
         for _ in range(200):
             a = [rng.choice("xyz") for _ in range(rng.randrange(0, 12))]
             b = [rng.choice("xyz") for _ in range(rng.randrange(0, 12))]
-            fwd = line_diff_hunks(a, b)
-            rev = line_diff_hunks(b, a)
-            fwd_removed = [(h.a_start, h.a_end) for h in fwd if h.a_end >= h.a_start]
-            fwd_added = [(h.b_start, h.b_end) for h in fwd if h.b_end >= h.b_start]
-            rev_removed = [(h.a_start, h.a_end) for h in rev if h.a_end >= h.a_start]
-            rev_added = [(h.b_start, h.b_end) for h in rev if h.b_end >= h.b_start]
+            fwd_removed, fwd_added = _hunk_ranges(line_diff_hunks(a, b))
+            rev_removed, rev_added = _hunk_ranges(line_diff_hunks(b, a))
             assert fwd_removed == rev_added
             assert fwd_added == rev_removed
 
