@@ -40,16 +40,25 @@ def read_artifact(path: str | Path, kind: str) -> list[str]:
     return lines[1:]
 
 
-def _parse_json_rows(lines: list[str]) -> list[tuple[int, dict]]:
-    rows = []
-    for lineno, line in enumerate(lines, 2):
+def _read_rows(path: str | Path, kind: str, build) -> list:
+    """``build(row)`` for each JSON row of a *kind* artifact, in file order.
+
+    Every malformed row is a ParseError naming its line: bad JSON, a missing
+    field, or a value *build* rejects (TypeError or ValueError).
+    """
+    out = []
+    for lineno, line in enumerate(read_artifact(path, kind), 2):
         if not line.strip():
             continue
         try:
-            rows.append((lineno, json.loads(line)))
+            out.append(build(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", lineno) from None
-    return rows
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc}", lineno) from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad {kind} row: {exc}", lineno) from None
+    return out
 
 
 # -- commits / samples --------------------------------------------------------
@@ -72,21 +81,17 @@ def write_commits(path, commits: list[CommitRecord]) -> None:
 
 
 def read_commits(path) -> list[CommitRecord]:
-    out = []
-    for lineno, d in _parse_json_rows(read_artifact(path, "commits")):
-        try:
-            out.append(
-                CommitRecord(
-                    d["id"],
-                    d["timestamp"],
-                    d["author"],
-                    frozenset(d["changed_files"]),
-                    d["changed_line_count"],
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", lineno) from None
-    return out
+    return _read_rows(
+        path,
+        "commits",
+        lambda d: CommitRecord(
+            d["id"],
+            d["timestamp"],
+            d["author"],
+            frozenset(d["changed_files"]),
+            d["changed_line_count"],
+        ),
+    )
 
 
 def write_samples(path, samples: list[SampledVersion]) -> None:
@@ -98,13 +103,11 @@ def write_samples(path, samples: list[SampledVersion]) -> None:
 
 
 def read_samples(path) -> list[SampledVersion]:
-    out = []
-    for lineno, d in _parse_json_rows(read_artifact(path, "samples")):
-        try:
-            out.append(SampledVersion(d["index"], d["commit_id"], d["cumulative_delta"]))
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", lineno) from None
-    return out
+    return _read_rows(
+        path,
+        "samples",
+        lambda d: SampledVersion(d["index"], d["commit_id"], d["cumulative_delta"]),
+    )
 
 
 # -- clone groups -------------------------------------------------------------
@@ -141,16 +144,15 @@ def write_groups(path, groups) -> None:
 
 
 def read_groups(path) -> list[GroupRecord]:
-    out = []
-    for lineno, d in _parse_json_rows(read_artifact(path, "clones")):
-        try:
-            members = tuple(
-                (m["path"], m["start"], m["end"], m["tokens"]) for m in d["members"]
-            )
-            out.append(GroupRecord(d["version"], d["group_id"], members))
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", lineno) from None
-    return out
+    return _read_rows(
+        path,
+        "clones",
+        lambda d: GroupRecord(
+            d["version"],
+            d["group_id"],
+            tuple((m["path"], m["start"], m["end"], m["tokens"]) for m in d["members"]),
+        ),
+    )
 
 
 # -- lineages -----------------------------------------------------------------
@@ -178,19 +180,13 @@ def write_lineages(path, lineages: list[Lineage]) -> None:
 
 
 def read_lineages(path) -> list[LineageRecord]:
-    out = []
-    for lineno, d in _parse_json_rows(read_artifact(path, "lineages")):
-        try:
-            out.append(
-                LineageRecord(
-                    d["lineage_id"],
-                    d["end_state"],
-                    tuple((v, gid) for v, gid in d["groups"]),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad lineage row: {exc}", lineno) from None
-    return out
+    return _read_rows(
+        path,
+        "lineages",
+        lambda d: LineageRecord(
+            d["lineage_id"], d["end_state"], tuple((v, gid) for v, gid in d["groups"])
+        ),
+    )
 
 
 # -- labels and the threshold sweep -------------------------------------------
@@ -212,13 +208,11 @@ def write_labels(path, decisions: list[LabelDecision]) -> None:
 
 
 def read_labels(path) -> list[LabelDecision]:
-    out = []
-    for lineno, d in _parse_json_rows(read_artifact(path, "labels")):
-        try:
-            out.append(LabelDecision(d["lineage_id"], d["step"], d["label"], d["evidence"]))
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", lineno) from None
-    return out
+    return _read_rows(
+        path,
+        "labels",
+        lambda d: LabelDecision(d["lineage_id"], d["step"], d["label"], d["evidence"]),
+    )
 
 
 def write_sweep(path, rows: list[tuple[float, int]]) -> None:
@@ -227,10 +221,7 @@ def write_sweep(path, rows: list[tuple[float, int]]) -> None:
 
 
 def read_sweep(path) -> list[tuple[float, int]]:
-    return [
-        (d["threshold"], d["reported"])
-        for _, d in _parse_json_rows(read_artifact(path, "label-sweep"))
-    ]
+    return _read_rows(path, "label-sweep", lambda d: (d["threshold"], d["reported"]))
 
 
 # -- feature table ------------------------------------------------------------
@@ -291,10 +282,10 @@ def write_model(path, model) -> None:
 def read_model(path):
     from .learner import model_from_dict
 
-    rows = _parse_json_rows(read_artifact(path, "model"))
-    if not rows:
+    models = _read_rows(path, "model", model_from_dict)
+    if not models:
         raise ParseError("empty model artifact", 2)
-    return model_from_dict(rows[0][1])
+    return models[0]
 
 
 def write_recommendations(path, ranked: list[tuple[str, float]]) -> None:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from fractions import Fraction
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_value
 from .errors import CrecError
+from .learner import ALGORITHMS
 from . import pipeline
 
 
@@ -56,9 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     stage("featurize", "Compute the 34-feature vector per lineage.", repo=True)
 
     train = stage("train", "Train a classifier on labeled vectors.")
-    train.add_argument("--rounds", type=int, help="Override boost_rounds.")
-    train.add_argument("--algorithm", default="adaboost",
-                       choices=("adaboost", "decision_tree", "random_forest", "naive_bayes"))
+    train.add_argument("--rounds", type=int, dest="boost_rounds", help="Same as --boost-rounds.")
+    train.add_argument("--algorithm", default="adaboost", choices=ALGORITHMS)
 
     stage("recommend", "Rank current clone groups by refactoring likelihood.")
 
@@ -72,12 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     evaluate = eval_stage("evaluate", "Ten-fold or leave-one-project-out evaluation.")
-    evaluate.add_argument("--algorithm", default="adaboost",
-                          choices=("adaboost", "decision_tree", "random_forest", "naive_bayes"))
+    evaluate.add_argument("--algorithm", default="adaboost", choices=ALGORITHMS)
     eval_stage("ablate", "Re-run evaluation with each feature category removed.")
     compare = eval_stage("compare", "Evaluate several learning algorithms on shared folds.")
-    compare.add_argument("--algorithms", nargs="+", required=True,
-                         choices=("adaboost", "decision_tree", "random_forest", "naive_bayes"))
+    compare.add_argument("--algorithms", nargs="+", required=True, choices=ALGORITHMS)
     return parser
 
 
@@ -87,9 +84,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         value = getattr(args, f.name, None)
         if value is None:
             continue
-        if f.name in ("window_fraction", "recent_fraction"):
-            num, _, den = str(value).partition("/")
-            value = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        if isinstance(value, str):  # the fraction flags, which argparse leaves as text
+            value = parse_value(f.name, value)
         setattr(config, f.name, value)
     config.validate()
     return config
@@ -110,8 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "featurize":
             summary = pipeline.stage_featurize(config, args.repo, args.out)
         elif args.command == "train":
-            if args.rounds is not None:
-                config.boost_rounds = args.rounds
             summary = pipeline.stage_train(config, args.out, args.algorithm)
         elif args.command == "recommend":
             summary = pipeline.stage_recommend(config, args.out)

@@ -133,11 +133,6 @@ def scan(source: str) -> list[Token]:
     return out
 
 
-def tokenize(source: str) -> list[Token]:
-    """Keywords, identifiers, and literals; punctuation and comments dropped."""
-    return [t for t in scan(source) if t.kind != "punct"]
-
-
 def _match_paren_back(lex: list[Token], close_idx: int) -> int:
     depth = 1
     j = close_idx - 1

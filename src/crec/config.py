@@ -54,7 +54,19 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _parse_value(name: str, kind, raw: str):
+# field name -> the type its text parses to; str fields stay text
+_KINDS = {
+    f.name: {"int": int, "float": float, "Fraction": Fraction}.get(str(f.type), str)
+    for f in fields(PipelineConfig)
+}
+
+
+def parse_value(name: str, raw: str):
+    """*raw* text as the type of config field *name*; ConfigError when malformed.
+
+    A fraction reads as ``n`` or ``n/d``.
+    """
+    kind = _KINDS[name]
     try:
         if kind is int:
             return int(raw)
@@ -88,8 +100,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ParseError(f"bad header: {lines[0]!r}", 1)
     if head[1] != "v1":
         raise FormatVersionMismatch(f"unsupported config format version {head[1]}")
-    known = {f.name: f.type for f in fields(PipelineConfig)}
-    types = {"int": int, "float": float, "Fraction": Fraction, "str": str}
     config = PipelineConfig()
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -97,9 +107,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         key, eq, raw = (part.strip() for part in line.partition("="))
         if eq != "=":
             raise ParseError(f"expected 'key = value': {line!r}", lineno)
-        if key not in known:
+        if key not in _KINDS:
             raise ConfigError(f"unknown config key: {key}")
-        kind = types.get(str(known[key]), str)
-        setattr(config, key, _parse_value(key, kind, raw))
+        setattr(config, key, parse_value(key, raw))
     config.validate()
     return config

@@ -25,10 +25,6 @@ class TooFewSamples(CrecError):
     pass
 
 
-class WindowUnavailable(CrecError):
-    pass
-
-
 class RangeViolation(CrecError):
     """A computed feature fell outside its documented range (internal bug signal)."""
 

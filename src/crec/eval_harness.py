@@ -209,9 +209,10 @@ FEATURE_CATEGORIES = {
 }
 
 
-def _run_setting(
+def run_setting(
     projects: list[tuple[str, list[LabeledExample]]], setting: str, config: LearnerConfig
 ) -> EvalReport:
+    """Within-project ten-fold or cross-project leave-one-out, by *setting*."""
     if setting == "within":
         return within_project(projects, config)
     if setting == "cross":
@@ -227,11 +228,11 @@ def ablation(
     """All-features run plus one run per feature category masked out."""
     base = config.features if config.features is not None else tuple(range(1, 35))
     rows = []
-    report = _run_setting(projects, setting, config)
+    report = run_setting(projects, setting, config)
     rows.append(("AllFeatures", *report.averages))
     for category, masked in FEATURE_CATEGORIES.items():
         kept = tuple(f for f in base if f not in masked)
-        report = _run_setting(projects, setting, replace(config, features=kept))
+        report = run_setting(projects, setting, replace(config, features=kept))
         rows.append((f"Except{category}", *report.averages))
     return rows
 
@@ -245,6 +246,6 @@ def compare_learners(
     """One metric triple per algorithm; identical seeds so folds match exactly."""
     rows = []
     for algorithm in algorithms:
-        report = _run_setting(projects, setting, replace(config, algorithm=algorithm))
+        report = run_setting(projects, setting, replace(config, algorithm=algorithm))
         rows.append((algorithm, *report.averages))
     return rows

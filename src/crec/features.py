@@ -271,7 +271,6 @@ class WindowView:
 
     def __init__(self, repo, window: CheckedWindow | None):
         self.repo = repo
-        self.window = window
         self.steps = window.steps if window is not None else ()
         recent = len(window.recent_steps) if window is not None else 0
         self.recent_indices = range(len(self.steps) - recent, len(self.steps))
@@ -296,12 +295,12 @@ class WindowView:
         key = (step, path)
         if key not in self._exists:
             _, b = self.steps[step]
-            self._exists[key] = self.repo.file_at(b.commit_id, path) is not None
+            self._exists[key] = self.repo.blob_id(b.commit_id, path) is not None
         return self._exists[key]
 
 
 def extract_history_features(path: str, view: WindowView, commits) -> tuple[float, ...]:
-    if view.window is None or not view.steps:
+    if not view.steps:
         return (0.0,) * 6
     n = len(view.steps)
     directory = posixpath.dirname(path)
@@ -333,7 +332,7 @@ def extract_history_features(path: str, view: WindowView, commits) -> tuple[floa
 # -- group location features (F18-F23) ----------------------------------------
 
 
-def _top_level_classes(
+def top_level_classes(
     path: str, text: str, lex: list[Token] | None = None
 ) -> list[tuple[str, int, int, list[str]]]:
     """(name, start_line, end_line, related names) for each top-level type.
@@ -392,7 +391,7 @@ def _top_level_classes(
     return classes
 
 
-def _hierarchy_components(corpus: dict[str, str], classes_of) -> dict[str, int]:
+def hierarchy_components(corpus: dict[str, str], classes_of) -> dict[str, int]:
     """Connected components of the shallow extends/implements graph.
 
     *classes_of(path)* gives the top-level classes of a file of *corpus*.
@@ -450,22 +449,13 @@ def path_copy_score(dir_a: str, dir_b: str, corpus_paths: list[str]) -> float:
 
 
 def extract_location_features(
-    group, corpus: dict[str, str], classes_of=None, hierarchy=None
+    group, corpus: dict[str, str], classes_of, hierarchy
 ) -> tuple[float, ...]:
     """F18-F23 of a group within *corpus*, the version's path -> text map.
 
-    *classes_of(path)* (a file's top-level classes) and *hierarchy()* (the
-    version's class-hierarchy components) default to lexing *corpus*; a caller
-    holding per-version caches passes its own lookups.
+    *classes_of(path)* gives a file's top_level_classes and *hierarchy()* the
+    version's hierarchy_components; callers cache both per version.
     """
-    if classes_of is None:
-        def classes_of(path):
-            return _top_level_classes(path, corpus[path])
-
-    if hierarchy is None:
-        def hierarchy():
-            return _hierarchy_components(corpus, classes_of)
-
     members = group.members
     dirs = [posixpath.dirname(m.path) for m in members]
     f18 = 1.0 if len(set(dirs)) == 1 else 0.0
@@ -652,7 +642,7 @@ def _chain_positions(lineage: Lineage) -> dict[tuple[int, int], CodeBlock]:
 def extract_cochange_features(
     group, lineage: Lineage, version: int, view: WindowView
 ) -> tuple[float, ...]:
-    if view.window is None or not view.steps:
+    if not view.steps:
         return (0.0,) * 5
     positions = _chain_positions(lineage)
     chain_by_pos = {(v, blk.key): cid for (v, cid), blk in positions.items()}

@@ -71,22 +71,14 @@ def _distinct_members(groups: list[CloneGroup]) -> list[CodeBlock]:
     return [seen[k] for k in sorted(seen)]
 
 
-def link_groups(
-    group_a: CloneGroup, group_b: CloneGroup, member_links: list[CloneLink]
-) -> bool:
-    """True when the majority (ceil of half) of group_a's members match into group_b."""
-    a_keys = {b.key for b in group_a.members}
-    b_keys = {b.key for b in group_b.members}
-    matched = sum(
-        1 for l in member_links if l.source.key in a_keys and l.target.key in b_keys
-    )
-    return matched >= (len(group_a.members) + 1) // 2
-
-
 def _match_groups(
     groups_a: list[CloneGroup], groups_b: list[CloneGroup], links: list[CloneLink]
 ) -> dict[str, tuple[CloneGroup, list[CloneLink]]]:
-    """Best one-to-one group successor map for one version step."""
+    """Best one-to-one group successor map for one version step.
+
+    A pair of groups qualifies when member links join a majority (ceil of
+    half) of the earlier group's members to the later group.
+    """
     owner_a = {b.key: g for g in groups_a for b in g.members}
     owner_b = {b.key: g for g in groups_b for b in g.members}
     by_id_b = {g.group_id: g for g in groups_b}

@@ -17,8 +17,7 @@ from .eval_harness import (
     ablation,
     build_balanced_dataset,
     compare_learners,
-    cross_project,
-    within_project,
+    run_setting,
 )
 from .features import (
     FeatureVector,
@@ -31,8 +30,8 @@ from .features import (
     extract_history_features,
     extract_location_features,
     file_context,
-    _hierarchy_components,
-    _top_level_classes,
+    hierarchy_components,
+    top_level_classes,
 )
 from .genealogy import Lineage, build_genealogies
 from .labeler import LabelContext, label_lineage, sweep
@@ -141,12 +140,12 @@ class VersionData:
     def classes(self, version: int, path: str) -> list:
         key = (self.files(version)[path], path)
         if key not in self._classes:
-            self._classes[key] = _top_level_classes(path, *self._text_and_lex(version, path))
+            self._classes[key] = top_level_classes(path, *self._text_and_lex(version, path))
         return self._classes[key]
 
     def hierarchy(self, version: int) -> dict[str, int]:
         if version not in self._hierarchy:
-            self._hierarchy[version] = _hierarchy_components(
+            self._hierarchy[version] = hierarchy_components(
                 self.corpus(version), lambda path: self.classes(version, path)
             )
         return self._hierarchy[version]
@@ -399,10 +398,7 @@ def stage_evaluate(
     balance: bool = False,
 ) -> str:
     projects = _load_projects(feature_paths, balance, config.seed)
-    lcfg = _learner_config(config, algorithm)
-    report = (
-        within_project(projects, lcfg) if setting == "within" else cross_project(projects, lcfg)
-    )
+    report = run_setting(projects, setting, _learner_config(config, algorithm))
     artifacts.write_report(_path(out_dir, "report"), report)
     p, r, f = report.averages
     return f"evaluate[{setting}]: avg P={p:.3f} R={r:.3f} F={f:.3f} -> {_path(out_dir, 'report')}"

@@ -350,11 +350,6 @@ def hunk_touches(hunk: Hunk, start_line: int, end_line: int) -> bool:
 # -- sampling and derived views ---------------------------------------------
 
 
-def enumerate_commits(repo_path: str | Path) -> list[CommitRecord]:
-    with Repository(repo_path) as repo:
-        return repo.commits()
-
-
 def sample_versions(
     commits: list[CommitRecord], delta_threshold: int = 200
 ) -> list[SampledVersion]:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 from pathlib import Path
 
 import pytest
+
+from crec.repo_miner import diff_file_hunks
 
 
 class RepoBuilder:
@@ -57,6 +60,35 @@ class RepoBuilder:
             env={"GIT_AUTHOR_DATE": stamp, "GIT_COMMITTER_DATE": stamp},
         )
         return self._git("rev-parse", "HEAD").strip()
+
+
+class SnapshotRepo:
+    """In-memory file snapshots keyed by commit ids 'v0', 'v1', ... for WindowView.
+
+    It answers only what WindowView asks a Repository: changed paths, blob ids
+    (a hash of the text, None when the file is absent) and line-diff hunks.
+    """
+
+    def __init__(self, snapshots: list[dict[str, str]]):
+        self.snapshots = snapshots
+
+    def _files(self, cid: str) -> dict[str, str]:
+        return self.snapshots[int(cid[1:])]
+
+    def _bytes(self, cid: str, path: str) -> bytes | None:
+        text = self._files(cid).get(path)
+        return None if text is None else text.encode()
+
+    def changed_paths(self, a: str, b: str) -> list[str]:
+        fa, fb = self._files(a), self._files(b)
+        return sorted(p for p in set(fa) | set(fb) if fa.get(p) != fb.get(p))
+
+    def blob_id(self, cid: str, path: str) -> str | None:
+        data = self._bytes(cid, path)
+        return None if data is None else hashlib.sha1(data).hexdigest()
+
+    def diff_hunks(self, a: str, b: str, path: str):
+        return diff_file_hunks(self._bytes(a, path), self._bytes(b, path))
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
-from conftest import RepoBuilder
+from conftest import RepoBuilder, SnapshotRepo
 from crec import artifacts, pipeline
 from crec.clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks
 from crec.config import PipelineConfig
@@ -38,8 +38,10 @@ from crec.features import (
     extract_history_features,
     extract_location_features,
     file_context,
+    hierarchy_components,
     levenshtein,
     multiset_diff,
+    top_level_classes,
 )
 from crec.genealogy import CloneLink, Lineage
 from crec.learner import (
@@ -53,7 +55,6 @@ from crec.repo_miner import (
     CommitRecord,
     SampledVersion,
     checked_window,
-    diff_file_hunks,
 )
 
 NEG_INF = float("-inf")
@@ -195,25 +196,6 @@ def test_criterion_2_labeler_fixture_suite(tmp_path):
 # -- criterion 3: feature ranges, diff conservation, levenshtein ----------------
 
 
-class _SnapshotRepo:
-    def __init__(self, snapshots):
-        self.snapshots = snapshots
-
-    def _files(self, cid):
-        return self.snapshots[int(cid[1:])]
-
-    def changed_paths(self, a, b):
-        fa, fb = self._files(a), self._files(b)
-        return sorted(p for p in set(fa) | set(fb) if fa.get(p) != fb.get(p))
-
-    def file_at(self, cid, path):
-        text = self._files(cid).get(path)
-        return None if text is None else text.encode()
-
-    def diff_hunks(self, a, b, path):
-        return diff_file_hunks(self.file_at(a, path), self.file_at(b, path))
-
-
 def _random_file(rng: random.Random, idx: int) -> tuple[str, str]:
     names = ["alpha", "beta", "gamma", "delta"]
     lines = [f"class Gen{idx} {{", f"    int field{idx} = {rng.randrange(9)};"]
@@ -263,7 +245,7 @@ def test_criterion_3_feature_property_suite():
                 for path, text in previous.items()
             }
         )
-    repo = _SnapshotRepo(snapshots)
+    repo = SnapshotRepo(snapshots)
     samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
     view = WindowView(repo, checked_window(samples, Fraction(1, 1), Fraction(1, 4)))
     commits = [
@@ -277,6 +259,8 @@ def test_criterion_3_feature_property_suite():
         for i in range(6)
     ]
     contexts = {path: file_context(path, text) for path, text in corpus.items()}
+    classes = {path: top_level_classes(path, text) for path, text in corpus.items()}
+    hierarchy = hierarchy_components(corpus, classes.__getitem__)
     pool = [b for path, text in sorted(corpus.items()) for b in extract_blocks(text, path)]
 
     checked = 0
@@ -301,7 +285,7 @@ def test_criterion_3_feature_property_suite():
                 for m in members
             ]
             group_values = (
-                extract_location_features(group, corpus)
+                extract_location_features(group, corpus, classes.__getitem__, lambda: hierarchy)
                 + extract_diff_features(group)
                 + extract_cochange_features(group, lineage, 4, view)
             )

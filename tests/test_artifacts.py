@@ -162,6 +162,12 @@ class TestFormatGuards:
             artifacts.read_samples(path)
         assert err.value.line_number == 2
 
+    def test_sweep_row_without_threshold(self, tmp_path):
+        path = tmp_path / "label_sweep.txt"
+        path.write_text('crec-format v1 label-sweep\n{"reported":1}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: missing field 'threshold'"):
+            artifacts.read_sweep(path)
+
 
 class TestConfigFile:
     def test_round_trip_defaults(self, tmp_path):

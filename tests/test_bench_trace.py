@@ -1,0 +1,56 @@
+"""The benchmark's tracer still runs the pipeline: every traced name resolves.
+
+`bench/trace_stage.py` wraps crec functions by name and reads some of their
+parameters by name, so a rename or removal in `src/crec` breaks
+`bench/run.py --trace 1`. This runs mine -> recommend under the tracer, one
+subprocess per command, as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from clone_fixtures import commit_corpora, end_to_end_corpora
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_SCRIPT = ROOT / "bench" / "trace_stage.py"
+COMMANDS = ("mine", "detect", "genealogy", "label", "featurize", "train", "recommend")
+
+
+def _traced_names(monkeypatch) -> tuple[str, ...]:
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location("trace_stage", TRACE_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def test_pipeline_runs_under_tracer(make_repo, tmp_path, monkeypatch):
+    rb = make_repo("traced")
+    commit_corpora(rb, end_to_end_corpora())
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    names: set[str] = set()
+    for command in COMMANDS:
+        spans = tmp_path / f"trace-{command}.json"
+        args = ["--out", str(out)]
+        if command not in ("train", "recommend"):
+            args += ["--repo", str(rb.path), "--delta-threshold", "1"]
+        proc = subprocess.run(
+            [sys.executable, str(TRACE_SCRIPT), str(spans), command, *args],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, f"{command}: {proc.stderr}"
+        trace = json.loads(spans.read_text())
+        names.update(trace["names"])
+        called = {trace["names"][index] for index, *_ in trace["spans"]}
+        assert f"pipeline.stage_{command}" in called
+    assert set(_traced_names(monkeypatch)) <= names
+    assert (out / "recommendations.csv").exists()

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from clone_fixtures import commit_corpora, end_to_end_corpora
 from crec import artifacts
 from crec.artifacts import FeatureRow
@@ -18,6 +20,13 @@ from crec.repo_miner import SampledVersion
 
 def _run(*argv: str) -> int:
     return main(list(argv))
+
+
+def _one_error_line(capsys) -> str:
+    """The run's stderr, asserted to be a single line."""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return err
 
 
 def _pipeline_args(repo: Path, out: Path) -> list[str]:
@@ -134,6 +143,10 @@ class TestPipelineStages:
         assert _run("train", "--out", str(out), "--rounds", "10") == 0
         model_line = (out / "model.txt").read_text().splitlines()[1]
         assert json.loads(model_line)["rounds"] == 10
+
+    def test_rounds_flag_validated_like_boost_rounds(self, tmp_path, capsys):
+        assert _run("train", "--out", str(tmp_path), "--rounds", "0") == 1
+        assert _one_error_line(capsys).startswith("error: ConfigError:")
 
 
 class TestRecommendStage:
@@ -280,6 +293,12 @@ class TestConfigResolution:
         assert config.window_fraction == Fraction(1, 5)
         assert config.recent_fraction == Fraction(1, 2)
 
+    @pytest.mark.parametrize("flag", ["--window-fraction", "--recent-fraction"])
+    @pytest.mark.parametrize("raw", ["1/0", "abc"])
+    def test_malformed_fraction_flag_rejected(self, tmp_path, capsys, flag, raw):
+        assert _run("mine", "--repo", str(tmp_path), flag, raw) == 1
+        assert _one_error_line(capsys).startswith("error: ConfigError: bad value for")
+
     def test_invalid_override_rejected(self, tmp_path, capsys):
         code = _run("mine", "--repo", str(tmp_path), "--theta", "1.5")
         assert code == 1
@@ -299,3 +318,25 @@ class TestConfigResolution:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: MissingInput:")
+
+
+class TestMalformedArtifacts:
+    """A malformed artifact row stops a stage with one ParseError line naming it."""
+
+    def test_samples_row_not_an_object(self, tmp_path, capsys):
+        artifacts.write_artifact(tmp_path / "samples.txt", "samples", ["5"])
+        assert _run("detect", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
+        assert _one_error_line(capsys).startswith("error: ParseError: line 2: bad samples row")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"algorithm":"svm"}', "bad model row: unknown algorithm: svm"),
+            ('{"algorithm":"adaboost","feature_names":[]}', "missing field 'stumps'"),
+        ],
+        ids=["unknown-algorithm", "missing-stumps"],
+    )
+    def test_model_row_rejected_by_recommend(self, tmp_path, capsys, row, message):
+        artifacts.write_artifact(tmp_path / "model.txt", "model", [row])
+        assert _run("recommend", "--out", str(tmp_path)) == 1
+        assert _one_error_line(capsys).startswith(f"error: ParseError: line 2: {message}")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import SnapshotRepo
 from crec.clone_detector import CloneGroup, CodeBlock, Token, extract_blocks, scan
 from crec.errors import RangeViolation
 from crec.features import (
@@ -22,16 +23,17 @@ from crec.features import (
     extract_history_features,
     extract_location_features,
     file_context,
+    hierarchy_components,
     levenshtein,
     multiset_diff,
     path_copy_score,
+    top_level_classes,
 )
 from crec.genealogy import CloneLink, Lineage
 from crec.repo_miner import (
     Repository,
     SampledVersion,
     checked_window,
-    diff_file_hunks,
     sample_versions,
 )
 
@@ -245,12 +247,18 @@ TWIN_BLOCKS = (
 )
 
 
+def _location_features(group: CloneGroup, corpus: dict[str, str]) -> tuple[float, ...]:
+    classes = {path: top_level_classes(path, text) for path, text in corpus.items()}
+    hierarchy = hierarchy_components(corpus, classes.__getitem__)
+    return extract_location_features(group, corpus, classes.__getitem__, lambda: hierarchy)
+
+
 class TestLocationFeatures:
     def test_same_file_same_method(self):
         corpus = {"M.java": TWIN_BLOCKS}
         inner = [b for b in _blocks(TWIN_BLOCKS, "M.java") if b.tokens[0].text == "a"]
         assert len(inner) == 2
-        f = extract_location_features(_group_of(inner), corpus)
+        f = _location_features(_group_of(inner), corpus)
         assert f[0] == 1.0 and f[1] == 1.0  # F18, F19
         assert f[2] == 1.0  # F20 same class
         assert f[3] == 1.0  # F21 same method instance
@@ -264,7 +272,7 @@ class TestLocationFeatures:
             _method_block(src_a, "getFoo", "p/A.java"),
             _method_block(src_b, "getBar", "p/B.java"),
         ]
-        f = extract_location_features(_group_of(members), corpus)
+        f = _location_features(_group_of(members), corpus)
         assert f[4] == 3.0  # F22
         assert f[3] == 0.0  # different methods
 
@@ -275,7 +283,7 @@ class TestLocationFeatures:
             _method_block(src, "m", "a/b/d/M.java"),
             _method_block(src, "m", "a/c/b/d/M.java"),
         ]
-        f = extract_location_features(_group_of(members), corpus)
+        f = _location_features(_group_of(members), corpus)
         assert f[0] == 0.0  # different directories
         assert f[5] == pytest.approx(2 / 3)  # shared b/d suffix, identical siblings
 
@@ -293,7 +301,7 @@ class TestLocationFeatures:
             _method_block(src_a, "m", "A.java"),
             _method_block(src_b, "m", "B.java"),
         ]
-        f = extract_location_features(_group_of(members), corpus)
+        f = _location_features(_group_of(members), corpus)
         assert f[2] == 1.0
         unrelated_b = "class B {\n    void m() {\n        x = 1;\n    }\n}\n"
         corpus2 = {"A.java": src_a, "B.java": unrelated_b, "Base.java": "class Base {\n}\n"}
@@ -301,7 +309,7 @@ class TestLocationFeatures:
             _method_block(src_a, "m", "A.java"),
             _method_block(unrelated_b, "m", "B.java"),
         ]
-        assert extract_location_features(_group_of(members2), corpus2)[2] == 0.0
+        assert _location_features(_group_of(members2), corpus2)[2] == 0.0
 
 
 class TestClassifyIdentifier:
@@ -430,27 +438,6 @@ class TestDiffFeatures:
         assert f[5] == 0.5  # the other is a type diff
 
 
-class FakeRepo:
-    """In-memory snapshots keyed by commit ids 'v0', 'v1', ... for WindowView."""
-
-    def __init__(self, snapshots: list[dict[str, str]]):
-        self.snapshots = snapshots
-
-    def _files(self, cid: str) -> dict[str, str]:
-        return self.snapshots[int(cid[1:])]
-
-    def changed_paths(self, a: str, b: str) -> list[str]:
-        fa, fb = self._files(a), self._files(b)
-        return sorted(p for p in set(fa) | set(fb) if fa.get(p) != fb.get(p))
-
-    def file_at(self, cid: str, path: str):
-        text = self._files(cid).get(path)
-        return None if text is None else text.encode()
-
-    def diff_hunks(self, a: str, b: str, path: str):
-        return diff_file_hunks(self.file_at(a, path), self.file_at(b, path))
-
-
 def _content(lines: dict[int, str], total: int = 12) -> str:
     return "".join(lines.get(i, f"line {i}\n") for i in range(1, total + 1))
 
@@ -462,7 +449,7 @@ def _cochange_setup():
     v2 = dict(v1)
     v3 = {p: (_content({5: f"edited {p}\n", 6: "again\n"}) if p == "f0.java" else v1[p]) for p in paths}
     v4 = {p: v3[p][: v3[p].index("line 11")] + "tail changed\n" + "line 12\n" for p in paths}
-    repo = FakeRepo([base, v1, v2, v3, v4])
+    repo = SnapshotRepo([base, v1, v2, v3, v4])
     samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
     window = checked_window(samples, Fraction(1, 1), Fraction(1, 4))
     view = WindowView(repo, window)
@@ -504,7 +491,7 @@ class TestCochangeFeatures:
         paths = ["f0.java", "f1.java"]
         base = {p: _content({}) for p in paths}
         drift = [{**base, "other.java": f"v{i}\n"} for i in range(5)]
-        repo = FakeRepo(drift)
+        repo = SnapshotRepo(drift)
         samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
         view = WindowView(repo, checked_window(samples, Fraction(1, 1), Fraction(1, 4)))
         members = tuple(

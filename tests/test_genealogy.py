@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 from crec.clone_detector import CloneGroup, CodeBlock, Token
-from crec.genealogy import build_genealogies, link_clones, link_groups
+from crec.genealogy import build_genealogies, link_clones
 
 
 def _block(texts, path="A.java", start=1, span=8) -> CodeBlock:
@@ -87,25 +87,26 @@ class TestLinkClones:
 
 
 class TestLinkGroups:
-    def _pair(self, size_a, matched):
+    """A group's successor needs links from a majority (ceil of half) of its members."""
+
+    def _linked(self, size_a, matched):
         members_a = [_block(BASE, path=f"m{i}.java") for i in range(size_a)]
         members_b = [_block(BASE, path=f"m{i}.java", start=60) for i in range(matched)]
         ga = _group(0, members_a, "ga")
         gb = _group(1, members_b + [_block(BASE, path="extra.java", start=60)], "gb")
-        links = link_clones([ga], [gb])
-        return ga, gb, links
+        lineages = build_genealogies([[ga], [gb]])
+        chains = [[g.group_id for _, g in lin.groups] for lin in lineages]
+        assert chains in ([["ga", "gb"]], [["ga"], ["gb"]])
+        return chains == [["ga", "gb"]]
 
     def test_three_of_four_matched_links(self):
-        ga, gb, links = self._pair(4, 3)
-        assert link_groups(ga, gb, links)
+        assert self._linked(4, 3)
 
     def test_one_of_four_not_linked(self):
-        ga, gb, links = self._pair(4, 1)
-        assert not link_groups(ga, gb, links)
+        assert not self._linked(4, 1)
 
     def test_one_of_two_links(self):
-        ga, gb, links = self._pair(2, 1)
-        assert link_groups(ga, gb, links)  # ceil(2/2) = 1
+        assert self._linked(2, 1)  # ceil(2/2) = 1
 
 
 def _evolution_fixture():
