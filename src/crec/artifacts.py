@@ -220,10 +220,6 @@ def write_sweep(path, rows: list[tuple[float, int]]) -> None:
     write_artifact(path, "label-sweep", lines)
 
 
-def read_sweep(path) -> list[tuple[float, int]]:
-    return _read_rows(path, "label-sweep", lambda d: (d["threshold"], d["reported"]))
-
-
 # -- feature table ------------------------------------------------------------
 
 

@@ -15,18 +15,8 @@ from . import pipeline
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="Path to a config file.")
     parser.add_argument("--out", default="crec-out", help="Artifact directory.")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--delta-threshold", type=int)
-    parser.add_argument("--min-tokens", type=int)
-    parser.add_argument("--min-lines", type=int)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--link-floor", type=float)
-    parser.add_argument("--l-th", type=float)
-    parser.add_argument("--window-fraction", help="e.g. 1/10")
-    parser.add_argument("--recent-fraction", help="e.g. 1/4")
-    parser.add_argument("--boost-rounds", type=int)
-    parser.add_argument("--recommend-threshold", type=float)
-    parser.add_argument("--aggregation", choices=("mean", "max"))
+    for f in fields(PipelineConfig):  # parsed and checked by resolve_config
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f"default: {f.default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     stage("featurize", "Compute the 34-feature vector per lineage.", repo=True)
 
     train = stage("train", "Train a classifier on labeled vectors.")
-    train.add_argument("--rounds", type=int, dest="boost_rounds", help="Same as --boost-rounds.")
+    train.add_argument("--rounds", dest="boost_rounds", help="Same as --boost-rounds.")
     train.add_argument("--algorithm", default="adaboost", choices=ALGORITHMS)
 
     stage("recommend", "Rank current clone groups by refactoring likelihood.")
@@ -81,12 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if isinstance(value, str):  # the fraction flags, which argparse leaves as text
-            value = parse_value(f.name, value)
-        setattr(config, f.name, value)
+        raw = getattr(args, f.name)
+        if raw is not None:
+            setattr(config, f.name, parse_value(f.name, raw))
     config.validate()
     return config
 

@@ -12,6 +12,8 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .config import DEFAULTS
+
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
     default do double else enum extends final finally float for goto if
@@ -266,9 +268,9 @@ def similarity(a: CodeBlock, b: CodeBlock) -> float:
 
 def detect_clones(
     blocks: list[CodeBlock],
-    min_tokens: int = 30,
-    min_lines: int = 6,
-    theta: float = 0.8,
+    min_tokens: int = DEFAULTS.min_tokens,
+    min_lines: int = DEFAULTS.min_lines,
+    theta: float = DEFAULTS.theta,
     version: int = 0,
     conjunctive: bool = False,
 ) -> list[CloneGroup]:

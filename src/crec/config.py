@@ -1,5 +1,9 @@
 """Pipeline configuration: every tunable constant with its default, plus a
-human-readable `key = value` file format. Unknown keys are rejected."""
+human-readable `key = value` file format. Unknown keys are rejected.
+
+`PipelineConfig` owns each tunable's name, default, text parser
+(`parse_value`) and allowed values (`validate`); the CLI flags, the config
+file and the library defaults (`DEFAULTS`) all come from its fields."""
 
 from __future__ import annotations
 
@@ -8,8 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError, FormatVersionMismatch, ParseError
-
-FORMAT_HEADER = "crec-format v1 config"
 
 
 @dataclass
@@ -48,11 +50,8 @@ class PipelineConfig:
             raise ConfigError("aggregation must be mean or max")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return repr(value) if isinstance(value, float) else str(value)
-
+# every library parameter that mirrors a field takes its default from here
+DEFAULTS = PipelineConfig()
 
 # field name -> the type its text parses to; str fields stay text
 _KINDS = {
@@ -78,14 +77,6 @@ def parse_value(name: str, raw: str):
         return raw
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
-
-
-def save_config(config: PipelineConfig, path: str | Path) -> None:
-    config.validate()
-    lines = [FORMAT_HEADER]
-    for f in fields(config):
-        lines.append(f"{f.name} = {_format_value(getattr(config, f.name))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -11,6 +11,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field, replace
 
+from .config import DEFAULTS
 from .errors import InsufficientNegatives, TooFewProjects, TooSmall
 from .learner import LabeledExample, predict_likelihood, train_alt
 
@@ -47,9 +48,9 @@ def fscore(p: float, r: float) -> float:
 @dataclass(frozen=True)
 class LearnerConfig:
     algorithm: str = "adaboost"
-    rounds: int = 50
-    threshold: float = 0.5
-    seed: int = 0
+    rounds: int = DEFAULTS.boost_rounds
+    threshold: float = DEFAULTS.recommend_threshold
+    seed: int = DEFAULTS.seed
     features: tuple[int, ...] | None = None  # None = all 34
 
     def digest(self) -> str:

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .clone_detector import CodeBlock, Token, scan
+from .config import DEFAULTS
 from .errors import RangeViolation
 from .genealogy import Lineage
 from .repo_miner import CheckedWindow, Hunk, hunk_touches, distinct_authors
@@ -276,7 +277,6 @@ class WindowView:
         self.recent_indices = range(len(self.steps) - recent, len(self.steps))
         self._changed: dict[int, set[str]] = {}
         self._hunks: dict[tuple[int, str], list[Hunk]] = {}
-        self._exists: dict[tuple[int, str], bool] = {}
 
     def changed_paths(self, step: int) -> set[str]:
         if step not in self._changed:
@@ -292,11 +292,8 @@ class WindowView:
         return self._hunks[key]
 
     def exists_at_end(self, step: int, path: str) -> bool:
-        key = (step, path)
-        if key not in self._exists:
-            _, b = self.steps[step]
-            self._exists[key] = self.repo.blob_id(b.commit_id, path) is not None
-        return self._exists[key]
+        _, b = self.steps[step]
+        return self.repo.blob_id(b.commit_id, path) is not None
 
 
 def extract_history_features(path: str, view: WindowView, commits) -> tuple[float, ...]:
@@ -714,7 +711,7 @@ def assemble_vector(
     group_values: tuple[float, ...],
     lineage_id: str,
     version: int,
-    aggregation: str = "mean",
+    aggregation: str = DEFAULTS.aggregation,
 ) -> FeatureVector:
     """Aggregate per-clone F1-F17 rows, append group F18-F34, and validate."""
     if not per_clone_rows or any(len(r) != 17 for r in per_clone_rows):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clone_detector import CloneGroup, CodeBlock, similarity
+from .config import DEFAULTS
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,9 @@ class Lineage:
 
 
 def link_clones(
-    groups_i: list[CloneGroup], groups_i1: list[CloneGroup], link_floor: float = 0.5
+    groups_i: list[CloneGroup],
+    groups_i1: list[CloneGroup],
+    link_floor: float = DEFAULTS.link_floor,
 ) -> list[CloneLink]:
     """One-to-one successor links between the clones of two consecutive versions.
 
@@ -51,16 +54,25 @@ def link_clones(
             c[1].key,
         )
     )
-    used_a: set[tuple] = set()
-    used_b: set[tuple] = set()
-    links = []
-    for a, b, score in candidates:
-        if a.key in used_a or b.key in used_b:
-            continue
-        used_a.add(a.key)
-        used_b.add(b.key)
-        links.append(CloneLink(a, b, score))
-    return links
+    kept = _greedy_one_to_one(candidates, lambda c: (c[0].key, c[1].key))
+    return [CloneLink(a, b, score) for a, b, score in kept]
+
+
+def _greedy_one_to_one(candidates: list, sides) -> list:
+    """The candidates, in order, that take a left and a right side both still free.
+
+    *sides* maps a candidate to its (left, right) pair of hashable keys.
+    """
+    used_left: set = set()
+    used_right: set = set()
+    kept = []
+    for c in candidates:
+        left, right = sides(c)
+        if left not in used_left and right not in used_right:
+            used_left.add(left)
+            used_right.add(right)
+            kept.append(c)
+    return kept
 
 
 def _distinct_members(groups: list[CloneGroup]) -> list[CodeBlock]:
@@ -96,20 +108,14 @@ def _match_groups(
         if len(ls) >= (len(by_id_a[ida].members) + 1) // 2
     ]
     candidates.sort()
-    used_a: set[str] = set()
-    used_b: set[str] = set()
-    successor: dict[str, tuple[CloneGroup, list[CloneLink]]] = {}
-    for _, ida, idb in candidates:
-        if ida in used_a or idb in used_b:
-            continue
-        used_a.add(ida)
-        used_b.add(idb)
-        successor[ida] = (by_id_b[idb], pair_links[(ida, idb)])
-    return successor
+    return {
+        ida: (by_id_b[idb], pair_links[(ida, idb)])
+        for _, ida, idb in _greedy_one_to_one(candidates, lambda c: c[1:])
+    }
 
 
 def build_genealogies(
-    all_versions_groups: list[list[CloneGroup]], link_floor: float = 0.5
+    all_versions_groups: list[list[CloneGroup]], link_floor: float = DEFAULTS.link_floor
 ) -> list[Lineage]:
     """Stitch step-wise group links into maximal lineages.
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .clone_detector import CodeBlock, invoked_names
+from .config import DEFAULTS
 from .genealogy import CloneLink, Lineage
 
 
@@ -124,7 +125,9 @@ def removed_code_similarity(removed: Counter, body: Counter) -> float:
     return sum((removed & body).values()) / denom
 
 
-def label_lineage(lineage: Lineage, ctx: LabelContext, l_th: float = 0.4) -> LabelDecision:
+def label_lineage(
+    lineage: Lineage, ctx: LabelContext, l_th: float = DEFAULTS.l_th
+) -> LabelDecision:
     """Apply the three step criteria in order; earliest qualifying step wins."""
     for k in range(len(lineage.groups) - 1):
         (v_i, _), (v_i1, _) = lineage.groups[k], lineage.groups[k + 1]

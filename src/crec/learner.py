@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+from .config import DEFAULTS
 from .errors import DegenerateData
 from .features import FEATURE_NAMES, FeatureVector
 
@@ -146,8 +147,8 @@ def _constant_stump(label: int) -> DecisionStump:
 
 def train_adaboost(
     examples: list[LabeledExample],
-    rounds: int = 50,
-    seed: int = 0,
+    rounds: int = DEFAULTS.boost_rounds,
+    seed: int = DEFAULTS.seed,
     features: list[int] | None = None,
 ) -> BoostModel:
     """Discrete AdaBoost; stops early once a round's error hits 0 or 0.5."""
@@ -186,7 +187,7 @@ def predict_likelihood(model, vector) -> float:
 def recommend(
     model,
     candidates: list[tuple[str, FeatureVector]],
-    threshold: float = 0.5,
+    threshold: float = DEFAULTS.recommend_threshold,
 ) -> list[tuple[str, float]]:
     """Ranked (group_id, likelihood) pairs at or above the cutoff."""
     if not 0.0 < threshold <= 1.0:
@@ -416,7 +417,16 @@ class ConstantModel:
         return cls(d["likelihood"], d["dataset_digest"])
 
 
-ALGORITHMS = ("adaboost", "decision_tree", "random_forest", "naive_bayes")
+# the "algorithm" of a saved model -> its class; training on one class gives a
+# constant model, which is not an algorithm a user can choose
+_MODELS = {
+    "adaboost": BoostModel,
+    "decision_tree": TreeModel,
+    "random_forest": ForestModel,
+    "naive_bayes": NaiveBayesModel,
+    "constant": ConstantModel,
+}
+ALGORITHMS = tuple(name for name in _MODELS if name != "constant")
 
 _VARIANCE_FLOOR = 1e-9
 _FOREST_SIZE = 100
@@ -426,9 +436,9 @@ _MIN_LEAF = 2
 def train_alt(
     algorithm: str,
     examples: list[LabeledExample],
-    seed: int = 0,
+    seed: int = DEFAULTS.seed,
     features: list[int] | None = None,
-    rounds: int = 50,
+    rounds: int = DEFAULTS.boost_rounds,
 ):
     """Train any supported algorithm; all models expose predict_likelihood."""
     if algorithm == "adaboost":
@@ -486,14 +496,6 @@ def train_alt(
 
 def model_from_dict(d: dict):
     kind = d["algorithm"]
-    if kind == "adaboost":
-        return BoostModel.from_dict(d)
-    if kind == "decision_tree":
-        return TreeModel.from_dict(d)
-    if kind == "random_forest":
-        return ForestModel.from_dict(d)
-    if kind == "naive_bayes":
-        return NaiveBayesModel.from_dict(d)
-    if kind == "constant":
-        return ConstantModel.from_dict(d)
-    raise ValueError(f"unknown algorithm: {kind}")
+    if kind not in _MODELS:
+        raise ValueError(f"unknown algorithm: {kind}")
+    return _MODELS[kind].from_dict(d)

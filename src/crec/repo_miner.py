@@ -1,8 +1,12 @@
 """Read-only git mining: commit enumeration, version sampling, file and diff access.
 
 All VCS access is funneled through :class:`Repository` so a different backend
-could be substituted. "Changed lines" throughout means added + deleted lines
-(line-LCS diff); binary files contribute 0.
+could be substituted. "Changed lines" means added + deleted lines, with binary
+files contributing 0, under one of two diffs. Sampling counts them from
+`git log --numstat`, that is git's default diff, which is not guaranteed
+minimal. `line_diff_hunks`, which the co-change features use, is a minimal
+line-LCS diff. The two counts can differ on large edits; which one to keep is
+an open ROADMAP item.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .config import DEFAULTS
 from .errors import EmptyRepository, GitError, NotARepository, TooFewSamples, UnknownCommit
 
 SOURCE_SUFFIXES = (".java",)
@@ -25,7 +30,7 @@ class CommitRecord:
     timestamp: int
     author: str  # lowercased "name <email>"
     changed_files: frozenset[str]
-    changed_line_count: int
+    changed_line_count: int  # added + deleted lines under `git log --numstat`
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,7 @@ def diff_file_hunks(a: bytes | None, b: bytes | None) -> list[Hunk]:
 
 
 def line_diff_hunks(a_lines: list, b_lines: list) -> list[Hunk]:
-    """Minimal LCS edit script as hunks.
+    """Minimal LCS edit script as hunks (not git's diff, which sampling counts).
 
     Orientation is canonicalized by line content so that swapping the inputs
     exactly exchanges the removed/added roles.
@@ -351,14 +356,16 @@ def hunk_touches(hunk: Hunk, start_line: int, end_line: int) -> bool:
 
 
 def sample_versions(
-    commits: list[CommitRecord], delta_threshold: int = 200
+    commits: list[CommitRecord], delta_threshold: int = DEFAULTS.delta_threshold
 ) -> list[SampledVersion]:
     """Sample the commit stream by accumulated change volume.
 
-    The first commit is always sampled; each later sample is the earliest
-    commit whose accumulated changed-line count since the previous sample
-    reaches *delta_threshold*. The newest commit is always appended even when
-    its delta falls short, so the current state is analyzable.
+    Change volume is ``changed_line_count``, git's numstat count, not the
+    line-LCS diff of `line_diff_hunks`. The first commit is always sampled;
+    each later sample is the earliest commit whose accumulated changed-line
+    count since the previous sample reaches *delta_threshold*. The newest
+    commit is always appended even when its delta falls short, so the current
+    state is analyzable.
     """
     if not commits:
         raise ValueError("commits must be nonempty")
@@ -378,8 +385,8 @@ def sample_versions(
 
 def checked_window(
     samples: list[SampledVersion],
-    window_fraction: Fraction = Fraction(1, 10),
-    recent_fraction: Fraction = Fraction(1, 4),
+    window_fraction: Fraction = DEFAULTS.window_fraction,
+    recent_fraction: Fraction = DEFAULTS.recent_fraction,
 ) -> CheckedWindow:
     """Window over the last ``ceil(S * window_fraction)`` samples (minimum 2)."""
     if len(samples) < 2:

@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import os
 import subprocess
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from crec import artifacts
+from crec.config import PipelineConfig
 from crec.repo_miner import diff_file_hunks
 
 
@@ -89,6 +92,19 @@ class SnapshotRepo:
 
     def diff_hunks(self, a: str, b: str, path: str):
         return diff_file_hunks(self._bytes(a, path), self._bytes(b, path))
+
+
+def read_sweep(path) -> list[tuple[float, int]]:
+    """(threshold, R count) rows of a `label --sweep` file; no command reads one."""
+    return artifacts._read_rows(path, "label-sweep", lambda d: (d["threshold"], d["reported"]))
+
+
+def save_config(config: PipelineConfig, path) -> None:
+    """Write *config* in the format `load_config` reads; crec itself writes none."""
+    config.validate()
+    lines = ["crec-format v1 config"]
+    lines += [f"{f.name} = {getattr(config, f.name)}" for f in fields(config)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
-from conftest import RepoBuilder, SnapshotRepo
+from conftest import RepoBuilder, SnapshotRepo, read_sweep
 from crec import artifacts, pipeline
 from crec.clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks
 from crec.config import PipelineConfig
@@ -168,7 +168,7 @@ def test_criterion_2_labeler_fixture_suite(tmp_path):
             failures.append(f"{name}: expected exactly 1 R lineage, got {len(r_decisions)}")
         elif r_decisions[0].evidence["method"] != "applyScaling":
             failures.append(f"{name}: R evidence names {r_decisions[0].evidence['method']}")
-        for th, count in artifacts.read_sweep(f"{out}/label_sweep.txt"):
+        for th, count in read_sweep(f"{out}/label_sweep.txt"):
             sweep_totals[th] += count
     for name, build in CONTROLS.items():
         _, _, out = _labeled_repo(tmp_path, name, build())
@@ -176,7 +176,7 @@ def test_criterion_2_labeler_fixture_suite(tmp_path):
         wrong = [d for d in decisions if d.label == "R"]
         if wrong:
             failures.append(f"control {name}: {len(wrong)} spurious R labels")
-        for th, count in artifacts.read_sweep(f"{out}/label_sweep.txt"):
+        for th, count in read_sweep(f"{out}/label_sweep.txt"):
             sweep_totals[th] += count
     if not (sweep_totals[0.3] >= sweep_totals[0.4] >= sweep_totals[0.5]):
         failures.append(f"sweep counts increase: {dict(sweep_totals)}")

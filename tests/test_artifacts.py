@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from conftest import read_sweep, save_config
 from crec import artifacts
 from crec.artifacts import FeatureRow
 from crec.clone_detector import CloneGroup, CodeBlock, Token
-from crec.config import PipelineConfig, load_config, save_config
+from crec.config import PipelineConfig, load_config
 from crec.errors import ConfigError, FormatVersionMismatch, ParseError
 from crec.genealogy import Lineage
 from crec.labeler import LabelDecision
@@ -92,7 +94,7 @@ class TestRoundTrips:
         rows = [(0.3, 5), (0.4, 3), (0.5, 2)]
         path = tmp_path / "sweep.txt"
         artifacts.write_sweep(path, rows)
-        assert artifacts.read_sweep(path) == rows
+        assert read_sweep(path) == rows
 
     def test_features_with_and_without_labels(self, tmp_path):
         rows = [
@@ -166,7 +168,7 @@ class TestFormatGuards:
         path = tmp_path / "label_sweep.txt"
         path.write_text('crec-format v1 label-sweep\n{"reported":1}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: missing field 'threshold'"):
-            artifacts.read_sweep(path)
+            read_sweep(path)
 
 
 class TestConfigFile:
@@ -200,6 +202,13 @@ class TestConfigFile:
         assert config.boost_rounds == 50
         assert config.recommend_threshold == 0.5
         assert config.aggregation == "mean"
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```\ncrec-format v1 config\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "crec.conf"
+        path.write_text("crec-format v1 config\n" + block, encoding="utf-8")
+        assert load_config(path) == PipelineConfig()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "crec.conf"

@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from clone_fixtures import commit_corpora, end_to_end_corpora
+from conftest import read_sweep, save_config
 from crec import artifacts
 from crec.artifacts import FeatureRow
 from crec.cli import build_parser, main, resolve_config
-from crec.config import PipelineConfig, save_config
+from crec.config import PipelineConfig
 from crec.features import FeatureVector
 from crec.learner import LabeledExample, train_adaboost
 from crec.repo_miner import SampledVersion
+
+
+STAGES = (
+    "mine", "detect", "genealogy", "label", "featurize",
+    "train", "recommend", "evaluate", "ablate", "compare",
+)
+_CONFIG_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(PipelineConfig)]
 
 
 def _run(*argv: str) -> int:
@@ -59,7 +69,7 @@ class TestPipelineStages:
         assert r_decision.evidence["method"] == "applyScaling"
         rows = artifacts.read_features(out / "features.csv")
         assert {r.label for r in rows} == {0, 1}
-        sweep = artifacts.read_sweep(out / "label_sweep.txt")
+        sweep = read_sweep(out / "label_sweep.txt")
         assert [n for _, n in sweep] == [1, 1, 1]
 
         rec_lines = (out / "recommendations.csv").read_text().splitlines()
@@ -293,11 +303,29 @@ class TestConfigResolution:
         assert config.window_fraction == Fraction(1, 5)
         assert config.recent_fraction == Fraction(1, 2)
 
-    @pytest.mark.parametrize("flag", ["--window-fraction", "--recent-fraction"])
-    @pytest.mark.parametrize("raw", ["1/0", "abc"])
+    @pytest.mark.parametrize("flag", [*_CONFIG_FLAGS, "--rounds"])
+    @pytest.mark.parametrize("raw", ["1/0", "abc", "median"])
     def test_malformed_fraction_flag_rejected(self, tmp_path, capsys, flag, raw):
-        assert _run("mine", "--repo", str(tmp_path), flag, raw) == 1
-        assert _one_error_line(capsys).startswith("error: ConfigError: bad value for")
+        """Every config flag, and `train --rounds`, rejects a malformed value as
+        the config file does: exit 1 and one ConfigError line, no usage text."""
+        if flag == "--rounds":
+            name, argv = "boost_rounds", ["train", "--out", str(tmp_path)]
+        else:
+            name, argv = flag[2:].replace("-", "_"), ["mine", "--repo", str(tmp_path)]
+        assert _run(*argv, flag, raw) == 1
+        reason = f"bad value for {name}: {raw!r}"
+        if name == "aggregation":  # text parses; validate rejects it
+            reason = "aggregation must be mean or max"
+        assert _one_error_line(capsys).startswith(f"error: ConfigError: {reason}")
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_help_lists_every_config_flag(self, capsys, stage):
+        with pytest.raises(SystemExit) as exited:
+            _run(stage, "--help")
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        for f, flag in zip(fields(PipelineConfig), _CONFIG_FLAGS):
+            assert re.search(rf"{flag} \S+\s+default: {re.escape(str(f.default))}\n", out), flag
 
     def test_invalid_override_rejected(self, tmp_path, capsys):
         code = _run("mine", "--repo", str(tmp_path), "--theta", "1.5")
