@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatVersionMismatch, ParseError
+from .features import FEATURES, FeatureRow
 from .genealogy import Lineage
 from .labeler import LabelDecision
 from .repo_miner import CommitRecord, SampledVersion
@@ -223,28 +224,17 @@ def write_sweep(path, rows: list[tuple[float, int]]) -> None:
 # -- feature table ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    lineage_id: str
-    version: int
-    values: tuple[float, ...]
-    label: int | None
-
-
-FEATURE_CSV_HEADER = "lineage_id,version," + ",".join(f"F{i}" for i in range(1, 35)) + ",label"
+FEATURE_CSV_HEADER = ",".join(
+    ["lineage_id", "version", *(f"F{num}" for num in range(1, len(FEATURES) + 1)), "label"]
+)
+_FEATURE_COLUMNS = FEATURE_CSV_HEADER.count(",") + 1
 
 
 def write_features(path, rows: list[FeatureRow]) -> None:
     lines = [FEATURE_CSV_HEADER]
     for row in rows:
         label = "" if row.label is None else str(row.label)
-        lines.append(
-            ",".join(
-                [row.lineage_id, str(row.version)]
-                + [repr(v) for v in row.values]
-                + [label]
-            )
-        )
+        lines.append(",".join([row.lineage_id, str(row.version), *map(repr, row.values), label]))
     write_artifact(path, "features", lines)
 
 
@@ -257,14 +247,21 @@ def read_features(path) -> list[FeatureRow]:
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 37:
-            raise ParseError(f"expected 37 columns, found {len(parts)}", lineno)
+        if len(parts) != _FEATURE_COLUMNS:
+            raise ParseError(f"expected {_FEATURE_COLUMNS} columns, found {len(parts)}", lineno)
+        lineage_id, version, *values, label = parts
+        if label not in ("", "0", "1"):
+            raise ParseError(f"label must be 0, 1 or empty, got {label!r}", lineno)
         try:
-            values = tuple(float(v) for v in parts[2:36])
-            label = int(parts[36]) if parts[36] != "" else None
-            out.append(FeatureRow(parts[0], int(parts[1]), values, label))
+            row = FeatureRow(
+                lineage_id,
+                int(version),
+                tuple(float(v) for v in values),
+                int(label) if label else None,
+            )
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        out.append(row)
     return out
 
 

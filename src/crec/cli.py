@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .config import PipelineConfig, load_config, parse_value
 from .errors import CrecError
@@ -39,9 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     label = stage("label", "Label lineages as R/NR (Extract Method history).", repo=True)
     label.add_argument(
         "--sweep",
-        type=float,
         nargs="+",
-        help="Also emit R-label counts for these similarity thresholds.",
+        help="Also emit R-label counts for these similarity thresholds (each an l_th).",
     )
     stage("featurize", "Compute the 34-feature vector per lineage.", repo=True)
 
@@ -78,6 +77,14 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
+def _sweep_thresholds(config: PipelineConfig, raw: list[str] | None) -> list[float]:
+    """The --sweep values, each parsed and checked as an l_th would be."""
+    thresholds = [parse_value("l_th", text) for text in raw or ()]
+    for th in thresholds:
+        replace(config, l_th=th).validate()
+    return thresholds
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -89,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "genealogy":
             summary = pipeline.stage_genealogy(config, args.repo, args.out)
         elif args.command == "label":
-            summary = pipeline.stage_label(config, args.repo, args.out, args.sweep)
+            sweep = _sweep_thresholds(config, args.sweep)
+            summary = pipeline.stage_label(config, args.repo, args.out, sweep)
         elif args.command == "featurize":
             summary = pipeline.stage_featurize(config, args.repo, args.out)
         elif args.command == "train":

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 from .config import DEFAULTS
 from .errors import InsufficientNegatives, TooFewProjects, TooSmall
-from .learner import LabeledExample, predict_likelihood, train_alt
+from .features import FEATURE_CATEGORIES, FEATURES, FeatureRow
+from .learner import train_alt
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class LearnerConfig:
     rounds: int = DEFAULTS.boost_rounds
     threshold: float = DEFAULTS.recommend_threshold
     seed: int = DEFAULTS.seed
-    features: tuple[int, ...] | None = None  # None = all 34
+    features: tuple[int, ...] | None = None  # None = all of FEATURES
 
     def digest(self) -> str:
         payload = repr(
@@ -78,7 +79,7 @@ class EvalReport:
     metric_mode: str = "pooled"
 
 
-def _train(config: LearnerConfig, examples: list[LabeledExample]):
+def _train(config: LearnerConfig, examples: list[FeatureRow]):
     features = list(config.features) if config.features is not None else None
     return train_alt(
         config.algorithm,
@@ -89,10 +90,10 @@ def _train(config: LearnerConfig, examples: list[LabeledExample]):
     )
 
 
-def _score(model, examples: list[LabeledExample], threshold: float) -> ConfusionCounts:
+def _score(model, examples: list[FeatureRow], threshold: float) -> ConfusionCounts:
     rec = hits = known = 0
     for ex in examples:
-        recommended = predict_likelihood(model, ex.vector) >= threshold
+        recommended = model.predict_likelihood(ex.values) >= threshold
         rec += recommended
         hits += recommended and ex.label == 1
         known += ex.label == 1
@@ -100,10 +101,10 @@ def _score(model, examples: list[LabeledExample], threshold: float) -> Confusion
 
 
 def build_balanced_dataset(
-    r_examples: list[LabeledExample],
-    nr_pool: list[LabeledExample],
+    r_examples: list[FeatureRow],
+    nr_pool: list[FeatureRow],
     seed: int,
-) -> list[LabeledExample]:
+) -> list[FeatureRow]:
     """R examples plus an equal-size seeded uniform draw from the NR pool."""
     if len(nr_pool) < len(r_examples):
         raise InsufficientNegatives(
@@ -114,7 +115,7 @@ def build_balanced_dataset(
     return list(r_examples) + chosen
 
 
-def fold_assignment(dataset: list[LabeledExample], seed: int, folds: int = 10) -> list[list[int]]:
+def fold_assignment(dataset: list[FeatureRow], seed: int, folds: int = 10) -> list[list[int]]:
     """Stratified shuffle: per-class fold sizes differ by at most one."""
     pos = [i for i, ex in enumerate(dataset) if ex.label == 1]
     neg = [i for i, ex in enumerate(dataset) if ex.label == 0]
@@ -130,7 +131,7 @@ def fold_assignment(dataset: list[LabeledExample], seed: int, folds: int = 10) -
 
 
 def ten_fold(
-    dataset: list[LabeledExample], config: LearnerConfig, seed: int | None = None
+    dataset: list[FeatureRow], config: LearnerConfig, seed: int | None = None
 ) -> EvalRow:
     """Pooled precision/recall/F over rotating train-9/test-1 splits."""
     if len(dataset) < 10:
@@ -152,14 +153,14 @@ def ten_fold(
 
 
 def cross_project(
-    projects: list[tuple[str, list[LabeledExample]]], config: LearnerConfig
+    projects: list[tuple[str, list[FeatureRow]]], config: LearnerConfig
 ) -> EvalReport:
     """Leave one project out, train on the rest, report per-project metrics."""
     if len(projects) < 2:
         raise TooFewProjects(f"need >= 2 projects, have {len(projects)}")
     rows = []
     for held_name, held_data in projects:
-        train: list[LabeledExample] = []
+        train: list[FeatureRow] = []
         for name, data in projects:
             if name != held_name:
                 train.extend(data)
@@ -177,7 +178,7 @@ def cross_project(
 
 
 def within_project(
-    projects: list[tuple[str, list[LabeledExample]]], config: LearnerConfig
+    projects: list[tuple[str, list[FeatureRow]]], config: LearnerConfig
 ) -> EvalReport:
     """Ten-fold per project; one report row per project plus averages."""
     rows = []
@@ -201,17 +202,8 @@ def _averages(rows: list[EvalRow]) -> tuple[float, float, float]:
     )
 
 
-FEATURE_CATEGORIES = {
-    "Code": tuple(range(1, 12)),
-    "History": tuple(range(12, 18)),
-    "Location": tuple(range(18, 24)),
-    "Diff": tuple(range(24, 30)),
-    "CoChange": tuple(range(30, 35)),
-}
-
-
 def run_setting(
-    projects: list[tuple[str, list[LabeledExample]]], setting: str, config: LearnerConfig
+    projects: list[tuple[str, list[FeatureRow]]], setting: str, config: LearnerConfig
 ) -> EvalReport:
     """Within-project ten-fold or cross-project leave-one-out, by *setting*."""
     if setting == "within":
@@ -221,32 +213,35 @@ def run_setting(
     raise ValueError(f"unknown setting: {setting}")
 
 
+def _run_variants(
+    projects: list[tuple[str, list[FeatureRow]]],
+    setting: str,
+    variants: list[tuple[str, LearnerConfig]],
+) -> list[tuple[str, float, float, float]]:
+    """(name, average precision, recall, F) per named config, in order."""
+    return [(name, *run_setting(projects, setting, c).averages) for name, c in variants]
+
+
 def ablation(
-    projects: list[tuple[str, list[LabeledExample]]],
+    projects: list[tuple[str, list[FeatureRow]]],
     setting: str,
     config: LearnerConfig,
 ) -> list[tuple[str, float, float, float]]:
     """All-features run plus one run per feature category masked out."""
-    base = config.features if config.features is not None else tuple(range(1, 35))
-    rows = []
-    report = run_setting(projects, setting, config)
-    rows.append(("AllFeatures", *report.averages))
+    base = config.features if config.features is not None else range(1, len(FEATURES) + 1)
+    variants = [("AllFeatures", config)]
     for category, masked in FEATURE_CATEGORIES.items():
         kept = tuple(f for f in base if f not in masked)
-        report = run_setting(projects, setting, replace(config, features=kept))
-        rows.append((f"Except{category}", *report.averages))
-    return rows
+        variants.append((f"Except{category}", replace(config, features=kept)))
+    return _run_variants(projects, setting, variants)
 
 
 def compare_learners(
-    projects: list[tuple[str, list[LabeledExample]]],
+    projects: list[tuple[str, list[FeatureRow]]],
     setting: str,
     algorithms: list[str],
     config: LearnerConfig,
 ) -> list[tuple[str, float, float, float]]:
     """One metric triple per algorithm; identical seeds so folds match exactly."""
-    rows = []
-    for algorithm in algorithms:
-        report = run_setting(projects, setting, replace(config, algorithm=algorithm))
-        rows.append((algorithm, *report.averages))
-    return rows
+    variants = [(algorithm, replace(config, algorithm=algorithm)) for algorithm in algorithms]
+    return _run_variants(projects, setting, variants)

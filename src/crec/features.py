@@ -1,9 +1,12 @@
 """The 34 numeric features describing a clone group at one version.
 
+`FEATURES` below is their one definition: number, name, category and range of
+F1..F34 (the README's "Artifact formats" section shows the same table).
 Per-clone features (F1-F17) cover code shape and file history and are
 mean-aggregated over group members; group features (F18-F34) cover relative
-location, token-level differences, and co-change behavior. All classification
-of identifiers is lexical, not type-resolved.
+location, token-level differences, and co-change behavior. A `FeatureRow`
+carries one vector, with its label, from featurize to train and evaluate. All
+classification of identifiers is lexical, not type-resolved.
 """
 
 from __future__ import annotations
@@ -19,42 +22,54 @@ from .genealogy import Lineage
 from .repo_miner import CheckedWindow, Hunk, hunk_touches, distinct_authors
 from .repo_miner import _lcs_pairs  # shared LCS core
 
-FEATURE_NAMES = (
-    "lines_of_code",
-    "token_count",
-    "cyclomatic_complexity",
-    "field_accesses",
-    "invocation_stmt_ratio",
-    "method_line_ratio",
-    "arithmetic_stmt_ratio",
-    "complete_block",
-    "starts_with_control",
-    "follows_control",
-    "is_test_code",
-    "file_existence_ratio",
-    "file_change_ratio",
-    "dir_change_ratio",
-    "recent_file_change_ratio",
-    "recent_dir_change_ratio",
-    "author_ratio",
-    "same_directory",
-    "same_file",
-    "same_class_hierarchy",
-    "same_method",
-    "method_name_distance",
-    "copied_dir_score",
-    "group_size",
-    "diff_count",
-    "partial_diff_ratio",
-    "variable_diff_ratio",
-    "method_diff_ratio",
-    "type_diff_ratio",
-    "all_change_ratio",
-    "no_change_ratio",
-    "one_change_ratio",
-    "two_change_ratio",
-    "three_change_ratio",
+# F1..F34 in order as (name, category, kind); kind is the range that
+# validate_values checks: count (>= 0), ratio (in [0, 1]) or bool (exactly 0 or
+# 1). F8-F11 are boolean per clone, but mean aggregation puts the group value in
+# [0, 1], so they are ratios.
+FEATURES = (
+    ("lines_of_code", "Code", "count"),
+    ("token_count", "Code", "count"),
+    ("cyclomatic_complexity", "Code", "count"),
+    ("field_accesses", "Code", "count"),
+    ("invocation_stmt_ratio", "Code", "ratio"),
+    ("method_line_ratio", "Code", "ratio"),
+    ("arithmetic_stmt_ratio", "Code", "ratio"),
+    ("complete_block", "Code", "ratio"),
+    ("starts_with_control", "Code", "ratio"),
+    ("follows_control", "Code", "ratio"),
+    ("is_test_code", "Code", "ratio"),
+    ("file_existence_ratio", "History", "ratio"),
+    ("file_change_ratio", "History", "ratio"),
+    ("dir_change_ratio", "History", "ratio"),
+    ("recent_file_change_ratio", "History", "ratio"),
+    ("recent_dir_change_ratio", "History", "ratio"),
+    ("author_ratio", "History", "ratio"),
+    ("same_directory", "Location", "bool"),
+    ("same_file", "Location", "bool"),
+    ("same_class_hierarchy", "Location", "bool"),
+    ("same_method", "Location", "bool"),
+    ("method_name_distance", "Location", "count"),
+    ("copied_dir_score", "Location", "ratio"),
+    ("group_size", "Diff", "count"),
+    ("diff_count", "Diff", "count"),
+    ("partial_diff_ratio", "Diff", "ratio"),
+    ("variable_diff_ratio", "Diff", "ratio"),
+    ("method_diff_ratio", "Diff", "ratio"),
+    ("type_diff_ratio", "Diff", "ratio"),
+    ("all_change_ratio", "CoChange", "ratio"),
+    ("no_change_ratio", "CoChange", "ratio"),
+    ("one_change_ratio", "CoChange", "ratio"),
+    ("two_change_ratio", "CoChange", "ratio"),
+    ("three_change_ratio", "CoChange", "ratio"),
 )
+FEATURE_NAMES = tuple(name for name, _, _ in FEATURES)
+# category -> its 1-based feature numbers, in table order
+FEATURE_CATEGORIES = {
+    category: tuple(num for num, (_, c, _) in enumerate(FEATURES, 1) if c == category)
+    for category in dict.fromkeys(c for _, c, _ in FEATURES)
+}
+# Code and History are computed per clone, then aggregated over the members
+_PER_CLONE = len(FEATURE_CATEGORIES["Code"]) + len(FEATURE_CATEGORIES["History"])
 
 _DECISION_POINTS = frozenset({"if", "for", "while", "case", "catch", "&&", "||", "?"})
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
@@ -63,20 +78,16 @@ _CONTROL_KEYWORDS = _CONTROL_STARTERS | {"else", "catch", "finally"}
 _INCOMPLETE_STARTERS = frozenset({"else", "catch", "finally", "case"})
 _PRIMITIVES = frozenset({"int", "long", "short", "byte", "float", "double", "boolean", "char", "var"})
 
-# 1-based feature numbers by validated range; F8-F11 are boolean per clone but
-# mean aggregation puts the group value in [0,1]
-_UNIT_RANGE = frozenset(
-    {5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 26, 27, 28, 29, 30, 31, 32, 33, 34}
-)
-_EXACT_BOOL = frozenset({18, 19, 20, 21})
-_NONNEGATIVE = frozenset({1, 2, 3, 4, 22, 24, 25})
-
 
 @dataclass(frozen=True)
-class FeatureVector:
-    values: tuple[float, ...]  # index 0 holds F1
+class FeatureRow:
+    """The feature vector of a lineage's group at one version, with its label:
+    1 = refactored, 0 = not, None = unlabeled."""
+
     lineage_id: str
     version: int
+    values: tuple[float, ...]  # index 0 holds F1
+    label: int | None
 
 
 @dataclass(frozen=True)
@@ -695,37 +706,35 @@ def levenshtein(a: str, b: str) -> int:
 
 
 def validate_values(values: tuple[float, ...]) -> None:
-    if len(values) != 34:
-        raise RangeViolation(f"expected 34 features, got {len(values)}")
-    for num, value in enumerate(values, 1):
-        if num in _EXACT_BOOL and value not in (0.0, 1.0):
+    if len(values) != len(FEATURES):
+        raise RangeViolation(f"expected {len(FEATURES)} features, got {len(values)}")
+    for num, ((_, _, kind), value) in enumerate(zip(FEATURES, values), 1):
+        if kind == "bool" and value not in (0.0, 1.0):
             raise RangeViolation(f"F{num}={value} not boolean")
-        if num in _UNIT_RANGE and not 0.0 <= value <= 1.0:
+        if kind == "ratio" and not 0.0 <= value <= 1.0:
             raise RangeViolation(f"F{num}={value} outside [0,1]")
-        if num in _NONNEGATIVE and value < 0:
+        if kind == "count" and value < 0:
             raise RangeViolation(f"F{num}={value} negative")
 
 
 def assemble_vector(
     per_clone_rows: list[tuple[float, ...]],
     group_values: tuple[float, ...],
-    lineage_id: str,
-    version: int,
     aggregation: str = DEFAULTS.aggregation,
-) -> FeatureVector:
+) -> tuple[float, ...]:
     """Aggregate per-clone F1-F17 rows, append group F18-F34, and validate."""
-    if not per_clone_rows or any(len(r) != 17 for r in per_clone_rows):
-        raise ValueError("need one 17-value row per member")
-    if len(group_values) != 17:
-        raise ValueError("need 17 group-level values")
+    group_count = len(FEATURES) - _PER_CLONE
+    if not per_clone_rows or any(len(r) != _PER_CLONE for r in per_clone_rows):
+        raise ValueError(f"need one {_PER_CLONE}-value row per member")
+    if len(group_values) != group_count:
+        raise ValueError(f"need {group_count} group-level values")
+    columns = zip(*per_clone_rows)
     if aggregation == "mean":
-        agg = tuple(
-            sum(row[i] for row in per_clone_rows) / len(per_clone_rows) for i in range(17)
-        )
+        agg = tuple(sum(column) / len(per_clone_rows) for column in columns)
     elif aggregation == "max":
-        agg = tuple(max(row[i] for row in per_clone_rows) for i in range(17))
+        agg = tuple(max(column) for column in columns)
     else:
         raise ValueError(f"unknown aggregation: {aggregation}")
     values = agg + tuple(group_values)
     validate_values(values)
-    return FeatureVector(values=values, lineage_id=lineage_id, version=version)
+    return values

@@ -1,6 +1,7 @@
-"""Classifiers over 34-feature vectors: AdaBoost on decision stumps by default,
+"""Classifiers over feature vectors: AdaBoost on decision stumps by default,
 with decision-tree, random-forest, and naive-Bayes alternatives behind the same
-likelihood interface. Everything is deterministic for a fixed seed."""
+likelihood interface. Training takes labeled FeatureRows; every model scores a
+tuple of values. Everything is deterministic for a fixed seed."""
 
 from __future__ import annotations
 
@@ -11,19 +12,9 @@ from dataclasses import dataclass, replace
 
 from .config import DEFAULTS
 from .errors import DegenerateData
-from .features import FEATURE_NAMES, FeatureVector
+from .features import FEATURE_NAMES, FeatureRow
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    vector: FeatureVector
-    label: int  # 1 = historically refactored
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -40,13 +31,21 @@ class DecisionStump:
         return 1 if v > self.threshold else 0
 
 
-def dataset_digest(examples: list[LabeledExample]) -> str:
-    payload = repr([(e.vector.values, e.label) for e in examples]).encode()
+def dataset_digest(examples: list[FeatureRow]) -> str:
+    payload = repr([(e.values, e.label) for e in examples]).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def _labels(examples: list[FeatureRow]) -> set[int]:
+    """The labels present; ValueError unless each is 0 or 1."""
+    for e in examples:
+        if e.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {e.label}")
+    return {e.label for e in examples}
+
+
 def best_stump(
-    examples: list[LabeledExample],
+    examples: list[FeatureRow],
     weights: list[float],
     features: list[int] | None = None,
 ) -> tuple[DecisionStump, float]:
@@ -59,7 +58,7 @@ def best_stump(
     labels = [e.label for e in examples]
     total = sum(weights)
     total_pos = sum(w for w, y in zip(weights, labels) if y == 1)
-    dim = len(examples[0].vector.values)
+    dim = len(examples[0].values)
     feats = sorted(features) if features is not None else list(range(1, dim + 1))
 
     best: tuple[float, int, float, str] | None = None
@@ -70,7 +69,7 @@ def best_stump(
             best = (err, f, t, pol)
 
     for f in feats:
-        values = [e.vector.values[f - 1] for e in examples]
+        values = [e.values[f - 1] for e in examples]
         order = sorted(range(n), key=lambda i: values[i])
         # threshold -inf: "le" predicts 0 everywhere, missing every positive
         err_le = total_pos
@@ -146,7 +145,7 @@ def _constant_stump(label: int) -> DecisionStump:
 
 
 def train_adaboost(
-    examples: list[LabeledExample],
+    examples: list[FeatureRow],
     rounds: int = DEFAULTS.boost_rounds,
     seed: int = DEFAULTS.seed,
     features: list[int] | None = None,
@@ -154,8 +153,8 @@ def train_adaboost(
     """Discrete AdaBoost; stops early once a round's error hits 0 or 0.5."""
     if not examples:
         raise DegenerateData("no examples")
+    labels = _labels(examples)
     digest = dataset_digest(examples)
-    labels = {e.label for e in examples}
     if len(labels) == 1:
         return BoostModel(
             [_constant_stump(labels.pop())], FEATURE_NAMES, rounds, seed, digest
@@ -172,29 +171,22 @@ def train_adaboost(
             break
         norm = 0.0
         for i, ex in enumerate(examples):
-            agree = 1 if stump.vote(ex.vector.values) == ex.label else -1
+            agree = 1 if stump.vote(ex.values) == ex.label else -1
             weights[i] *= math.exp(-alpha * agree)
             norm += weights[i]
         weights = [w / norm for w in weights]
     return BoostModel(stumps, FEATURE_NAMES, rounds, seed, digest)
 
 
-def predict_likelihood(model, vector) -> float:
-    values = vector.values if isinstance(vector, FeatureVector) else tuple(vector)
-    return model.predict_likelihood(values)
-
-
 def recommend(
     model,
-    candidates: list[tuple[str, FeatureVector]],
+    candidates: list[tuple[str, tuple[float, ...]]],
     threshold: float = DEFAULTS.recommend_threshold,
 ) -> list[tuple[str, float]]:
     """Ranked (group_id, likelihood) pairs at or above the cutoff."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    scored = [
-        (group_id, predict_likelihood(model, vec)) for group_id, vec in candidates
-    ]
+    scored = [(group_id, model.predict_likelihood(values)) for group_id, values in candidates]
     kept = [(g, p) for g, p in scored if p >= threshold]
     kept.sort(key=lambda item: (-item[1], item[0]))
     return kept
@@ -435,7 +427,7 @@ _MIN_LEAF = 2
 
 def train_alt(
     algorithm: str,
-    examples: list[LabeledExample],
+    examples: list[FeatureRow],
     seed: int = DEFAULTS.seed,
     features: list[int] | None = None,
     rounds: int = DEFAULTS.boost_rounds,
@@ -447,14 +439,14 @@ def train_alt(
         raise ValueError(f"unknown algorithm: {algorithm}")
     if not examples:
         raise DegenerateData("no examples")
+    labels = _labels(examples)
     digest = dataset_digest(examples)
-    labels = {e.label for e in examples}
     if len(labels) == 1:
         return ConstantModel(float(labels.pop()), digest)
 
-    dim = len(examples[0].vector.values)
+    dim = len(examples[0].values)
     feats = sorted(features) if features is not None else list(range(1, dim + 1))
-    rows = [(e.vector.values, e.label) for e in examples]
+    rows = [(e.values, e.label) for e in examples]
 
     if algorithm == "decision_tree":
         root = _grow_tree(rows, feats, _MIN_LEAF, rng=None, subsample=None)

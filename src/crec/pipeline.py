@@ -8,7 +8,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import artifacts
-from .artifacts import FeatureRow, GroupRecord
+from .artifacts import GroupRecord
 from .clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
 from .config import PipelineConfig
 from .errors import DegenerateData, MissingInput
@@ -20,7 +20,7 @@ from .eval_harness import (
     run_setting,
 )
 from .features import (
-    FeatureVector,
+    FeatureRow,
     FileContext,
     WindowView,
     assemble_vector,
@@ -35,7 +35,7 @@ from .features import (
 )
 from .genealogy import Lineage, build_genealogies
 from .labeler import LabelContext, label_lineage, sweep
-from .learner import LabeledExample, recommend, train_alt
+from .learner import recommend, train_alt
 from .repo_miner import Repository, SOURCE_SUFFIXES, checked_window, sample_versions
 
 FILES = {
@@ -308,28 +308,18 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
                 + extract_diff_features(group)
                 + extract_cochange_features(group, lineage, version, view)
             )
-            vector = assemble_vector(
-                per_clone, group_values, lineage.lineage_id, version, config.aggregation
-            )
+            values = assemble_vector(per_clone, group_values, config.aggregation)
             label = None if decision is None else (1 if decision.label == "R" else 0)
-            rows.append(FeatureRow(lineage.lineage_id, version, vector.values, label))
+            rows.append(FeatureRow(lineage.lineage_id, version, values, label))
     artifacts.write_features(_path(out_dir, "features"), rows)
     return f"featurize: {len(rows)} vectors -> {_path(out_dir, 'features')}{window_note}"
-
-
-def _labeled_examples(rows: list[FeatureRow]) -> list[LabeledExample]:
-    return [
-        LabeledExample(FeatureVector(r.values, r.lineage_id, r.version), r.label)
-        for r in rows
-        if r.label is not None
-    ]
 
 
 def stage_train(
     config: PipelineConfig, out_dir: str | Path, algorithm: str = "adaboost"
 ) -> str:
     rows = artifacts.read_features(_require(out_dir, "features", "featurize"))
-    examples = _labeled_examples(rows)
+    examples = [r for r in rows if r.label is not None]
     if not examples:
         raise DegenerateData("no labeled feature rows to train on (run label + featurize)")
     model = train_alt(
@@ -355,7 +345,7 @@ def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
         group_id = group_at.get(row.lineage_id, {}).get(final)
         if group_id is None:
             continue
-        candidates.append((group_id, FeatureVector(row.values, row.lineage_id, row.version)))
+        candidates.append((group_id, row.values))
     ranked = recommend(model, candidates, config.recommend_threshold)
     artifacts.write_recommendations(_path(out_dir, "recommendations"), ranked)
     return (
@@ -366,12 +356,12 @@ def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
 
 def _load_projects(
     feature_paths: list[str], balance: bool, seed: int
-) -> list[tuple[str, list[LabeledExample]]]:
+) -> list[tuple[str, list[FeatureRow]]]:
     projects = []
     for p in feature_paths:
         if not Path(p).exists():
             raise MissingInput(f"feature file not found: {p}")
-        examples = _labeled_examples(artifacts.read_features(Path(p)))
+        examples = [r for r in artifacts.read_features(Path(p)) if r.label is not None]
         if balance:
             r = [e for e in examples if e.label == 1]
             nr = [e for e in examples if e.label == 0]
@@ -404,6 +394,15 @@ def stage_evaluate(
     return f"evaluate[{setting}]: avg P={p:.3f} R={r:.3f} F={f:.3f} -> {_path(out_dir, 'report')}"
 
 
+def _write_experiment(
+    out_dir: str | Path, command: str, setting: str, name: str, column: str, rows: list[tuple]
+) -> str:
+    """Write an ablate or compare table: one (*column*, precision, recall, F) row per run."""
+    path = _path(out_dir, name)
+    artifacts.write_table(path, name, f"{column},precision,recall,fscore", rows)
+    return f"{command}[{setting}]: {len(rows)} {column}s -> {path}"
+
+
 def stage_ablate(
     config: PipelineConfig,
     feature_paths: list[str],
@@ -413,10 +412,7 @@ def stage_ablate(
 ) -> str:
     projects = _load_projects(feature_paths, balance, config.seed)
     rows = ablation(projects, setting, _learner_config(config, "adaboost"))
-    artifacts.write_table(
-        _path(out_dir, "ablation"), "ablation", "variant,precision,recall,fscore", rows
-    )
-    return f"ablate[{setting}]: {len(rows)} variants -> {_path(out_dir, 'ablation')}"
+    return _write_experiment(out_dir, "ablate", setting, "ablation", "variant", rows)
 
 
 def stage_compare(
@@ -429,7 +425,4 @@ def stage_compare(
 ) -> str:
     projects = _load_projects(feature_paths, balance, config.seed)
     rows = compare_learners(projects, setting, algorithms, _learner_config(config, "adaboost"))
-    artifacts.write_table(
-        _path(out_dir, "comparison"), "comparison", "algorithm,precision,recall,fscore", rows
-    )
-    return f"compare[{setting}]: {len(rows)} algorithms -> {_path(out_dir, 'comparison')}"
+    return _write_experiment(out_dir, "compare", setting, "comparison", "algorithm", rows)

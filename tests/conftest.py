@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic scratch git repositories."""
+"""Shared fixtures: deterministic scratch git repositories and feature rows."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 from crec import artifacts
 from crec.config import PipelineConfig
+from crec.features import FEATURES, FeatureRow
 from crec.repo_miner import diff_file_hunks
 
 
@@ -92,6 +93,19 @@ class SnapshotRepo:
 
     def diff_hunks(self, a: str, b: str, path: str):
         return diff_file_hunks(self._bytes(a, path), self._bytes(b, path))
+
+
+def feature_row(
+    label: int | None,
+    assignments: dict[int, float] | None = None,
+    lineage: str = "lin",
+    version: int = 0,
+) -> FeatureRow:
+    """A row with F<n> = value for each n: value of *assignments* and 0 elsewhere."""
+    values = [0.0] * len(FEATURES)
+    for feature, value in (assignments or {}).items():
+        values[feature - 1] = value
+    return FeatureRow(lineage, version, tuple(values), label)
 
 
 def read_sweep(path) -> list[tuple[float, int]]:

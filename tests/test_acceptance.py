@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
-from conftest import RepoBuilder, SnapshotRepo, read_sweep
+from conftest import RepoBuilder, SnapshotRepo, feature_row, read_sweep
 from crec import artifacts, pipeline
 from crec.clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks
 from crec.config import PipelineConfig
@@ -28,7 +28,7 @@ from crec.eval_harness import (
 )
 from crec.features import (
     AlignedToken,
-    FeatureVector,
+    FeatureRow,
     WindowView,
     assemble_vector,
     classified_sequence,
@@ -44,13 +44,7 @@ from crec.features import (
     top_level_classes,
 )
 from crec.genealogy import CloneLink, Lineage
-from crec.learner import (
-    LabeledExample,
-    best_stump,
-    model_from_dict,
-    predict_likelihood,
-    train_adaboost,
-)
+from crec.learner import best_stump, model_from_dict, train_adaboost
 from crec.repo_miner import (
     CommitRecord,
     SampledVersion,
@@ -289,13 +283,7 @@ def test_criterion_3_feature_property_suite():
                 + extract_diff_features(group)
                 + extract_cochange_features(group, lineage, 4, view)
             )
-            assemble_vector(
-                per_clone,
-                group_values,
-                lineage.lineage_id,
-                4,
-                aggregation=rng.choice(["mean", "max"]),
-            )
+            assemble_vector(per_clone, group_values, aggregation=rng.choice(["mean", "max"]))
         except Exception as exc:  # RangeViolation or anything else
             failures.append(f"group {group_idx}: {type(exc).__name__}: {exc}")
             if len(failures) > 5:
@@ -335,23 +323,16 @@ def test_criterion_3_feature_property_suite():
 # -- criterion 4: learner suite -------------------------------------------------
 
 
-def _vec(assignments: dict[int, float]) -> FeatureVector:
-    values = [0.0] * 34
-    for f, v in assignments.items():
-        values[f - 1] = v
-    return FeatureVector(tuple(values), "lin", 0)
-
-
 def _oracle_stump(examples, weights):
     best = None
-    dim = len(examples[0].vector.values)
+    dim = len(examples[0].values)
     for f in range(1, dim + 1):
-        distinct = sorted({e.vector.values[f - 1] for e in examples})
+        distinct = sorted({e.values[f - 1] for e in examples})
         for t in [NEG_INF] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]:
             for pol in ("le", "gt"):
                 err = 0.0
                 for e, w in zip(examples, weights):
-                    v = e.vector.values[f - 1]
+                    v = e.values[f - 1]
                     pred = 1 if ((v <= t) if pol == "le" else (v > t)) else 0
                     if pred != e.label:
                         err += w
@@ -367,10 +348,7 @@ def test_criterion_4_learner_suite():
     for ds in range(100):
         n = rng.randrange(2, 51)
         examples = [
-            LabeledExample(
-                _vec({f: rng.randrange(0, 16) / 16 for f in range(1, 6)}),
-                rng.randrange(2),
-            )
+            feature_row(rng.randrange(2), {f: rng.randrange(0, 16) / 16 for f in range(1, 6)})
             for _ in range(n)
         ]
         weights = [rng.randrange(1, 65) / 1024 for _ in range(n)]
@@ -381,41 +359,42 @@ def test_criterion_4_learner_suite():
             break
 
     separable = [
-        LabeledExample(_vec({1: 0.1}), 0),
-        LabeledExample(_vec({1: 0.2}), 0),
-        LabeledExample(_vec({1: 0.8}), 1),
-        LabeledExample(_vec({1: 0.9}), 1),
+        feature_row(0, {1: 0.1}),
+        feature_row(0, {1: 0.2}),
+        feature_row(1, {1: 0.8}),
+        feature_row(1, {1: 0.9}),
     ]
     and_pattern = []
     for f1 in (0.2, 0.8):
         for f2 in (0.2, 0.8):
             label = 1 if (f1 > 0.5 and f2 > 0.5) else 0
-            and_pattern.append(LabeledExample(_vec({1: f1, 2: f2}), label))
-            and_pattern.append(LabeledExample(_vec({1: f1 + 0.05, 2: f2 - 0.05}), label))
+            and_pattern.append(feature_row(label, {1: f1, 2: f2}))
+            and_pattern.append(feature_row(label, {1: f1 + 0.05, 2: f2 - 0.05}))
     for name, data in (("separable", separable), ("and-pattern", and_pattern)):
         model = train_adaboost(data, rounds=50)
         bad = [
             e
             for e in data
-            if (predict_likelihood(model, e.vector) >= 0.5) != (e.label == 1)
+            if (model.predict_likelihood(e.values) >= 0.5) != (e.label == 1)
         ]
         if bad:
             failures.append(f"{name}: {len(bad)} training errors after 50 rounds")
 
     model = train_adaboost(and_pattern, rounds=50)
     for _ in range(500):
-        p = predict_likelihood(model, _vec({f: rng.random() * 3 - 1 for f in range(1, 5)}))
+        probe = feature_row(None, {f: rng.random() * 3 - 1 for f in range(1, 5)})
+        p = model.predict_likelihood(probe.values)
         if not 0.0 <= p <= 1.0:
             failures.append(f"likelihood {p} escapes [0,1]")
             break
 
-    probes = [_vec({1: rng.random(), 2: rng.random()}) for _ in range(50)]
-    baseline = sorted(probes, key=lambda v: (-predict_likelihood(model, v), v.values))
+    probes = [feature_row(None, {1: rng.random(), 2: rng.random()}).values for _ in range(50)]
+    baseline = sorted(probes, key=lambda v: (-model.predict_likelihood(v), v))
     scaled = model_from_dict(model.to_dict())
     for s in scaled.stumps:
         object.__setattr__(s, "alpha", s.alpha * 17.0)
-    rescaled = sorted(probes, key=lambda v: (-predict_likelihood(scaled, v), v.values))
-    if [v.values for v in baseline] != [v.values for v in rescaled]:
+    rescaled = sorted(probes, key=lambda v: (-scaled.predict_likelihood(v), v))
+    if baseline != rescaled:
         failures.append("likelihood ranking not invariant under alpha scaling")
 
     _report(4, "learner suite", failures)
@@ -498,7 +477,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
 # -- criterion 7: harness signal recovery ----------------------------------------
 
 
-def _history_cochange_dataset(seed: int = 29, n: int = 200) -> list[LabeledExample]:
+def _history_cochange_dataset(seed: int = 29, n: int = 200) -> list[FeatureRow]:
     """Labels follow F13 + F30 with a margin band plus 3% label noise."""
     rng = random.Random(seed)
     examples = []
@@ -511,7 +490,7 @@ def _history_cochange_dataset(seed: int = 29, n: int = 200) -> list[LabeledExamp
         if rng.random() < 0.03:
             label = 1 - label
         filler = {f: rng.random() for f in (5, 22, 26)}
-        examples.append(LabeledExample(_vec({13: f13, 30: f30, **filler}), label))
+        examples.append(feature_row(label, {13: f13, 30: f30, **filler}))
     return examples
 
 

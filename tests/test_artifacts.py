@@ -8,16 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import read_sweep, save_config
+from conftest import feature_row, read_sweep, save_config
 from crec import artifacts
 from crec.artifacts import FeatureRow
 from crec.clone_detector import CloneGroup, CodeBlock, Token
 from crec.config import PipelineConfig, load_config
 from crec.errors import ConfigError, FormatVersionMismatch, ParseError
+from crec.features import FEATURES
 from crec.genealogy import Lineage
 from crec.labeler import LabelDecision
-from crec.learner import train_adaboost, LabeledExample, predict_likelihood
-from crec.features import FeatureVector
+from crec.learner import train_adaboost
 from crec.repo_miner import CommitRecord, SampledVersion
 
 
@@ -107,8 +107,8 @@ class TestRoundTrips:
 
     def test_model(self, tmp_path):
         examples = [
-            LabeledExample(FeatureVector(tuple([0.1] + [0.0] * 33), "a", 0), 0),
-            LabeledExample(FeatureVector(tuple([0.9] + [0.0] * 33), "b", 0), 1),
+            feature_row(0, {1: 0.1}, lineage="a"),
+            feature_row(1, {1: 0.9}, lineage="b"),
         ]
         model = train_adaboost(examples)
         path = tmp_path / "model.txt"
@@ -116,7 +116,7 @@ class TestRoundTrips:
         loaded = artifacts.read_model(path)
         assert loaded.to_dict() == model.to_dict()
         for e in examples:
-            assert predict_likelihood(loaded, e.vector) == predict_likelihood(model, e.vector)
+            assert loaded.predict_likelihood(e.values) == model.predict_likelihood(e.values)
 
     def test_recommendations(self, tmp_path):
         ranked = [("g2", 0.875), ("g1", 0.5)]
@@ -157,6 +157,16 @@ class TestFormatGuards:
         with pytest.raises(ParseError):
             artifacts.read_features(path)
 
+    @pytest.mark.parametrize("label", ["2", "-1", "1.0", "R"])
+    def test_feature_label_checked(self, tmp_path, label):
+        path = tmp_path / "features.csv"
+        artifacts.write_features(path, [feature_row(1), feature_row(0)])
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + label
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 4: label must be 0, 1 or empty, got '{label}'"):
+            artifacts.read_features(path)
+
     def test_missing_json_field_named(self, tmp_path):
         path = tmp_path / "samples.txt"
         path.write_text('crec-format v1 samples\n{"index":0}\n', encoding="utf-8")
@@ -169,6 +179,28 @@ class TestFormatGuards:
         path.write_text('crec-format v1 label-sweep\n{"reported":1}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: missing field 'threshold'"):
             read_sweep(path)
+
+
+class TestFeatureTable:
+    def test_readme_feature_table_is_features(self):
+        """The README's F1..F34 table is `features.FEATURES`, row for row."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Artifact formats\n", 1)[1].split("\n## ", 1)[0]
+        kinds = {">= 0": "count", "[0, 1]": "ratio", "0 or 1": "bool"}
+        table = []
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) == 4 and cells[0][:1] == "F" and cells[0][1:].isdigit():
+                number, name, category, limits = cells
+                table.append((number, name.strip("`"), category, kinds[limits]))
+        assert table == [
+            (f"F{num}", name, category, kind)
+            for num, (name, category, kind) in enumerate(FEATURES, 1)
+        ]
+
+    def test_csv_header_names_every_feature(self):
+        header = artifacts.FEATURE_CSV_HEADER.split(",")
+        assert header == ["lineage_id", "version"] + [f"F{n}" for n in range(1, 35)] + ["label"]
 
 
 class TestConfigFile:

@@ -11,13 +11,11 @@ from pathlib import Path
 import pytest
 
 from clone_fixtures import commit_corpora, end_to_end_corpora
-from conftest import read_sweep, save_config
+from conftest import feature_row, read_sweep, save_config
 from crec import artifacts
-from crec.artifacts import FeatureRow
 from crec.cli import build_parser, main, resolve_config
 from crec.config import PipelineConfig
-from crec.features import FeatureVector
-from crec.learner import LabeledExample, train_adaboost
+from crec.learner import train_adaboost
 from crec.repo_miner import SampledVersion
 
 
@@ -186,21 +184,15 @@ class TestRecommendStage:
         ]
         artifacts.write_artifact(out / "lineages.txt", "lineages", lines)
 
-        def vec(f1: float) -> tuple[float, ...]:
-            return tuple([f1] + [0.0] * 33)
-
         artifacts.write_features(
             out / "features.csv",
             [
-                FeatureRow("lin-a", 1, vec(9.0), None),
-                FeatureRow("lin-b", 1, vec(1.0), None),
-                FeatureRow("lin-c", 0, vec(9.0), None),  # not at the final version
+                feature_row(None, {1: 9.0}, lineage="lin-a", version=1),
+                feature_row(None, {1: 1.0}, lineage="lin-b", version=1),
+                feature_row(None, {1: 9.0}, lineage="lin-c"),  # not at the final version
             ],
         )
-        examples = [
-            LabeledExample(FeatureVector(vec(1.0), "t1", 0), 0),
-            LabeledExample(FeatureVector(vec(9.0), "t2", 0), 1),
-        ]
+        examples = [feature_row(0, {1: 1.0}, lineage="t1"), feature_row(1, {1: 9.0}, lineage="t2")]
         artifacts.write_model(out / "model.txt", train_adaboost(examples))
         assert _run("recommend", "--out", str(out)) == 0
         ranked = artifacts.read_recommendations(out / "recommendations.csv")
@@ -212,8 +204,7 @@ def _write_project(path: Path, n: int = 20) -> None:
     for i in range(n):
         f1 = float(i) if i < 6 else float(i + 2)
         label = 1 if f1 > 6 else 0
-        values = tuple([f1] + [0.0] * 33)
-        rows.append(FeatureRow(f"lin-{i}", 0, values, label))
+        rows.append(feature_row(label, {1: f1}, lineage=f"lin-{i}"))
     artifacts.write_features(path, rows)
 
 
@@ -327,6 +318,16 @@ class TestConfigResolution:
         for f, flag in zip(fields(PipelineConfig), _CONFIG_FLAGS):
             assert re.search(rf"{flag} \S+\s+default: {re.escape(str(f.default))}\n", out), flag
 
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [("abc", "bad value for l_th: 'abc'"), ("1.5", "l_th must be in [0, 1]")],
+        ids=["abc", "1.5"],
+    )
+    def test_sweep_value_checked_as_l_th(self, tmp_path, capsys, raw, reason):
+        argv = ["label", "--repo", str(tmp_path), "--out", str(tmp_path), "--sweep", "0.3", raw]
+        assert _run(*argv) == 1
+        assert _one_error_line(capsys).startswith(f"error: ConfigError: {reason}")
+
     def test_invalid_override_rejected(self, tmp_path, capsys):
         code = _run("mine", "--repo", str(tmp_path), "--theta", "1.5")
         assert code == 1
@@ -355,6 +356,16 @@ class TestMalformedArtifacts:
         artifacts.write_artifact(tmp_path / "samples.txt", "samples", ["5"])
         assert _run("detect", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
         assert _one_error_line(capsys).startswith("error: ParseError: line 2: bad samples row")
+
+    def test_feature_label_rejected_by_train(self, tmp_path, capsys):
+        artifacts.write_features(tmp_path / "features.csv", [feature_row(0), feature_row(1)])
+        lines = (tmp_path / "features.csv").read_text().splitlines()
+        lines[3] = lines[3][:-1] + "2"  # the second row's label 1 becomes 2
+        (tmp_path / "features.csv").write_text("\n".join(lines) + "\n")
+        assert _run("train", "--out", str(tmp_path)) == 1
+        assert _one_error_line(capsys).startswith(
+            "error: ParseError: line 4: label must be 0, 1 or empty, got '2'"
+        )
 
     @pytest.mark.parametrize(
         "row, message",

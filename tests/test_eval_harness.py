@@ -6,10 +6,10 @@ import random
 
 import pytest
 
+from conftest import feature_row
 from crec.errors import InsufficientNegatives, TooFewProjects, TooSmall
 from crec.eval_harness import (
     ConfusionCounts,
-    FEATURE_CATEGORIES,
     LearnerConfig,
     ablation,
     build_balanced_dataset,
@@ -22,19 +22,7 @@ from crec.eval_harness import (
     ten_fold,
     within_project,
 )
-from crec.features import FeatureVector
-from crec.learner import LabeledExample
-
-
-def _vec(assignments: dict[int, float], lineage="lin") -> FeatureVector:
-    values = [0.0] * 34
-    for feature, value in assignments.items():
-        values[feature - 1] = value
-    return FeatureVector(tuple(values), lineage, 0)
-
-
-def _ex(label: int, assignments: dict[int, float]) -> LabeledExample:
-    return LabeledExample(_vec(assignments), label)
+from crec.features import FEATURE_CATEGORIES, FeatureRow
 
 
 class TestMetrics:
@@ -69,8 +57,8 @@ class TestMetrics:
 
 class TestBuildBalancedDataset:
     def _pools(self, n_r, n_nr):
-        r = [_ex(1, {1: float(i)}) for i in range(n_r)]
-        nr = [_ex(0, {1: float(100 + i)}) for i in range(n_nr)]
+        r = [feature_row(1, {1: float(i)}) for i in range(n_r)]
+        nr = [feature_row(0, {1: float(100 + i)}) for i in range(n_nr)]
         return r, nr
 
     def test_equal_class_counts_and_reproducibility(self):
@@ -83,7 +71,7 @@ class TestBuildBalancedDataset:
     def test_whole_pool_when_sizes_match(self):
         r, nr = self._pools(3, 3)
         ds = build_balanced_dataset(r, nr, seed=1)
-        assert sorted(e.vector.values[0] for e in ds if e.label == 0) == [100.0, 101.0, 102.0]
+        assert sorted(e.values[0] for e in ds if e.label == 0) == [100.0, 101.0, 102.0]
 
     def test_insufficient_negatives(self):
         r, nr = self._pools(3, 2)
@@ -91,16 +79,16 @@ class TestBuildBalancedDataset:
             build_balanced_dataset(r, nr, seed=1)
 
 
-def _margin_dataset() -> list[LabeledExample]:
+def _margin_dataset() -> list[FeatureRow]:
     """Label is exactly (F1 > 5), with a two-wide margin around the boundary."""
-    examples = [_ex(0, {1: float(v)}) for v in range(6)]
-    examples += [_ex(1, {1: float(v)}) for v in range(7, 21)]
+    examples = [feature_row(0, {1: float(v)}) for v in range(6)]
+    examples += [feature_row(1, {1: float(v)}) for v in range(7, 21)]
     return examples
 
 
 class TestTenFold:
     def test_fold_sizes_balanced_per_class(self):
-        dataset = [_ex(i % 2, {1: float(i)}) for i in range(20)]
+        dataset = [feature_row(i % 2, {1: float(i)}) for i in range(20)]
         folds = fold_assignment(dataset, seed=0)
         assert all(len(f) == 2 for f in folds)
         for fold in folds:
@@ -108,13 +96,13 @@ class TestTenFold:
             assert labels == [0, 1]
 
     def test_folds_partition_dataset(self):
-        dataset = [_ex(i % 2, {1: float(i)}) for i in range(37)]
+        dataset = [feature_row(i % 2, {1: float(i)}) for i in range(37)]
         folds = fold_assignment(dataset, seed=3)
         flat = sorted(i for fold in folds for i in fold)
         assert flat == list(range(37))
 
     def test_fold_assignment_deterministic(self):
-        dataset = [_ex(i % 2, {1: float(i)}) for i in range(25)]
+        dataset = [feature_row(i % 2, {1: float(i)}) for i in range(25)]
         assert fold_assignment(dataset, seed=9) == fold_assignment(dataset, seed=9)
 
     def test_perfect_signal_scores_one(self):
@@ -123,7 +111,7 @@ class TestTenFold:
 
     def test_too_small_rejected(self):
         with pytest.raises(TooSmall):
-            ten_fold([_ex(1, {1: 1.0})] * 9, LearnerConfig())
+            ten_fold([feature_row(1, {1: 1.0})] * 9, LearnerConfig())
 
 
 class TestCrossProject:
@@ -136,7 +124,7 @@ class TestCrossProject:
 
     def test_project_without_positives_flagged(self):
         train = _margin_dataset()
-        held = [_ex(0, {1: float(v)}) for v in range(5)]
+        held = [feature_row(0, {1: float(v)}) for v in range(5)]
         report = cross_project([("full", train), ("empty", held)], LearnerConfig())
         empty_row = next(r for r in report.rows if r.name == "empty")
         assert empty_row.recall == 0.0
@@ -156,13 +144,13 @@ class TestWithinProject:
         assert report.metric_mode == "pooled"
 
 
-def _history_signal_dataset(seed: int = 0) -> list[LabeledExample]:
+def _history_signal_dataset(seed: int = 0) -> list[FeatureRow]:
     rng = random.Random(seed)
     examples = []
     for _ in range(60):
         f13 = rng.random()
         label = 1 if f13 > 0.5 else 0
-        examples.append(_ex(label, {13: f13, 1: rng.random() * 3}))
+        examples.append(feature_row(label, {13: f13, 1: rng.random() * 3}))
     return examples
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import SnapshotRepo
 from crec.clone_detector import CloneGroup, CodeBlock, Token, extract_blocks, scan
 from crec.errors import RangeViolation
 from crec.features import (
+    FEATURES,
     AlignedToken,
     WindowView,
     assemble_vector,
@@ -28,6 +30,7 @@ from crec.features import (
     multiset_diff,
     path_copy_score,
     top_level_classes,
+    validate_values,
 )
 from crec.genealogy import CloneLink, Lineage
 from crec.repo_miner import (
@@ -588,28 +591,60 @@ def _clone_row(f1: float) -> tuple[float, ...]:
     return (f1, 40.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0, 0.0, 1.0)
 
 
+class TestFeatureTable:
+    def test_kinds_are_the_validated_ranges(self):
+        """Oracle: the feature numbers per range as validate_values listed them
+        before the table existed."""
+        by_kind = {"count": set(), "ratio": set(), "bool": set()}
+        for num, (_, _, kind) in enumerate(FEATURES, 1):
+            by_kind[kind].add(num)
+        assert by_kind == {
+            "count": {1, 2, 3, 4, 22, 24, 25},
+            "ratio": {5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23,
+                      26, 27, 28, 29, 30, 31, 32, 33, 34},
+            "bool": {18, 19, 20, 21},
+        }
+
+    @pytest.mark.parametrize(
+        "num, value, message",
+        [(1, -1.0, "F1=-1.0 negative"), (5, 1.5, "F5=1.5 outside [0,1]"),
+         (18, 0.5, "F18=0.5 not boolean"), (22, -2.0, "F22=-2.0 negative"),
+         (34, -0.1, "F34=-0.1 outside [0,1]")],
+        ids=["F1", "F5", "F18", "F22", "F34"],
+    )
+    def test_validate_values_messages(self, num, value, message):
+        values = [0.0] * len(FEATURES)
+        values[num - 1] = value
+        with pytest.raises(RangeViolation, match=re.escape(message)):
+            validate_values(tuple(values))
+
+    def test_validate_values_counts_features(self):
+        with pytest.raises(RangeViolation, match="expected 34 features, got 33"):
+            validate_values((0.0,) * 33)
+
+
 class TestAssembleVector:
     def test_mean_aggregation(self):
-        vec = assemble_vector([_clone_row(6.0), _clone_row(10.0)], _plain_group_values(), "lin", 3)
-        assert vec.values[0] == 8.0
-        assert vec.lineage_id == "lin" and vec.version == 3
+        values = assemble_vector([_clone_row(6.0), _clone_row(10.0)], _plain_group_values())
+        assert values[0] == 8.0
+        assert values[17:] == _plain_group_values()
 
     def test_identical_booleans_survive_aggregation(self):
-        vec = assemble_vector([_clone_row(6.0), _clone_row(6.0)], _plain_group_values(), "lin", 0)
-        assert vec.values[7] == 1.0  # F8 stays boolean-valued when members agree
+        values = assemble_vector([_clone_row(6.0), _clone_row(6.0)], _plain_group_values())
+        assert values[7] == 1.0  # F8 stays boolean-valued when members agree
 
     def test_max_aggregation(self):
-        vec = assemble_vector(
-            [_clone_row(6.0), _clone_row(10.0)], _plain_group_values(), "lin", 0, aggregation="max"
+        values = assemble_vector(
+            [_clone_row(6.0), _clone_row(10.0)], _plain_group_values(), aggregation="max"
         )
-        assert vec.values[0] == 10.0
+        assert values[0] == 10.0
 
     def test_range_violation_rejected(self):
         with pytest.raises(RangeViolation):
-            assemble_vector([_clone_row(6.0)], _plain_group_values({23: 1.5}), "lin", 0)
+            assemble_vector([_clone_row(6.0)], _plain_group_values({23: 1.5}))
         with pytest.raises(RangeViolation):
-            assemble_vector([_clone_row(6.0)], _plain_group_values({18: 0.5}), "lin", 0)
+            assemble_vector([_clone_row(6.0)], _plain_group_values({18: 0.5}))
 
     def test_member_row_shape_enforced(self):
         with pytest.raises(ValueError):
-            assemble_vector([], _plain_group_values(), "lin", 0)
+            assemble_vector([], _plain_group_values())

@@ -7,14 +7,13 @@ import random
 
 import pytest
 
+from conftest import feature_row
 from crec.errors import DegenerateData
-from crec.features import FeatureVector
+from crec.features import FeatureRow
 from crec.learner import (
     ALGORITHMS,
-    LabeledExample,
     best_stump,
     model_from_dict,
-    predict_likelihood,
     recommend,
     train_adaboost,
     train_alt,
@@ -23,24 +22,13 @@ from crec.learner import (
 NEG_INF = float("-inf")
 
 
-def _vec(assignments: dict[int, float] | None = None, lineage="lin", version=0) -> FeatureVector:
-    values = [0.0] * 34
-    for feature, value in (assignments or {}).items():
-        values[feature - 1] = value
-    return FeatureVector(tuple(values), lineage, version)
-
-
-def _ex(label: int, assignments: dict[int, float]) -> LabeledExample:
-    return LabeledExample(_vec(assignments), label)
-
-
 def _oracle_best_stump(examples, weights, features=None):
     """Direct-summation search over the same canonical candidate order."""
-    dim = len(examples[0].vector.values)
+    dim = len(examples[0].values)
     feats = sorted(features) if features is not None else list(range(1, dim + 1))
     best = None
     for f in feats:
-        distinct = sorted({e.vector.values[f - 1] for e in examples})
+        distinct = sorted({e.values[f - 1] for e in examples})
         thresholds = [NEG_INF] + [
             (a + b) / 2 for a, b in zip(distinct, distinct[1:])
         ]
@@ -48,7 +36,7 @@ def _oracle_best_stump(examples, weights, features=None):
             for pol in ("le", "gt"):
                 err = 0.0
                 for e, w in zip(examples, weights):
-                    v = e.vector.values[f - 1]
+                    v = e.values[f - 1]
                     pred = 1 if ((v <= t) if pol == "le" else (v > t)) else 0
                     if pred != e.label:
                         err += w
@@ -59,7 +47,7 @@ def _oracle_best_stump(examples, weights, features=None):
 
 class TestBestStump:
     def test_one_dimensional_split(self):
-        examples = [_ex(0, {1: 0.1}), _ex(1, {1: 0.9})]
+        examples = [feature_row(0, {1: 0.1}), feature_row(1, {1: 0.9})]
         stump, err = best_stump(examples, [0.5, 0.5])
         assert stump.feature_index == 1
         assert stump.threshold == 0.5
@@ -67,34 +55,34 @@ class TestBestStump:
         assert err == 0.0
 
     def test_all_positive_labels_constant_stump(self):
-        examples = [_ex(1, {1: 0.2}), _ex(1, {1: 0.8})]
+        examples = [feature_row(1, {1: 0.2}), feature_row(1, {1: 0.8})]
         stump, err = best_stump(examples, [0.5, 0.5])
         assert err == 0.0
-        assert stump.vote(examples[0].vector.values) == 1
-        assert stump.vote(_vec({1: -5.0}).values) == 1
+        assert stump.vote(examples[0].values) == 1
+        assert stump.vote(feature_row(None, {1: -5.0}).values) == 1
 
     def test_weight_concentration_flips_decision(self):
         # with uniform weights the lone contrarian point is sacrificed;
         # concentrating weight on it forces a stump that gets it right
         examples = [
-            _ex(0, {1: 0.1}),
-            _ex(0, {1: 0.2}),
-            _ex(0, {1: 0.3}),
-            _ex(1, {1: 0.15}),
+            feature_row(0, {1: 0.1}),
+            feature_row(0, {1: 0.2}),
+            feature_row(0, {1: 0.3}),
+            feature_row(1, {1: 0.15}),
         ]
         uniform = [0.25] * 4
         stump, _ = best_stump(examples, uniform)
-        assert stump.vote(examples[3].vector.values) == 0
+        assert stump.vote(examples[3].values) == 0
         concentrated = [0.03125, 0.03125, 0.03125, 0.90625]
         stump, _ = best_stump(examples, concentrated)
-        assert stump.vote(examples[3].vector.values) == 1
+        assert stump.vote(examples[3].values) == 1
 
     def test_matches_exhaustive_oracle_on_random_datasets(self):
         rng = random.Random(61)
         for _ in range(100):
             n = rng.randrange(2, 51)
             examples = [
-                _ex(
+                feature_row(
                     rng.randrange(2),
                     {f: rng.randrange(0, 16) / 16 for f in range(1, 6)},
                 )
@@ -111,7 +99,7 @@ class TestBestStump:
             )
 
     def test_feature_subset_respected(self):
-        examples = [_ex(0, {1: 0.1, 2: 0.1}), _ex(1, {1: 0.9, 2: 0.9})]
+        examples = [feature_row(0, {1: 0.1, 2: 0.1}), feature_row(1, {1: 0.9, 2: 0.9})]
         stump, err = best_stump(examples, [0.5, 0.5], features=[2])
         assert stump.feature_index == 2
         assert err == 0.0
@@ -121,22 +109,22 @@ class TestBestStump:
             best_stump([], [])
 
 
-def _separable() -> list[LabeledExample]:
+def _separable() -> list[FeatureRow]:
     return [
-        _ex(0, {1: 0.1}),
-        _ex(0, {1: 0.2}),
-        _ex(1, {1: 0.8}),
-        _ex(1, {1: 0.9}),
+        feature_row(0, {1: 0.1}),
+        feature_row(0, {1: 0.2}),
+        feature_row(1, {1: 0.8}),
+        feature_row(1, {1: 0.9}),
     ]
 
 
-def _and_pattern() -> list[LabeledExample]:
+def _and_pattern() -> list[FeatureRow]:
     points = []
     for f1 in (0.25, 0.75):
         for f2 in (0.25, 0.75):
             label = 1 if (f1 > 0.5 and f2 > 0.5) else 0
-            points.append(_ex(label, {1: f1, 2: f2}))
-            points.append(_ex(label, {1: f1 - 0.05, 2: f2 + 0.05}))
+            points.append(feature_row(label, {1: f1, 2: f2}))
+            points.append(feature_row(label, {1: f1 - 0.05, 2: f2 + 0.05}))
     return points
 
 
@@ -144,7 +132,7 @@ def _accuracy(model, examples) -> float:
     hits = sum(
         1
         for e in examples
-        if (predict_likelihood(model, e.vector) >= 0.5) == (e.label == 1)
+        if (model.predict_likelihood(e.values) >= 0.5) == (e.label == 1)
     )
     return hits / len(examples)
 
@@ -154,13 +142,13 @@ class TestTrainAdaboost:
         model = train_adaboost(_separable())
         assert _accuracy(model, _separable()) == 1.0
         # hand prediction: one perfect stump, so likelihood is all-or-nothing
-        assert predict_likelihood(model, _vec({1: 0.1})) == 0.0
-        assert predict_likelihood(model, _vec({1: 0.9})) == 1.0
+        assert model.predict_likelihood(feature_row(None, {1: 0.1}).values) == 0.0
+        assert model.predict_likelihood(feature_row(None, {1: 0.9}).values) == 1.0
 
     def test_single_label_short_circuits_to_constant(self):
-        model = train_adaboost([_ex(1, {1: 0.3}), _ex(1, {1: 0.6})])
+        model = train_adaboost([feature_row(1, {1: 0.3}), feature_row(1, {1: 0.6})])
         for x in (0.0, 0.5, 1.0):
-            assert predict_likelihood(model, _vec({1: x})) == 1.0
+            assert model.predict_likelihood(feature_row(None, {1: x}).values) == 1.0
 
     def test_and_pattern_learned_within_rounds(self):
         data = _and_pattern()
@@ -190,7 +178,7 @@ class TestTrainAdaboost:
             e = sum(
                 w
                 for w, ex in zip(weights, data)
-                if stump.vote(ex.vector.values) != ex.label
+                if stump.vote(ex.values) != ex.label
             ) / sum(weights)
             clamped = min(max(e, 1e-10), 1 - 1e-10)
             assert stump.alpha == pytest.approx(0.5 * math.log((1 - clamped) / clamped))
@@ -201,7 +189,7 @@ class TestTrainAdaboost:
             previous_bound = bound
             norm = 0.0
             for i, ex in enumerate(data):
-                agree = 1 if stump.vote(ex.vector.values) == ex.label else -1
+                agree = 1 if stump.vote(ex.values) == ex.label else -1
                 weights[i] *= math.exp(-stump.alpha * agree)
                 norm += weights[i]
             weights = [w / norm for w in weights]
@@ -209,10 +197,10 @@ class TestTrainAdaboost:
 
 class TestPredictLikelihood:
     def test_unanimous_votes(self):
-        model = train_adaboost([_ex(1, {1: 0.5})])
-        assert predict_likelihood(model, _vec({1: 0.1})) == 1.0
-        model = train_adaboost([_ex(0, {1: 0.5})])
-        assert predict_likelihood(model, _vec({1: 0.1})) == 0.0
+        model = train_adaboost([feature_row(1, {1: 0.5})])
+        assert model.predict_likelihood(feature_row(None, {1: 0.1}).values) == 1.0
+        model = train_adaboost([feature_row(0, {1: 0.5})])
+        assert model.predict_likelihood(feature_row(None, {1: 0.1}).values) == 0.0
 
     def test_weighted_vote_ratio(self):
         from crec.learner import BoostModel, DecisionStump
@@ -227,8 +215,9 @@ class TestPredictLikelihood:
             seed=0,
             dataset_digest="d",
         )
-        assert predict_likelihood(model, _vec({1: 0.9})) == pytest.approx(2 / 3)
-        assert predict_likelihood(model, _vec({1: 0.1})) == pytest.approx(1 / 3)
+        high, low = feature_row(None, {1: 0.9}), feature_row(None, {1: 0.1})
+        assert model.predict_likelihood(high.values) == pytest.approx(2 / 3)
+        assert model.predict_likelihood(low.values) == pytest.approx(1 / 3)
 
     def test_alpha_scaling_invariance(self):
         data = _and_pattern()
@@ -237,19 +226,20 @@ class TestPredictLikelihood:
         for s in scaled.stumps:
             object.__setattr__(s, "alpha", s.alpha * 7.5)
         for e in data:
-            assert predict_likelihood(scaled, e.vector) == pytest.approx(
-                predict_likelihood(model, e.vector)
+            assert scaled.predict_likelihood(e.values) == pytest.approx(
+                model.predict_likelihood(e.values)
             )
 
     def test_likelihood_always_in_unit_interval(self):
         rng = random.Random(67)
         data = [
-            _ex(rng.randrange(2), {f: rng.random() for f in range(1, 8)})
+            feature_row(rng.randrange(2), {f: rng.random() for f in range(1, 8)})
             for _ in range(40)
         ]
         model = train_adaboost(data, rounds=20)
         for _ in range(200):
-            p = predict_likelihood(model, _vec({f: rng.random() * 2 - 0.5 for f in range(1, 8)}))
+            probe = feature_row(None, {f: rng.random() * 2 - 0.5 for f in range(1, 8)})
+            p = model.predict_likelihood(probe.values)
             assert 0.0 <= p <= 1.0
 
 
@@ -260,14 +250,14 @@ class TestRecommend:
 
     def test_threshold_filters(self):
         model = train_adaboost(_separable())
-        ranked = recommend(
-            model, [("hot", _vec({1: 0.9})), ("cold", _vec({1: 0.1}))], threshold=0.5
-        )
+        hot, cold = feature_row(None, {1: 0.9}), feature_row(None, {1: 0.1})
+        ranked = recommend(model, [("hot", hot.values), ("cold", cold.values)], threshold=0.5)
         assert ranked == [("hot", 1.0)]
 
     def test_ties_ordered_by_group_id(self):
         model = train_adaboost(_separable())
-        ranked = recommend(model, [("zz", _vec({1: 0.8})), ("aa", _vec({1: 0.9}))])
+        zz, aa = feature_row(None, {1: 0.8}), feature_row(None, {1: 0.9})
+        ranked = recommend(model, [("zz", zz.values), ("aa", aa.values)])
         assert [g for g, _ in ranked] == ["aa", "zz"]
 
     def test_threshold_validated(self):
@@ -285,9 +275,9 @@ class TestAlternativeLearners:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_single_label_constant(self, algorithm):
-        data = [_ex(1, {1: 0.2}), _ex(1, {1: 0.7})]
+        data = [feature_row(1, {1: 0.2}), feature_row(1, {1: 0.7})]
         model = train_alt(algorithm, data, seed=9)
-        assert predict_likelihood(model, _vec({1: 0.4})) == 1.0
+        assert model.predict_likelihood(feature_row(None, {1: 0.4}).values) == 1.0
 
     def test_forest_deterministic_for_seed(self):
         data = _and_pattern()
@@ -296,9 +286,19 @@ class TestAlternativeLearners:
         assert a.to_dict() == b.to_dict()
 
     def test_tree_respects_min_leaf(self):
-        data = [_ex(0, {1: 0.1}), _ex(1, {1: 0.9})]  # a split would strand singletons
+        # a split would strand singletons
+        data = [feature_row(0, {1: 0.1}), feature_row(1, {1: 0.9})]
         model = train_alt("decision_tree", data, seed=0)
         assert model.root.feature is None
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("label", [2, None])
+    def test_label_outside_0_1_rejected(self, algorithm, label):
+        data = _separable() + [feature_row(label, {1: 0.5})]
+        with pytest.raises(ValueError, match=f"label must be 0 or 1, got {label}"):
+            train_alt(algorithm, data, seed=0)
+        with pytest.raises(ValueError, match=f"label must be 0 or 1, got {label}"):
+            train_adaboost(data)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -311,6 +311,4 @@ class TestAlternativeLearners:
         clone = model_from_dict(model.to_dict())
         assert clone.to_dict() == model.to_dict()
         for e in data:
-            assert predict_likelihood(clone, e.vector) == predict_likelihood(
-                model, e.vector
-            )
+            assert clone.predict_likelihood(e.values) == model.predict_likelihood(e.values)
