@@ -5,6 +5,7 @@ Round-trips are lossless and byte-deterministic."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ def _dumps(obj) -> str:
 
 def write_artifact(path: str | Path, kind: str, lines: list[str]) -> None:
     body = [f"{FORMAT_PREFIX} {FORMAT_VERSION} {kind}"] + lines
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(body) + "\n", encoding="utf-8")
 
 
@@ -261,6 +263,9 @@ def read_features(path) -> list[FeatureRow]:
             )
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        for num, value in enumerate(row.values, 1):
+            if not math.isfinite(value):
+                raise ParseError(f"F{num}={value} not finite", lineno)
         out.append(row)
     return out
 
@@ -269,7 +274,9 @@ def read_features(path) -> list[FeatureRow]:
 
 
 def write_model(path, model) -> None:
-    write_artifact(path, "model", [_dumps(model.to_dict())])
+    from .learner import model_to_dict
+
+    write_artifact(path, "model", [_dumps(model_to_dict(model))])
 
 
 def read_model(path):

@@ -257,13 +257,26 @@ def extract_blocks(
     return blocks
 
 
-def similarity(a: CodeBlock, b: CodeBlock) -> float:
-    """Overlap coefficient over token multisets."""
-    denom = max(len(a.tokens), len(b.tokens))
+def overlap(bag_a: Counter, bag_b: Counter) -> float:
+    """Overlap coefficient of two token multisets: the shared count over the
+    larger size, 0.0 when both are empty. Sums the minimum counts over the
+    smaller bag, which equals ``sum((bag_a & bag_b).values())`` for positive
+    counts."""
+    denom = max(sum(bag_a.values()), sum(bag_b.values()))
     if denom == 0:
         return 0.0
-    inter = sum((a.token_bag & b.token_bag).values())
-    return inter / denom
+    if len(bag_a) > len(bag_b):
+        bag_a, bag_b = bag_b, bag_a
+    shared = 0
+    for token, count in bag_a.items():
+        other = bag_b.get(token, 0)
+        shared += count if count < other else other
+    return shared / denom
+
+
+def similarity(a: CodeBlock, b: CodeBlock) -> float:
+    """Overlap coefficient over the blocks' token multisets."""
+    return overlap(a.token_bag, b.token_bag)
 
 
 def detect_clones(

@@ -79,17 +79,6 @@ class EvalReport:
     metric_mode: str = "pooled"
 
 
-def _train(config: LearnerConfig, examples: list[FeatureRow]):
-    features = list(config.features) if config.features is not None else None
-    return train_alt(
-        config.algorithm,
-        examples,
-        seed=config.seed,
-        features=features,
-        rounds=config.rounds,
-    )
-
-
 def _score(model, examples: list[FeatureRow], threshold: float) -> ConfusionCounts:
     rec = hits = known = 0
     for ex in examples:
@@ -115,34 +104,32 @@ def build_balanced_dataset(
     return list(r_examples) + chosen
 
 
-def fold_assignment(dataset: list[FeatureRow], seed: int, folds: int = 10) -> list[list[int]]:
-    """Stratified shuffle: per-class fold sizes differ by at most one."""
+def fold_assignment(dataset: list[FeatureRow], seed: int) -> list[list[int]]:
+    """Stratified shuffle into ten folds: per-class fold sizes differ by at most one."""
     pos = [i for i, ex in enumerate(dataset) if ex.label == 1]
     neg = [i for i, ex in enumerate(dataset) if ex.label == 0]
     rng = random.Random(seed)
     rng.shuffle(pos)
     rng.shuffle(neg)
-    assignment: list[list[int]] = [[] for _ in range(folds)]
+    assignment: list[list[int]] = [[] for _ in range(10)]
     for k, idx in enumerate(pos):
-        assignment[k % folds].append(idx)
+        assignment[k % 10].append(idx)
     for k, idx in enumerate(neg):
-        assignment[k % folds].append(idx)
+        assignment[k % 10].append(idx)
     return assignment
 
 
-def ten_fold(
-    dataset: list[FeatureRow], config: LearnerConfig, seed: int | None = None
-) -> EvalRow:
+def ten_fold(dataset: list[FeatureRow], config: LearnerConfig) -> EvalRow:
     """Pooled precision/recall/F over rotating train-9/test-1 splits."""
     if len(dataset) < 10:
         raise TooSmall(f"ten-fold needs >= 10 examples, have {len(dataset)}")
-    folds = fold_assignment(dataset, config.seed if seed is None else seed)
+    folds = fold_assignment(dataset, config.seed)
     rec = hits = known = 0
     for test_idx in folds:
         held = set(test_idx)
         train = [ex for i, ex in enumerate(dataset) if i not in held]
         test = [dataset[i] for i in test_idx]
-        model = _train(config, train)
+        model = train_alt(config.algorithm, train, config.seed, config.features, config.rounds)
         c = _score(model, test, config.threshold)
         rec += c.recommended
         hits += c.recommended_and_refactored
@@ -164,7 +151,7 @@ def cross_project(
         for name, data in projects:
             if name != held_name:
                 train.extend(data)
-        model = _train(config, train)
+        model = train_alt(config.algorithm, train, config.seed, config.features, config.rounds)
         c = _score(model, held_data, config.threshold)
         p, r = precision(c), recall(c)
         flags = ["no_positives"] if c.known_refactored == 0 else []

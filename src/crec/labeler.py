@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .clone_detector import CodeBlock, invoked_names
+from .clone_detector import CodeBlock, invoked_names, overlap
 from .config import DEFAULTS
 from .genealogy import CloneLink, Lineage
 
@@ -117,14 +117,6 @@ def new_invocations(
     return result
 
 
-def removed_code_similarity(removed: Counter, body: Counter) -> float:
-    """Overlap coefficient between removed clone tokens and a method body."""
-    denom = max(sum(removed.values()), sum(body.values()))
-    if denom == 0:
-        return 0.0
-    return sum((removed & body).values()) / denom
-
-
 def label_lineage(
     lineage: Lineage, ctx: LabelContext, l_th: float = DEFAULTS.l_th
 ) -> LabelDecision:
@@ -141,7 +133,7 @@ def label_lineage(
             qualifying = []
             for link in candidates[cand]:
                 removed = link.source.token_bag - link.target.token_bag
-                score = removed_code_similarity(removed, body)
+                score = overlap(removed, body)
                 if score >= l_th:
                     qualifying.append((link, score))
             if len(qualifying) < 2:

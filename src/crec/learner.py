@@ -1,14 +1,16 @@
 """Classifiers over feature vectors: AdaBoost on decision stumps by default,
 with decision-tree, random-forest, and naive-Bayes alternatives behind the same
 likelihood interface. Training takes labeled FeatureRows; every model scores a
-tuple of values. Everything is deterministic for a fixed seed."""
+tuple of values. A one-class training set gives a `constant` model for every
+algorithm. Everything is deterministic for a fixed seed."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 
 from .config import DEFAULTS
 from .errors import DegenerateData
@@ -19,13 +21,13 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class DecisionStump:
-    feature_index: int  # 1-based
+    feature: int  # 1-based
     threshold: float
     polarity: str  # "le": predict 1 when value <= threshold; "gt": when value > it
     alpha: float
 
     def vote(self, values: tuple[float, ...]) -> int:
-        v = values[self.feature_index - 1]
+        v = values[self.feature - 1]
         if self.polarity == "le":
             return 1 if v <= self.threshold else 0
         return 1 if v > self.threshold else 0
@@ -37,10 +39,14 @@ def dataset_digest(examples: list[FeatureRow]) -> str:
 
 
 def _labels(examples: list[FeatureRow]) -> set[int]:
-    """The labels present; ValueError unless each is 0 or 1."""
+    """The labels present; ValueError unless each is 0 or 1 and every value is
+    finite (a nan never ends the tie loop of best_stump)."""
     for e in examples:
         if e.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {e.label}")
+        for num, value in enumerate(e.values, 1):
+            if not math.isfinite(value):
+                raise ValueError(f"F{num}={value} not finite")
     return {e.label for e in examples}
 
 
@@ -107,31 +113,10 @@ class BoostModel:
         voted = sum(s.alpha for s in self.stumps if s.vote(values) == 1)
         return voted / total
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": "adaboost",
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "dataset_digest": self.dataset_digest,
-            "feature_names": list(self.feature_names),
-            "stumps": [
-                {
-                    "feature": s.feature_index,
-                    "threshold": s.threshold,
-                    "polarity": s.polarity,
-                    "alpha": s.alpha,
-                }
-                for s in self.stumps
-            ],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "BoostModel":
         return cls(
-            stumps=[
-                DecisionStump(s["feature"], s["threshold"], s["polarity"], s["alpha"])
-                for s in d["stumps"]
-            ],
+            stumps=[DecisionStump(**s) for s in d["stumps"]],
             feature_names=tuple(d["feature_names"]),
             rounds=d["rounds"],
             seed=d["seed"],
@@ -139,26 +124,8 @@ class BoostModel:
         )
 
 
-def _constant_stump(label: int) -> DecisionStump:
-    # gt over -inf fires always; le over -inf never
-    return DecisionStump(1, NEG_INF, "gt" if label == 1 else "le", alpha=1.0)
-
-
-def train_adaboost(
-    examples: list[FeatureRow],
-    rounds: int = DEFAULTS.boost_rounds,
-    seed: int = DEFAULTS.seed,
-    features: list[int] | None = None,
-) -> BoostModel:
+def _boost(examples: list[FeatureRow], rounds: int, features: list[int]) -> list[DecisionStump]:
     """Discrete AdaBoost; stops early once a round's error hits 0 or 0.5."""
-    if not examples:
-        raise DegenerateData("no examples")
-    labels = _labels(examples)
-    digest = dataset_digest(examples)
-    if len(labels) == 1:
-        return BoostModel(
-            [_constant_stump(labels.pop())], FEATURE_NAMES, rounds, seed, digest
-        )
     n = len(examples)
     weights = [1.0 / n] * n
     stumps = []
@@ -175,7 +142,7 @@ def train_adaboost(
             weights[i] *= math.exp(-alpha * agree)
             norm += weights[i]
         weights = [w / norm for w in weights]
-    return BoostModel(stumps, FEATURE_NAMES, rounds, seed, digest)
+    return stumps
 
 
 def recommend(
@@ -208,17 +175,6 @@ class TreeNode:
         while node.feature is not None:
             node = node.left if values[node.feature - 1] <= node.threshold else node.right
         return node.prob
-
-    def to_dict(self) -> dict:
-        if self.feature is None:
-            return {"prob": self.prob}
-        return {
-            "prob": self.prob,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeNode":
@@ -308,14 +264,6 @@ class TreeModel:
     def predict_likelihood(self, values: tuple[float, ...]) -> float:
         return self.root.predict(values)
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": "decision_tree",
-            "seed": self.seed,
-            "dataset_digest": self.dataset_digest,
-            "root": self.root.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TreeModel":
         return cls(TreeNode.from_dict(d["root"]), d["seed"], d["dataset_digest"])
@@ -330,14 +278,6 @@ class ForestModel:
     def predict_likelihood(self, values: tuple[float, ...]) -> float:
         votes = sum(1 for t in self.trees if t.predict(values) >= 0.5)
         return votes / len(self.trees)
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": "random_forest",
-            "seed": self.seed,
-            "dataset_digest": self.dataset_digest,
-            "trees": [t.to_dict() for t in self.trees],
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForestModel":
@@ -366,17 +306,6 @@ class NaiveBayesModel:
         odds = [math.exp(l - peak) for l in logs]
         return odds[1] / (odds[0] + odds[1])
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": "naive_bayes",
-            "seed": self.seed,
-            "dataset_digest": self.dataset_digest,
-            "priors": list(self.priors),
-            "means": [list(m) for m in self.means],
-            "variances": [list(v) for v in self.variances],
-            "features": list(self.features),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "NaiveBayesModel":
         return cls(
@@ -396,13 +325,6 @@ class ConstantModel:
 
     def predict_likelihood(self, values: tuple[float, ...]) -> float:
         return self.likelihood
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": "constant",
-            "likelihood": self.likelihood,
-            "dataset_digest": self.dataset_digest,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConstantModel":
@@ -429,12 +351,11 @@ def train_alt(
     algorithm: str,
     examples: list[FeatureRow],
     seed: int = DEFAULTS.seed,
-    features: list[int] | None = None,
+    features: Sequence[int] | None = None,
     rounds: int = DEFAULTS.boost_rounds,
 ):
-    """Train any supported algorithm; all models expose predict_likelihood."""
-    if algorithm == "adaboost":
-        return train_adaboost(examples, rounds=rounds, seed=seed, features=features)
+    """Train any of ALGORITHMS on *features* (1-based; None = all). A training
+    set with one class gives a ConstantModel whatever the algorithm."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {algorithm}")
     if not examples:
@@ -446,6 +367,8 @@ def train_alt(
 
     dim = len(examples[0].values)
     feats = sorted(features) if features is not None else list(range(1, dim + 1))
+    if algorithm == "adaboost":
+        return BoostModel(_boost(examples, rounds, feats), FEATURE_NAMES, rounds, seed, digest)
     rows = [(e.values, e.label) for e in examples]
 
     if algorithm == "decision_tree":
@@ -484,6 +407,14 @@ def train_alt(
         seed=seed,
         dataset_digest=digest,
     )
+
+
+def model_to_dict(model) -> dict:
+    """The saved form of *model*: its fields, without the None children of tree
+    leaves, tagged with its algorithm."""
+    name = next(name for name, cls in _MODELS.items() if type(model) is cls)
+    fields = asdict(model, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    return {"algorithm": name, **fields}
 
 
 def model_from_dict(d: dict):

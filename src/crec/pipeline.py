@@ -11,7 +11,7 @@ from . import artifacts
 from .artifacts import GroupRecord
 from .clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
 from .config import PipelineConfig
-from .errors import DegenerateData, MissingInput
+from .errors import ConfigError, DegenerateData, MissingInput
 from .eval_harness import (
     LearnerConfig,
     ablation,
@@ -202,7 +202,6 @@ def _rebuild_lineages(
 
 
 def stage_mine(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     with Repository(repo_path) as repo:
         commits = repo.commits()
     samples = sample_versions(commits, config.delta_threshold)
@@ -358,7 +357,7 @@ def _load_projects(
     feature_paths: list[str], balance: bool, seed: int
 ) -> list[tuple[str, list[FeatureRow]]]:
     projects = []
-    for p in feature_paths:
+    for p, name in zip(feature_paths, _project_names(feature_paths)):
         if not Path(p).exists():
             raise MissingInput(f"feature file not found: {p}")
         examples = [r for r in artifacts.read_features(Path(p)) if r.label is not None]
@@ -366,8 +365,25 @@ def _load_projects(
             r = [e for e in examples if e.label == 1]
             nr = [e for e in examples if e.label == 0]
             examples = build_balanced_dataset(r, nr, seed)
-        projects.append((Path(p).stem, examples))
+        projects.append((name, examples))
     return projects
+
+
+def _project_names(feature_paths: list[str]) -> list[str]:
+    """Each file's shortest trailing path part, suffix dropped, that no other
+    file shares: `a.csv` and `b.csv` give `a` and `b`, `p1/features.csv` and
+    `p2/features.csv` give `p1/features` and `p2/features`."""
+    parts = [(Path(p).parent / Path(p).stem).parts for p in feature_paths]
+    names = []
+    for i, own in enumerate(parts):
+        others = parts[:i] + parts[i + 1 :]
+        if own in others:
+            raise ConfigError(f"two feature files share the name {Path(*own).as_posix()}")
+        k = 1
+        while any(other[-k:] == own[-k:] for other in others):
+            k += 1
+        names.append(Path(*own[-k:]).as_posix())
+    return names
 
 
 def _learner_config(config: PipelineConfig, algorithm: str) -> LearnerConfig:

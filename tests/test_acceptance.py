@@ -44,7 +44,7 @@ from crec.features import (
     top_level_classes,
 )
 from crec.genealogy import CloneLink, Lineage
-from crec.learner import best_stump, model_from_dict, train_adaboost
+from crec.learner import best_stump, model_from_dict, model_to_dict, train_alt
 from crec.repo_miner import (
     CommitRecord,
     SampledVersion,
@@ -354,7 +354,7 @@ def test_criterion_4_learner_suite():
         weights = [rng.randrange(1, 65) / 1024 for _ in range(n)]
         stump, err = best_stump(examples, weights)
         o_err, o_f, o_t, o_pol = _oracle_stump(examples, weights)
-        if (err, stump.feature_index, stump.threshold, stump.polarity) != (o_err, o_f, o_t, o_pol):
+        if (err, stump.feature, stump.threshold, stump.polarity) != (o_err, o_f, o_t, o_pol):
             failures.append(f"dataset {ds}: stump deviates from exhaustive oracle")
             break
 
@@ -371,7 +371,7 @@ def test_criterion_4_learner_suite():
             and_pattern.append(feature_row(label, {1: f1, 2: f2}))
             and_pattern.append(feature_row(label, {1: f1 + 0.05, 2: f2 - 0.05}))
     for name, data in (("separable", separable), ("and-pattern", and_pattern)):
-        model = train_adaboost(data, rounds=50)
+        model = train_alt("adaboost", data, rounds=50)
         bad = [
             e
             for e in data
@@ -380,7 +380,7 @@ def test_criterion_4_learner_suite():
         if bad:
             failures.append(f"{name}: {len(bad)} training errors after 50 rounds")
 
-    model = train_adaboost(and_pattern, rounds=50)
+    model = train_alt("adaboost", and_pattern, rounds=50)
     for _ in range(500):
         probe = feature_row(None, {f: rng.random() * 3 - 1 for f in range(1, 5)})
         p = model.predict_likelihood(probe.values)
@@ -390,7 +390,7 @@ def test_criterion_4_learner_suite():
 
     probes = [feature_row(None, {1: rng.random(), 2: rng.random()}).values for _ in range(50)]
     baseline = sorted(probes, key=lambda v: (-model.predict_likelihood(v), v))
-    scaled = model_from_dict(model.to_dict())
+    scaled = model_from_dict(model_to_dict(model))
     for s in scaled.stumps:
         object.__setattr__(s, "alpha", s.alpha * 17.0)
     rescaled = sorted(probes, key=lambda v: (-scaled.predict_likelihood(v), v))

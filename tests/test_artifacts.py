@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ from crec.errors import ConfigError, FormatVersionMismatch, ParseError
 from crec.features import FEATURES
 from crec.genealogy import Lineage
 from crec.labeler import LabelDecision
-from crec.learner import train_adaboost
+from crec.learner import ALGORITHMS, model_to_dict, train_alt
 from crec.repo_miner import CommitRecord, SampledVersion
 
 
@@ -110,11 +112,11 @@ class TestRoundTrips:
             feature_row(0, {1: 0.1}, lineage="a"),
             feature_row(1, {1: 0.9}, lineage="b"),
         ]
-        model = train_adaboost(examples)
+        model = train_alt("adaboost", examples)
         path = tmp_path / "model.txt"
         artifacts.write_model(path, model)
         loaded = artifacts.read_model(path)
-        assert loaded.to_dict() == model.to_dict()
+        assert model_to_dict(loaded) == model_to_dict(model)
         for e in examples:
             assert loaded.predict_likelihood(e.values) == model.predict_likelihood(e.values)
 
@@ -123,6 +125,44 @@ class TestRoundTrips:
         path = tmp_path / "recs.csv"
         artifacts.write_recommendations(path, ranked)
         assert artifacts.read_recommendations(path) == ranked
+
+
+def _pinned_dataset() -> list[FeatureRow]:
+    """24 two-class rows over F1-F4 with dyadic values; every seventh label flipped."""
+    rng = random.Random(11)
+    rows = []
+    for i in range(24):
+        values = {f: rng.randrange(0, 16) / 16 for f in range(1, 5)}
+        label = 1 if values[1] + values[2] > 1.0 else 0
+        if i % 7 == 0:
+            label = 1 - label
+        rows.append(feature_row(label, values, lineage=f"lin-{i}"))
+    return rows
+
+
+# SHA-256 of write_model's file for each algorithm trained on _pinned_dataset
+# with seed 3, on all features and on F1, F2, F4; taken when every model class
+# still wrote its own JSON, so a change to the model codec shows here.
+_PINNED_MODEL_SHA256 = {
+    ("adaboost", None): "cb75898502fe1304ebc8c02020aa00d66fbb16c0432c6bae703e7d3c903b11f4",
+    ("adaboost", (1, 2, 4)): "4347b5b47959eb91a07fcbaeb301885526256890fd9bc8bb41c0a5a435778ede",
+    ("decision_tree", None): "71f11ac33297929021f4011f62d5e03e5f0e86fbb9134e16abf4f4a49fa58007",
+    ("decision_tree", (1, 2, 4)): "f5bd562d0a45a09487de3f728d0c0b1126e2c43910bd7819cd21e364b0361c71",
+    ("random_forest", None): "042549070eb9d86f7805eac953f643e53222536c2db963dd6ac162d9e9f68407",
+    ("random_forest", (1, 2, 4)): "55c5e4b9ddbc4396a3962cb3df5ee349274ee773e1ebb7e1884cfdb1993d2882",
+    ("naive_bayes", None): "ea548c233da0cc593b3f383064fb995de7e713ea795ccf39a2f5868f1dde4d6e",
+    ("naive_bayes", (1, 2, 4)): "617a8ab8b68010b438fd9b58cf02e2114739f08a48a88186c0982eb9b8c577f6",
+}
+
+
+class TestModelBytes:
+    @pytest.mark.parametrize("features", [None, (1, 2, 4)], ids=["all", "F1F2F4"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_write_model_bytes_pinned(self, tmp_path, algorithm, features):
+        model = train_alt(algorithm, _pinned_dataset(), seed=3, features=features)
+        artifacts.write_model(tmp_path / "model.txt", model)
+        digest = hashlib.sha256((tmp_path / "model.txt").read_bytes()).hexdigest()
+        assert digest == _PINNED_MODEL_SHA256[algorithm, features]
 
 
 class TestFormatGuards:
@@ -165,6 +205,18 @@ class TestFormatGuards:
         lines[3] = lines[3].rsplit(",", 1)[0] + "," + label
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"line 4: label must be 0, 1 or empty, got '{label}'"):
+            artifacts.read_features(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "features.csv"
+        artifacts.write_features(path, [feature_row(1), feature_row(0)])
+        lines = path.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[4] = value  # F3 of the second row
+        lines[3] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line 4: F3={value} not finite"):
             artifacts.read_features(path)
 
     def test_missing_json_field_named(self, tmp_path):

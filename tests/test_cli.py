@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +19,7 @@ from conftest import feature_row, read_sweep, save_config
 from crec import artifacts
 from crec.cli import build_parser, main, resolve_config
 from crec.config import PipelineConfig
-from crec.learner import train_adaboost
+from crec.learner import train_alt
 from crec.repo_miner import SampledVersion
 
 
@@ -193,7 +197,7 @@ class TestRecommendStage:
             ],
         )
         examples = [feature_row(0, {1: 1.0}, lineage="t1"), feature_row(1, {1: 9.0}, lineage="t2")]
-        artifacts.write_model(out / "model.txt", train_adaboost(examples))
+        artifacts.write_model(out / "model.txt", train_alt("adaboost", examples))
         assert _run("recommend", "--out", str(out)) == 0
         ranked = artifacts.read_recommendations(out / "recommendations.csv")
         assert ranked == [("gA1", 1.0)]
@@ -240,6 +244,34 @@ class TestEvaluationCommands:
         lines = (out / "report.txt").read_text().splitlines()
         assert any(line.startswith("p1,") for line in lines)
         assert any(line.startswith("p2,") for line in lines)
+
+    def test_readme_cross_command_with_one_file_name(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        command = next(
+            line for line in readme.splitlines() if line.startswith("crec evaluate ")
+        )
+        argv = shlex.split(command)[1:]
+        assert argv[argv.index("--features") + 1 :][:2] == ["p1/features.csv", "p2/features.csv"]
+        monkeypatch.chdir(tmp_path)
+        for project in ("p1", "p2"):
+            (tmp_path / project).mkdir()
+            _write_project(tmp_path / project / "features.csv")
+        assert _run(*argv) == 0
+        out = Path(argv[argv.index("--out") + 1])
+        names = [line.split(",")[0] for line in (out / "report.txt").read_text().splitlines()[3:]]
+        assert names == ["p1/features", "p2/features", "Average"]
+
+    def test_same_feature_file_twice_rejected(self, tmp_path, capsys):
+        p1 = tmp_path / "p1.csv"
+        _write_project(p1)
+        code = _run(
+            "evaluate",
+            "--features", str(p1), str(p1),
+            "--setting", "cross",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert _one_error_line(capsys).startswith("error: ConfigError:")
 
     def test_ablate_writes_six_variants(self, tmp_path):
         p1 = tmp_path / "p1.csv"
@@ -366,6 +398,22 @@ class TestMalformedArtifacts:
         assert _one_error_line(capsys).startswith(
             "error: ParseError: line 4: label must be 0, 1 or empty, got '2'"
         )
+
+    def test_nan_feature_rejected_by_train(self, tmp_path):
+        # in a child process with a timeout: a nan once made `crec train` spin forever
+        artifacts.write_features(
+            tmp_path / "features.csv", [feature_row(0), feature_row(1, {2: float("nan")})]
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "crec.cli", "train", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: ParseError: line 4: F2=nan not finite\n"
 
     @pytest.mark.parametrize(
         "row, message",

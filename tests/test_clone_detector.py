@@ -13,6 +13,7 @@ from crec.clone_detector import (
     detect_clones,
     extract_blocks,
     invoked_names,
+    overlap,
     scan,
     similarity,
 )
@@ -177,6 +178,21 @@ class TestSimilarity:
             b = _block([rng.choice("abcdef") for _ in range(rng.randrange(1, 20))])
             assert similarity(a, b) == similarity(b, a)
             assert similarity(a, b) == pytest.approx(_oracle_similarity(a, b))
+
+
+class TestOverlap:
+    def test_matches_counter_intersection_on_random_bags(self):
+        # the min-sum over the smaller bag against the Counter & it replaced
+        rng = random.Random(17)
+        for _ in range(500):
+            a, b = (
+                Counter(rng.choice("abcdefghij") for _ in range(rng.randrange(0, 40)))
+                for _ in range(2)
+            )
+            size = max(sum(a.values()), sum(b.values()))
+            expected = sum((a & b).values()) / size if size else 0.0
+            assert overlap(a, b) == expected
+            assert overlap(b, a) == expected
 
 
 def _oracle_groups(blocks, min_tokens=30, min_lines=6, theta=0.8):

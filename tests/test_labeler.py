@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED
-from crec.clone_detector import Token, CodeBlock, detect_clones, extract_blocks
+from crec.clone_detector import Token, CodeBlock, detect_clones, extract_blocks, overlap
 from crec.genealogy import CloneLink, build_genealogies
 from crec.labeler import (
     ExtractedMethodCandidate,
@@ -16,7 +16,6 @@ from crec.labeler import (
     method_body_tokens,
     new_invocations,
     reduced_clones,
-    removed_code_similarity,
     sweep,
 )
 
@@ -123,20 +122,20 @@ class TestNewInvocations:
 class TestRemovedCodeSimilarity:
     def test_identical_multisets(self):
         bag = Counter({"a": 3, "b": 2})
-        assert removed_code_similarity(bag, Counter(bag)) == 1.0
+        assert overlap(bag, Counter(bag)) == 1.0
 
     def test_disjoint(self):
-        assert removed_code_similarity(Counter({"a": 5}), Counter({"b": 5})) == 0.0
+        assert overlap(Counter({"a": 5}), Counter({"b": 5})) == 0.0
 
     def test_empty_side_is_zero(self):
-        assert removed_code_similarity(Counter(), Counter({"a": 1})) == 0.0
+        assert overlap(Counter(), Counter({"a": 1})) == 0.0
 
     def test_point_four_boundary(self):
         removed = Counter({f"shared{i}": 1 for i in range(10)})
         removed.update({f"gone{i}": 1 for i in range(10)})  # 20 total
         body = Counter({f"shared{i}": 1 for i in range(10)})
         body.update({f"fresh{i}": 1 for i in range(15)})  # 25 total
-        assert removed_code_similarity(removed, body) == 0.4
+        assert overlap(removed, body) == 0.4
 
 
 def _pipeline(corpora):
@@ -235,7 +234,7 @@ class TestLabelLineage:
         for clone in ev["clones"]:
             link = links_by_path[clone["path"]]
             removed = link.source.token_bag - link.target.token_bag
-            assert removed_code_similarity(removed, body) == clone["similarity"]
+            assert overlap(removed, body) == clone["similarity"]
 
 
 class TestRepositoryContext:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +16,11 @@ from crec.errors import DegenerateData
 from crec.features import FeatureRow
 from crec.learner import (
     ALGORITHMS,
+    ConstantModel,
     best_stump,
     model_from_dict,
+    model_to_dict,
     recommend,
-    train_adaboost,
     train_alt,
 )
 
@@ -49,7 +54,7 @@ class TestBestStump:
     def test_one_dimensional_split(self):
         examples = [feature_row(0, {1: 0.1}), feature_row(1, {1: 0.9})]
         stump, err = best_stump(examples, [0.5, 0.5])
-        assert stump.feature_index == 1
+        assert stump.feature == 1
         assert stump.threshold == 0.5
         assert stump.polarity == "gt"
         assert err == 0.0
@@ -91,7 +96,7 @@ class TestBestStump:
             weights = [rng.randrange(1, 65) / 1024 for _ in range(n)]  # exact dyadics
             stump, err = best_stump(examples, weights)
             o_err, o_f, o_t, o_pol = _oracle_best_stump(examples, weights)
-            assert (err, stump.feature_index, stump.threshold, stump.polarity) == (
+            assert (err, stump.feature, stump.threshold, stump.polarity) == (
                 o_err,
                 o_f,
                 o_t,
@@ -101,7 +106,7 @@ class TestBestStump:
     def test_feature_subset_respected(self):
         examples = [feature_row(0, {1: 0.1, 2: 0.1}), feature_row(1, {1: 0.9, 2: 0.9})]
         stump, err = best_stump(examples, [0.5, 0.5], features=[2])
-        assert stump.feature_index == 2
+        assert stump.feature == 2
         assert err == 0.0
 
     def test_empty_input_rejected(self):
@@ -139,37 +144,37 @@ def _accuracy(model, examples) -> float:
 
 class TestTrainAdaboost:
     def test_separable_data_perfectly_fit(self):
-        model = train_adaboost(_separable())
+        model = train_alt("adaboost", _separable())
         assert _accuracy(model, _separable()) == 1.0
         # hand prediction: one perfect stump, so likelihood is all-or-nothing
         assert model.predict_likelihood(feature_row(None, {1: 0.1}).values) == 0.0
         assert model.predict_likelihood(feature_row(None, {1: 0.9}).values) == 1.0
 
     def test_single_label_short_circuits_to_constant(self):
-        model = train_adaboost([feature_row(1, {1: 0.3}), feature_row(1, {1: 0.6})])
+        model = train_alt("adaboost", [feature_row(1, {1: 0.3}), feature_row(1, {1: 0.6})])
         for x in (0.0, 0.5, 1.0):
             assert model.predict_likelihood(feature_row(None, {1: x}).values) == 1.0
 
     def test_and_pattern_learned_within_rounds(self):
         data = _and_pattern()
-        model = train_adaboost(data, rounds=50)
+        model = train_alt("adaboost", data, rounds=50)
         assert len(model.stumps) <= 50
         assert _accuracy(model, data) == 1.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(DegenerateData):
-            train_adaboost([])
+            train_alt("adaboost", [])
 
     def test_deterministic(self):
         data = _and_pattern()
-        a = train_adaboost(data)
-        b = train_adaboost(data)
-        assert a.to_dict() == b.to_dict()
+        a = train_alt("adaboost", data)
+        b = train_alt("adaboost", data)
+        assert model_to_dict(a) == model_to_dict(b)
 
     def test_loss_bound_decreases_and_alphas_check_out(self):
         # independently replay the boosting loop from the stored stumps
         data = _and_pattern()
-        model = train_adaboost(data, rounds=10)
+        model = train_alt("adaboost", data, rounds=10)
         n = len(data)
         weights = [1.0 / n] * n
         bound = 1.0
@@ -197,9 +202,9 @@ class TestTrainAdaboost:
 
 class TestPredictLikelihood:
     def test_unanimous_votes(self):
-        model = train_adaboost([feature_row(1, {1: 0.5})])
+        model = train_alt("adaboost", [feature_row(1, {1: 0.5})])
         assert model.predict_likelihood(feature_row(None, {1: 0.1}).values) == 1.0
-        model = train_adaboost([feature_row(0, {1: 0.5})])
+        model = train_alt("adaboost", [feature_row(0, {1: 0.5})])
         assert model.predict_likelihood(feature_row(None, {1: 0.1}).values) == 0.0
 
     def test_weighted_vote_ratio(self):
@@ -221,8 +226,8 @@ class TestPredictLikelihood:
 
     def test_alpha_scaling_invariance(self):
         data = _and_pattern()
-        model = train_adaboost(data)
-        scaled = model_from_dict(model.to_dict())
+        model = train_alt("adaboost", data)
+        scaled = model_from_dict(model_to_dict(model))
         for s in scaled.stumps:
             object.__setattr__(s, "alpha", s.alpha * 7.5)
         for e in data:
@@ -236,7 +241,7 @@ class TestPredictLikelihood:
             feature_row(rng.randrange(2), {f: rng.random() for f in range(1, 8)})
             for _ in range(40)
         ]
-        model = train_adaboost(data, rounds=20)
+        model = train_alt("adaboost", data, rounds=20)
         for _ in range(200):
             probe = feature_row(None, {f: rng.random() * 2 - 0.5 for f in range(1, 8)})
             p = model.predict_likelihood(probe.values)
@@ -245,23 +250,23 @@ class TestPredictLikelihood:
 
 class TestRecommend:
     def test_empty_input(self):
-        model = train_adaboost(_separable())
+        model = train_alt("adaboost", _separable())
         assert recommend(model, []) == []
 
     def test_threshold_filters(self):
-        model = train_adaboost(_separable())
+        model = train_alt("adaboost", _separable())
         hot, cold = feature_row(None, {1: 0.9}), feature_row(None, {1: 0.1})
         ranked = recommend(model, [("hot", hot.values), ("cold", cold.values)], threshold=0.5)
         assert ranked == [("hot", 1.0)]
 
     def test_ties_ordered_by_group_id(self):
-        model = train_adaboost(_separable())
+        model = train_alt("adaboost", _separable())
         zz, aa = feature_row(None, {1: 0.8}), feature_row(None, {1: 0.9})
         ranked = recommend(model, [("zz", zz.values), ("aa", aa.values)])
         assert [g for g, _ in ranked] == ["aa", "zz"]
 
     def test_threshold_validated(self):
-        model = train_adaboost(_separable())
+        model = train_alt("adaboost", _separable())
         with pytest.raises(ValueError):
             recommend(model, [], threshold=0.0)
 
@@ -279,11 +284,45 @@ class TestAlternativeLearners:
         model = train_alt(algorithm, data, seed=9)
         assert model.predict_likelihood(feature_row(None, {1: 0.4}).values) == 1.0
 
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_class_gives_constant_model(self, algorithm, label):
+        data = [feature_row(label, {1: 0.2}), feature_row(label, {1: 0.7, 2: 0.4})]
+        model = train_alt(algorithm, data, seed=9)
+        assert isinstance(model, ConstantModel)
+        assert model.likelihood == float(label)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_non_finite_value_rejected(self, algorithm, value):
+        # in a child process with a timeout: a nan once sent best_stump into an
+        # endless loop
+        script = (
+            "from crec.features import FeatureRow\n"
+            "from crec.learner import train_alt\n"
+            "rows = [FeatureRow('a', 0, (0.0,) * 34, 0),\n"
+            f"        FeatureRow('b', 0, (1.0, float('{value}')) + (0.0,) * 32, 1)]\n"
+            "try:\n"
+            f"    train_alt('{algorithm}', rows)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"F2={value} not finite\n"
+
     def test_forest_deterministic_for_seed(self):
         data = _and_pattern()
         a = train_alt("random_forest", data, seed=5)
         b = train_alt("random_forest", data, seed=5)
-        assert a.to_dict() == b.to_dict()
+        assert model_to_dict(a) == model_to_dict(b)
 
     def test_tree_respects_min_leaf(self):
         # a split would strand singletons
@@ -297,8 +336,6 @@ class TestAlternativeLearners:
         data = _separable() + [feature_row(label, {1: 0.5})]
         with pytest.raises(ValueError, match=f"label must be 0 or 1, got {label}"):
             train_alt(algorithm, data, seed=0)
-        with pytest.raises(ValueError, match=f"label must be 0 or 1, got {label}"):
-            train_adaboost(data)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -308,7 +345,7 @@ class TestAlternativeLearners:
     def test_model_serialization_round_trip(self, algorithm):
         data = _and_pattern()
         model = train_alt(algorithm, data, seed=3)
-        clone = model_from_dict(model.to_dict())
-        assert clone.to_dict() == model.to_dict()
+        clone = model_from_dict(model_to_dict(model))
+        assert model_to_dict(clone) == model_to_dict(model)
         for e in data:
             assert clone.predict_likelihood(e.values) == model.predict_likelihood(e.values)

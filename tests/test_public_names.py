@@ -1,0 +1,37 @@
+"""No public function or class of `crec` that only the tests call."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = sorted((ROOT / "src" / "crec").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _public_definitions(path: Path):
+    """(name, first line, last line) of each public top-level def or class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                yield node.name, first, node.end_lineno
+
+
+def test_every_public_name_is_used_by_the_program():
+    sources = {path: path.read_text(encoding="utf-8").splitlines() for path in PROGRAM}
+    unused = []
+    for path in sorted((ROOT / "src" / "crec").glob("*.py")):
+        for name, first, last in _public_definitions(path):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            used = any(
+                word.search(line)
+                for other, lines in sources.items()
+                for number, line in enumerate(lines, 1)
+                if other != path or not first <= number <= last
+            )
+            if not used:
+                unused.append(f"{path.name}:{first} {name}")
+    assert not unused, "named only by its own definition (tests aside): " + ", ".join(unused)
