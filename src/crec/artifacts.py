@@ -210,12 +210,19 @@ def write_labels(path, decisions: list[LabelDecision]) -> None:
     write_artifact(path, "labels", lines)
 
 
+def _label_decision(d: dict) -> LabelDecision:
+    label, step = d["label"], d["step"]
+    if label not in ("R", "NR"):
+        raise ValueError(f"label must be R or NR, found {label!r}")
+    if label == "R" and type(step) is not int:  # a bool is not a step either
+        raise ValueError(f"step of an R label must be an int, found {step!r}")
+    if label == "NR" and step is not None:
+        raise ValueError(f"step of an NR label must be null, found {step!r}")
+    return LabelDecision(d["lineage_id"], step, label, d["evidence"])
+
+
 def read_labels(path) -> list[LabelDecision]:
-    return _read_rows(
-        path,
-        "labels",
-        lambda d: LabelDecision(d["lineage_id"], d["step"], d["label"], d["evidence"]),
-    )
+    return _read_rows(path, "labels", _label_decision)
 
 
 def write_sweep(path, rows: list[tuple[float, int]]) -> None:

@@ -183,19 +183,14 @@ def _method_name(lex: list[Token], open_idx: int, header_start: int) -> str | No
 
 
 def extract_blocks(
-    source: str,
-    path: str,
-    diagnostics: list[str] | None = None,
-    lex: list[Token] | None = None,
+    lex: list[Token], path: str, diagnostics: list[str] | None = None
 ) -> list[CodeBlock]:
-    """One block per balanced brace region, header tokens included.
+    """One block per balanced brace region of *lex* (``scan`` of the file at
+    *path*), header tokens included.
 
     Unbalanced braces are reported into *diagnostics* (when given) and the
-    balanced portion is still emitted. *lex* is ``scan(source)`` when the
-    caller already holds it.
+    balanced portion is still emitted.
     """
-    if lex is None:
-        lex = scan(source)
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []
     for idx, t in enumerate(lex):

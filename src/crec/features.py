@@ -113,18 +113,13 @@ class TokenMultisetDiff:
 
 @dataclass(frozen=True)
 class FileContext:
-    path: str
     lines: tuple[str, ...]
     field_names: frozenset[str]
 
 
-def file_context(path: str, text: str, lex: list[Token] | None = None) -> FileContext:
-    """*lex* is ``scan(text)`` when the caller already holds it."""
-    return FileContext(
-        path=path,
-        lines=tuple(text.splitlines()),
-        field_names=frozenset(_field_names(scan(text) if lex is None else lex)),
-    )
+def file_context(text: str, lex: list[Token]) -> FileContext:
+    """*lex* is the token list of *text*. Lines break at newlines only, as ``scan`` counts them."""
+    return FileContext(lines=tuple(text.split("\n")), field_names=frozenset(_field_names(lex)))
 
 
 def _field_names(lex: list[Token]) -> set[str]:
@@ -340,15 +335,9 @@ def extract_history_features(path: str, view: WindowView, commits) -> tuple[floa
 # -- group location features (F18-F23) ----------------------------------------
 
 
-def top_level_classes(
-    path: str, text: str, lex: list[Token] | None = None
-) -> list[tuple[str, int, int, list[str]]]:
-    """(name, start_line, end_line, related names) for each top-level type.
-
-    *lex* is ``scan(text)`` when the caller already holds it.
-    """
-    if lex is None:
-        lex = scan(text)
+def top_level_classes(lex: list[Token]) -> list[tuple[str, int, int, list[str]]]:
+    """(name, start_line, end_line, related names) for each top-level type of a
+    file's tokens."""
     classes = []
     depth = 0
     i = 0

@@ -66,89 +66,74 @@ def _require(out_dir: str | Path, name: str, producer: str) -> Path:
 
 
 class VersionData:
-    """Per-sampled-version views of the repository, cached per blob.
+    """Per-sampled-version views of the repository, and the one place where
+    file content is decoded and lexed.
 
     A version's source files are listed once as path -> blob id. Each blob is
-    read, decoded and lexed once; blocks, file context and top-level classes
-    are derived once per (blob id, path), so a file unchanged across versions
-    is neither read nor lexed again.
+    read, decoded and lexed once, and each view of it is derived once, so a
+    file unchanged across versions is neither read nor lexed again. All views
+    share one memo, keyed by the view's name and what the view depends on.
     """
 
-    def __init__(self, repo: Repository, samples, suffixes=SOURCE_SUFFIXES):
+    def __init__(self, repo: Repository, samples):
         self.repo = repo
         self.samples = samples
-        self.suffixes = suffixes
-        self._files: dict[int, dict[str, str]] = {}  # version -> path -> blob id
-        self._corpus: dict[int, dict[str, str]] = {}
-        self._blocks: dict[int, dict[tuple, CodeBlock]] = {}
-        self._hierarchy: dict[int, dict[str, int]] = {}
-        self._texts: dict[str, str] = {}  # blob id -> text
-        self._lex: dict[str, list[Token]] = {}  # blob id -> scan(text)
-        self._file_blocks: dict[tuple[str, str], list[CodeBlock]] = {}
-        self._contexts: dict[tuple[str, str], FileContext] = {}
-        self._classes: dict[tuple[str, str], list] = {}
+        self._memo: dict[tuple, object] = {}
 
-    def files(self, version: int) -> dict[str, str]:
-        if version not in self._files:
-            commit = self.samples[version].commit_id
-            self._files[version] = {
-                path: self.repo.blob_id(commit, path)
-                for path in self.repo.list_files(commit, self.suffixes)
-            }
-        return self._files[version]
+    def _once(self, key: tuple, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def files(self, version: int) -> dict[str, str | None]:
+        """path -> blob id of each source file; None for a gitlink."""
+        commit = self.samples[version].commit_id
+        return self._once(("files", version), lambda: {
+            p: self.repo.blob_id(commit, p) for p in self.repo.list_files(commit, SOURCE_SUFFIXES)
+        })
+
+    def _decode(self, version: int, path: str) -> str:
+        data = self.repo.file_at(self.samples[version].commit_id, path)
+        return (data or b"").decode("utf-8", errors="replace")
 
     def corpus(self, version: int) -> dict[str, str]:
-        if version not in self._corpus:
-            commit = self.samples[version].commit_id
-            corpus = {}
-            for path, blob in self.files(version).items():
-                if blob not in self._texts:
-                    self._texts[blob] = self.repo.file_text(commit, path) or ""
-                corpus[path] = self._texts[blob]
-            self._corpus[version] = corpus
-        return self._corpus[version]
+        return self._once(("corpus", version), lambda: {
+            path: self._once(("text", blob), lambda: self._decode(version, path))
+            for path, blob in self.files(version).items()
+        })
 
-    def _text_and_lex(self, version: int, path: str) -> tuple[str, list[Token]]:
+    def _lex(self, version: int, path: str) -> list[Token]:
         blob = self.files(version)[path]
-        text = self.corpus(version)[path]
-        if blob not in self._lex:
-            self._lex[blob] = scan(text)
-        return text, self._lex[blob]
+        return self._once(("lex", blob), lambda: scan(self.corpus(version)[path]))
 
     def file_blocks(self, version: int, path: str) -> list[CodeBlock]:
-        key = (self.files(version)[path], path)
-        if key not in self._file_blocks:
-            text, lex = self._text_and_lex(version, path)
-            self._file_blocks[key] = extract_blocks(text, path, lex=lex)
-        return self._file_blocks[key]
+        key = ("blocks", self.files(version)[path], path)
+        return self._once(key, lambda: extract_blocks(self._lex(version, path), path))
 
     def blocks(self, version: int) -> dict[tuple, CodeBlock]:
-        if version not in self._blocks:
-            index = {}
+        def index() -> dict[tuple, CodeBlock]:
+            out: dict[tuple, CodeBlock] = {}
             for path in sorted(self.files(version)):
                 for block in self.file_blocks(version, path):
-                    index.setdefault(block.key, block)
-            self._blocks[version] = index
-        return self._blocks[version]
+                    out.setdefault(block.key, block)
+            return out
+
+        return self._once(("index", version), index)
 
     def context(self, version: int, path: str) -> FileContext:
-        key = (self.files(version)[path], path)
-        if key not in self._contexts:
-            self._contexts[key] = file_context(path, *self._text_and_lex(version, path))
-        return self._contexts[key]
+        return self._once(
+            ("context", self.files(version)[path]),
+            lambda: file_context(self.corpus(version)[path], self._lex(version, path)),
+        )
 
     def classes(self, version: int, path: str) -> list:
-        key = (self.files(version)[path], path)
-        if key not in self._classes:
-            self._classes[key] = top_level_classes(path, *self._text_and_lex(version, path))
-        return self._classes[key]
+        key = ("classes", self.files(version)[path])
+        return self._once(key, lambda: top_level_classes(self._lex(version, path)))
 
     def hierarchy(self, version: int) -> dict[str, int]:
-        if version not in self._hierarchy:
-            self._hierarchy[version] = hierarchy_components(
-                self.corpus(version), lambda path: self.classes(version, path)
-            )
-        return self._hierarchy[version]
+        return self._once(("hierarchy", version), lambda: hierarchy_components(
+            self.corpus(version), lambda path: self.classes(version, path)
+        ))
 
     def label_context(self) -> LabelContext:
         return LabelContext(
@@ -291,7 +276,12 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
                 version = decision.step_version
             else:
                 version = lineage.groups[-1][0]
-            group = dict(lineage.groups)[version]
+            group = dict(lineage.groups).get(version)
+            if group is None:
+                raise MissingInput(
+                    f"{lineage.lineage_id} is labeled R at step {version}, which is not a "
+                    "version of its lineage; labels file is stale (re-run label)"
+                )
             per_clone = []
             for member in group.members:
                 code = extract_code_features(member, vdata.context(version, member.path))

@@ -252,12 +252,6 @@ class Repository:
             raise GitError(f"short read of object {object_id}: {len(data)} of {size} bytes")
         return data
 
-    def file_text(self, commit_id: str, path: str) -> str | None:
-        data = self.file_at(commit_id, path)
-        if data is None:
-            return None
-        return data.decode("utf-8", errors="replace")
-
     def changed_paths(self, commit_a: str, commit_b: str) -> list[str]:
         """Sorted paths whose tree entry differs between the two commits.
 

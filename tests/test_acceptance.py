@@ -15,7 +15,7 @@ import pytest
 from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
 from conftest import RepoBuilder, SnapshotRepo, feature_row, read_sweep
 from crec import artifacts, pipeline
-from crec.clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks
+from crec.clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
 from crec.config import PipelineConfig
 from crec.eval_harness import (
     ConfusionCounts,
@@ -252,10 +252,10 @@ def test_criterion_3_feature_property_suite():
         )
         for i in range(6)
     ]
-    contexts = {path: file_context(path, text) for path, text in corpus.items()}
-    classes = {path: top_level_classes(path, text) for path, text in corpus.items()}
+    contexts = {path: file_context(text, scan(text)) for path, text in corpus.items()}
+    classes = {path: top_level_classes(scan(text)) for path, text in corpus.items()}
     hierarchy = hierarchy_components(corpus, classes.__getitem__)
-    pool = [b for path, text in sorted(corpus.items()) for b in extract_blocks(text, path)]
+    pool = [b for path, text in sorted(corpus.items()) for b in extract_blocks(scan(text), path)]
 
     checked = 0
     for group_idx in range(1000):

@@ -418,6 +418,31 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize(
         "row, message",
         [
+            (
+                '{"label":"maybe","lineage_id":"L1","step":null,"evidence":null}',
+                "bad labels row: label must be R or NR, found 'maybe'",
+            ),
+            (
+                '{"label":"R","lineage_id":"L1","step":null,"evidence":null}',
+                "bad labels row: step of an R label must be an int, found None",
+            ),
+            (
+                '{"label":"NR","lineage_id":"L1","step":0,"evidence":null}',
+                "bad labels row: step of an NR label must be null, found 0",
+            ),
+        ],
+        ids=["unknown-label", "r-without-step", "nr-with-step"],
+    )
+    def test_labels_row_rejected_by_featurize(self, tmp_path, capsys, row, message):
+        artifacts.write_samples(tmp_path / "samples.txt", [])
+        artifacts.write_commits(tmp_path / "commits.txt", [])
+        artifacts.write_artifact(tmp_path / "labels.txt", "labels", [row])
+        assert _run("featurize", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
+        assert _one_error_line(capsys) == f"error: ParseError: line 2: {message}\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
             ('{"algorithm":"svm"}', "bad model row: unknown algorithm: svm"),
             ('{"algorithm":"adaboost","feature_names":[]}', "missing field 'stumps'"),
         ],

@@ -81,7 +81,7 @@ int sum(int n) {
 
 class TestExtractBlocks:
     def test_method_and_loop_body(self):
-        blocks = extract_blocks(METHOD_WITH_LOOP, "A.java")
+        blocks = extract_blocks(scan(METHOD_WITH_LOOP), "A.java")
         assert len(blocks) == 2
         method, loop = blocks
         assert (method.start_line, method.end_line) == (1, 11)
@@ -92,36 +92,36 @@ class TestExtractBlocks:
         assert loop.tokens[0].text == "for"
 
     def test_empty_file(self):
-        assert extract_blocks("", "A.java") == []
+        assert extract_blocks(scan(""), "A.java") == []
 
     def test_class_body_without_methods(self):
-        blocks = extract_blocks("class Holder {\n    int x;\n    int y;\n}\n", "A.java")
+        blocks = extract_blocks(scan("class Holder {\n    int x;\n    int y;\n}\n"), "A.java")
         assert len(blocks) == 1
         assert blocks[0].enclosing_method_name is None
         assert blocks[0].tokens[0].text == "class"
 
     def test_token_bag_matches_tokens(self):
-        for b in extract_blocks(METHOD_WITH_LOOP, "A.java"):
+        for b in extract_blocks(scan(METHOD_WITH_LOOP), "A.java"):
             assert b.token_bag == Counter(t.text for t in b.tokens)
 
     def test_unbalanced_braces_flagged(self):
         diags = []
-        blocks = extract_blocks("void f() {\n  a();\n", "A.java", diags)
+        blocks = extract_blocks(scan("void f() {\n  a();\n"), "A.java", diags)
         assert blocks == []
         assert any("unclosed" in d for d in diags)
         diags = []
-        blocks = extract_blocks("}\nvoid f() {\n  a();\n}\n", "A.java", diags)
+        blocks = extract_blocks(scan("}\nvoid f() {\n  a();\n}\n"), "A.java", diags)
         assert len(blocks) == 1
         assert any("unmatched" in d for d in diags)
 
     def test_throws_clause_still_a_method(self):
         source = "void f() throws IOException, FooError {\n  a();\n}\n"
-        blocks = extract_blocks(source, "A.java")
+        blocks = extract_blocks(scan(source), "A.java")
         assert blocks[0].enclosing_method_name == "f"
 
     def test_anonymous_class_is_not_a_method(self):
         source = "Runnable r = new Runnable() {\n  int x;\n};\n"
-        blocks = extract_blocks(source, "A.java")
+        blocks = extract_blocks(scan(source), "A.java")
         assert blocks[0].enclosing_method_name is None
 
 

@@ -53,7 +53,7 @@ void wrap() {
 
 
 def _blocks(source: str, path: str = "A.java") -> list[CodeBlock]:
-    return extract_blocks(source, path)
+    return extract_blocks(scan(source), path)
 
 
 def _method_block(source: str, name: str, path: str = "A.java") -> CodeBlock:
@@ -67,7 +67,7 @@ def _method_block(source: str, name: str, path: str = "A.java") -> CodeBlock:
 class TestCodeFeatures:
     def test_for_loop_clone(self):
         loop = next(b for b in _blocks(FOR_CLONE) if b.tokens[0].text == "for")
-        f = extract_code_features(loop, file_context("A.java", FOR_CLONE))
+        f = extract_code_features(loop, file_context(FOR_CLONE, scan(FOR_CLONE)))
         assert f[0] == 6.0  # F1 line span
         assert f[2] == 2.0  # F3: base 1 + the for
         assert f[4] == 0.5  # F5: foo() of two statements
@@ -78,7 +78,7 @@ class TestCodeFeatures:
     def test_straight_line_block(self):
         source = "void tick() {\n    advance();\n}\n"
         block = _method_block(source, "tick")
-        f = extract_code_features(block, file_context("A.java", source))
+        f = extract_code_features(block, file_context(source, scan(source)))
         assert f[2] == 1.0  # F3 base complexity
         assert f[7] == 1.0  # F8 complete block
         assert f[8] == 0.0  # F9 not a control starter
@@ -92,7 +92,7 @@ class TestCodeFeatures:
             "}\n"
         )
         block = _method_block(source, "paths")
-        f = extract_code_features(block, file_context("A.java", source))
+        f = extract_code_features(block, file_context(source, scan(source)))
         assert f[2] == 1.0 + 5  # if, &&, while, ||, ?
 
     def test_field_access_count(self):
@@ -108,7 +108,7 @@ class TestCodeFeatures:
             "}\n"
         )
         block = _method_block(source, "bump")
-        fctx = file_context("A.java", source)
+        fctx = file_context(source, scan(source))
         assert fctx.field_names == {"counter", "limit"}
         f = extract_code_features(block, fctx)
         assert f[3] == 4.0  # counter x2, this.counter, limit
@@ -117,7 +117,7 @@ class TestCodeFeatures:
         source = "void f() {\n    if (a) {\n        b();\n    } else {\n        c();\n    }\n}\n"
         blocks = _blocks(source)
         else_block = next(b for b in blocks if b.tokens and b.tokens[0].text == "else")
-        f = extract_code_features(else_block, file_context("A.java", source))
+        f = extract_code_features(else_block, file_context(source, scan(source)))
         assert f[7] == 0.0  # F8: else branch is an incomplete control flow
 
     def test_follows_control_line(self):
@@ -130,7 +130,7 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(source) if b.start_line == 3)
-        f = extract_code_features(bare, file_context("A.java", source))
+        f = extract_code_features(bare, file_context(source, scan(source)))
         assert f[9] == 1.0
         negative = (
             "void f() {\n"
@@ -141,8 +141,24 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(negative) if b.start_line == 3)
-        f = extract_code_features(bare, file_context("A.java", negative))
+        f = extract_code_features(bare, file_context(negative, scan(negative)))
         assert f[9] == 0.0
+
+    @pytest.mark.parametrize("separator", ["\f", "\u2028", "\r"], ids=["ff", "u2028", "bare-cr"])
+    def test_follows_control_counts_lines_as_scan_does(self, separator):
+        # str.splitlines also breaks at these characters; scan's line numbers do not
+        source = (
+            f"// header{separator}note\n"
+            "void f() {\n"
+            "    while (x > 0) x--;\n"
+            "    {\n"
+            "        step();\n"
+            "    }\n"
+            "}\n"
+        )
+        bare = next(b for b in _blocks(source) if b.start_line == 4)
+        f = extract_code_features(bare, file_context(source, scan(source)))
+        assert f[9] == 1.0
 
     @pytest.mark.parametrize(
         "path,expected",
@@ -157,8 +173,8 @@ class TestCodeFeatures:
     )
     def test_test_code_paths(self, path, expected):
         source = "void f() {\n    a();\n}\n"
-        block = extract_blocks(source, path)[0]
-        f = extract_code_features(block, file_context(path, source))
+        block = extract_blocks(scan(source), path)[0]
+        f = extract_code_features(block, file_context(source, scan(source)))
         assert f[10] == expected
 
 
@@ -251,7 +267,7 @@ TWIN_BLOCKS = (
 
 
 def _location_features(group: CloneGroup, corpus: dict[str, str]) -> tuple[float, ...]:
-    classes = {path: top_level_classes(path, text) for path, text in corpus.items()}
+    classes = {path: top_level_classes(scan(text)) for path, text in corpus.items()}
     hierarchy = hierarchy_components(corpus, classes.__getitem__)
     return extract_location_features(group, corpus, classes.__getitem__, lambda: hierarchy)
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED
-from crec.clone_detector import Token, CodeBlock, detect_clones, extract_blocks, overlap
+from crec.clone_detector import Token, CodeBlock, detect_clones, extract_blocks, overlap, scan
 from crec.genealogy import CloneLink, build_genealogies
 from crec.labeler import (
     ExtractedMethodCandidate,
@@ -24,7 +24,7 @@ def _block(texts, path="A.java", start=1, raw_source=None):
     tokens = tuple(Token("identifier", t, start) for t in texts)
     raw = tokens
     if raw_source is not None:
-        raw = tuple(extract_blocks(raw_source, path)[0].raw_tokens)
+        raw = tuple(extract_blocks(scan(raw_source), path)[0].raw_tokens)
     return CodeBlock(
         path=path,
         start_line=start,
@@ -73,8 +73,8 @@ def _source_pair(before_call: str, after_call: str):
 
 
 def _raw_link(before: str, after: str, path="A.java"):
-    src = extract_blocks(before, path)[0]
-    dst = extract_blocks(after, path)[0]
+    src = extract_blocks(scan(before), path)[0]
+    dst = extract_blocks(scan(after), path)[0]
     return CloneLink(src, dst, score=1.0)
 
 
@@ -141,11 +141,11 @@ class TestRemovedCodeSimilarity:
 def _pipeline(corpora):
     per_version = []
     for v, corpus in enumerate(corpora):
-        blocks = [b for p in sorted(corpus) for b in extract_blocks(corpus[p], p)]
+        blocks = [b for p in sorted(corpus) for b in extract_blocks(scan(corpus[p]), p)]
         per_version.append(detect_clones(blocks, version=v))
     lineages = build_genealogies(per_version)
     return lineages, LabelContext(
-        lambda v: {p: extract_blocks(text, p) for p, text in corpora[v].items()}
+        lambda v: {p: extract_blocks(scan(text), p) for p, text in corpora[v].items()}
     )
 
 
@@ -224,7 +224,7 @@ class TestLabelLineage:
         helper_path = ev["method_path"]
         helper_block = next(
             b
-            for b in extract_blocks(corpora[1][helper_path], helper_path)
+            for b in extract_blocks(scan(corpora[1][helper_path]), helper_path)
             if b.enclosing_method_name == ev["method"]
             and b.start_line == ev["method_lines"][0]
         )

@@ -3,6 +3,9 @@ earliest-step labeling, pre-refactoring feature vectors, stale-artifact guards."
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from clone_fixtures import (
@@ -15,8 +18,10 @@ from clone_fixtures import (
     commit_corpora,
 )
 from crec import artifacts, pipeline
+from crec.cli import main
 from crec.config import PipelineConfig
 from crec.errors import MissingInput
+from crec.repo_miner import Repository, SampledVersion
 
 
 def _three_version_corpora() -> list[dict[str, str]]:
@@ -100,8 +105,6 @@ class TestStaleArtifactGuards:
         config, repo_path, out = staged
         samples = artifacts.read_samples(out / "samples.txt")
         records = artifacts.read_groups(out / "clones.txt")
-        from crec.repo_miner import Repository
-
         vdata = pipeline.VersionData(Repository(repo_path), samples)
         bad = [
             artifacts.GroupRecord(99, rec.group_id, rec.members) for rec in records
@@ -113,8 +116,6 @@ class TestStaleArtifactGuards:
         config, repo_path, out = staged
         samples = artifacts.read_samples(out / "samples.txt")
         records = artifacts.read_groups(out / "clones.txt")
-        from crec.repo_miner import Repository
-
         vdata = pipeline.VersionData(Repository(repo_path), samples)
         rec = records[0]
         moved = artifacts.GroupRecord(
@@ -125,6 +126,31 @@ class TestStaleArtifactGuards:
         with pytest.raises(MissingInput):
             pipeline.materialize_groups(vdata, [moved], len(samples))
 
+    @pytest.mark.parametrize(
+        "step, error",
+        [
+            (5, "error: MissingInput: "),
+            (None, "error: ParseError: line "),
+            ("0", "error: ParseError: line "),
+        ],
+        ids=["outside-lineage", "null", "string"],
+    )
+    def test_stale_r_step_rejected_by_featurize(self, staged, capsys, step, error):
+        config, repo_path, out = staged
+        path = out / "labels.txt"
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        for row in rows:
+            if row["label"] == "R":
+                row["step"] = step
+        artifacts.write_artifact(path, "labels", [json.dumps(row) for row in rows])
+        capsys.readouterr()
+        assert main(["featurize", "--repo", str(repo_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(error)
+        if step == 5:
+            assert "labels file is stale (re-run label)" in err
+
     def test_stale_lineages_rejected_by_label_stage(self, staged):
         config, repo_path, out = staged
         path = out / "lineages.txt"
@@ -132,3 +158,71 @@ class TestStaleArtifactGuards:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one lineage
         with pytest.raises(MissingInput):
             pipeline.stage_label(config, repo_path, out)
+
+
+def _fields(block) -> tuple:
+    """Every field of a CodeBlock; its == compares the location only."""
+    return tuple(getattr(block, f.name) for f in dataclasses.fields(block))
+
+
+class TestVersionDataOracle:
+    """Every view of every version reads and lexes each distinct blob once, and
+    gives what a fresh VersionData asked for that version alone gives."""
+
+    GITLINK = "vendor/Lib.java"
+
+    @pytest.fixture
+    def shared_blobs(self, make_repo):
+        rb = make_repo("shared")
+        corpora = _three_version_corpora()
+        commit_corpora(rb, corpora)
+        # a fourth version: the third plus a submodule entry, which has no blob here
+        rb._git("update-index", "--add", "--cacheinfo", f"160000,{'1' * 40},{self.GITLINK}")
+        rb._git("commit", "-q", "-m", "add a submodule")
+        corpora.append({**corpora[-1], self.GITLINK: ""})
+        with Repository(rb.path) as repo:
+            samples = [SampledVersion(i, c.id, 0) for i, c in enumerate(repo.commits())]
+            yield repo, samples, corpora
+
+    def test_each_blob_read_and_lexed_once(self, shared_blobs, monkeypatch):
+        repo, samples, corpora = shared_blobs
+        reads, lexed = [], []
+        file_at, scan = Repository.file_at, pipeline.scan
+
+        def counting_file_at(self, commit_id, path):
+            reads.append(path)
+            return file_at(self, commit_id, path)
+
+        def counting_scan(source):
+            lexed.append(source)
+            return scan(source)
+
+        monkeypatch.setattr(Repository, "file_at", counting_file_at)
+        monkeypatch.setattr(pipeline, "scan", counting_scan)
+        vdata = pipeline.VersionData(repo, samples)
+        methods_at = vdata.label_context().methods_at
+        for _ in range(2):  # the second round is answered from memory
+            for version in range(len(samples)):
+                for path in vdata.corpus(version):
+                    vdata.context(version, path)
+                    vdata.classes(version, path)
+                vdata.blocks(version)
+                vdata.hierarchy(version)
+                methods_at(version)
+        listed = [blob for v in range(len(samples)) for blob in vdata.files(v).values()]
+        assert len(set(listed)) < len(listed)  # the versions share blobs
+        assert len(reads) == len(set(listed))
+        assert len(lexed) == len(set(listed))
+
+        assert vdata.files(3)[self.GITLINK] is None
+        for version, corpus in enumerate(corpora):
+            assert vdata.corpus(version) == corpus
+            fresh = pipeline.VersionData(repo, samples)
+            assert list(map(_fields, fresh.blocks(version).values())) == list(
+                map(_fields, vdata.blocks(version).values())
+            )
+            assert fresh.hierarchy(version) == vdata.hierarchy(version)
+            assert fresh.label_context().methods_at(version) == methods_at(version)
+            for path in corpus:
+                assert fresh.context(version, path) == vdata.context(version, path)
+                assert fresh.classes(version, path) == vdata.classes(version, path)

@@ -35,3 +35,32 @@ def test_every_public_name_is_used_by_the_program():
             if not used:
                 unused.append(f"{path.name}:{first} {name}")
     assert not unused, "named only by its own definition (tests aside): " + ", ".join(unused)
+
+
+def test_every_function_reads_its_parameters():
+    """A public module-level function reads each parameter it declares.
+
+    Methods are left out: a protocol method such as ``__exit__`` must accept
+    arguments it has no use for.
+    """
+    unread = []
+    for path in sorted((ROOT / "src" / "crec").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            args = node.args
+            declared = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            read = {
+                n.id
+                for statement in node.body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.lineno} {node.name}({a.arg})"
+                for a in declared
+                if a is not None and a.arg not in read
+            ]
+    assert not unread, "parameters never read: " + ", ".join(unread)
