@@ -1,18 +1,25 @@
-"""On-disk artifact formats: line-delimited structured text, one versioned
-header line per file (`crec-format v1 <kind>`), JSON or CSV rows after it.
-Round-trips are lossless and byte-deterministic."""
+"""On-disk formats: line-delimited structured text, one versioned header line
+per file (`crec-format v1 <kind>`), then JSON or CSV rows or, for the config
+file, `key = value` lines. Each JSON row is rebuilt from the field types of its
+dataclass (`_decode`). Round-trips are lossless and byte-deterministic."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import FormatVersionMismatch, ParseError
+from .config import PipelineConfig, parse_value
+from .errors import ConfigError, FormatVersionMismatch, MissingInput, ParseError
 from .features import FEATURES, FeatureRow
 from .genealogy import Lineage
 from .labeler import LabelDecision
+from .learner import MODELS
 from .repo_miner import CommitRecord, SampledVersion
 
 FORMAT_PREFIX = "crec-format"
@@ -30,7 +37,17 @@ def write_artifact(path: str | Path, kind: str, lines: list[str]) -> None:
 
 
 def read_artifact(path: str | Path, kind: str) -> list[str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """The lines after the header of a *kind* file; MissingInput when *path*
+    cannot be read as a file, ParseError for a byte that is not UTF-8."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise MissingInput(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"undecodable byte {data[exc.start]:#04x}", lineno) from None
     if not lines:
         raise ParseError("empty artifact file", 1)
     head = lines[0].split()
@@ -41,6 +58,35 @@ def read_artifact(path: str | Path, kind: str) -> list[str]:
     if head[2] != kind:
         raise ParseError(f"expected {kind} artifact, found {head[2]}", 1)
     return lines[1:]
+
+
+_hints = cache(get_type_hints)  # a dataclass's field types, looked up once
+
+
+def _decode(kind, value):
+    """The JSON *value* as a *kind* (int, float, str, dict, ``X | None``, list,
+    frozenset, tuple or dataclass), checked all the way down: TypeError or
+    ValueError for a bad value, KeyError for a missing field without a default."""
+    if kind is int or kind is float or kind is str or kind is dict:
+        if type(value) is kind or (kind is float and type(value) is int):  # a bool is not an int
+            return kind(value)
+        raise TypeError(f"expected {kind.__name__}, found {value!r}")
+    if is_dataclass(kind):
+        if type(value) is not dict:
+            raise TypeError(f"expected an object, found {value!r}")
+        hints = _hints(kind)
+        known = [f.name for f in fields(kind) if f.name in value or f.default is MISSING]
+        return kind(**{name: _decode(hints[name], value[name]) for name in known})
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType or origin is Union:  # X | None
+        return None if value is None else _decode(args[0], value)
+    if type(value) is not list:
+        raise TypeError(f"expected a list, found {value!r}")
+    if origin is tuple and args[-1] is not Ellipsis:
+        return tuple(_decode(k, v) for k, v in zip(args, value, strict=True))
+    if origin is list or origin is frozenset or origin is tuple:
+        return origin(_decode(args[0], v) for v in value)
+    raise TypeError(f"no JSON decoding for {kind}")
 
 
 def _read_rows(path: str | Path, kind: str, build) -> list:
@@ -64,53 +110,53 @@ def _read_rows(path: str | Path, kind: str, build) -> list:
     return out
 
 
+# -- config file --------------------------------------------------------------
+
+
+def load_config(path: str | Path) -> PipelineConfig:
+    """Defaults overridden by the file's `key = value` lines; blank lines and
+    `#` comments are skipped, an unknown key or bad value is a ConfigError."""
+    if not Path(path).exists():
+        raise ConfigError(f"config file not found: {path}")
+    config = PipelineConfig()
+    for lineno, line in enumerate(read_artifact(path, "config"), 2):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        if eq != "=":
+            raise ParseError(f"expected 'key = value': {line!r}", lineno)
+        setattr(config, key, parse_value(key, raw))
+    config.validate()
+    return config
+
+
 # -- commits / samples --------------------------------------------------------
 
 
 def write_commits(path, commits: list[CommitRecord]) -> None:
-    lines = [
-        _dumps(
-            {
-                "id": c.id,
-                "timestamp": c.timestamp,
-                "author": c.author,
-                "changed_files": sorted(c.changed_files),
-                "changed_line_count": c.changed_line_count,
-            }
-        )
-        for c in commits
-    ]
-    write_artifact(path, "commits", lines)
+    rows = [{**asdict(c), "changed_files": sorted(c.changed_files)} for c in commits]
+    write_artifact(path, "commits", [_dumps(row) for row in rows])
 
 
 def read_commits(path) -> list[CommitRecord]:
-    return _read_rows(
-        path,
-        "commits",
-        lambda d: CommitRecord(
-            d["id"],
-            d["timestamp"],
-            d["author"],
-            frozenset(d["changed_files"]),
-            d["changed_line_count"],
-        ),
-    )
+    return _read_rows(path, "commits", lambda d: _decode(CommitRecord, d))
 
 
 def write_samples(path, samples: list[SampledVersion]) -> None:
-    lines = [
-        _dumps({"index": s.index, "commit_id": s.commit_id, "cumulative_delta": s.cumulative_delta})
-        for s in samples
-    ]
-    write_artifact(path, "samples", lines)
+    write_artifact(path, "samples", [_dumps(asdict(s)) for s in samples])
 
 
 def read_samples(path) -> list[SampledVersion]:
-    return _read_rows(
-        path,
-        "samples",
-        lambda d: SampledVersion(d["index"], d["commit_id"], d["cumulative_delta"]),
-    )
+    """The sampled versions; each row's index must be its 0-based position."""
+    positions = itertools.count()
+
+    def sample(d: dict) -> SampledVersion:
+        s, position = _decode(SampledVersion, d), next(positions)
+        if s.index != position:
+            raise ValueError(f"index {s.index} is not the row's position {position}")
+        return s
+
+    return _read_rows(path, "samples", sample)
 
 
 # -- clone groups -------------------------------------------------------------
@@ -124,38 +170,26 @@ class GroupRecord:
 
 
 def write_groups(path, groups) -> None:
-    lines = []
-    for g in groups:
-        lines.append(
-            _dumps(
-                {
-                    "version": g.version,
-                    "group_id": g.group_id,
-                    "members": [
-                        {
-                            "path": b.path,
-                            "start": b.start_line,
-                            "end": b.end_line,
-                            "tokens": len(b.tokens),
-                        }
-                        for b in g.members
-                    ],
-                }
-            )
-        )
-    write_artifact(path, "clones", lines)
+    rows = [
+        {
+            "version": g.version,
+            "group_id": g.group_id,
+            "members": [
+                {"path": b.path, "start": b.start_line, "end": b.end_line, "tokens": len(b.tokens)}
+                for b in g.members
+            ],
+        }
+        for g in groups
+    ]
+    write_artifact(path, "clones", [_dumps(row) for row in rows])
 
 
 def read_groups(path) -> list[GroupRecord]:
-    return _read_rows(
-        path,
-        "clones",
-        lambda d: GroupRecord(
-            d["version"],
-            d["group_id"],
-            tuple((m["path"], m["start"], m["end"], m["tokens"]) for m in d["members"]),
-        ),
-    )
+    def group(d: dict) -> GroupRecord:
+        members = [[m["path"], m["start"], m["end"], m["tokens"]] for m in d["members"]]
+        return _decode(GroupRecord, {**d, "members": members})
+
+    return _read_rows(path, "clones", group)
 
 
 # -- lineages -----------------------------------------------------------------
@@ -169,60 +203,41 @@ class LineageRecord:
 
 
 def write_lineages(path, lineages: list[Lineage]) -> None:
-    lines = [
-        _dumps(
-            {
-                "lineage_id": lin.lineage_id,
-                "end_state": lin.end_state,
-                "groups": [[v, g.group_id] for v, g in lin.groups],
-            }
-        )
+    rows = [
+        {
+            "lineage_id": lin.lineage_id,
+            "end_state": lin.end_state,
+            "groups": [[v, g.group_id] for v, g in lin.groups],
+        }
         for lin in lineages
     ]
-    write_artifact(path, "lineages", lines)
+    write_artifact(path, "lineages", [_dumps(row) for row in rows])
 
 
 def read_lineages(path) -> list[LineageRecord]:
-    return _read_rows(
-        path,
-        "lineages",
-        lambda d: LineageRecord(
-            d["lineage_id"], d["end_state"], tuple((v, gid) for v, gid in d["groups"])
-        ),
-    )
+    return _read_rows(path, "lineages", lambda d: _decode(LineageRecord, d))
 
 
 # -- labels and the threshold sweep -------------------------------------------
 
 
 def write_labels(path, decisions: list[LabelDecision]) -> None:
-    lines = [
-        _dumps(
-            {
-                "lineage_id": d.lineage_id,
-                "label": d.label,
-                "step": d.step_version,
-                "evidence": d.evidence,
-            }
-        )
+    rows = [
+        {
+            "lineage_id": d.lineage_id,
+            "label": d.label,
+            "step": d.step_version,
+            "evidence": d.evidence,
+        }
         for d in decisions
     ]
-    write_artifact(path, "labels", lines)
-
-
-def _label_decision(d: dict) -> LabelDecision:
-    label, step = d["label"], d["step"]
-    if label not in ("R", "NR"):
-        raise ValueError(f"label must be R or NR, found {label!r}")
-    if label == "R" and type(step) is not int:  # a bool is not a step either
-        raise ValueError(f"step of an R label must be an int, found {step!r}")
-    if label == "NR" and step is not None:
-        raise ValueError(f"step of an NR label must be null, found {step!r}")
-    return LabelDecision(d["lineage_id"], step, label, d["evidence"])
+    write_artifact(path, "labels", [_dumps(row) for row in rows])
 
 
 def read_labels(path) -> list[LabelDecision]:
-    return _read_rows(path, "labels", _label_decision)
+    return _read_rows(
+        path, "labels", lambda d: _decode(LabelDecision, {**d, "step_version": d["step"]})
+    )
 
 
 def write_sweep(path, rows: list[tuple[float, int]]) -> None:
@@ -280,16 +295,25 @@ def read_features(path) -> list[FeatureRow]:
 # -- model / recommendations / reports ----------------------------------------
 
 
-def write_model(path, model) -> None:
-    from .learner import model_to_dict
+def model_to_dict(model) -> dict:
+    """The saved form of *model*: its fields, without the None children of tree
+    leaves, tagged with its algorithm."""
+    name = next(name for name, cls in MODELS.items() if type(model) is cls)
+    row = asdict(model, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    return {"algorithm": name, **row}
 
+
+def write_model(path, model) -> None:
     write_artifact(path, "model", [_dumps(model_to_dict(model))])
 
 
 def read_model(path):
-    from .learner import model_from_dict
+    def model(d: dict):
+        if d["algorithm"] not in MODELS:
+            raise ValueError(f"unknown algorithm: {d['algorithm']}")
+        return _decode(MODELS[d["algorithm"]], d)
 
-    models = _read_rows(path, "model", model_from_dict)
+    models = _read_rows(path, "model", model)
     if not models:
         raise ParseError("empty model artifact", 2)
     return models[0]
@@ -317,19 +341,11 @@ def read_recommendations(path) -> list[tuple[str, float]]:
 
 
 def write_report(path, report) -> None:
-    meta = _dumps(
-        {
-            "setting": report.setting,
-            "metric_mode": report.metric_mode,
-            "config_digest": report.config_digest,
-        }
-    )
-    lines = [meta, "name,precision,recall,fscore,flags"]
+    meta = {key: getattr(report, key) for key in ("setting", "metric_mode", "config_digest")}
+    lines = [_dumps(meta), "name,precision,recall,fscore,flags"]
     for row in report.rows:
         flags = ";".join(row.flags)
-        lines.append(
-            f"{row.name},{repr(row.precision)},{repr(row.recall)},{repr(row.fscore)},{flags}"
-        )
+        lines.append(f"{row.name},{row.precision!r},{row.recall!r},{row.fscore!r},{flags}")
     avg_p, avg_r, avg_f = report.averages
     lines.append(f"Average,{repr(avg_p)},{repr(avg_r)},{repr(avg_f)},")
     write_artifact(path, "report", lines)

@@ -6,7 +6,8 @@ import argparse
 import sys
 from dataclasses import fields, replace
 
-from .config import PipelineConfig, load_config, parse_value
+from .artifacts import load_config
+from .config import PipelineConfig, parse_value
 from .errors import CrecError
 from .learner import ALGORITHMS
 from . import pipeline

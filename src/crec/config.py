@@ -1,5 +1,5 @@
 """Pipeline configuration: every tunable constant with its default, plus a
-human-readable `key = value` file format. Unknown keys are rejected.
+parser for the values of its `key = value` file (read by `artifacts.load_config`).
 
 `PipelineConfig` owns each tunable's name, default, text parser
 (`parse_value`) and allowed values (`validate`); the CLI flags, the config
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from pathlib import Path
 
-from .errors import ConfigError, FormatVersionMismatch, ParseError
+from .errors import ConfigError
 
 
 @dataclass
@@ -65,6 +64,8 @@ def parse_value(name: str, raw: str):
 
     A fraction reads as ``n`` or ``n/d``.
     """
+    if name not in _KINDS:
+        raise ConfigError(f"unknown config key: {name}")
     kind = _KINDS[name]
     try:
         if kind is int:
@@ -78,28 +79,3 @@ def parse_value(name: str, raw: str):
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 
-
-def load_config(path: str | Path) -> PipelineConfig:
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty config file", 1)
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "crec-format" or head[2] != "config":
-        raise ParseError(f"bad header: {lines[0]!r}", 1)
-    if head[1] != "v1":
-        raise FormatVersionMismatch(f"unsupported config format version {head[1]}")
-    config = PipelineConfig()
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        key, eq, raw = (part.strip() for part in line.partition("="))
-        if eq != "=":
-            raise ParseError(f"expected 'key = value': {line!r}", lineno)
-        if key not in _KINDS:
-            raise ConfigError(f"unknown config key: {key}")
-        setattr(config, key, parse_value(key, raw))
-    config.validate()
-    return config

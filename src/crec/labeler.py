@@ -33,6 +33,14 @@ class LabelDecision:
     label: str  # "R" | "NR"
     evidence: dict | None
 
+    def __post_init__(self) -> None:
+        if self.label not in ("R", "NR"):
+            raise ValueError(f"label must be R or NR, found {self.label!r}")
+        if self.label == "R" and self.step_version is None:
+            raise ValueError("step of an R label must be an int, found None")
+        if self.label == "NR" and self.step_version is not None:
+            raise ValueError(f"step of an NR label must be null, found {self.step_version!r}")
+
 
 class LabelContext:
     """Corpus access for method resolution, keyed by sampled-version index.

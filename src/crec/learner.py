@@ -10,7 +10,7 @@ import hashlib
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .config import DEFAULTS
 from .errors import DegenerateData
@@ -113,16 +113,6 @@ class BoostModel:
         voted = sum(s.alpha for s in self.stumps if s.vote(values) == 1)
         return voted / total
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoostModel":
-        return cls(
-            stumps=[DecisionStump(**s) for s in d["stumps"]],
-            feature_names=tuple(d["feature_names"]),
-            rounds=d["rounds"],
-            seed=d["seed"],
-            dataset_digest=d["dataset_digest"],
-        )
-
 
 def _boost(examples: list[FeatureRow], rounds: int, features: list[int]) -> list[DecisionStump]:
     """Discrete AdaBoost; stops early once a round's error hits 0 or 0.5."""
@@ -170,23 +160,15 @@ class TreeNode:
     left: "TreeNode | None" = None  # value <= threshold
     right: "TreeNode | None" = None
 
+    def __post_init__(self) -> None:
+        if len({v is None for v in (self.feature, self.threshold, self.left, self.right)}) > 1:
+            raise ValueError("a split node needs a feature, a threshold and two children")
+
     def predict(self, values: tuple[float, ...]) -> float:
         node = self
         while node.feature is not None:
             node = node.left if values[node.feature - 1] <= node.threshold else node.right
         return node.prob
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "feature" not in d:
-            return cls(prob=d["prob"])
-        return cls(
-            prob=d["prob"],
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
 
 
 def _entropy(pos: int, n: int) -> float:
@@ -264,10 +246,6 @@ class TreeModel:
     def predict_likelihood(self, values: tuple[float, ...]) -> float:
         return self.root.predict(values)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeModel":
-        return cls(TreeNode.from_dict(d["root"]), d["seed"], d["dataset_digest"])
-
 
 @dataclass
 class ForestModel:
@@ -278,10 +256,6 @@ class ForestModel:
     def predict_likelihood(self, values: tuple[float, ...]) -> float:
         votes = sum(1 for t in self.trees if t.predict(values) >= 0.5)
         return votes / len(self.trees)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestModel":
-        return cls([TreeNode.from_dict(t) for t in d["trees"]], d["seed"], d["dataset_digest"])
 
 
 @dataclass
@@ -306,17 +280,6 @@ class NaiveBayesModel:
         odds = [math.exp(l - peak) for l in logs]
         return odds[1] / (odds[0] + odds[1])
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NaiveBayesModel":
-        return cls(
-            priors=tuple(d["priors"]),
-            means=tuple(tuple(m) for m in d["means"]),
-            variances=tuple(tuple(v) for v in d["variances"]),
-            features=tuple(d["features"]),
-            seed=d["seed"],
-            dataset_digest=d["dataset_digest"],
-        )
-
 
 @dataclass
 class ConstantModel:
@@ -326,21 +289,17 @@ class ConstantModel:
     def predict_likelihood(self, values: tuple[float, ...]) -> float:
         return self.likelihood
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstantModel":
-        return cls(d["likelihood"], d["dataset_digest"])
-
 
 # the "algorithm" of a saved model -> its class; training on one class gives a
 # constant model, which is not an algorithm a user can choose
-_MODELS = {
+MODELS = {
     "adaboost": BoostModel,
     "decision_tree": TreeModel,
     "random_forest": ForestModel,
     "naive_bayes": NaiveBayesModel,
     "constant": ConstantModel,
 }
-ALGORITHMS = tuple(name for name in _MODELS if name != "constant")
+ALGORITHMS = tuple(name for name in MODELS if name != "constant")
 
 _VARIANCE_FLOOR = 1e-9
 _FOREST_SIZE = 100
@@ -408,17 +367,3 @@ def train_alt(
         dataset_digest=digest,
     )
 
-
-def model_to_dict(model) -> dict:
-    """The saved form of *model*: its fields, without the None children of tree
-    leaves, tagged with its algorithm."""
-    name = next(name for name, cls in _MODELS.items() if type(model) is cls)
-    fields = asdict(model, dict_factory=lambda items: {k: v for k, v in items if v is not None})
-    return {"algorithm": name, **fields}
-
-
-def model_from_dict(d: dict):
-    kind = d["algorithm"]
-    if kind not in _MODELS:
-        raise ValueError(f"unknown algorithm: {kind}")
-    return _MODELS[kind].from_dict(d)

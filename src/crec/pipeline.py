@@ -269,6 +269,12 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
         lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
+        unknown = decisions.keys() - {lineage.lineage_id for lineage in lineages}
+        if unknown:
+            raise MissingInput(
+                f"labels file names lineage {min(unknown)}, which genealogy did not "
+                "build; labels file is stale (re-run label)"
+            )
         view = WindowView(repo, window)
         for lineage in lineages:
             decision = decisions.get(lineage.lineage_id)

@@ -272,11 +272,16 @@ class Repository:
 # -- line diff (LCS) -------------------------------------------------------
 
 
+def _lines(data: bytes | None) -> list[bytes]:
+    """*data* split at each LF, as scan and git count lines, with one trailing
+    CR dropped from each line; an absent file has no lines."""
+    lines = data.removesuffix(b"\n").split(b"\n") if data else []
+    return [line.removesuffix(b"\r") for line in lines]
+
+
 def diff_file_hunks(a: bytes | None, b: bytes | None) -> list[Hunk]:
     """Diff two file bodies that may be absent (None = file does not exist)."""
-    a_lines = a.splitlines() if a is not None else []
-    b_lines = b.splitlines() if b is not None else []
-    return line_diff_hunks(a_lines, b_lines)
+    return line_diff_hunks(_lines(a), _lines(b))
 
 
 def line_diff_hunks(a_lines: list, b_lines: list) -> list[Hunk]:

@@ -44,7 +44,7 @@ from crec.features import (
     top_level_classes,
 )
 from crec.genealogy import CloneLink, Lineage
-from crec.learner import best_stump, model_from_dict, model_to_dict, train_alt
+from crec.learner import best_stump, train_alt
 from crec.repo_miner import (
     CommitRecord,
     SampledVersion,
@@ -341,7 +341,7 @@ def _oracle_stump(examples, weights):
     return best
 
 
-def test_criterion_4_learner_suite():
+def test_criterion_4_learner_suite(tmp_path):
     rng = random.Random(107)
     failures = []
 
@@ -390,7 +390,8 @@ def test_criterion_4_learner_suite():
 
     probes = [feature_row(None, {1: rng.random(), 2: rng.random()}).values for _ in range(50)]
     baseline = sorted(probes, key=lambda v: (-model.predict_likelihood(v), v))
-    scaled = model_from_dict(model_to_dict(model))
+    artifacts.write_model(tmp_path / "model.txt", model)
+    scaled = artifacts.read_model(tmp_path / "model.txt")
     for s in scaled.stumps:
         object.__setattr__(s, "alpha", s.alpha * 17.0)
     rescaled = sorted(probes, key=lambda v: (-scaled.predict_likelihood(v), v))

@@ -2,24 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 
 from conftest import feature_row, read_sweep, save_config
 from crec import artifacts
-from crec.artifacts import FeatureRow
+from crec.artifacts import FeatureRow, load_config, model_to_dict
 from crec.clone_detector import CloneGroup, CodeBlock, Token
-from crec.config import PipelineConfig, load_config
+from crec.config import PipelineConfig
 from crec.errors import ConfigError, FormatVersionMismatch, ParseError
 from crec.features import FEATURES
 from crec.genealogy import Lineage
 from crec.labeler import LabelDecision
-from crec.learner import ALGORITHMS, model_to_dict, train_alt
+from crec.learner import ALGORITHMS, MODELS, train_alt
 from crec.repo_miner import CommitRecord, SampledVersion
 
 
@@ -231,6 +234,53 @@ class TestFormatGuards:
         path.write_text('crec-format v1 label-sweep\n{"reported":1}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: missing field 'threshold'"):
             read_sweep(path)
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("value", ["true", "0.0", "null", '"0"', "[0]"])
+    def test_int_field_takes_only_an_int(self, tmp_path, value):
+        path = tmp_path / "samples.txt"
+        row = f'{{"index":{value},"commit_id":"c0","cumulative_delta":0}}'
+        artifacts.write_artifact(path, "samples", [row])
+        with pytest.raises(ParseError, match="line 2: bad samples row: expected int, found"):
+            artifacts.read_samples(path)
+
+    def test_fixed_length_tuple_checks_its_length(self, tmp_path):
+        path = tmp_path / "lineages.txt"
+        row = '{"end_state":"dissolved","groups":[[0,"g0",1]],"lineage_id":"lin-0"}'
+        artifacts.write_artifact(path, "lineages", [row])
+        with pytest.raises(ParseError, match=r"line 2: bad lineages row: zip\(\) argument 2"):
+            artifacts.read_lineages(path)
+
+    def test_every_decoded_field_type_is_handled(self):
+        """Every field type of every dataclass the readers rebuild is a kind
+        `_decode` checks, so a new kind of field fails here, not unchecked."""
+        pending = [
+            CommitRecord,
+            SampledVersion,
+            artifacts.GroupRecord,
+            artifacts.LineageRecord,
+            LabelDecision,
+            *MODELS.values(),
+        ]
+        seen, unhandled = set(), []
+        while pending:
+            kind = pending.pop()
+            if kind in (int, float, str, dict) or kind in seen:
+                continue
+            seen.add(kind)
+            origin, args = get_origin(kind), get_args(kind)
+            if dataclasses.is_dataclass(kind):
+                pending.extend(get_type_hints(kind).values())
+            elif origin in (UnionType, Union) and len(args) == 2 and args[1] is NoneType:
+                pending.append(args[0])
+            elif origin in (list, frozenset) or (origin is tuple and args[-1:] == (...,)):
+                pending.append(args[0])
+            elif origin is tuple:
+                pending.extend(args)
+            else:
+                unhandled.append(kind)
+        assert not unhandled
 
 
 class TestFeatureTable:

@@ -370,6 +370,16 @@ class TestConfigResolution:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ConfigError:")
 
+    def test_undecodable_config_file_reported(self, tmp_path, capsys):
+        conf = tmp_path / "crec.conf"
+        conf.write_bytes(b"crec-format v1 config\nseed = 1\n# \xff\n")
+        assert _run("mine", "--repo", str(tmp_path), "--config", str(conf)) == 1
+        assert _one_error_line(capsys) == "error: ParseError: line 3: undecodable byte 0xff\n"
+
+    def test_config_directory_reported(self, tmp_path, capsys):
+        assert _run("mine", "--repo", str(tmp_path), "--config", str(tmp_path)) == 1
+        assert _one_error_line(capsys).startswith(f"error: MissingInput: cannot read {tmp_path}")
+
     def test_missing_feature_file_reported(self, tmp_path, capsys):
         code = _run(
             "evaluate",
@@ -441,12 +451,65 @@ class TestMalformedArtifacts:
         assert _one_error_line(capsys) == f"error: ParseError: line 2: {message}\n"
 
     @pytest.mark.parametrize(
+        "command, kind, row, message",
+        [
+            (
+                "detect",
+                "samples",
+                '{"index":"0","commit_id":"c0","cumulative_delta":0}',
+                "expected int, found '0'",
+            ),
+            (
+                "genealogy",
+                "clones",
+                '{"version":"0","group_id":"g0","members":[]}',
+                "expected int, found '0'",
+            ),
+            (
+                "recommend",
+                "model",
+                '{"algorithm":"adaboost","stumps":[{"feature":1,"threshold":0.5,'
+                '"polarity":"le","alpha":"x"}],"feature_names":[],"rounds":1,"seed":0,'
+                '"dataset_digest":"d"}',
+                "expected float, found 'x'",
+            ),
+        ],
+        ids=["samples-index", "clones-version", "model-alpha"],
+    )
+    def test_wrong_typed_field_rejected(self, tmp_path, capsys, command, kind, row, message):
+        artifacts.write_samples(tmp_path / "samples.txt", [SampledVersion(0, "c0", 0)])
+        artifacts.write_artifact(tmp_path / f"{kind}.txt", kind, [row])
+        repo = ["--repo", str(tmp_path)] if command != "recommend" else []
+        assert _run(command, *repo, "--out", str(tmp_path)) == 1
+        assert _one_error_line(capsys) == f"error: ParseError: line 2: bad {kind} row: {message}\n"
+
+    def test_sample_index_not_its_position_rejected(self, tmp_path, capsys):
+        samples = [SampledVersion(0, "c0", 0), SampledVersion(7, "c1", 5)]
+        artifacts.write_samples(tmp_path / "samples.txt", samples)
+        assert _run("detect", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
+        assert _one_error_line(capsys) == (
+            "error: ParseError: line 3: bad samples row: index 7 is not the row's position 1\n"
+        )
+
+    def test_undecodable_byte_rejected(self, tmp_path, capsys):
+        path = tmp_path / "samples.txt"
+        artifacts.write_samples(path, [SampledVersion(0, "c0", 0), SampledVersion(1, "c1", 5)])
+        path.write_bytes(path.read_bytes().replace(b'"c1"', b'"c\xff"'))
+        assert _run("detect", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
+        assert _one_error_line(capsys) == "error: ParseError: line 3: undecodable byte 0xff\n"
+
+    @pytest.mark.parametrize(
         "row, message",
         [
             ('{"algorithm":"svm"}', "bad model row: unknown algorithm: svm"),
             ('{"algorithm":"adaboost","feature_names":[]}', "missing field 'stumps'"),
+            (
+                '{"algorithm":"decision_tree","root":{"prob":0.5,"feature":1,"threshold":0.5},'
+                '"seed":0,"dataset_digest":"d"}',
+                "bad model row: a split node needs a feature, a threshold and two children",
+            ),
         ],
-        ids=["unknown-algorithm", "missing-stumps"],
+        ids=["unknown-algorithm", "missing-stumps", "split-without-children"],
     )
     def test_model_row_rejected_by_recommend(self, tmp_path, capsys, row, message):
         artifacts.write_artifact(tmp_path / "model.txt", "model", [row])

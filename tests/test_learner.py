@@ -12,14 +12,13 @@ from pathlib import Path
 import pytest
 
 from conftest import feature_row
+from crec.artifacts import model_to_dict, read_model, write_model
 from crec.errors import DegenerateData
 from crec.features import FeatureRow
 from crec.learner import (
     ALGORITHMS,
     ConstantModel,
     best_stump,
-    model_from_dict,
-    model_to_dict,
     recommend,
     train_alt,
 )
@@ -224,10 +223,11 @@ class TestPredictLikelihood:
         assert model.predict_likelihood(high.values) == pytest.approx(2 / 3)
         assert model.predict_likelihood(low.values) == pytest.approx(1 / 3)
 
-    def test_alpha_scaling_invariance(self):
+    def test_alpha_scaling_invariance(self, tmp_path):
         data = _and_pattern()
         model = train_alt("adaboost", data)
-        scaled = model_from_dict(model_to_dict(model))
+        write_model(tmp_path / "model.txt", model)
+        scaled = read_model(tmp_path / "model.txt")
         for s in scaled.stumps:
             object.__setattr__(s, "alpha", s.alpha * 7.5)
         for e in data:
@@ -342,10 +342,11 @@ class TestAlternativeLearners:
             train_alt("svm", _separable())
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_model_serialization_round_trip(self, algorithm):
+    def test_model_serialization_round_trip(self, tmp_path, algorithm):
         data = _and_pattern()
         model = train_alt(algorithm, data, seed=3)
-        clone = model_from_dict(model_to_dict(model))
+        write_model(tmp_path / "model.txt", model)
+        clone = read_model(tmp_path / "model.txt")
         assert model_to_dict(clone) == model_to_dict(model)
         for e in data:
             assert clone.predict_likelihood(e.values) == model.predict_likelihood(e.values)

@@ -151,6 +151,20 @@ class TestStaleArtifactGuards:
         if step == 5:
             assert "labels file is stale (re-run label)" in err
 
+    def test_labels_of_unbuilt_lineages_rejected_by_featurize(self, staged, capsys):
+        config, repo_path, out = staged
+        path = out / "labels.txt"
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        for row in rows:
+            row["lineage_id"] = "unknown-" + row["lineage_id"]
+        artifacts.write_artifact(path, "labels", [json.dumps(row) for row in rows])
+        capsys.readouterr()
+        assert main(["featurize", "--repo", str(repo_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: MissingInput: labels file names lineage unknown-")
+        assert "labels file is stale (re-run label)" in err
+
     def test_stale_lineages_rejected_by_label_stage(self, staged):
         config, repo_path, out = staged
         path = out / "lineages.txt"

@@ -13,7 +13,9 @@ from crec.repo_miner import (
     CommitRecord,
     Repository,
     SampledVersion,
+    Hunk,
     checked_window,
+    diff_file_hunks,
     distinct_authors,
     line_diff_hunks,
     sample_versions,
@@ -191,6 +193,31 @@ class TestDiffLines:
             removed, added = _hunk_ranges(repo.diff_hunks(c1, c2, "a.java"))
         assert removed == [(1, 4)]
         assert added == []
+
+    def test_bare_cr_does_not_break_a_line(self):
+        """Lines break at LF only, as scan counts them: an edit on line 4, the
+        last line of m (lines 3-4), is a hunk on line 4 and not on line 5,
+        where k starts."""
+        old = (
+            "class A {\n  // note\r  more\n  void m() {\n    int y = 2; }\n"
+            "  void k() {\n    int z = 3;\n  }\n}\n"
+        )
+        new = old.replace("y = 2", "y = 5")
+        assert diff_file_hunks(old.encode(), new.encode()) == [Hunk(4, 4, 4, 4)]
+
+    def test_lf_and_crlf_lines_split_as_splitlines_does(self):
+        """Without a bare CR, breaking at LF and dropping one CR before it gives
+        bytes.splitlines' lines, so CRLF files diff as they always did."""
+        rng = random.Random(5)
+
+        def body() -> bytes:
+            ends = [rng.choice([b"\n", b"\r\n"]) for _ in range(rng.randrange(0, 8))]
+            lines = [rng.choice([b"x", b"y", b""]) + end for end in ends]
+            return b"".join(lines) + rng.choice([b"", b"z"])
+
+        for _ in range(300):
+            a, b = body(), body()
+            assert diff_file_hunks(a, b) == line_diff_hunks(a.splitlines(), b.splitlines())
 
     def test_swap_symmetry_on_random_inputs(self):
         rng = random.Random(11)
