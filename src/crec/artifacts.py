@@ -1,7 +1,11 @@
 """On-disk formats: line-delimited structured text, one versioned header line
 per file (`crec-format v1 <kind>`), then JSON or CSV rows or, for the config
 file, `key = value` lines. Each JSON row is rebuilt from the field types of its
-dataclass (`_decode`). Round-trips are lossless and byte-deterministic."""
+dataclass (`_decode`). Round-trips are lossless and byte-deterministic.
+
+The feature, label and model formats import the modules that define their
+rows only when they are read or written, so a stage that never touches them
+does not load those modules."""
 
 from __future__ import annotations
 
@@ -12,15 +16,16 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Union, get_args, get_origin, get_type_hints
 
 from .config import PipelineConfig, parse_value
 from .errors import ConfigError, FormatVersionMismatch, MissingInput, ParseError
-from .features import FEATURES, FeatureRow
-from .genealogy import Lineage
-from .labeler import LabelDecision
-from .learner import MODELS
 from .repo_miner import CommitRecord, SampledVersion
+
+if TYPE_CHECKING:
+    from .features import FeatureRow
+    from .genealogy import Lineage
+    from .labeler import LabelDecision
 
 FORMAT_PREFIX = "crec-format"
 FORMAT_VERSION = "v1"
@@ -38,16 +43,23 @@ def write_artifact(path: str | Path, kind: str, lines: list[str]) -> None:
 
 def read_artifact(path: str | Path, kind: str) -> list[str]:
     """The lines after the header of a *kind* file; MissingInput when *path*
-    cannot be read as a file, ParseError for a byte that is not UTF-8."""
+    cannot be read as a file, ParseError for a byte that is not UTF-8.
+
+    Lines break at LF only and lose one trailing CR, so a CRLF file reads as
+    its LF twin, and a form feed or U+2028 stays inside its line.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise MissingInput(f"cannot read {path}: {exc.strerror}") from None
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"undecodable byte {data[exc.start]:#04x}", lineno) from None
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if not lines[-1]:  # the text after the final LF
+        lines.pop()
     if not lines:
         raise ParseError("empty artifact file", 1)
     head = lines[0].split()
@@ -68,7 +80,8 @@ def _decode(kind, value):
     frozenset, tuple or dataclass), checked all the way down: TypeError or
     ValueError for a bad value, KeyError for a missing field without a default."""
     if kind is int or kind is float or kind is str or kind is dict:
-        if type(value) is kind or (kind is float and type(value) is int):  # a bool is not an int
+        # a bool is not an int, and NaN is not a float
+        if (type(value) is kind or (kind is float and type(value) is int)) and value == value:
             return kind(value)
         raise TypeError(f"expected {kind.__name__}, found {value!r}")
     if is_dataclass(kind):
@@ -235,6 +248,8 @@ def write_labels(path, decisions: list[LabelDecision]) -> None:
 
 
 def read_labels(path) -> list[LabelDecision]:
+    from .labeler import LabelDecision
+
     return _read_rows(
         path, "labels", lambda d: _decode(LabelDecision, {**d, "step_version": d["step"]})
     )
@@ -248,14 +263,16 @@ def write_sweep(path, rows: list[tuple[float, int]]) -> None:
 # -- feature table ------------------------------------------------------------
 
 
-FEATURE_CSV_HEADER = ",".join(
-    ["lineage_id", "version", *(f"F{num}" for num in range(1, len(FEATURES) + 1)), "label"]
-)
-_FEATURE_COLUMNS = FEATURE_CSV_HEADER.count(",") + 1
+def _feature_header() -> str:
+    from .features import FEATURES
+
+    return ",".join(
+        ["lineage_id", "version", *(f"F{num}" for num in range(1, len(FEATURES) + 1)), "label"]
+    )
 
 
 def write_features(path, rows: list[FeatureRow]) -> None:
-    lines = [FEATURE_CSV_HEADER]
+    lines = [_feature_header()]
     for row in rows:
         label = "" if row.label is None else str(row.label)
         lines.append(",".join([row.lineage_id, str(row.version), *map(repr, row.values), label]))
@@ -263,16 +280,20 @@ def write_features(path, rows: list[FeatureRow]) -> None:
 
 
 def read_features(path) -> list[FeatureRow]:
+    from .features import FeatureRow
+
+    header = _feature_header()
+    columns = header.count(",") + 1
     lines = read_artifact(path, "features")
-    if not lines or lines[0] != FEATURE_CSV_HEADER:
+    if not lines or lines[0] != header:
         raise ParseError("missing or wrong feature header row", 2)
     out = []
     for lineno, line in enumerate(lines[1:], 3):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != _FEATURE_COLUMNS:
-            raise ParseError(f"expected {_FEATURE_COLUMNS} columns, found {len(parts)}", lineno)
+        if len(parts) != columns:
+            raise ParseError(f"expected {columns} columns, found {len(parts)}", lineno)
         lineage_id, version, *values, label = parts
         if label not in ("", "0", "1"):
             raise ParseError(f"label must be 0, 1 or empty, got {label!r}", lineno)
@@ -298,6 +319,8 @@ def read_features(path) -> list[FeatureRow]:
 def model_to_dict(model) -> dict:
     """The saved form of *model*: its fields, without the None children of tree
     leaves, tagged with its algorithm."""
+    from .learner import MODELS
+
     name = next(name for name, cls in MODELS.items() if type(model) is cls)
     row = asdict(model, dict_factory=lambda items: {k: v for k, v in items if v is not None})
     return {"algorithm": name, **row}
@@ -308,6 +331,10 @@ def write_model(path, model) -> None:
 
 
 def read_model(path):
+    """The saved model; a float field may hold ±Infinity (a stump's threshold
+    can be -Infinity) but not NaN, which would make every likelihood NaN."""
+    from .learner import MODELS
+
     def model(d: dict):
         if d["algorithm"] not in MODELS:
             raise ValueError(f"unknown algorithm: {d['algorithm']}")

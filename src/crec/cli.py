@@ -1,4 +1,9 @@
-"""Command-line surface: one subcommand per pipeline stage."""
+"""Command-line surface: one subcommand per pipeline stage.
+
+Only argument parsing is imported up front. The stages come in with
+`pipeline` once the arguments are parsed, and each stage imports the modules
+it runs when it runs, so `crec --help` and `crec detect` do not pay for the
+learners or the feature code."""
 
 from __future__ import annotations
 
@@ -6,11 +11,8 @@ import argparse
 import sys
 from dataclasses import fields, replace
 
-from .artifacts import load_config
-from .config import PipelineConfig, parse_value
+from .config import ALGORITHMS, PipelineConfig, parse_value
 from .errors import CrecError
-from .learner import ALGORITHMS
-from . import pipeline
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -69,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    from .artifacts import load_config
+
     config = load_config(args.config) if args.config else PipelineConfig()
     for f in fields(PipelineConfig):
         raw = getattr(args, f.name)
@@ -88,6 +92,8 @@ def _sweep_thresholds(config: PipelineConfig, raw: list[str] | None) -> list[flo
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    from . import pipeline
+
     try:
         config = resolve_config(args)
         if args.command == "mine":

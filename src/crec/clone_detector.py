@@ -8,9 +8,11 @@ adjacency (call sites, operators, declaration patterns).
 
 from __future__ import annotations
 
-import hashlib
+import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import DEFAULTS
 
@@ -29,8 +31,7 @@ _OPS2 = ("->", "::", "++", "--", "&&", "||", "==", "!=", "<=", ">=",
          "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | identifier | literal | punct
     text: str
     line: int
@@ -70,69 +71,75 @@ class CloneGroup:
     group_id: str
 
 
+# One match of _TOKEN: the whitespace and comments skipped (group 1), then one
+# token led by an ASCII character, absent at the end or before a token led by
+# any other character: a word (group 2), or else (group 3) a string or char
+# literal, a number, or an operator (longest match) or other single character.
+# A word or number goes on over the characters that str.isalnum admits, as \w
+# does; a "." before a non-ASCII character is left to `_unicode_token`, since
+# it starts a number when that character is a digit (".²").
+_TOKEN = re.compile(
+    r"([ \t\n\r\f\v]*(?:(?://[^\n]*|/\*(?:[\s\S]*?\*/|[\s\S]*))[ \t\n\r\f\v]*)*)"
+    r"(?:([A-Za-z_$][\w$]*)"
+    r"""|("(?:[^"\n\\]+|\\[\s\S]?)*"?|'(?:[^'\n\\]+|\\[\s\S]?)*'?"""
+    r"|\.?[0-9](?:[\w.]|(?<=[eEpP])[+-])*"
+    r"|" + "|".join(map(re.escape, _OPS3 + _OPS2)) + r"|(?!\.[^\x00-\x7f])[\x00-\x7f]))?"
+)
+_WORD_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(LITERAL_WORDS, "literal")}
+# group 3 texts that are punctuation; the others are literals
+_PUNCT = frozenset(_OPS3 + _OPS2) | {
+    c for c in map(chr, range(128)) if not (c.isalnum() or c in "_$\"' \t\n\r\f\v")
+}
+
+
 def scan(source: str) -> list[Token]:
-    """Total lexical scan; emits punctuation too. Never raises."""
+    """Total lexical scan; emits punctuation too. Never raises.
+
+    A token's line is 1 + the number of newlines before it. Token texts are
+    interned, so equal texts across files share one string.
+    """
     out: list[Token] = []
-    i, line, n = 0, 1, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c in " \t\r\f\v":
-            i += 1
-        elif c == "/" and source[i + 1 : i + 2] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif c == "/" and source[i + 1 : i + 2] == "*":
-            i += 2
-            while i < n and source[i : i + 2] != "*/":
-                if source[i] == "\n":
-                    line += 1
-                i += 1
-            i += 2
-        elif c in "\"'":
-            j = i + 1
-            while j < n and source[j] not in (c, "\n"):
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            j = min(j + 1, n) if j < n and source[j] == c else j
-            out.append(Token("literal", source[i:j], line))
-            i = j
-        elif c.isdigit() or (c == "." and source[i + 1 : i + 2].isdigit()):
-            j = i + 1
-            while j < n and (
-                source[j].isalnum()
-                or source[j] in "._"
-                or (source[j] in "+-" and source[j - 1] in "eEpP")
-            ):
-                j += 1
-            out.append(Token("literal", source[i:j], line))
-            i = j
-        elif c.isalpha() or c in "_$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            text = source[i:j]
-            if text in KEYWORDS:
-                kind = "keyword"
-            elif text in LITERAL_WORDS:
-                kind = "literal"
-            else:
-                kind = "identifier"
-            out.append(Token(kind, text, line))
-            i = j
-        else:
-            for ops, width in ((_OPS3, 3), (_OPS2, 2)):
-                if source[i : i + width] in ops:
-                    out.append(Token("punct", source[i : i + width], line))
-                    i += width
-                    break
-            else:
-                out.append(Token("punct", c, line))
-                i += 1
-    return out
+    append, new, intern, match = out.append, tuple.__new__, sys.intern, _TOKEN.match
+    word_kinds, punct = _WORD_KINDS, _PUNCT
+    n, pos, line = len(source), 0, 1
+    while True:
+        m = match(source, pos)
+        skipped, word, text = m.groups()
+        pos = m.end()
+        if skipped:
+            line += skipped.count("\n")
+        if word:
+            append(new(Token, (word_kinds.get(word, "identifier"), intern(word), line)))
+        elif text:
+            append(new(Token, ("punct" if text in punct else "literal", intern(text), line)))
+            if "\n" in text:  # a literal with an escaped newline
+                line += text.count("\n")
+        elif pos == n:
+            return out
+        else:  # a token led by a non-ASCII character, or a "." before one
+            kind, end = _unicode_token(source, pos)
+            append(new(Token, (kind, intern(source[pos:end]), line)))
+            pos = end
+
+
+def _unicode_token(source: str, i: int) -> tuple[str, int]:
+    """Kind and end of the token at *i*, which a non-ASCII character leads (or a
+    "." before one), by the ``str.isdigit``, ``isalpha`` and ``isalnum`` rules,
+    which admit characters such as ``é``, ``²`` and ``٣``."""
+    n, c, j = len(source), source[i], i + 1
+    if c.isdigit() or (c == "." and source[j : j + 1].isdigit()):
+        while j < n and (
+            source[j].isalnum()
+            or source[j] in "._"
+            or (source[j] in "+-" and source[j - 1] in "eEpP")
+        ):
+            j += 1
+        return "literal", j
+    if c.isalpha():
+        while j < n and (source[j].isalnum() or source[j] in "_$"):
+            j += 1
+        return _WORD_KINDS.get(source[i:j], "identifier"), j
+    return "punct", j
 
 
 def _match_paren_back(lex: list[Token], close_idx: int) -> int:
@@ -288,6 +295,8 @@ def detect_clones(
     conjunctive=True for the AND reading. When a block and a block nested
     inside it land in the same group, only the outermost is kept.
     """
+    import hashlib  # only `detect` names groups; the later stages read their ids
+
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
     if conjunctive:

@@ -3,7 +3,9 @@ parser for the values of its `key = value` file (read by `artifacts.load_config`
 
 `PipelineConfig` owns each tunable's name, default, text parser
 (`parse_value`) and allowed values (`validate`); the CLI flags, the config
-file and the library defaults (`DEFAULTS`) all come from its fields."""
+file and the library defaults (`DEFAULTS`) all come from its fields.
+`ALGORITHMS` names the learners, so that the CLI can offer them without
+importing `learner`."""
 
 from __future__ import annotations
 
@@ -51,6 +53,10 @@ class PipelineConfig:
 
 # every library parameter that mirrors a field takes its default from here
 DEFAULTS = PipelineConfig()
+
+# the learning algorithms a user can choose; `learner.MODELS` is keyed by these
+# names plus "constant"
+ALGORITHMS = ("adaboost", "decision_tree", "random_forest", "naive_bayes")
 
 # field name -> the type its text parses to; str fields stay text
 _KINDS = {

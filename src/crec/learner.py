@@ -12,7 +12,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .config import DEFAULTS
+from .config import ALGORITHMS, DEFAULTS
 from .errors import DegenerateData
 from .features import FEATURE_NAMES, FeatureRow
 
@@ -290,8 +290,9 @@ class ConstantModel:
         return self.likelihood
 
 
-# the "algorithm" of a saved model -> its class; training on one class gives a
-# constant model, which is not an algorithm a user can choose
+# the "algorithm" of a saved model -> its class, for each of config.ALGORITHMS
+# in order; training on one class gives a constant model, which is not an
+# algorithm a user can choose
 MODELS = {
     "adaboost": BoostModel,
     "decision_tree": TreeModel,
@@ -299,7 +300,6 @@ MODELS = {
     "naive_bayes": NaiveBayesModel,
     "constant": ConstantModel,
 }
-ALGORITHMS = tuple(name for name in MODELS if name != "constant")
 
 _VARIANCE_FLOOR = 1e-9
 _FOREST_SIZE = 100

@@ -1,42 +1,29 @@
 """Stage implementations behind the CLI: each reads its predecessor's files
 from the output directory, writes its own, and returns a one-line summary.
 Token-level detail is re-derived from the repository on demand, so artifact
-files stay small and every stage is independently re-runnable."""
+files stay small and every stage is independently re-runnable.
+
+Each CLI command runs one stage in a fresh process, so the modules that only
+some stages run (`genealogy`, `labeler`, `features`, `learner`,
+`eval_harness`) are imported inside the functions that call them."""
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import artifacts
 from .artifacts import GroupRecord
 from .clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
 from .config import PipelineConfig
 from .errors import ConfigError, DegenerateData, MissingInput
-from .eval_harness import (
-    LearnerConfig,
-    ablation,
-    build_balanced_dataset,
-    compare_learners,
-    run_setting,
-)
-from .features import (
-    FeatureRow,
-    FileContext,
-    WindowView,
-    assemble_vector,
-    extract_cochange_features,
-    extract_code_features,
-    extract_diff_features,
-    extract_history_features,
-    extract_location_features,
-    file_context,
-    hierarchy_components,
-    top_level_classes,
-)
-from .genealogy import Lineage, build_genealogies
-from .labeler import LabelContext, label_lineage, sweep
-from .learner import recommend, train_alt
 from .repo_miner import Repository, SOURCE_SUFFIXES, checked_window, sample_versions
+
+if TYPE_CHECKING:
+    from .eval_harness import LearnerConfig
+    from .features import FeatureRow, FileContext
+    from .genealogy import Lineage
+    from .labeler import LabelContext
 
 FILES = {
     "commits": "commits.txt",
@@ -121,21 +108,29 @@ class VersionData:
         return self._once(("index", version), index)
 
     def context(self, version: int, path: str) -> FileContext:
+        from .features import file_context
+
         return self._once(
             ("context", self.files(version)[path]),
             lambda: file_context(self.corpus(version)[path], self._lex(version, path)),
         )
 
     def classes(self, version: int, path: str) -> list:
+        from .features import top_level_classes
+
         key = ("classes", self.files(version)[path])
         return self._once(key, lambda: top_level_classes(self._lex(version, path)))
 
     def hierarchy(self, version: int) -> dict[str, int]:
+        from .features import hierarchy_components
+
         return self._once(("hierarchy", version), lambda: hierarchy_components(
             self.corpus(version), lambda path: self.classes(version, path)
         ))
 
     def label_context(self) -> LabelContext:
+        from .labeler import LabelContext
+
         return LabelContext(
             lambda version: {path: self.file_blocks(version, path) for path in self.files(version)}
         )
@@ -170,6 +165,8 @@ def materialize_groups(
 def _rebuild_lineages(
     config: PipelineConfig, vdata: VersionData, out_dir, version_count: int
 ) -> list[Lineage]:
+    from .genealogy import build_genealogies
+
     records = artifacts.read_groups(_require(out_dir, "clones", "detect"))
     lineage_records = artifacts.read_lineages(_require(out_dir, "lineages", "genealogy"))
     groups = materialize_groups(vdata, records, version_count)
@@ -216,6 +213,8 @@ def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) ->
 
 
 def stage_genealogy(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
+    from .genealogy import build_genealogies
+
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
     records = artifacts.read_groups(_require(out_dir, "clones", "detect"))
     with Repository(repo_path) as repo:
@@ -231,6 +230,8 @@ def stage_label(
     out_dir: str | Path,
     sweep_thresholds: list[float] | None = None,
 ) -> str:
+    from .labeler import label_lineage, sweep
+
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
@@ -250,6 +251,17 @@ def stage_label(
 
 
 def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
+    from .features import (
+        FeatureRow,
+        WindowView,
+        assemble_vector,
+        extract_cochange_features,
+        extract_code_features,
+        extract_diff_features,
+        extract_history_features,
+        extract_location_features,
+    )
+
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
     commits = artifacts.read_commits(_require(out_dir, "commits", "mine"))
     labels_path = _path(out_dir, "labels")
@@ -313,6 +325,8 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
 def stage_train(
     config: PipelineConfig, out_dir: str | Path, algorithm: str = "adaboost"
 ) -> str:
+    from .learner import train_alt
+
     rows = artifacts.read_features(_require(out_dir, "features", "featurize"))
     examples = [r for r in rows if r.label is not None]
     if not examples:
@@ -325,6 +339,8 @@ def stage_train(
 
 
 def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
+    from .learner import recommend
+
     model = artifacts.read_model(_require(out_dir, "model", "train"))
     rows = artifacts.read_features(_require(out_dir, "features", "featurize"))
     samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
@@ -352,6 +368,8 @@ def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
 def _load_projects(
     feature_paths: list[str], balance: bool, seed: int
 ) -> list[tuple[str, list[FeatureRow]]]:
+    from .eval_harness import build_balanced_dataset
+
     projects = []
     for p, name in zip(feature_paths, _project_names(feature_paths)):
         if not Path(p).exists():
@@ -383,6 +401,8 @@ def _project_names(feature_paths: list[str]) -> list[str]:
 
 
 def _learner_config(config: PipelineConfig, algorithm: str) -> LearnerConfig:
+    from .eval_harness import LearnerConfig
+
     return LearnerConfig(
         algorithm=algorithm,
         rounds=config.boost_rounds,
@@ -399,6 +419,8 @@ def stage_evaluate(
     algorithm: str = "adaboost",
     balance: bool = False,
 ) -> str:
+    from .eval_harness import run_setting
+
     projects = _load_projects(feature_paths, balance, config.seed)
     report = run_setting(projects, setting, _learner_config(config, algorithm))
     artifacts.write_report(_path(out_dir, "report"), report)
@@ -422,6 +444,8 @@ def stage_ablate(
     out_dir: str | Path,
     balance: bool = False,
 ) -> str:
+    from .eval_harness import ablation
+
     projects = _load_projects(feature_paths, balance, config.seed)
     rows = ablation(projects, setting, _learner_config(config, "adaboost"))
     return _write_experiment(out_dir, "ablate", setting, "ablation", "variant", rows)
@@ -435,6 +459,8 @@ def stage_compare(
     out_dir: str | Path,
     balance: bool = False,
 ) -> str:
+    from .eval_harness import compare_learners
+
     projects = _load_projects(feature_paths, balance, config.seed)
     rows = compare_learners(projects, setting, algorithms, _learner_config(config, "adaboost"))
     return _write_experiment(out_dir, "compare", setting, "comparison", "algorithm", rows)

@@ -15,11 +15,11 @@ import pytest
 
 from conftest import feature_row, read_sweep, save_config
 from crec import artifacts
-from crec.artifacts import FeatureRow, load_config, model_to_dict
+from crec.artifacts import load_config, model_to_dict
 from crec.clone_detector import CloneGroup, CodeBlock, Token
 from crec.config import PipelineConfig
 from crec.errors import ConfigError, FormatVersionMismatch, ParseError
-from crec.features import FEATURES
+from crec.features import FEATURES, FeatureRow
 from crec.genealogy import Lineage
 from crec.labeler import LabelDecision
 from crec.learner import ALGORITHMS, MODELS, train_alt
@@ -245,6 +245,22 @@ class TestDecoder:
         with pytest.raises(ParseError, match="line 2: bad samples row: expected int, found"):
             artifacts.read_samples(path)
 
+    ADABOOST_ROW = (
+        '{"algorithm":"adaboost","stumps":[{"feature":1,"threshold":%s,"polarity":"le",'
+        '"alpha":%s}],"feature_names":[],"rounds":1,"seed":0,"dataset_digest":"d"}'
+    )
+
+    def test_nan_in_a_model_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        artifacts.write_artifact(path, "model", [self.ADABOOST_ROW % ("0.5", "NaN")])
+        with pytest.raises(ParseError, match="^line 2: bad model row: expected float, found nan$"):
+            artifacts.read_model(path)
+
+    def test_infinite_threshold_in_a_model_kept(self, tmp_path):
+        path = tmp_path / "model.txt"
+        artifacts.write_artifact(path, "model", [self.ADABOOST_ROW % ("-Infinity", "1.0")])
+        assert artifacts.read_model(path).stumps[0].threshold == float("-inf")
+
     def test_fixed_length_tuple_checks_its_length(self, tmp_path):
         path = tmp_path / "lineages.txt"
         row = '{"end_state":"dissolved","groups":[[0,"g0",1]],"lineage_id":"lin-0"}'
@@ -300,8 +316,9 @@ class TestFeatureTable:
             for num, (name, category, kind) in enumerate(FEATURES, 1)
         ]
 
-    def test_csv_header_names_every_feature(self):
-        header = artifacts.FEATURE_CSV_HEADER.split(",")
+    def test_csv_header_names_every_feature(self, tmp_path):
+        artifacts.write_features(tmp_path / "features.csv", [])
+        header = artifacts.read_artifact(tmp_path / "features.csv", "features")[0].split(",")
         assert header == ["lineage_id", "version"] + [f"F{n}" for n in range(1, 35)] + ["label"]
 
 
@@ -343,6 +360,17 @@ class TestConfigFile:
         path = tmp_path / "crec.conf"
         path.write_text("crec-format v1 config\n" + block, encoding="utf-8")
         assert load_config(path) == PipelineConfig()
+
+    def test_line_separator_stays_inside_a_comment(self, tmp_path):
+        """Lines break at LF only: U+2028 or a form feed does not end a comment."""
+        path = tmp_path / "crec.conf"
+        path.write_text("crec-format v1 config\n# note\u2028seed = 7\n# \fseed = 8\n", encoding="utf-8")
+        assert load_config(path) == PipelineConfig()
+
+    def test_crlf_config_file_loads(self, tmp_path):
+        path = tmp_path / "crec.conf"
+        path.write_bytes(b"crec-format v1 config\r\n# seeded\r\nseed = 7\r\n\r\n")
+        assert load_config(path) == PipelineConfig(seed=7)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "crec.conf"

@@ -23,6 +23,7 @@ from crec.learner import train_alt
 from crec.repo_miner import SampledVersion
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 STAGES = (
     "mine", "detect", "genealogy", "label", "featurize",
     "train", "recommend", "evaluate", "ablate", "compare",
@@ -101,7 +102,7 @@ class TestPipelineStages:
         commit_corpora(rb, end_to_end_corpora())
         outs = [tmp_path / "h1", tmp_path / "h2"]
         for out, hash_seed in zip(outs, ("1", "4242")):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed}
             for stage in ("mine", "detect", "genealogy", "label", "featurize", "train", "recommend"):
                 proc = subprocess.run(
                     [sys.executable, "-m", "crec.cli", stage]
@@ -115,6 +116,53 @@ class TestPipelineStages:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    # Run one command in a fresh interpreter, as `crec` does, and print the
+    # crec modules it loaded.
+    _REPORT_IMPORTS = (
+        "import json, sys\n"
+        "from crec.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('crec'))]))\n"
+    )
+    # the crec modules each command loads besides cli, config and errors, as
+    # the README's module map lists them: a stage imports only what it runs
+    _READER = {"pipeline", "artifacts", "repo_miner", "clone_detector"}
+    _LOADED = {
+        "mine": _READER,
+        "detect": _READER,
+        "genealogy": _READER | {"genealogy"},
+        "label": _READER | {"genealogy", "labeler"},
+        "featurize": _READER | {"genealogy", "labeler", "features"},
+        "train": _READER | {"genealogy", "features", "learner"},
+        "recommend": _READER | {"genealogy", "features", "learner"},
+    }
+
+    def test_each_stage_imports_only_what_it_runs(self, make_repo, tmp_path):
+        def loaded(*argv: str) -> set[str]:
+            proc = subprocess.run(
+                [sys.executable, "-c", self._REPORT_IMPORTS, *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            code, modules = json.loads(proc.stdout.splitlines()[-1])
+            assert code == 0, proc.stderr
+            return set(modules)
+
+        core = {"crec", "crec.cli", "crec.config", "crec.errors"}
+        assert loaded("--help") == core
+        rb = make_repo("imports")
+        commit_corpora(rb, end_to_end_corpora())
+        out = tmp_path / "out"
+        for stage, names in self._LOADED.items():
+            args = _pipeline_args(rb.path, out) if stage not in ("train", "recommend") else [
+                "--out", str(out)
+            ]
+            assert loaded(stage, *args) == core | {f"crec.{name}" for name in names}, stage
 
     def test_stage_rerun_is_idempotent(self, make_repo, tmp_path):
         rb = make_repo("rerun")
@@ -414,13 +462,12 @@ class TestMalformedArtifacts:
         artifacts.write_features(
             tmp_path / "features.csv", [feature_row(0), feature_row(1, {2: float("nan")})]
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-m", "crec.cli", "train", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: ParseError: line 4: F2=nan not finite\n"
@@ -508,8 +555,14 @@ class TestMalformedArtifacts:
                 '"seed":0,"dataset_digest":"d"}',
                 "bad model row: a split node needs a feature, a threshold and two children",
             ),
+            (
+                '{"algorithm":"adaboost","stumps":[{"feature":1,"threshold":0.5,'
+                '"polarity":"le","alpha":NaN}],"feature_names":[],"rounds":1,"seed":0,'
+                '"dataset_digest":"d"}',
+                "bad model row: expected float, found nan",
+            ),
         ],
-        ids=["unknown-algorithm", "missing-stumps", "split-without-children"],
+        ids=["unknown-algorithm", "missing-stumps", "split-without-children", "nan-alpha"],
     )
     def test_model_row_rejected_by_recommend(self, tmp_path, capsys, row, message):
         artifacts.write_artifact(tmp_path / "model.txt", "model", [row])

@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from conftest import feature_row
+from crec import config
 from crec.artifacts import model_to_dict, read_model, write_model
 from crec.errors import DegenerateData
 from crec.features import FeatureRow
 from crec.learner import (
     ALGORITHMS,
+    MODELS,
     ConstantModel,
     best_stump,
     recommend,
@@ -272,6 +274,11 @@ class TestRecommend:
 
 
 class TestAlternativeLearners:
+    def test_models_keyed_by_the_config_algorithms(self):
+        """The CLI offers config.ALGORITHMS without importing the learners."""
+        assert ALGORITHMS is config.ALGORITHMS
+        assert tuple(MODELS) == (*config.ALGORITHMS, "constant")
+
     @pytest.mark.parametrize("algorithm", ["decision_tree", "random_forest", "naive_bayes"])
     def test_separable_data_fit(self, algorithm):
         data = _separable()
