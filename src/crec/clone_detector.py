@@ -8,6 +8,7 @@ adjacency (call sites, operators, declaration patterns).
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from collections import Counter
@@ -223,16 +224,16 @@ def extract_blocks(
         for o, c in pairs
     }
 
+    # Brace pairs nest or are disjoint, so in opening order the method bodies
+    # still open at `o` form a stack whose top is the innermost enclosing one.
     blocks = []
+    methods: list[tuple[int, int]] = []
     for o, c in pairs:
-        method_open = None
+        while methods and methods[-1][1] < o:
+            methods.pop()
         if names[o] is not None:
-            method_open = o
-        else:
-            for po, pc in pairs:  # innermost enclosing method body
-                if po < o and pc > c and names[po] is not None:
-                    if method_open is None or po > method_open:
-                        method_open = po
+            methods.append((o, c))
+        method_open = methods[-1][0] if methods else None
         start, end = spans[o]
         toks = tuple(t for t in lex[headers[o] : c + 1] if t.kind != "punct")
         if not toks:
@@ -294,8 +295,21 @@ def detect_clones(
     Size thresholds are disjunctive by default (tokens OR lines); pass
     conjunctive=True for the AND reading. When a block and a block nested
     inside it land in the same group, only the outermost is kept.
+
+    Candidate pairs come from an inverted index with the prefix filter of
+    SourcererCC (Sajnani et al., ICSE 2016). A bag is read as the set of
+    ``(token, k)`` for k = 1..count, ordered by the token's document frequency
+    over the qualified blocks, rarest first; the intersection of two such sets
+    has the size of their shared count. A pair that shares at least t
+    elements has a common element within the first ``size - t + 1`` of each,
+    and t = ceil(theta * size) - 1, at least 1, is never above the smallest
+    shared count that passes ``similarity >= theta`` in floating point. A
+    prefix that holds ``(token, k)`` holds ``(token, 1)``, so the index maps
+    each token to the blocks whose prefix holds it. Each candidate that also
+    passes the size filter is confirmed with ``similarity``, so the groups are
+    those of checking every pair.
     """
-    import hashlib  # only `detect` names groups; the later stages read their ids
+    from _sha1 import sha1  # only `detect` names groups; the later stages read their ids
 
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
@@ -313,13 +327,27 @@ def detect_clones(
             x = parent[x]
         return x
 
-    for i in range(len(qualified)):
-        size_i = len(qualified[i].tokens)
-        for j in range(i + 1, len(qualified)):
+    df: Counter = Counter()
+    for b in qualified:
+        df.update(b.token_bag.keys())
+    rank = {token: r for r, token in enumerate(sorted(df, key=lambda t: (df[t], t)))}.__getitem__
+    index: dict[str, list[int]] = {}
+    for i, block in enumerate(qualified):
+        bag, size = block.token_bag, len(block.tokens)
+        left = size - max(1, math.ceil(theta * size) - 1) + 1  # prefix length
+        candidates: set[int] = set()
+        for token in sorted(bag, key=rank):
+            if left <= 0:
+                break
+            postings = index.setdefault(token, [])
+            candidates.update(postings)
+            postings.append(i)
+            left -= bag[token]
+        for j in candidates:
             size_j = len(qualified[j].tokens)
-            if min(size_i, size_j) < theta * max(size_i, size_j):
+            if min(size, size_j) < theta * max(size, size_j):
                 continue  # overlap cannot reach theta
-            if similarity(qualified[i], qualified[j]) >= theta:
+            if similarity(qualified[j], block) >= theta:
                 parent[find(i)] = find(j)
 
     components: dict[int, list[CodeBlock]] = {}
@@ -332,7 +360,7 @@ def detect_clones(
         if len(members) < 2:
             continue
         members.sort(key=lambda b: b.key)
-        digest = hashlib.sha1(
+        digest = sha1(
             "|".join(
                 [str(version)] + [f"{b.path}:{b.start_line}-{b.end_line}" for b in members]
             ).encode()

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import _sha1
+import hashlib
 import random
+import time
 from collections import Counter
 
 import pytest
 
+from crec import clone_detector
 from crec.clone_detector import (
+    CloneGroup,
     CodeBlock,
     Token,
     detect_clones,
     extract_blocks,
+    _drop_nested,
+    _header_start,
+    _method_name,
     invoked_names,
     overlap,
     scan,
@@ -123,6 +131,80 @@ class TestExtractBlocks:
         source = "Runnable r = new Runnable() {\n  int x;\n};\n"
         blocks = extract_blocks(scan(source), "A.java")
         assert blocks[0].enclosing_method_name is None
+
+
+def _enclosing_by_all_pairs(lex) -> list[tuple]:
+    """For each block `extract_blocks` keeps, in its order: the span and the
+    enclosing method's name, start and line count, found as the block lookup
+    did before the stack of open method bodies, by checking every brace pair."""
+    stack, pairs = [], []
+    for idx, t in enumerate(lex):
+        if t.kind == "punct" and t.text == "{":
+            stack.append(idx)
+        elif t.kind == "punct" and t.text == "}" and stack:
+            pairs.append((stack.pop(), idx))
+    pairs.sort()
+    headers = {o: _header_start(lex, o) for o, _ in pairs}
+    names = {o: _method_name(lex, o, headers[o]) for o, _ in pairs}
+    spans = {
+        o: (lex[headers[o]].line if headers[o] < o else lex[o].line, lex[c].line)
+        for o, c in pairs
+    }
+    rows = []
+    for o, c in pairs:
+        method_open = None
+        if names[o] is not None:
+            method_open = o
+        else:
+            for po, pc in pairs:
+                if po < o and pc > c and names[po] is not None:
+                    if method_open is None or po > method_open:
+                        method_open = po
+        if not any(t.kind != "punct" for t in lex[headers[o] : c + 1]):
+            continue
+        m = (None, None, None)
+        if method_open is not None:
+            m_start, m_end = spans[method_open]
+            m = (names[method_open], m_start, m_end - m_start + 1)
+        rows.append((*spans[o], *m))
+    rows.sort(key=lambda r: r[:2])
+    return rows
+
+
+def _methods_file(n_methods: int) -> str:
+    body = "".join(
+        f"  int m{i}(int x) throws E {{\n"
+        f"    if (x > {i}) {{ x = x - 1; }} else {{ x = x + 1; }}\n"
+        f"    return x;\n  }}\n"
+        for i in range(n_methods)
+    )
+    return "class Big {\n" + body + "}\n"
+
+
+class TestEnclosingMethod:
+    def test_matches_all_pairs_lookup_on_random_streams(self):
+        pieces = ["{", "}", "(", ")", ";", "f", "g(x)", "new", "throws E", "x", ",",
+                  ".", "int", "\n", "\n", "f() {", "if (x) {", "new R() {"]
+        rng = random.Random(41)
+        for _ in range(400):
+            source = " ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 120)))
+            lex = scan(source)
+            got = [
+                (b.start_line, b.end_line, b.enclosing_method_name,
+                 b.enclosing_method_start, b.enclosing_method_line_count)
+                for b in extract_blocks(lex, "A.java")
+            ]
+            assert got == _enclosing_by_all_pairs(lex), source
+
+    def test_linear_in_brace_pairs(self):
+        lex = scan(_methods_file(5000))
+        assert lex[-1].line == 20002
+        start = time.perf_counter()
+        blocks = extract_blocks(lex, "Big.java")
+        elapsed = time.perf_counter() - start
+        assert len(blocks) == 3 * 5000 + 1
+        assert blocks[-1].enclosing_method_name == "m4999"
+        assert elapsed < 2.0, f"extract_blocks took {elapsed:.2f}s on 20,000 lines"
 
 
 def _block(texts, path="A.java", start=1, span=8) -> CodeBlock:
@@ -314,6 +396,176 @@ class TestDetectClones:
         first = [g.group_id for g in detect_clones(corpus)]
         second = [g.group_id for g in detect_clones(corpus)]
         assert first == second
+
+
+def all_pairs_detect_clones(
+    blocks, min_tokens=30, min_lines=6, theta=0.8, version=0, conjunctive=False
+):
+    """`detect_clones` as it was before the prefix-filtered index, kept as the
+    oracle: every pair of qualified blocks that passes the size filter is
+    checked. Returns the groups and the key pairs found at or above theta."""
+    if conjunctive:
+        qualified = [b for b in blocks if len(b.tokens) >= min_tokens and b.line_span >= min_lines]
+    else:
+        qualified = [b for b in blocks if len(b.tokens) >= min_tokens or b.line_span >= min_lines]
+    qualified.sort(key=lambda b: b.key)
+
+    parent = list(range(len(qualified)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = set()
+    for i in range(len(qualified)):
+        size_i = len(qualified[i].tokens)
+        for j in range(i + 1, len(qualified)):
+            size_j = len(qualified[j].tokens)
+            if min(size_i, size_j) < theta * max(size_i, size_j):
+                continue
+            if similarity(qualified[i], qualified[j]) >= theta:
+                parent[find(i)] = find(j)
+                edges.add(frozenset((qualified[i].key, qualified[j].key)))
+
+    components: dict[int, list[CodeBlock]] = {}
+    for i, block in enumerate(qualified):
+        components.setdefault(find(i), []).append(block)
+
+    groups = []
+    for members in components.values():
+        members = _drop_nested(members)
+        if len(members) < 2:
+            continue
+        members.sort(key=lambda b: b.key)
+        digest = hashlib.sha1(
+            "|".join(
+                [str(version)] + [f"{b.path}:{b.start_line}-{b.end_line}" for b in members]
+            ).encode()
+        ).hexdigest()[:12]
+        groups.append(CloneGroup(version=version, members=tuple(members), group_id=digest))
+    groups.sort(key=lambda g: g.members[0].key)
+    return groups, edges
+
+
+def _hit_pairs(monkeypatch, blocks, **kwargs) -> tuple[list[CloneGroup], set]:
+    """Groups of `detect_clones` and the block pairs it confirmed at theta."""
+    theta, hits = kwargs["theta"], set()
+
+    def recording(a, b):
+        value = overlap(a.token_bag, b.token_bag)
+        if value >= theta:
+            hits.add(frozenset((a.key, b.key)))
+        return value
+
+    monkeypatch.setattr(clone_detector, "similarity", recording)
+    return detect_clones(blocks, **kwargs), hits
+
+
+def _family_corpus(rng: random.Random, n_blocks: int) -> list[CodeBlock]:
+    """Blocks drawn as edited copies of a few base bags over a vocabulary of 3 to
+    300 tokens, some with one token repeated dozens of times, sized 1 to 200,
+    with spans that overlap and nest inside a file."""
+    vocab = [f"v{i}" for i in range(rng.randrange(3, 301))]
+    bases = []
+    for _ in range(rng.randrange(1, 8)):
+        texts = [rng.choice(vocab) for _ in range(rng.choice([1, 2, 5, 20, 60, 200]))]
+        if rng.random() < 0.4:
+            texts += [vocab[0]] * rng.randrange(12, 60)
+        bases.append(texts)
+    blocks = []
+    for i in range(n_blocks):
+        texts = list(rng.choice(bases))
+        for _ in range(rng.choice([0, 0, 1, 2, 4, 10])):
+            edit = rng.random()
+            if edit < 0.4 and len(texts) > 1:
+                texts.pop(rng.randrange(len(texts)))
+            elif edit < 0.7:
+                texts.append(rng.choice(vocab))
+            else:
+                texts[rng.randrange(len(texts))] = rng.choice(vocab)
+        rng.shuffle(texts)
+        texts = texts[:200]
+        blocks.append(
+            _block(texts, path=f"f{i % 3}.java", start=1 + 4 * i, span=rng.randrange(1, 14))
+        )
+    return blocks
+
+
+class TestFilteredDetectorOracle:
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8, 0.9, 1.0])
+    @pytest.mark.parametrize("conjunctive", [False, True])
+    def test_matches_all_pairs_detector(self, monkeypatch, theta, conjunctive):
+        rng = random.Random(int(theta * 10) + 100 * conjunctive)
+        found = 0
+        for _ in range(12):
+            corpus = _family_corpus(rng, rng.randrange(2, 90))
+            kwargs = dict(
+                min_tokens=rng.choice([1, 5, 30]),
+                min_lines=rng.choice([1, 4, 6]),
+                theta=theta,
+                conjunctive=conjunctive,
+                version=rng.randrange(5),
+            )
+            expected, edges = all_pairs_detect_clones(corpus, **kwargs)
+            groups, hits = _hit_pairs(monkeypatch, corpus, **kwargs)
+            assert hits == edges
+            assert [(g.group_id, g.members) for g in groups] == [
+                (g.group_id, g.members) for g in expected
+            ]
+            found += len(groups)
+        assert found > 0
+
+    def test_pair_sharing_only_the_most_frequent_token(self):
+        # "hot" is in every block, so it sorts last; the pair shares nothing else
+        others = [_block(["hot", f"u{i}", f"w{i}"], path="B.java", start=1 + 10 * i)
+                  for i in range(20)]
+        a = _block(["hot"] * 9 + ["a"], path="A.java", start=1)
+        b = _block(["hot"] * 9 + ["b"], path="A.java", start=101)
+        assert similarity(a, b) == 0.9
+        groups = detect_clones([a, b, *others], min_tokens=1, min_lines=1, theta=0.9)
+        assert [[m.key for m in g.members] for g in groups] == [[a.key, b.key]]
+
+
+class TestDetectThresholdBoundaries:
+    @staticmethod
+    def _grouped(a_texts, b_texts, theta) -> bool:
+        a = _block(a_texts, start=1)
+        b = _block(b_texts, start=101)
+        return len(detect_clones([a, b], theta=theta)) == 1
+
+    def test_shared_count_at_theta_0_8(self):
+        base = [f"t{i}" for i in range(30)]
+        assert 24 / 30 >= 0.8 and 23 / 30 < 0.8
+        assert self._grouped(base, base[:24] + [f"x{i}" for i in range(6)], 0.8)
+        assert not self._grouped(base, base[:23] + [f"x{i}" for i in range(7)], 0.8)
+        assert self._grouped(base[:5], base[:4] + ["x"], 0.8)
+
+    def test_shared_count_below_a_rounded_up_bound(self):
+        # 0.28 * 25 rounds up past 7, yet 7 shared of 25 passes; the shared
+        # tokens sort after the 18 each block holds alone
+        assert 0.28 * 25 > 7 and 7 / 25 >= 0.28
+        shared = [f"s{i}" for i in range(7)]
+        a = [f"a{i}" for i in range(18)] + shared
+        b = [f"b{i}" for i in range(18)] + shared
+        assert self._grouped(a, b, 0.28)
+
+    def test_identical_bags_only_at_theta_1(self):
+        bag = ["a", "a", "a", "b", "c"]
+        assert self._grouped(bag, list(reversed(bag)), 1.0)
+        assert not self._grouped(bag, bag + ["c"], 1.0)
+        assert not self._grouped(bag, ["a", "a", "b", "b", "c"], 1.0)
+
+    def test_one_token_twin_at_theta_0_3(self):
+        assert self._grouped(["x"], ["x"], 0.3)
+        assert not self._grouped(["x"], ["y"], 0.3)
+
+
+def test_builtin_sha1_names_groups_as_hashlib_does():
+    for text in ("0|A.java:1-8|B.java:101-108", "12|p/é.java:3-40", ""):
+        data = text.encode()
+        assert _sha1.sha1(data).hexdigest() == hashlib.sha1(data).hexdigest()
 
 
 class TestInvokedNames:
