@@ -1,7 +1,8 @@
 """On-disk formats: line-delimited structured text, one versioned header line
 per file (`crec-format v1 <kind>`), then JSON or CSV rows or, for the config
-file, `key = value` lines. Each JSON row is rebuilt from the field types of its
-dataclass (`_decode`). Round-trips are lossless and byte-deterministic.
+file, `key = value` lines. A JSON row holds the fields of one record type
+(`_write_rows`, `_decode`); every CSV table goes through one formatter and one
+parser (`_csv_lines`, `_csv_rows`). Round-trips are lossless and byte-deterministic.
 
 The feature, label and model formats import the modules that define their
 rows only when they are read or written, so a stage that never touches them
@@ -13,7 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from types import UnionType
 from typing import TYPE_CHECKING, Union, get_args, get_origin, get_type_hints
@@ -23,6 +24,7 @@ from .errors import ConfigError, FormatVersionMismatch, MissingInput, ParseError
 from .repo_miner import CommitRecord, SampledVersion
 
 if TYPE_CHECKING:
+    from .clone_detector import CloneGroup
     from .features import FeatureRow
     from .genealogy import Lineage
     from .labeler import LabelDecision
@@ -32,7 +34,8 @@ FORMAT_VERSION = "v1"
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact JSON with sorted keys; a frozenset is written as its sorted list."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=sorted)
 
 
 def write_artifact(path: str | Path, kind: str, lines: list[str]) -> None:
@@ -123,6 +126,33 @@ def _read_rows(path: str | Path, kind: str, build) -> list:
     return out
 
 
+def _write_rows(path: str | Path, kind: str, records, row=asdict) -> None:
+    """Write a *kind* artifact of one JSON row per record, the dict ``row(record)``."""
+    write_artifact(path, kind, [_dumps(row(record)) for record in records])
+
+
+def _csv_lines(header: str, rows) -> list[str]:
+    """*header*, then one line per row: a float cell as its repr, any other as str."""
+    cells = (",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return [header, *cells]
+
+
+def _csv_rows(path, kind: str, header: str):
+    """(line number, cells) of each non-blank row of a *kind* table; ParseError
+    for a missing or wrong *header* line or a row without its column count."""
+    lines = read_artifact(path, kind)
+    if not lines or lines[0] != header:
+        raise ParseError(f"missing or wrong {kind} header row", 2)
+    columns = header.count(",") + 1
+    for lineno, line in enumerate(lines[1:], 3):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != columns:
+            raise ParseError(f"expected {columns} columns, found {len(cells)}", lineno)
+        yield lineno, cells
+
+
 # -- config file --------------------------------------------------------------
 
 
@@ -147,16 +177,15 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def write_commits(path, commits: list[CommitRecord]) -> None:
-    rows = [{**asdict(c), "changed_files": sorted(c.changed_files)} for c in commits]
-    write_artifact(path, "commits", [_dumps(row) for row in rows])
+    _write_rows(path, "commits", commits)
 
 
 def read_commits(path) -> list[CommitRecord]:
-    return _read_rows(path, "commits", lambda d: _decode(CommitRecord, d))
+    return _read_rows(path, "commits", partial(_decode, CommitRecord))
 
 
 def write_samples(path, samples: list[SampledVersion]) -> None:
-    write_artifact(path, "samples", [_dumps(asdict(s)) for s in samples])
+    _write_rows(path, "samples", samples)
 
 
 def read_samples(path) -> list[SampledVersion]:
@@ -176,33 +205,31 @@ def read_samples(path) -> list[SampledVersion]:
 
 
 @dataclass(frozen=True)
+class MemberRecord:
+    path: str
+    start: int
+    end: int
+    tokens: int  # token count
+
+
+@dataclass(frozen=True)
 class GroupRecord:
     version: int
     group_id: str
-    members: tuple[tuple[str, int, int, int], ...]  # (path, start, end, token count)
+    members: tuple[MemberRecord, ...]
+
+    @classmethod
+    def of(cls, g: CloneGroup) -> GroupRecord:
+        members = (MemberRecord(b.path, b.start_line, b.end_line, len(b.tokens)) for b in g.members)
+        return cls(g.version, g.group_id, tuple(members))
 
 
-def write_groups(path, groups) -> None:
-    rows = [
-        {
-            "version": g.version,
-            "group_id": g.group_id,
-            "members": [
-                {"path": b.path, "start": b.start_line, "end": b.end_line, "tokens": len(b.tokens)}
-                for b in g.members
-            ],
-        }
-        for g in groups
-    ]
-    write_artifact(path, "clones", [_dumps(row) for row in rows])
+def write_groups(path, groups: list[GroupRecord]) -> None:
+    _write_rows(path, "clones", groups)
 
 
 def read_groups(path) -> list[GroupRecord]:
-    def group(d: dict) -> GroupRecord:
-        members = [[m["path"], m["start"], m["end"], m["tokens"]] for m in d["members"]]
-        return _decode(GroupRecord, {**d, "members": members})
-
-    return _read_rows(path, "clones", group)
+    return _read_rows(path, "clones", partial(_decode, GroupRecord))
 
 
 # -- lineages -----------------------------------------------------------------
@@ -214,37 +241,27 @@ class LineageRecord:
     end_state: str
     groups: tuple[tuple[int, str], ...]  # (version, group_id)
 
+    @classmethod
+    def of(cls, lin: Lineage) -> LineageRecord:
+        return cls(lin.lineage_id, lin.end_state, tuple((v, g.group_id) for v, g in lin.groups))
 
-def write_lineages(path, lineages: list[Lineage]) -> None:
-    rows = [
-        {
-            "lineage_id": lin.lineage_id,
-            "end_state": lin.end_state,
-            "groups": [[v, g.group_id] for v, g in lin.groups],
-        }
-        for lin in lineages
-    ]
-    write_artifact(path, "lineages", [_dumps(row) for row in rows])
+
+def write_lineages(path, lineages: list[LineageRecord]) -> None:
+    _write_rows(path, "lineages", lineages)
 
 
 def read_lineages(path) -> list[LineageRecord]:
-    return _read_rows(path, "lineages", lambda d: _decode(LineageRecord, d))
+    return _read_rows(path, "lineages", partial(_decode, LineageRecord))
 
 
 # -- labels and the threshold sweep -------------------------------------------
 
 
 def write_labels(path, decisions: list[LabelDecision]) -> None:
-    rows = [
-        {
-            "lineage_id": d.lineage_id,
-            "label": d.label,
-            "step": d.step_version,
-            "evidence": d.evidence,
-        }
-        for d in decisions
-    ]
-    write_artifact(path, "labels", [_dumps(row) for row in rows])
+    """One row per decision, its `step_version` saved under the key `step`."""
+    _write_rows(path, "labels", decisions, lambda d: {
+        ("step" if k == "step_version" else k): v for k, v in asdict(d).items()
+    })
 
 
 def read_labels(path) -> list[LabelDecision]:
@@ -256,8 +273,7 @@ def read_labels(path) -> list[LabelDecision]:
 
 
 def write_sweep(path, rows: list[tuple[float, int]]) -> None:
-    lines = [_dumps({"threshold": th, "reported": count}) for th, count in rows]
-    write_artifact(path, "label-sweep", lines)
+    _write_rows(path, "label-sweep", rows, lambda r: {"threshold": r[0], "reported": r[1]})
 
 
 # -- feature table ------------------------------------------------------------
@@ -266,44 +282,24 @@ def write_sweep(path, rows: list[tuple[float, int]]) -> None:
 def _feature_header() -> str:
     from .features import FEATURES
 
-    return ",".join(
-        ["lineage_id", "version", *(f"F{num}" for num in range(1, len(FEATURES) + 1)), "label"]
-    )
+    return "lineage_id,version," + ",".join(f"F{n}" for n, _ in enumerate(FEATURES, 1)) + ",label"
 
 
 def write_features(path, rows: list[FeatureRow]) -> None:
-    lines = [_feature_header()]
-    for row in rows:
-        label = "" if row.label is None else str(row.label)
-        lines.append(",".join([row.lineage_id, str(row.version), *map(repr, row.values), label]))
-    write_artifact(path, "features", lines)
+    cells = [(r.lineage_id, r.version, *r.values, "" if r.label is None else r.label) for r in rows]
+    write_table(path, "features", _feature_header(), cells)
 
 
 def read_features(path) -> list[FeatureRow]:
     from .features import FeatureRow
 
-    header = _feature_header()
-    columns = header.count(",") + 1
-    lines = read_artifact(path, "features")
-    if not lines or lines[0] != header:
-        raise ParseError("missing or wrong feature header row", 2)
     out = []
-    for lineno, line in enumerate(lines[1:], 3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != columns:
-            raise ParseError(f"expected {columns} columns, found {len(parts)}", lineno)
-        lineage_id, version, *values, label = parts
+    for lineno, (lineage, version, *cells, label) in _csv_rows(path, "features", _feature_header()):
         if label not in ("", "0", "1"):
             raise ParseError(f"label must be 0, 1 or empty, got {label!r}", lineno)
         try:
-            row = FeatureRow(
-                lineage_id,
-                int(version),
-                tuple(float(v) for v in values),
-                int(label) if label else None,
-            )
+            values = tuple(map(float, cells))
+            row = FeatureRow(lineage, int(version), values, int(label) if label else None)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
         for num, value in enumerate(row.values, 1):
@@ -327,7 +323,7 @@ def model_to_dict(model) -> dict:
 
 
 def write_model(path, model) -> None:
-    write_artifact(path, "model", [_dumps(model_to_dict(model))])
+    _write_rows(path, "model", [model], model_to_dict)
 
 
 def read_model(path):
@@ -346,40 +342,34 @@ def read_model(path):
     return models[0]
 
 
+_RECOMMENDATIONS_HEADER = "group_id,likelihood"
+
+
 def write_recommendations(path, ranked: list[tuple[str, float]]) -> None:
-    lines = ["group_id,likelihood"] + [f"{gid},{repr(lik)}" for gid, lik in ranked]
-    write_artifact(path, "recommendations", lines)
+    write_table(path, "recommendations", _RECOMMENDATIONS_HEADER, ranked)
 
 
 def read_recommendations(path) -> list[tuple[str, float]]:
-    lines = read_artifact(path, "recommendations")
-    if not lines or lines[0] != "group_id,likelihood":
-        raise ParseError("missing recommendations header row", 2)
+    """The ranked (group id, likelihood) rows; a likelihood lies in [0, 1]."""
     out = []
-    for lineno, line in enumerate(lines[1:], 3):
-        if not line.strip():
-            continue
-        gid, _, lik = line.partition(",")
+    for lineno, (gid, lik) in _csv_rows(path, "recommendations", _RECOMMENDATIONS_HEADER):
         try:
-            out.append((gid, float(lik)))
+            likelihood = float(lik)
         except ValueError:
-            raise ParseError(f"bad likelihood: {lik!r}", lineno) from None
+            likelihood = math.nan
+        if not 0.0 <= likelihood <= 1.0:
+            raise ParseError(f"likelihood {lik!r} is not a number in [0, 1]", lineno)
+        out.append((gid, likelihood))
     return out
 
 
 def write_report(path, report) -> None:
     meta = {key: getattr(report, key) for key in ("setting", "metric_mode", "config_digest")}
-    lines = [_dumps(meta), "name,precision,recall,fscore,flags"]
-    for row in report.rows:
-        flags = ";".join(row.flags)
-        lines.append(f"{row.name},{row.precision!r},{row.recall!r},{row.fscore!r},{flags}")
-    avg_p, avg_r, avg_f = report.averages
-    lines.append(f"Average,{repr(avg_p)},{repr(avg_r)},{repr(avg_f)},")
-    write_artifact(path, "report", lines)
+    rows = [(r.name, r.precision, r.recall, r.fscore, ";".join(r.flags)) for r in report.rows]
+    rows.append(("Average", *report.averages, ""))
+    table = _csv_lines("name,precision,recall,fscore,flags", rows)
+    write_artifact(path, "report", [_dumps(meta), *table])
 
 
 def write_table(path, kind: str, header: str, rows: list[tuple]) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    write_artifact(path, kind, lines)
+    write_artifact(path, kind, _csv_lines(header, rows))

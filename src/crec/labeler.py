@@ -22,7 +22,6 @@ class ExtractedMethodCandidate:
     declaring_path: str
     start_line: int
     end_line: int
-    first_version: int
     body_tokens: tuple[str, ...]  # multiset, canonically sorted
 
 
@@ -72,7 +71,6 @@ class LabelContext:
                             declaring_path=path,
                             start_line=block.start_line,
                             end_line=block.end_line,
-                            first_version=version,
                             body_tokens=tuple(sorted(body.elements())),
                         )
                     )

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import artifacts
-from .artifacts import GroupRecord
+from .artifacts import GroupRecord, LineageRecord
 from .clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
 from .config import PipelineConfig
 from .errors import ConfigError, DegenerateData, MissingInput
@@ -148,12 +148,13 @@ def materialize_groups(
                 "list; artifacts are stale (re-run mine + detect)"
             )
         members = []
-        for path, start, end, _ in rec.members:
-            block = vdata.blocks(rec.version).get((path, start, end))
-            if block is None:
+        for m in rec.members:
+            block = vdata.blocks(rec.version).get((m.path, m.start, m.end))
+            if block is None or len(block.tokens) != m.tokens:
+                found = "not found" if block is None else f"lexed to {len(block.tokens)} tokens"
                 raise MissingInput(
-                    f"block {path}:{start}-{end} not found at version {rec.version}; "
-                    "clones file is stale (re-run detect)"
+                    f"block {m.path}:{m.start}-{m.end} of {m.tokens} tokens {found} at version "
+                    f"{rec.version}; clones file is stale (re-run detect)"
                 )
             members.append(block)
         per_version[rec.version].append(
@@ -172,9 +173,7 @@ def _rebuild_lineages(
     groups = materialize_groups(vdata, records, version_count)
     lineages = build_genealogies(groups, config.link_floor)
     expected = {r.lineage_id: r.groups for r in lineage_records}
-    rebuilt = {
-        l.lineage_id: tuple((v, g.group_id) for v, g in l.groups) for l in lineages
-    }
+    rebuilt = {r.lineage_id: r.groups for r in map(LineageRecord.of, lineages)}
     if expected != rebuilt:
         raise MissingInput("lineages file does not match clones file (re-run genealogy)")
     return lineages
@@ -208,7 +207,7 @@ def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) ->
                     version=s.index,
                 )
             )
-    artifacts.write_groups(_path(out_dir, "clones"), all_groups)
+    artifacts.write_groups(_path(out_dir, "clones"), [GroupRecord.of(g) for g in all_groups])
     return f"detect: {len(all_groups)} clone groups over {len(samples)} versions -> {_path(out_dir, 'clones')}"
 
 
@@ -220,7 +219,7 @@ def stage_genealogy(config: PipelineConfig, repo_path: str, out_dir: str | Path)
     with Repository(repo_path) as repo:
         groups = materialize_groups(VersionData(repo, samples), records, len(samples))
     lineages = build_genealogies(groups, config.link_floor)
-    artifacts.write_lineages(_path(out_dir, "lineages"), lineages)
+    artifacts.write_lineages(_path(out_dir, "lineages"), [LineageRecord.of(l) for l in lineages])
     return f"genealogy: {len(lineages)} lineages -> {_path(out_dir, 'lineages')}"
 
 
@@ -350,12 +349,21 @@ def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
         rec.lineage_id: dict(rec.groups) for rec in lineage_records
     }
     candidates = []
+    stale = "features file is stale (re-run featurize)"
     for row in rows:
+        if row.lineage_id not in group_at:
+            raise MissingInput(
+                f"features file names lineage {row.lineage_id}, which the lineages file "
+                f"lacks; {stale}"
+            )
         if row.version != final:
             continue
-        group_id = group_at.get(row.lineage_id, {}).get(final)
+        group_id = group_at[row.lineage_id].get(final)
         if group_id is None:
-            continue
+            raise MissingInput(
+                f"{row.lineage_id} has a feature row at version {final}, where the lineages "
+                f"file gives it no group; {stale}"
+            )
         candidates.append((group_id, row.values))
     ranked = recommend(model, candidates, config.recommend_threshold)
     artifacts.write_recommendations(_path(out_dir, "recommendations"), ranked)
@@ -386,17 +394,24 @@ def _load_projects(
 def _project_names(feature_paths: list[str]) -> list[str]:
     """Each file's shortest trailing path part, suffix dropped, that no other
     file shares: `a.csv` and `b.csv` give `a` and `b`, `p1/features.csv` and
-    `p2/features.csv` give `p1/features` and `p2/features`."""
+    `p2/features.csv` give `p1/features` and `p2/features`. A name is a cell of
+    the report's CSV rows, so it may hold no comma or line break."""
     parts = [(Path(p).parent / Path(p).stem).parts for p in feature_paths]
     names = []
     for i, own in enumerate(parts):
         others = parts[:i] + parts[i + 1 :]
         if own in others:
-            raise ConfigError(f"two feature files share the name {Path(*own).as_posix()}")
+            raise ConfigError(f"two feature files share the name {Path(*own).as_posix()!r}")
         k = 1
         while any(other[-k:] == own[-k:] for other in others):
             k += 1
-        names.append(Path(*own[-k:]).as_posix())
+        name = Path(*own[-k:]).as_posix()
+        if any(c in name for c in ",\n\r"):
+            raise ConfigError(
+                f"feature file {feature_paths[i]!r} gives the project name {name!r}, which holds "
+                "a comma or line break; rename the file or its directory"
+            )
+        names.append(name)
     return names
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,9 +14,11 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 
+from clone_fixtures import commit_corpora, end_to_end_corpora
 from conftest import feature_row, read_sweep, save_config
 from crec import artifacts
-from crec.artifacts import load_config, model_to_dict
+from crec.artifacts import GroupRecord, LineageRecord, MemberRecord, load_config, model_to_dict
+from crec.cli import main
 from crec.clone_detector import CloneGroup, CodeBlock, Token
 from crec.config import PipelineConfig
 from crec.errors import ConfigError, FormatVersionMismatch, ParseError
@@ -60,17 +63,20 @@ class TestRoundTrips:
             CloneGroup(1, (_block("C.java", 10), _block("D.java", 20)), "gid2"),
         ]
         path = tmp_path / "clones.txt"
-        artifacts.write_groups(path, groups)
+        artifacts.write_groups(path, [GroupRecord.of(g) for g in groups])
         records = artifacts.read_groups(path)
         assert [r.group_id for r in records] == ["gid1", "gid2"]
-        assert records[0].members == (("A.java", 1, 8, 35), ("B.java", 1, 8, 35))
+        assert records[0].members == (
+            MemberRecord("A.java", 1, 8, 35),
+            MemberRecord("B.java", 1, 8, 35),
+        )
 
     def test_lineages(self, tmp_path):
         g0 = CloneGroup(0, (_block(),), "g0")
         g1 = CloneGroup(1, (_block(),), "g1")
         lin = Lineage("lin-0-g0", [(0, g0), (1, g1)], [[]], "alive_at_last_version")
         path = tmp_path / "lineages.txt"
-        artifacts.write_lineages(path, [lin])
+        artifacts.write_lineages(path, [LineageRecord.of(lin)])
         records = artifacts.read_lineages(path)
         assert records[0].lineage_id == "lin-0-g0"
         assert records[0].groups == ((0, "g0"), (1, "g1"))
@@ -128,6 +134,43 @@ class TestRoundTrips:
         path = tmp_path / "recs.csv"
         artifacts.write_recommendations(path, ranked)
         assert artifacts.read_recommendations(path) == ranked
+
+
+class TestRewriteBytes:
+    # each artifact kind with a reader: (file, reader, writer)
+    KINDS = [
+        ("commits.txt", artifacts.read_commits, artifacts.write_commits),
+        ("samples.txt", artifacts.read_samples, artifacts.write_samples),
+        ("clones.txt", artifacts.read_groups, artifacts.write_groups),
+        ("lineages.txt", artifacts.read_lineages, artifacts.write_lineages),
+        ("labels.txt", artifacts.read_labels, artifacts.write_labels),
+        ("features.csv", artifacts.read_features, artifacts.write_features),
+        ("model.txt", artifacts.read_model, artifacts.write_model),
+        ("recommendations.csv", artifacts.read_recommendations, artifacts.write_recommendations),
+    ]
+
+    def test_every_artifact_rewrites_to_its_own_bytes(self, make_repo, tmp_path):
+        rb = make_repo("rewrite")
+        commit_corpora(rb, end_to_end_corpora())
+        out = tmp_path / "out"
+        for stage in ("mine", "detect", "genealogy", "label", "featurize"):
+            assert main([stage, "--repo", str(rb.path), "--out", str(out), "--delta-threshold", "1"]) == 0
+        assert main(["train", "--out", str(out)]) == 0
+        # a stump above -Infinity votes 1 on every row, so each current group is ranked
+        model = artifacts.read_model(out / "model.txt")
+        stump = dataclasses.replace(model.stumps[0], threshold=float("-inf"), polarity="gt")
+        artifacts.write_model(out / "model.txt", dataclasses.replace(model, stumps=[stump]))
+        assert main(["recommend", "--out", str(out)]) == 0
+
+        assert '"threshold":-Infinity' in (out / "model.txt").read_text()
+        commits = artifacts.read_commits(out / "commits.txt")
+        assert any(len(c.changed_files) >= 2 for c in commits)
+        assert artifacts.read_recommendations(out / "recommendations.csv")
+        assert {p.name for p in out.iterdir()} == {name for name, _, _ in self.KINDS}
+        for name, read, write in self.KINDS:
+            before = (out / name).read_bytes()
+            write(out / name, read(out / name))
+            assert (out / name).read_bytes() == before, name
 
 
 def _pinned_dataset() -> list[FeatureRow]:
@@ -221,6 +264,25 @@ class TestFormatGuards:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"line 4: F3={value} not finite"):
             artifacts.read_features(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("g1,nan", "likelihood 'nan' is not a number in [0, 1]"),
+            ("g1,inf", "likelihood 'inf' is not a number in [0, 1]"),
+            ("g1,1.5", "likelihood '1.5' is not a number in [0, 1]"),
+            ("g1,-0.25", "likelihood '-0.25' is not a number in [0, 1]"),
+            ("g1,high", "likelihood 'high' is not a number in [0, 1]"),
+            ("g1,0.5,x", "expected 2 columns, found 3"),
+            ("g1", "expected 2 columns, found 1"),
+        ],
+    )
+    def test_recommendation_row_checked(self, tmp_path, row, message):
+        path = tmp_path / "recommendations.csv"
+        artifacts.write_recommendations(path, [("g0", 1.0)])
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ParseError, match=f"^line 4: {re.escape(message)}$"):
+            artifacts.read_recommendations(path)
 
     def test_missing_json_field_named(self, tmp_path):
         path = tmp_path / "samples.txt"

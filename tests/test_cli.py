@@ -17,6 +17,7 @@ import pytest
 from clone_fixtures import commit_corpora, end_to_end_corpora
 from conftest import feature_row, read_sweep, save_config
 from crec import artifacts
+from crec.artifacts import LineageRecord
 from crec.cli import build_parser, main, resolve_config
 from crec.config import PipelineConfig
 from crec.learner import train_alt
@@ -219,28 +220,14 @@ class TestRecommendStage:
     def test_ranked_table_from_synthetic_artifacts(self, tmp_path):
         out = tmp_path
         artifacts.write_samples(out / "samples.txt", [SampledVersion(0, "c0", 0), SampledVersion(1, "c1", 50)])
-        from crec.clone_detector import CloneGroup
-
-        # lineage records only need (version, group_id) pairs
-        class _Stub:
-            def __init__(self, lineage_id, groups):
-                self.lineage_id = lineage_id
-                self.end_state = "alive_at_last_version"
-                self.groups = groups
-
-        stub_groups = [
-            _Stub("lin-a", [(0, "gA0"), (1, "gA1")]),
-            _Stub("lin-b", [(0, "gB0"), (1, "gB1")]),
-        ]
-        lines = [
-            json.dumps(
-                {"lineage_id": s.lineage_id, "end_state": s.end_state, "groups": [list(g) for g in s.groups]},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for s in stub_groups
-        ]
-        artifacts.write_artifact(out / "lineages.txt", "lineages", lines)
+        artifacts.write_lineages(
+            out / "lineages.txt",
+            [
+                LineageRecord("lin-a", "alive_at_last_version", ((0, "gA0"), (1, "gA1"))),
+                LineageRecord("lin-b", "alive_at_last_version", ((0, "gB0"), (1, "gB1"))),
+                LineageRecord("lin-c", "dissolved", ((0, "gC0"),)),
+            ],
+        )
 
         artifacts.write_features(
             out / "features.csv",
@@ -255,6 +242,36 @@ class TestRecommendStage:
         assert _run("recommend", "--out", str(out)) == 0
         ranked = artifacts.read_recommendations(out / "recommendations.csv")
         assert ranked == [("gA1", 1.0)]
+
+
+    @pytest.mark.parametrize("edit", ["line-deleted", "final-group-dropped"])
+    def test_stale_features_rejected(self, make_repo, tmp_path, capsys, edit):
+        """A final-version feature row whose lineage lineages.txt lacks, or gives
+        no group at the final version, means lineages.txt changed after featurize."""
+        rb = make_repo("stale")
+        commit_corpora(rb, end_to_end_corpora())
+        out = tmp_path / "out"
+        for stage in ("mine", "detect", "genealogy", "label", "featurize"):
+            assert _run(stage, *_pipeline_args(rb.path, out)) == 0
+        assert _run("train", "--out", str(out)) == 0
+        final = len(artifacts.read_samples(out / "samples.txt")) - 1
+        rows = artifacts.read_features(out / "features.csv")
+        stale = next(r.lineage_id for r in rows if r.version == final)
+        records = artifacts.read_lineages(out / "lineages.txt")
+        if edit == "line-deleted":
+            records = [r for r in records if r.lineage_id != stale]
+        else:
+            records = [
+                LineageRecord(r.lineage_id, "dissolved", r.groups[:-1]) if r.lineage_id == stale else r
+                for r in records
+            ]
+        artifacts.write_lineages(out / "lineages.txt", records)
+        capsys.readouterr()
+        assert _run("recommend", "--out", str(out)) == 1
+        err = _one_error_line(capsys)
+        assert err.startswith("error: MissingInput: ")
+        assert stale in err and "features file is stale (re-run featurize)" in err
+        assert not (out / "recommendations.csv").exists()
 
 
 def _write_project(path: Path, n: int = 20) -> None:
@@ -326,6 +343,38 @@ class TestEvaluationCommands:
         )
         assert code == 1
         assert _one_error_line(capsys).startswith("error: ConfigError:")
+
+    @pytest.mark.parametrize("directory", ["a,b", "a\nb", "a\rb"], ids=["comma", "LF", "CR"])
+    def test_project_name_that_breaks_a_report_row_rejected(self, tmp_path, capsys, directory):
+        paths = [tmp_path / directory / "features.csv", tmp_path / "c" / "features.csv"]
+        for path in paths:
+            path.parent.mkdir()
+            _write_project(path)
+        out = tmp_path / "out"
+        code = _run(
+            "evaluate",
+            "--features", *map(str, paths),
+            "--setting", "cross",
+            "--out", str(out),
+        )
+        assert code == 1
+        err = _one_error_line(capsys)
+        assert err.startswith("error: ConfigError: feature file ")
+        assert repr(str(paths[0])) in err
+        assert not (out / "report.txt").exists()
+
+    def test_same_file_twice_named_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "a\nb" / "features.csv"
+        path.parent.mkdir()
+        _write_project(path)
+        code = _run(
+            "evaluate",
+            "--features", str(path), str(path),
+            "--setting", "cross",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert _one_error_line(capsys).startswith("error: ConfigError: two feature files share")
 
     def test_ablate_writes_six_variants(self, tmp_path):
         p1 = tmp_path / "p1.csv"

@@ -84,7 +84,6 @@ def _candidate(name="extracted", path="Helper.java"):
         declaring_path=path,
         start_line=3,
         end_line=8,
-        first_version=1,
         body_tokens=tuple(sorted(["int", "b", "a", "b"])),
     )
 

@@ -121,10 +121,28 @@ class TestStaleArtifactGuards:
         moved = artifacts.GroupRecord(
             rec.version,
             rec.group_id,
-            tuple((p, s + 500, e + 500, t) for p, s, e, t in rec.members),
+            tuple(
+                artifacts.MemberRecord(m.path, m.start + 500, m.end + 500, m.tokens)
+                for m in rec.members
+            ),
         )
         with pytest.raises(MissingInput):
             pipeline.materialize_groups(vdata, [moved], len(samples))
+
+    def test_changed_token_count_rejected_by_genealogy(self, staged, capsys):
+        """A clones file whose token counts another lexer wrote is stale, even
+        where every block still starts and ends on the recorded lines."""
+        config, repo_path, out = staged
+        path = out / "clones.txt"
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        rows[0]["members"][0]["tokens"] += 1
+        artifacts.write_artifact(path, "clones", [json.dumps(row) for row in rows])
+        capsys.readouterr()
+        assert main(["genealogy", "--repo", str(repo_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: MissingInput: block ")
+        assert "clones file is stale (re-run detect)" in err
 
     @pytest.mark.parametrize(
         "step, error",
