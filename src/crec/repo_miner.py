@@ -6,7 +6,10 @@ files contributing 0, under one of two diffs. Sampling counts them from
 `git log --numstat`, that is git's default diff, which is not guaranteed
 minimal. `line_diff_hunks`, which the co-change features use, is a minimal
 line-LCS diff. The two counts can differ on large edits; which one to keep is
-an open ROADMAP item.
+an open ROADMAP item. The LCS table behind `line_diff_hunks` and the token
+alignment of `features.multiset_diff` is held as bit-parallel rows, one big
+int per row (Allison and Dix, IPL 1986; Hyyro, AWOCA 2004), so it takes
+about n * m / 64 word operations and n * m bits.
 """
 
 from __future__ import annotations
@@ -304,7 +307,21 @@ def line_diff_hunks(a_lines: list, b_lines: list) -> list[Hunk]:
 
 
 def _lcs_pairs(a: list, b: list) -> list[tuple[int, int]]:
-    """Matched (i, j) index pairs of a longest common subsequence, 0-based."""
+    """Matched (i, j) index pairs of a longest common subsequence, 0-based.
+
+    After trimming the common prefix and suffix, the LCS table of the n x m
+    core is held as bit rows (Allison and Dix, "A bit-string
+    longest-common-subsequence algorithm", IPL 1986, in the form of Hyyro,
+    "Bit-parallel LCS-length computation revisited", AWOCA 2004): bit j of row
+    i is clear exactly when table[i][j + 1] exceeds table[i][j], so
+    table[i][j] = j - popcount(row i & (2**j - 1)). Each row takes five
+    big-int operations, about n * ceil(m / 64) word operations in all, and the
+    rows take n * m bits, not n * m list slots. The backtrack reads the table
+    in O(n + m) steps and breaks ties exactly as a full table would: the
+    diagonal on an equal pair, else up when table[i-1][j] >= table[i][j-1].
+    Elements must be hashable, as each distinct element of *b* keys its
+    match mask.
+    """
     pre = 0
     while pre < len(a) and pre < len(b) and a[pre] == b[pre]:
         pre += 1
@@ -314,14 +331,20 @@ def _lcs_pairs(a: list, b: list) -> list[tuple[int, int]]:
     ca = a[pre : len(a) - suf]
     cb = b[pre : len(b) - suf]
     n, m = len(ca), len(cb)
-    table = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n):
-        row, prev_row = table[i + 1], table[i]
-        for j in range(m):
-            if ca[i] == cb[j]:
-                row[j + 1] = prev_row[j] + 1
-            else:
-                row[j + 1] = max(row[j], prev_row[j + 1])
+    masks = {}
+    for j, x in enumerate(cb):
+        masks[x] = masks.get(x, 0) | 1 << j
+    full = (1 << m) - 1
+    rows = [full]
+    v = full
+    for x in ca:
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+
+    def table(i: int, j: int) -> int:
+        return j - (rows[i] & ((1 << j) - 1)).bit_count()
+
     core = []
     i, j = n, m
     while i > 0 and j > 0:
@@ -329,7 +352,7 @@ def _lcs_pairs(a: list, b: list) -> list[tuple[int, int]]:
             core.append((pre + i - 1, pre + j - 1))
             i -= 1
             j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
+        elif table(i - 1, j) >= table(i, j - 1):
             i -= 1
         else:
             j -= 1

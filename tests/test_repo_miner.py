@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import difflib
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import clone_fixtures
+from crec import features
+from crec.clone_detector import detect_clones, extract_blocks, scan
 from crec.errors import EmptyRepository, NotARepository, TooFewSamples, UnknownCommit
 from crec.repo_miner import (
     CommitRecord,
     Repository,
     SampledVersion,
     Hunk,
+    _lcs_pairs,
+    _lines,
     checked_window,
     diff_file_hunks,
     distinct_authors,
@@ -237,19 +244,196 @@ class TestDiffLines:
             hunks = line_diff_hunks(a, b)
             removed = sum(h.a_end - h.a_start + 1 for h in hunks if h.a_end >= h.a_start)
             added = sum(h.b_end - h.b_start + 1 for h in hunks if h.b_end >= h.b_start)
-            lcs = _lcs_len(a, b)
+            lcs = len(table_lcs_pairs(a, b))
             assert removed == len(a) - lcs
             assert added == len(b) - lcs
 
+    def test_large_files_diff_in_bounded_time_and_memory(self):
+        """Every third line of a 5,000-line file rewritten: the replaced lines
+        appear nowhere in the old file, so the LCS is the 3,333 kept lines and
+        each rewrite is a one-line hunk. A full table would hold 25 M cells."""
+        n = 5000
+        old = b"".join(b"line %d\n" % i for i in range(n))
+        new = b"".join(b"rewritten %d\n" % i if i % 3 == 0 else b"line %d\n" % i for i in range(n))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            hunks = diff_file_hunks(old, new)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lcs = n - len(range(0, n, 3))
+        assert len(hunks) == 1667
+        assert all(h.a_end == h.a_start and h.b_end == h.b_start for h in hunks)
+        removed = sum(h.a_end - h.a_start + 1 for h in hunks)
+        added = sum(h.b_end - h.b_start + 1 for h in hunks)
+        assert added + removed == n + n - 2 * lcs
+        assert elapsed < 3.0, f"diff took {elapsed:.2f}s on two 5,000-line files"
+        assert peak < 12_000_000, f"diff peaked at {peak / 1e6:.1f} MB"
 
-def _lcs_len(a: list, b: list) -> int:
-    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(len(a)):
-        for j in range(len(b)):
-            table[i + 1][j + 1] = (
-                table[i][j] + 1 if a[i] == b[j] else max(table[i][j + 1], table[i + 1][j])
-            )
-    return table[len(a)][len(b)]
+
+class TestChangedLineDefinitions:
+    """Sampling counts changed lines with `git log --numstat`; the co-change
+    features with `line_diff_hunks`, which drops one CR from each line's end."""
+
+    @staticmethod
+    def _numstat_and_hunks(make_repo, before: str, after: str):
+        rb = make_repo()
+        c1 = rb.commit({"a.java": before})
+        c2 = rb.commit({"a.java": after})
+        numstat = rb._git("log", "-1", "--numstat", "--format=", c2).split()
+        with Repository(rb.path) as repo:
+            return numstat, repo.commits()[1].changed_line_count, repo.diff_hunks(c1, c2, "a.java")
+
+    def test_lf_to_crlf_counts_for_git_only(self, make_repo):
+        before = _fresh_lines("x", 5)
+        after = before.replace("x line 2\n", "x line 2\r\n")
+        numstat, changed, hunks = self._numstat_and_hunks(make_repo, before, after)
+        assert numstat == ["1", "1", "a.java"]
+        assert changed == 2
+        assert hunks == []
+
+    def test_bare_cr_inside_a_line_counts_for_both(self, make_repo):
+        before = _fresh_lines("x", 5)
+        after = before.replace("x line 2\n", "x line\r 2\n")
+        numstat, changed, hunks = self._numstat_and_hunks(make_repo, before, after)
+        assert numstat == ["1", "1", "a.java"]
+        assert changed == 2
+        assert hunks == [Hunk(3, 3, 3, 3)]
+
+
+def table_lcs_pairs(a: list, b: list) -> list[tuple[int, int]]:
+    """Reference LCS pairs from the full (n+1) x (m+1) table, one cell per
+    step, with the backtrack's tie-breaks that `_lcs_pairs` must keep."""
+    pre = 0
+    while pre < len(a) and pre < len(b) and a[pre] == b[pre]:
+        pre += 1
+    suf = 0
+    while suf < len(a) - pre and suf < len(b) - pre and a[-1 - suf] == b[-1 - suf]:
+        suf += 1
+    ca = a[pre : len(a) - suf]
+    cb = b[pre : len(b) - suf]
+    n, m = len(ca), len(cb)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n):
+        row, prev_row = table[i + 1], table[i]
+        for j in range(m):
+            if ca[i] == cb[j]:
+                row[j + 1] = prev_row[j] + 1
+            else:
+                row[j + 1] = max(row[j], prev_row[j + 1])
+    core = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        if ca[i - 1] == cb[j - 1]:
+            core.append((pre + i - 1, pre + j - 1))
+            i -= 1
+            j -= 1
+        elif table[i - 1][j] >= table[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    core.reverse()
+    head = [(k, k) for k in range(pre)]
+    tail = [(len(a) - suf + k, len(b) - suf + k) for k in range(suf)]
+    return head + core + tail
+
+
+def _random_pair(rng: random.Random):
+    """Strings over 1-26 symbols, lengths 0-60: small alphabets give many ties."""
+    alphabet = "abcdefghijklmnopqrstuvwxyz"[: rng.randint(1, 26)]
+    return tuple(
+        [rng.choice(alphabet) for _ in range(rng.randint(0, 60))] for _ in range(2)
+    )
+
+
+def _near_copy_pair(rng: random.Random):
+    """A random sequence and a copy with a few substitutions, insertions and deletions."""
+    alphabet = "abcdefghijklmnopqrstuvwxyz"[: rng.randint(1, 26)]
+    a = [rng.choice(alphabet) for _ in range(rng.randint(0, 60))]
+    b = list(a)
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(0, len(b))
+        edit = rng.choice(("substitute", "insert", "delete"))
+        if edit == "insert" or not b:
+            b.insert(k, rng.choice(alphabet + "#"))
+        elif edit == "substitute":
+            b[min(k, len(b) - 1)] = rng.choice(alphabet + "#")
+        else:
+            del b[min(k, len(b) - 1)]
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def _edge_pair(rng: random.Random):
+    """Identical, disjoint, common-prefix-only and common-suffix-only pairs."""
+    def word(alphabet: str, lo: int = 0) -> list[str]:
+        return [rng.choice(alphabet) for _ in range(rng.randint(lo, 30))]
+
+    shared = word("abcdef")
+    kind = rng.choice(("identical", "disjoint", "prefix", "suffix"))
+    if kind == "identical":
+        return shared, list(shared)
+    left, right = word("ghijkl"), word("mnopqr")
+    if kind == "disjoint":
+        return left, right
+    if kind == "prefix":
+        return shared + left, shared + right
+    return left + shared, right + shared
+
+
+def _crlf_bytes_pair(rng: random.Random):
+    """Lines of file bodies holding CRs, split as `diff_file_hunks` splits them."""
+    pieces = (b"x", b"y", b"", b"\r", b"x\r", b"\ry", b"x\ry", b"\r\r")
+    ends = (b"\n", b"\r\n")
+
+    def body() -> bytes:
+        lines = [rng.choice(pieces) + rng.choice(ends) for _ in range(rng.randint(0, 40))]
+        return b"".join(lines) + rng.choice((b"", b"z", b"\r"))
+
+    return _lines(body()), _lines(body())
+
+
+@pytest.mark.parametrize(
+    "make_pair, count, seed",
+    [
+        (_random_pair, 8000, 101),
+        (_near_copy_pair, 6000, 102),
+        (_edge_pair, 4000, 103),
+        (_crlf_bytes_pair, 2000, 104),
+    ],
+    ids=["random", "near_copy", "edge", "crlf_bytes"],
+)
+def test_lcs_pairs_match_the_table(make_pair, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = make_pair(rng)
+        assert _lcs_pairs(a, b) == table_lcs_pairs(a, b), (a, b)
+
+
+def test_lcs_pairs_match_the_table_on_fixture_token_texts(monkeypatch):
+    """The consensus and member token texts `multiset_diff` aligns for every
+    clone group of the six fixture corpora, at every version."""
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return _lcs_pairs(a, b)
+
+    monkeypatch.setattr(features, "_lcs_pairs", recording)
+    corpora = [
+        clone_fixtures.end_to_end_corpora(),
+        *(make() for make in clone_fixtures.PLANTED.values()),
+        *(make() for make in clone_fixtures.CONTROLS.values()),
+    ]
+    for versions in corpora:
+        for version, files in enumerate(versions):
+            blocks = [b for p in sorted(files) for b in extract_blocks(scan(files[p]), p)]
+            for group in detect_clones(blocks, version=version):
+                features.multiset_diff([features.classified_sequence(m) for m in group.members])
+    assert len(calls) >= 20
+    for a, b in calls:
+        assert _lcs_pairs(a, b) == table_lcs_pairs(a, b), (a, b)
 
 
 def _samples(n: int) -> list[SampledVersion]:
