@@ -79,16 +79,50 @@ def _path_text(raw: bytes) -> str:
 
 
 _GITLINK = "160000"  # tree mode of a submodule commit, which has no blob here
+_S_IFMT, _S_IFDIR, _S_IFREG, _S_IFLNK = 0o170000, 0o040000, 0o100000, 0o120000
+
+
+def _canonical_mode(mode: int) -> int:
+    """The mode git's tree readers report for a stored one (git's canon_mode)."""
+    kind = mode & _S_IFMT
+    if kind == _S_IFREG:
+        return 0o100755 if mode & 0o100 else 0o100644
+    if kind in (_S_IFDIR, _S_IFLNK):
+        return kind
+    return 0o160000  # every other kind reads as a gitlink
+
+
+def _tree_entries(
+    data: bytes, width: int, prefix: bytes, tree_id: str
+) -> list[tuple[bytes, int, str]]:
+    """(prefix + name, canonical mode, object id) of each entry of a raw tree
+    object, last entry first, so that popping them yields stored order."""
+    entries = []
+    start = 0
+    try:
+        while start < len(data):
+            space = data.index(b" ", start)
+            nul = data.index(b"\0", space)
+            end = nul + 1 + width
+            if end > len(data):
+                raise ValueError("object id cut short")
+            mode = _canonical_mode(int(data[start:space], 8))
+            entries.append((prefix + data[space + 1 : nul], mode, data[nul + 1 : end].hex()))
+            start = end
+    except ValueError:
+        raise GitError(f"malformed tree object {tree_id}") from None
+    entries.reverse()
+    return entries
 
 
 class Repository:
     """Handle on an on-disk git repository. Read-only after construction.
 
-    Paths are read NUL-delimited, so non-ASCII names come back verbatim. Each
-    commit's tree is listed once (`ls-tree -r -z`, path -> blob id), and file
-    contents stream by blob id through one long-lived `git cat-file --batch`,
-    started on the first read. Use the repository as a context manager, or call
-    close(), to stop and reap that process.
+    Each commit's tree is read once (path -> blob id) and file contents by
+    blob id, both through one long-lived `git cat-file --batch`, started on the
+    first read. Tree entries are raw bytes, so non-ASCII names come back
+    verbatim. Use the repository as a context manager, or call close(), to stop
+    and reap that process.
     """
 
     def __init__(self, path: str | Path):
@@ -195,20 +229,45 @@ class Repository:
         return self._trees[commit_id]
 
     def list_files(self, commit_id: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
-        """Every path in the commit's tree, in tree order; the tree is listed once."""
+        """Every path in the commit's tree, in tree order; the tree is read once."""
         self._check_commit(commit_id)
         if commit_id not in self._trees:
-            entries = {}
-            out = _git(self.path, "ls-tree", "-r", "-z", "--full-tree", commit_id)
-            for record in out.split(b"\0")[:-1]:
-                meta, _, path = record.partition(b"\t")
-                mode, _, object_id = meta.decode().split(" ")
-                entries[_path_text(path)] = (mode, object_id)
-            self._trees[commit_id] = entries
+            self._trees[commit_id] = self._walk_tree(commit_id)
         paths = list(self._trees[commit_id])
         if suffixes is not None:
             paths = [p for p in paths if p.endswith(suffixes)]
         return paths
+
+    def _walk_tree(self, commit_id: str) -> dict[str, tuple[str, str]]:
+        """path -> (mode, object id) of every non-tree entry, as `ls-tree -r` lists them.
+
+        Tree objects come through the batch reader and are walked depth first
+        in stored order, which is `ls-tree -r`'s order, with an explicit stack
+        so that depth is unbounded. Object ids are as wide as the reply's, and
+        modes are git's canonical ones (a stored 100664 reads as 100644).
+        Gitlinks stay entries and are not read. Two paths that decode to the
+        same text raise GitError rather than one hiding the other.
+        """
+        root_id, data = self._read_object(f"{commit_id}^{{tree}}", b"tree")
+        width = len(root_id) // 2
+        entries: dict[str, tuple[str, str]] = {}
+        raw_paths: dict[str, bytes] = {}
+        stack = _tree_entries(data, width, b"", root_id)
+        while stack:
+            raw, mode, object_id = stack.pop()
+            if mode == _S_IFDIR:
+                _, data = self._read_object(object_id, b"tree")
+                stack += _tree_entries(data, width, raw + b"/", object_id)
+                continue
+            path = _path_text(raw)
+            if path in entries:
+                raise GitError(
+                    f"tree of {commit_id} holds {raw_paths[path]!r} and {raw!r}, "
+                    f"which both read as {path!r}"
+                )
+            entries[path] = (f"{mode:06o}", object_id)
+            raw_paths[path] = raw
+        return entries
 
     def blob_id(self, commit_id: str, path: str) -> str | None:
         """Object id of the file at *path* in *commit_id*, or None when absent there."""
@@ -225,9 +284,10 @@ class Repository:
         """
         self._check_commit(commit_id)
         object_id = self.blob_id(commit_id, path)
-        return None if object_id is None else self._read_blob(object_id)
+        return None if object_id is None else self._read_object(object_id, b"blob")[1]
 
-    def _read_blob(self, object_id: str) -> bytes:
+    def _read_object(self, name: str, kind: bytes) -> tuple[str, bytes]:
+        """(object id, body) of the object *name* resolves to, which must be a *kind*."""
         if self._batch is None:
             self._batch = subprocess.Popen(
                 ["git", "-C", str(self.path), "cat-file", "--batch"],
@@ -237,7 +297,7 @@ class Repository:
             )
         batch = self._batch
         try:
-            batch.stdin.write(object_id.encode() + b"\n")
+            batch.stdin.write(name.encode() + b"\n")
             batch.stdin.flush()
             header = batch.stdout.readline()
         except OSError as exc:
@@ -246,20 +306,23 @@ class Repository:
         if not fields:
             raise GitError(f"git cat-file --batch is gone (exit status {batch.poll()})")
         if fields[-1] == b"missing":
-            raise GitError(f"object {object_id} is missing from {self.path}")
-        if len(fields) != 3 or fields[1] != b"blob":
-            raise GitError(f"unexpected git cat-file reply for {object_id}: {header!r}")
+            raise GitError(f"object {name} is missing from {self.path}")
+        if len(fields) != 3:
+            raise GitError(f"unexpected git cat-file reply for {name}: {header!r}")
         size = int(fields[2])
         data = batch.stdout.read(size)
         if len(data) != size or batch.stdout.read(1) != b"\n":
-            raise GitError(f"short read of object {object_id}: {len(data)} of {size} bytes")
-        return data
+            raise GitError(f"short read of object {name}: {len(data)} of {size} bytes")
+        if fields[1] != kind:  # checked after the body is read, so the next reply lines up
+            raise GitError(f"object {name} is a {fields[1].decode()}, not a {kind.decode()}")
+        return fields[0].decode(), data
 
     def changed_paths(self, commit_a: str, commit_b: str) -> list[str]:
         """Sorted paths whose tree entry differs between the two commits.
 
-        Compares the two listed trees, so it names the same paths as
-        `git diff --name-only --no-renames` without starting a process.
+        Compares the two trees as read, by canonical mode and object id, so it
+        names the same paths as `git diff --name-only --no-renames` without
+        starting a process.
         """
         self._check_commit(commit_a)
         self._check_commit(commit_b)

@@ -3,7 +3,8 @@
 `bench/trace_stage.py` wraps crec functions by name and reads some of their
 parameters by name, so a rename or removal in `src/crec` breaks
 `bench/run.py --trace 1`. This runs mine -> recommend under the tracer, one
-subprocess per command, as the benchmark does.
+subprocess per command, as the benchmark does, and checks that each git
+process is counted against a `repo_miner` span.
 """
 
 from __future__ import annotations
@@ -52,5 +53,9 @@ def test_pipeline_runs_under_tracer(make_repo, tmp_path, monkeypatch):
         names.update(trace["names"])
         called = {trace["names"][index] for index, *_ in trace["spans"]}
         assert f"pipeline.stage_{command}" in called
+        # Every git process starts inside a traced repo_miner span, as the
+        # benchmark's per-stage spawn check requires.
+        counts = trace["counts"]
+        assert counts.get("git_spawns", 0) == counts.get("repo_miner.git_spawns", 0), command
     assert set(_traced_names(monkeypatch)) <= names
     assert (out / "recommendations.csv").exists()

@@ -3,12 +3,13 @@ NUL-delimited paths, named git errors, and process accounting per stage."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from clone_fixtures import commit_corpora, end_to_end_corpora
+from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
 from crec import pipeline
 from crec.cli import main
 from crec.config import PipelineConfig
@@ -40,6 +41,106 @@ def _delete_object(rb, object_id: str) -> None:
     loose = rb.path / ".git" / "objects" / object_id[:2] / object_id[2:]
     loose.chmod(0o644)
     loose.unlink()
+
+
+def ls_tree_entries(repo_path, commit: str) -> dict[str, tuple[str, str]]:
+    """path -> (mode, object id) as one `git ls-tree -r -z --full-tree` lists
+    them, in its order: the listing the reader used to take from git."""
+    out = subprocess.run(
+        ["git", "-C", str(repo_path), "ls-tree", "-r", "-z", "--full-tree", commit],
+        capture_output=True, check=True,
+    ).stdout
+    entries = {}
+    for record in out.split(b"\0")[:-1]:
+        meta, _, path = record.partition(b"\t")
+        mode, _, object_id = meta.decode().split(" ")
+        entries[path.decode("utf-8", errors="replace")] = (mode, object_id)
+    return entries
+
+
+def _assert_trees_match_ls_tree(repo_path, commits: list[str]) -> None:
+    with Repository(repo_path) as repo:
+        for commit in commits:
+            expected = ls_tree_entries(repo_path, commit)
+            assert list(repo._entries(commit).items()) == list(expected.items()), commit
+            assert repo.list_files(commit) == list(expected), commit
+
+
+IDENTITY = {
+    "GIT_AUTHOR_NAME": "Dev One", "GIT_AUTHOR_EMAIL": "dev1@example.com",
+    "GIT_COMMITTER_NAME": "Dev One", "GIT_COMMITTER_EMAIL": "dev1@example.com",
+    "GIT_AUTHOR_DATE": "2020-01-01T00:00:00+0000", "GIT_COMMITTER_DATE": "2020-01-01T00:00:00+0000",
+}
+
+
+def _plumb(repo_path, *args: str, stdin: bytes = b"", env: dict | None = None) -> str:
+    return subprocess.run(
+        ["git", "-C", str(repo_path), *args],
+        input=stdin, capture_output=True, check=True, env={**os.environ, **(env or {})},
+    ).stdout.decode().strip()
+
+
+def _commit_tree_id(repo_path, tree: str) -> str:
+    """Commit *tree* on top of HEAD, without a work tree, and move HEAD to it."""
+    head = subprocess.run(
+        ["git", "-C", str(repo_path), "rev-parse", "--verify", "--quiet", "HEAD"],
+        capture_output=True,
+    ).stdout.decode().strip()
+    parent = ["-p", head] if head else []
+    commit = _plumb(repo_path, "commit-tree", tree, *parent, "-m", "plumbed", env=IDENTITY)
+    _plumb(repo_path, "update-ref", "HEAD", commit)
+    return commit
+
+
+def _commit_raw_paths(repo_path, files: dict[bytes, tuple[str, bytes | str]]) -> str:
+    """Commit exactly *files*, raw path -> (mode, body), on top of HEAD.
+
+    A gitlink's body is the commit id it names. The tree is built through a
+    throwaway index, so no path has to exist on disk.
+    """
+    env = {**IDENTITY, "GIT_INDEX_FILE": str(Path(repo_path) / ".git" / "plumbed-index")}
+    Path(env["GIT_INDEX_FILE"]).unlink(missing_ok=True)
+    records = []
+    for raw, (mode, body) in files.items():
+        if mode != "160000":
+            body = _plumb(repo_path, "hash-object", "-w", "--stdin", stdin=body)
+        records.append(f"{mode} {body}\t".encode() + raw + b"\0")
+    _plumb(repo_path, "update-index", "-z", "--index-info", stdin=b"".join(records), env=env)
+    return _commit_tree_id(repo_path, _plumb(repo_path, "write-tree", env=env))
+
+
+def _commit_literal_tree(repo_path, raw_tree: bytes) -> str:
+    """Commit a root tree object written byte for byte, unchecked by git."""
+    tree = _plumb(
+        repo_path, "hash-object", "-t", "tree", "--literally", "-w", "--stdin", stdin=raw_tree
+    )
+    return _commit_tree_id(repo_path, tree)
+
+
+DEEP_PATH = b"/".join([b"d"] * 1101) + b"/Deep.java"  # 1,101 directories deep
+CRAFTED = {
+    b"a.b": ("100644", b"dot\n"),
+    b"a/x": ("100644", b"slash\n"),
+    b"a-b/y": ("100644", b"dash\n"),
+    b"a0": ("100644", b"zero\n"),
+    b"p/q/r/s/Four.java": ("100644", b"class Four {}\n"),
+    b"run.sh": ("100755", b"#!/bin/sh\n"),
+    b"link": ("120000", b"a.b"),
+    UTF8_PATH.encode(): ("100644", b"class Q {}\n"),
+    b"line\nbreak.java": ("100644", b"class Break {}\n"),
+    DEEP_PATH: ("100644", b"class Deep {}\n"),
+}
+
+
+def _crafted_history(repo_path, object_format: str) -> list[str]:
+    """A plain commit, the crafted tree plus a gitlink to it, then an empty tree."""
+    subprocess.run(
+        ["git", "init", "-q", f"--object-format={object_format}", str(repo_path)], check=True
+    )
+    first = _commit_raw_paths(repo_path, {b"a.b": ("100644", b"first\n")})
+    crafted = _commit_raw_paths(repo_path, {**CRAFTED, b"sub": ("160000", first)})
+    empty = _commit_raw_paths(repo_path, {})
+    return [first, crafted, empty]
 
 
 def _numstat(rb, a: str, b: str) -> tuple[set[str], int]:
@@ -96,18 +197,65 @@ class TestFileBytes:
     def test_changed_paths_match_git_diff(self, make_repo):
         rb = make_repo()
         first = rb.commit(
-            {"a/Keep.java": "k\n", "a/Edit.java": "e\n", "b/Gone.java": "g\n", "run.sh": "x\n"}
+            {"a/Keep.java": "k\n", "a/Edit.java": "e\n", "b/Gone.java": "g\n", "run.sh": "x\n",
+             "keep.txt": "t\n"}
         )
         (rb.path / "run.sh").chmod(0o755)  # a mode-only change
         second = rb.commit(
             {"a/Edit.java": "e2\n", "b/Gone.java": None, UTF8_PATH: "q\n", "a-b/New.java": "n\n"}
         )
-        expected = _git(rb, "diff", "-z", "--name-only", "--no-renames", first, second)
+        # The same tree, but keep.txt stored as 100664, which git reads as 100644.
+        stored = _git(rb, "cat-file", "tree", f"{second}^{{tree}}")
+        assert b"100644 keep.txt\0" in stored
+        loose_mode = stored.replace(b"100644 keep.txt\0", b"100664 keep.txt\0")
+        third = _commit_literal_tree(rb.path, loose_mode)
+        assert ls_tree_entries(rb.path, third)["keep.txt"][0] == "100644"
         with Repository(rb.path) as repo:
-            assert repo.changed_paths(first, second) == [
-                p.decode() for p in expected.split(b"\0")[:-1]
-            ]
-            assert repo.changed_paths(second, second) == []
+            for a, b in ((first, second), (second, second), (second, third), (first, third)):
+                expected = _git(rb, "diff", "-z", "--name-only", "--no-renames", a, b)
+                assert repo.changed_paths(a, b) == [p.decode() for p in expected.split(b"\0")[:-1]]
+            assert repo.changed_paths(second, third) == []
+            assert repo._entries(third) == repo._entries(second)
+
+
+class TestTreeWalk:
+    """The tree walker against the `ls-tree -r -z` listing it replaced."""
+
+    def test_clone_fixture_trees_match_ls_tree(self, make_repo):
+        corpora = [build() for build in (*PLANTED.values(), *CONTROLS.values())]
+        for corpus in [*corpora, end_to_end_corpora()]:
+            rb = make_repo()
+            commit_corpora(rb, corpus)
+            chain = _git(rb, "rev-list", "--first-parent", "HEAD").decode().split()
+            _assert_trees_match_ls_tree(rb.path, chain)
+
+    @pytest.mark.parametrize("object_format", ["sha1", "sha256"])
+    def test_crafted_trees_match_ls_tree(self, tmp_path, object_format):
+        commits = _crafted_history(tmp_path / "crafted", object_format)
+        _assert_trees_match_ls_tree(tmp_path / "crafted", commits)
+        with Repository(tmp_path / "crafted") as repo:
+            first, crafted, empty = commits
+            assert len(crafted) == {"sha1": 40, "sha256": 64}[object_format]
+            assert repo.list_files(empty) == []
+            assert repo.changed_paths(crafted, empty) == sorted(repo.list_files(crafted))
+            entries = repo._entries(crafted)
+            assert entries["sub"] == ("160000", first)
+            assert repo.blob_id(crafted, "sub") is None
+            assert (entries["run.sh"][0], entries["link"][0]) == ("100755", "120000")
+            assert repo.file_at(crafted, DEEP_PATH.decode()) == b"class Deep {}\n"
+            assert repo.file_at(crafted, "line\nbreak.java") == b"class Break {}\n"
+
+    def test_paths_that_decode_alike_raise(self, tmp_path):
+        repo_path = tmp_path / "alike"
+        subprocess.run(["git", "init", "-q", str(repo_path)], check=True)
+        commit = _commit_raw_paths(
+            repo_path, {b"A\xfe.java": ("100644", b"fe\n"), b"A\xff.java": ("100644", b"ff\n")}
+        )
+        with Repository(repo_path) as repo:
+            with pytest.raises(GitError) as raised:
+                repo.list_files(commit)
+        for raw in (b"A\xfe.java", b"A\xff.java"):
+            assert repr(raw) in str(raised.value)
 
 
 class TestCommitRecords:
@@ -170,13 +318,23 @@ class TestGitErrors:
         assert main(["detect", "--repo", str(rb.path), "--out", out]) == 1
         assert capsys.readouterr().err.startswith("error: GitError: ")
 
-    def test_failing_ls_tree_raises(self, make_repo):
+    def test_missing_or_mistyped_tree_raises(self, make_repo):
         rb = make_repo()
-        commit = rb.commit({"A.java": "class A {}\n"})
-        _delete_object(rb, _git(rb, "rev-parse", f"{commit}^{{tree}}").decode().strip())
+        root_gone = rb.commit({"A.java": "class A {}\n"})
+        subtree_gone = rb.commit({"sub/B.java": "class B {}\n"})
+        blob = _git(rb, "rev-parse", f"{root_gone}:A.java").decode().strip()
+        mistyped = _commit_literal_tree(rb.path, b"40000 d\0" + bytes.fromhex(blob))
+        cut_short = _commit_literal_tree(rb.path, b"100644 A.java\0" + bytes.fromhex(blob)[:10])
+        for tree in (f"{root_gone}^{{tree}}", f"{subtree_gone}:sub"):
+            _delete_object(rb, _git(rb, "rev-parse", tree).decode().strip())
+        cases = (
+            (root_gone, "missing"), (subtree_gone, "missing"),
+            (mistyped, "is a blob, not a tree"), (cut_short, "malformed"),
+        )
         with Repository(rb.path) as repo:
-            with pytest.raises(GitError):
-                repo.list_files(commit)
+            for commit, message in cases:
+                with pytest.raises(GitError, match=message):
+                    repo.list_files(commit)
 
     def test_dead_batch_process_raises(self, make_repo):
         rb = make_repo()
@@ -222,5 +380,5 @@ class TestProcessesPerStage:
             popen_log.clear()
             stage(config, rb.path, out)
             assert all(Path(p.args[0]).name == "git" for p in popen_log)
-            assert len(popen_log) <= samples + 3, stage.__name__
+            assert len(popen_log) <= 3, stage.__name__
             assert all(p.returncode is not None for p in popen_log), stage.__name__
