@@ -2,7 +2,9 @@
 with decision-tree, random-forest, and naive-Bayes alternatives behind the same
 likelihood interface. Training takes labeled FeatureRows; every model scores a
 tuple of values. A one-class training set gives a `constant` model for every
-algorithm. Everything is deterministic for a fixed seed."""
+algorithm. Everything is deterministic for a fixed seed. Boosting sorts each
+feature into runs of equal values once per training, as SLIQ presorts (Mehta,
+Agrawal & Rissanen, EDBT 1996), and each round's stump search walks them."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 from .config import ALGORITHMS, DEFAULTS
 from .errors import DegenerateData
@@ -40,7 +43,7 @@ def dataset_digest(examples: list[FeatureRow]) -> str:
 
 def _labels(examples: list[FeatureRow]) -> set[int]:
     """The labels present; ValueError unless each is 0 or 1 and every value is
-    finite (a nan never ends the tie loop of best_stump)."""
+    finite (a nan has no place in a sorted run)."""
     for e in examples:
         if e.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {e.label}")
@@ -50,51 +53,47 @@ def _labels(examples: list[FeatureRow]) -> set[int]:
     return {e.label for e in examples}
 
 
-def best_stump(
-    examples: list[FeatureRow],
-    weights: list[float],
-    features: list[int] | None = None,
-) -> tuple[DecisionStump, float]:
-    """Exhaustive stump search: every feature, every midpoint threshold plus
-    -inf, both polarities. Returns (stump with alpha 0, weighted error); ties
-    break toward lower feature index, lower threshold, 'le' first."""
-    n = len(examples)
-    if n == 0:
-        raise DegenerateData("no examples")
-    labels = [e.label for e in examples]
-    total = sum(weights)
-    total_pos = sum(w for w, y in zip(weights, labels) if y == 1)
-    dim = len(examples[0].values)
-    feats = sorted(features) if features is not None else list(range(1, dim + 1))
+Runs = dict[int, list[tuple[list[int], float]]]  # feature -> steps (rows, threshold)
 
-    best: tuple[float, int, float, str] | None = None
 
-    def consider(err: float, f: int, t: float, pol: str) -> None:
-        nonlocal best
-        if best is None or err < best[0]:
-            best = (err, f, t, pol)
-
-    for f in feats:
+def _feature_runs(examples: list[FeatureRow], features: list[int]) -> Runs:
+    """Each feature's steps, in increasing feature order: -inf with no rows,
+    then each run of equal values but the last, in increasing value order, with
+    its row indices in row order and the midpoint to the next run's value."""
+    runs = {}
+    for f in sorted(features):
         values = [e.values[f - 1] for e in examples]
-        order = sorted(range(n), key=lambda i: values[i])
-        # threshold -inf: "le" predicts 0 everywhere, missing every positive
+        order = sorted(range(len(values)), key=values.__getitem__)
+        groups = [(v, list(rows)) for v, rows in groupby(order, key=values.__getitem__)]
+        midpoints = [(v + w) / 2 for (v, _), (w, _) in zip(groups, groups[1:])]
+        runs[f] = [([], NEG_INF)] + [(rows, t) for (_, rows), t in zip(groups, midpoints)]
+    return runs
+
+
+def best_stump(
+    examples: list[FeatureRow], weights: list[float], runs: Runs
+) -> tuple[DecisionStump, float]:
+    """Exhaustive stump search over the runs that _boost sorts once per training
+    (SLIQ): every feature, every midpoint threshold plus -inf, both polarities.
+    Returns (stump with alpha 0, weighted error); ties break toward lower
+    feature index, lower threshold, 'le' first."""
+    if not examples or not runs:
+        raise DegenerateData("no examples or no features")
+    # "le" at -inf misses every positive; each row passed adds its signed weight
+    signed = [w if e.label == 0 else -w for w, e in zip(weights, examples)]
+    total = sum(weights)
+    total_pos = sum(w for w, e in zip(weights, examples) if e.label == 1)
+    best = (math.inf, 0, NEG_INF, "le")
+    for f, steps in runs.items():
         err_le = total_pos
-        consider(err_le, f, NEG_INF, "le")
-        consider(total - err_le, f, NEG_INF, "gt")
-        i = 0
-        while i < n:
-            v = values[order[i]]
-            j = i
-            while j < n and values[order[j]] == v:
-                idx = order[j]
-                err_le += weights[idx] if labels[idx] == 0 else -weights[idx]
-                j += 1
-            if j < n:  # midpoint between consecutive distinct values
-                t = (v + values[order[j]]) / 2
-                consider(err_le, f, t, "le")
-                consider(total - err_le, f, t, "gt")
-            i = j
-    err, f, t, pol = best  # type: ignore[misc]
+        for rows, t in steps:
+            for idx in rows:
+                err_le += signed[idx]
+            if err_le < best[0]:
+                best = (err_le, f, t, "le")
+            if total - err_le < best[0]:
+                best = (total - err_le, f, t, "gt")
+    err, f, t, pol = best
     return DecisionStump(f, t, pol, alpha=0.0), err
 
 
@@ -118,9 +117,10 @@ def _boost(examples: list[FeatureRow], rounds: int, features: list[int]) -> list
     """Discrete AdaBoost; stops early once a round's error hits 0 or 0.5."""
     n = len(examples)
     weights = [1.0 / n] * n
+    runs = _feature_runs(examples, features)
     stumps = []
     for _ in range(rounds):
-        stump, err = best_stump(examples, weights, features)
+        stump, err = best_stump(examples, weights, runs)
         e = max(min(err / sum(weights), 1.0 - 1e-10), 1e-10)
         alpha = 0.5 * math.log((1.0 - e) / e)
         stumps.append(replace(stump, alpha=alpha))
@@ -179,24 +179,21 @@ def _entropy(pos: int, n: int) -> float:
 
 
 def _grow_tree(
-    rows: list[tuple[tuple[float, ...], int]],
-    features: list[int],
-    min_leaf: int,
-    rng: random.Random | None,
-    subsample: int | None,
+    rows: list[tuple[tuple[float, ...], int]], features: list[int], rng: random.Random | None
 ) -> TreeNode:
-    """Gain-ratio binary tree; both children of any split hold >= min_leaf rows."""
+    """Gain-ratio binary tree; both children of any split hold >= _MIN_LEAF rows.
+    With an *rng*, a forest's node tries isqrt(len(features)) of them at random."""
     n = len(rows)
     pos = sum(label for _, label in rows)
     node = TreeNode(prob=pos / n)
-    if pos == 0 or pos == n or n < 2 * min_leaf:
+    if pos == 0 or pos == n or n < 2 * _MIN_LEAF:
         return node
     parent_entropy = _entropy(pos, n)
 
-    pool = features
-    if subsample is not None and rng is not None:
+    pool, budget = features, len(features)
+    if rng is not None:
         # random order; constant features are skipped without using up the budget
-        pool = rng.sample(features, len(features))
+        pool, budget = rng.sample(features, len(features)), max(1, math.isqrt(len(features)))
 
     best = None  # ((negated gain ratio, feature, threshold), feature, threshold)
     evaluated = 0
@@ -210,7 +207,7 @@ def _grow_tree(
             left_pos += ordered[i - 1][1]
             if ordered[i - 1][0][f - 1] == ordered[i][0][f - 1]:
                 continue
-            if i < min_leaf or n - i < min_leaf:
+            if i < _MIN_LEAF or n - i < _MIN_LEAF:
                 continue
             gain = parent_entropy - (
                 i / n * _entropy(left_pos, i) + (n - i) / n * _entropy(pos - left_pos, n - i)
@@ -223,18 +220,14 @@ def _grow_tree(
             key = (-ratio, f, threshold)
             if best is None or key < best[0]:
                 best = (key, f, threshold)
-        if subsample is not None and evaluated >= subsample:
+        if evaluated >= budget:
             break
     if best is None:
         return node
     _, f, threshold = best
-    left_rows = [r for r in rows if r[0][f - 1] <= threshold]
-    right_rows = [r for r in rows if r[0][f - 1] > threshold]
-    node.feature = f
-    node.threshold = threshold
-    node.left = _grow_tree(left_rows, features, min_leaf, rng, subsample)
-    node.right = _grow_tree(right_rows, features, min_leaf, rng, subsample)
-    return node
+    left = _grow_tree([r for r in rows if r[0][f - 1] <= threshold], features, rng)
+    right = _grow_tree([r for r in rows if r[0][f - 1] > threshold], features, rng)
+    return TreeNode(node.prob, f, threshold, left, right)
 
 
 @dataclass
@@ -331,16 +324,14 @@ def train_alt(
     rows = [(e.values, e.label) for e in examples]
 
     if algorithm == "decision_tree":
-        root = _grow_tree(rows, feats, _MIN_LEAF, rng=None, subsample=None)
-        return TreeModel(root, seed, digest)
+        return TreeModel(_grow_tree(rows, feats, rng=None), seed, digest)
 
     if algorithm == "random_forest":
         rng = random.Random(seed)
-        subsample = max(1, math.isqrt(len(feats)))
         trees = []
         for _ in range(_FOREST_SIZE):
             sample = [rows[rng.randrange(len(rows))] for _ in range(len(rows))]
-            trees.append(_grow_tree(sample, feats, _MIN_LEAF, rng, subsample))
+            trees.append(_grow_tree(sample, feats, rng))
         return ForestModel(trees, seed, digest)
 
     # naive_bayes

@@ -395,7 +395,7 @@ def _project_names(feature_paths: list[str]) -> list[str]:
     """Each file's shortest trailing path part, suffix dropped, that no other
     file shares: `a.csv` and `b.csv` give `a` and `b`, `p1/features.csv` and
     `p2/features.csv` give `p1/features` and `p2/features`. A name is a cell of
-    the report's CSV rows, so it may hold no comma or line break."""
+    the report's CSV rows: no comma, line break or lone surrogate (undecodable byte)."""
     parts = [(Path(p).parent / Path(p).stem).parts for p in feature_paths]
     names = []
     for i, own in enumerate(parts):
@@ -406,10 +406,10 @@ def _project_names(feature_paths: list[str]) -> list[str]:
         while any(other[-k:] == own[-k:] for other in others):
             k += 1
         name = Path(*own[-k:]).as_posix()
-        if any(c in name for c in ",\n\r"):
+        if any(c in ",\n\r" or "\ud800" <= c <= "\udfff" for c in name):
             raise ConfigError(
                 f"feature file {feature_paths[i]!r} gives the project name {name!r}, which holds "
-                "a comma or line break; rename the file or its directory"
+                "a comma, a line break or an undecodable byte; rename the file or its directory"
             )
         names.append(name)
     return names
@@ -476,6 +476,9 @@ def stage_compare(
 ) -> str:
     from .eval_harness import compare_learners
 
+    repeated = next((a for i, a in enumerate(algorithms) if a in algorithms[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"algorithm {repeated!r} is given twice")
     projects = _load_projects(feature_paths, balance, config.seed)
     rows = compare_learners(projects, setting, algorithms, _learner_config(config, "adaboost"))
     return _write_experiment(out_dir, "compare", setting, "comparison", "algorithm", rows)

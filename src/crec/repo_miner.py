@@ -330,6 +330,9 @@ class Repository:
         return sorted(p for p in a.keys() | b.keys() if a.get(p) != b.get(p))
 
     def diff_hunks(self, commit_a: str, commit_b: str, path: str) -> list[Hunk]:
+        """Line hunks of *path*; none, and nothing read, when both name one blob or none."""
+        if self.blob_id(commit_a, path) == self.blob_id(commit_b, path):
+            return []
         a = self.file_at(commit_a, path)
         b = self.file_at(commit_b, path)
         return diff_file_hunks(a, b)

@@ -44,7 +44,7 @@ from crec.features import (
     top_level_classes,
 )
 from crec.genealogy import CloneLink, Lineage
-from crec.learner import best_stump, train_alt
+from crec.learner import _feature_runs, best_stump, train_alt
 from crec.repo_miner import (
     CommitRecord,
     SampledVersion,
@@ -352,7 +352,8 @@ def test_criterion_4_learner_suite(tmp_path):
             for _ in range(n)
         ]
         weights = [rng.randrange(1, 65) / 1024 for _ in range(n)]
-        stump, err = best_stump(examples, weights)
+        runs = _feature_runs(examples, list(range(1, len(examples[0].values) + 1)))
+        stump, err = best_stump(examples, weights, runs)
         o_err, o_f, o_t, o_pol = _oracle_stump(examples, weights)
         if (err, stump.feature, stump.threshold, stump.polarity) != (o_err, o_f, o_t, o_pol):
             failures.append(f"dataset {ds}: stump deviates from exhaustive oracle")

@@ -2,9 +2,9 @@
 
 `bench/trace_stage.py` wraps crec functions by name and reads some of their
 parameters by name, so a rename or removal in `src/crec` breaks
-`bench/run.py --trace 1`. This runs mine -> recommend under the tracer, one
-subprocess per command, as the benchmark does, and checks that each git
-process is counted against a `repo_miner` span.
+`bench/run.py --trace 1`. This runs mine -> recommend and then ablate under
+the tracer, one subprocess per command, as the benchmark does, and checks that
+each git process is counted against a `repo_miner` span.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from clone_fixtures import commit_corpora, end_to_end_corpora
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_SCRIPT = ROOT / "bench" / "trace_stage.py"
-COMMANDS = ("mine", "detect", "genealogy", "label", "featurize", "train", "recommend")
+COMMANDS = ("mine", "detect", "genealogy", "label", "featurize", "train", "recommend", "ablate")
 
 
 def _traced_names(monkeypatch) -> tuple[str, ...]:
@@ -40,7 +41,14 @@ def test_pipeline_runs_under_tracer(make_repo, tmp_path, monkeypatch):
     for command in COMMANDS:
         spans = tmp_path / f"trace-{command}.json"
         args = ["--out", str(out)]
-        if command not in ("train", "recommend"):
+        if command == "ablate":
+            # features.csv holds one R and one NR row; a second copy of it is
+            # a second project, so cross-project training has both labels
+            (tmp_path / "copy").mkdir()
+            shutil.copy(out / "features.csv", tmp_path / "copy" / "features.csv")
+            features = [str(out / "features.csv"), str(tmp_path / "copy" / "features.csv")]
+            args += ["--features", *features, "--setting", "cross"]
+        elif command not in ("train", "recommend"):
             args += ["--repo", str(rb.path), "--delta-threshold", "1"]
         proc = subprocess.run(
             [sys.executable, str(TRACE_SCRIPT), str(spans), command, *args],
@@ -57,5 +65,8 @@ def test_pipeline_runs_under_tracer(make_repo, tmp_path, monkeypatch):
         # benchmark's per-stage spawn check requires.
         counts = trace["counts"]
         assert counts.get("git_spawns", 0) == counts.get("repo_miner.git_spawns", 0), command
+        if command == "ablate":
+            assert "learner.best_stump" in called
     assert set(_traced_names(monkeypatch)) <= names
     assert (out / "recommendations.csv").exists()
+    assert (out / "ablation.csv").exists()

@@ -344,7 +344,9 @@ class TestEvaluationCommands:
         assert code == 1
         assert _one_error_line(capsys).startswith("error: ConfigError:")
 
-    @pytest.mark.parametrize("directory", ["a,b", "a\nb", "a\rb"], ids=["comma", "LF", "CR"])
+    @pytest.mark.parametrize(
+        "directory", ["a,b", "a\nb", "a\rb", "a\udcffb"], ids=["comma", "LF", "CR", "non-UTF-8"]
+    )
     def test_project_name_that_breaks_a_report_row_rejected(self, tmp_path, capsys, directory):
         paths = [tmp_path / directory / "features.csv", tmp_path / "c" / "features.csv"]
         for path in paths:
@@ -408,6 +410,22 @@ class TestEvaluationCommands:
         assert code == 0
         lines = (out / "comparison.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[2:]] == ["adaboost", "naive_bayes"]
+
+    def test_compare_repeated_algorithm_rejected(self, tmp_path, capsys):
+        p1 = tmp_path / "p1.csv"
+        _write_project(p1)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = _run(
+            "compare",
+            "--features", str(p1),
+            "--setting", "within",
+            "--algorithms", "adaboost", "naive_bayes", "adaboost",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert _one_error_line(capsys) == "error: ConfigError: algorithm 'adaboost' is given twice\n"
+        assert not (out / "comparison.csv").exists()
 
 
 class TestConfigResolution:

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,91 @@ from crec.learner import (
     ALGORITHMS,
     MODELS,
     ConstantModel,
+    DecisionStump,
+    _feature_runs,
     best_stump,
     recommend,
     train_alt,
 )
 
 NEG_INF = float("-inf")
+
+
+def _search(examples, weights, features=None):
+    """best_stump over runs built as training builds them (None = every feature)."""
+    dim = len(examples[0].values)
+    feats = list(features) if features is not None else list(range(1, dim + 1))
+    return best_stump(examples, weights, _feature_runs(examples, feats))
+
+
+def sorting_best_stump(examples, weights, features=None):
+    """The stump search that sorted every feature again in each round: the
+    oracle for the runs that training now sorts once."""
+    n = len(examples)
+    labels = [e.label for e in examples]
+    total = sum(weights)
+    total_pos = sum(w for w, y in zip(weights, labels) if y == 1)
+    dim = len(examples[0].values)
+    feats = sorted(features) if features is not None else list(range(1, dim + 1))
+    best = None
+
+    def consider(err, f, t, pol):
+        nonlocal best
+        if best is None or err < best[0]:
+            best = (err, f, t, pol)
+
+    for f in feats:
+        values = [e.values[f - 1] for e in examples]
+        order = sorted(range(n), key=lambda i: values[i])
+        err_le = total_pos
+        consider(err_le, f, NEG_INF, "le")
+        consider(total - err_le, f, NEG_INF, "gt")
+        i = 0
+        while i < n:
+            v = values[order[i]]
+            j = i
+            while j < n and values[order[j]] == v:
+                idx = order[j]
+                err_le += weights[idx] if labels[idx] == 0 else -weights[idx]
+                j += 1
+            if j < n:
+                t = (v + values[order[j]]) / 2
+                consider(err_le, f, t, "le")
+                consider(total - err_le, f, t, "gt")
+            i = j
+    return best
+
+
+def _sorting_boost(examples, rounds, features):
+    """Discrete AdaBoost as training runs it, over sorting_best_stump."""
+    n = len(examples)
+    weights = [1.0 / n] * n
+    stumps = []
+    for _ in range(rounds):
+        err, f, t, pol = sorting_best_stump(examples, weights, features)
+        e = max(min(err / sum(weights), 1.0 - 1e-10), 1e-10)
+        alpha = 0.5 * math.log((1.0 - e) / e)
+        stump = DecisionStump(f, t, pol, alpha)
+        stumps.append(stump)
+        if err == 0.0 or err / sum(weights) >= 0.5:
+            break
+        norm = 0.0
+        for i, ex in enumerate(examples):
+            agree = 1 if stump.vote(ex.values) == ex.label else -1
+            weights[i] *= math.exp(-alpha * agree)
+            norm += weights[i]
+        weights = [w / norm for w in weights]
+    return stumps
+
+
+def _tied_dataset(rng, n, labels=(0, 1)):
+    """*n* rows over F1-F5 whose values come from a few non-dyadic floats, so
+    runs are long and sums round; F6 onwards are constant 0."""
+    pool = [rng.uniform(-1.0, 1.0) for _ in range(rng.randrange(1, 6))]
+    return [
+        feature_row(rng.choice(labels), {f: rng.choice(pool) for f in range(1, 6)})
+        for _ in range(n)
+    ]
 
 
 def _oracle_best_stump(examples, weights, features=None):
@@ -54,7 +134,7 @@ def _oracle_best_stump(examples, weights, features=None):
 class TestBestStump:
     def test_one_dimensional_split(self):
         examples = [feature_row(0, {1: 0.1}), feature_row(1, {1: 0.9})]
-        stump, err = best_stump(examples, [0.5, 0.5])
+        stump, err = _search(examples, [0.5, 0.5])
         assert stump.feature == 1
         assert stump.threshold == 0.5
         assert stump.polarity == "gt"
@@ -62,7 +142,7 @@ class TestBestStump:
 
     def test_all_positive_labels_constant_stump(self):
         examples = [feature_row(1, {1: 0.2}), feature_row(1, {1: 0.8})]
-        stump, err = best_stump(examples, [0.5, 0.5])
+        stump, err = _search(examples, [0.5, 0.5])
         assert err == 0.0
         assert stump.vote(examples[0].values) == 1
         assert stump.vote(feature_row(None, {1: -5.0}).values) == 1
@@ -77,10 +157,10 @@ class TestBestStump:
             feature_row(1, {1: 0.15}),
         ]
         uniform = [0.25] * 4
-        stump, _ = best_stump(examples, uniform)
+        stump, _ = _search(examples, uniform)
         assert stump.vote(examples[3].values) == 0
         concentrated = [0.03125, 0.03125, 0.03125, 0.90625]
-        stump, _ = best_stump(examples, concentrated)
+        stump, _ = _search(examples, concentrated)
         assert stump.vote(examples[3].values) == 1
 
     def test_matches_exhaustive_oracle_on_random_datasets(self):
@@ -95,7 +175,7 @@ class TestBestStump:
                 for _ in range(n)
             ]
             weights = [rng.randrange(1, 65) / 1024 for _ in range(n)]  # exact dyadics
-            stump, err = best_stump(examples, weights)
+            stump, err = _search(examples, weights)
             o_err, o_f, o_t, o_pol = _oracle_best_stump(examples, weights)
             assert (err, stump.feature, stump.threshold, stump.polarity) == (
                 o_err,
@@ -106,13 +186,49 @@ class TestBestStump:
 
     def test_feature_subset_respected(self):
         examples = [feature_row(0, {1: 0.1, 2: 0.1}), feature_row(1, {1: 0.9, 2: 0.9})]
-        stump, err = best_stump(examples, [0.5, 0.5], features=[2])
+        stump, err = _search(examples, [0.5, 0.5], features=[2])
         assert stump.feature == 2
         assert err == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(DegenerateData):
-            best_stump([], [])
+            best_stump([], [], {})
+
+
+class TestPresortedRuns:
+    """Runs sorted once per training against the search that sorted in every
+    round: the same candidates in the same order and the same float sums, so
+    the results compare with ==."""
+
+    def test_matches_sorting_search(self):
+        rng = random.Random(89)
+        for _ in range(600):
+            n = rng.choice([1, 2, rng.randrange(3, 30)])
+            examples = _tied_dataset(rng, n)
+            weights = [rng.random() for _ in range(n)]
+            features = rng.choice([None, rng.sample(range(1, 9), rng.randrange(1, 9))])
+            stump, err = _search(examples, weights, features)
+            assert (err, stump.feature, stump.threshold, stump.polarity) == sorting_best_stump(
+                examples, weights, features
+            )
+
+    def test_adaboost_model_matches_sorting_boost(self):
+        rng = random.Random(97)
+        for _ in range(150):
+            n = rng.randrange(2, 30)
+            examples = _tied_dataset(rng, n - 1) + _tied_dataset(rng, 1, labels=(0,))
+            examples[0] = replace(examples[0], label=1)
+            features = rng.choice([None, sorted(rng.sample(range(1, 9), rng.randrange(1, 9)))])
+            model = train_alt("adaboost", examples, seed=1, features=features, rounds=20)
+            feats = features or list(range(1, len(examples[0].values) + 1))
+            assert model.stumps == _sorting_boost(examples, 20, feats)
+
+    def test_steps_keep_tied_rows_in_row_order_and_drop_the_last_run(self):
+        examples = [feature_row(y, {1: v}) for y, v in [(0, 0.5), (1, 0.25), (1, 0.5), (0, 1.0)]]
+        assert _feature_runs(examples, [2, 1]) == {
+            1: [([], NEG_INF), ([1], 0.375), ([0, 2], 0.75)],
+            2: [([], NEG_INF)],
+        }
 
 
 def _separable() -> list[FeatureRow]:

@@ -180,6 +180,24 @@ class TestDiffLines:
         with Repository(rb.path) as repo:
             assert repo.diff_hunks(c1, c2, "a.java") == []
 
+    def test_unchanged_path_reads_no_blob(self, make_repo, monkeypatch):
+        rb = make_repo()
+        c1 = rb.commit({"a.java": _fresh_lines("x", 5)})
+        c2 = rb.commit({"b.java": "other\n"})
+        with Repository(rb.path) as repo:
+            for commit in (c1, c2):  # trees come through the same reader as blobs
+                repo.list_files(commit)
+            reads = []
+            read_object = repo._read_object
+            monkeypatch.setattr(
+                repo, "_read_object", lambda name, kind: reads.append(name) or read_object(name, kind)
+            )
+            assert repo.diff_hunks(c1, c2, "a.java") == []
+            assert repo.diff_hunks(c1, c2, "absent.java") == []
+            assert reads == []
+            assert repo.diff_hunks(c1, c2, "b.java") != []
+            assert len(reads) == 1  # b.java is absent at c1
+
     def test_single_line_replacement(self, make_repo):
         rb = make_repo()
         base = [f"line {i}" for i in range(1, 11)]
