@@ -220,7 +220,7 @@ class GroupRecord:
 
     @classmethod
     def of(cls, g: CloneGroup) -> GroupRecord:
-        members = (MemberRecord(b.path, b.start_line, b.end_line, len(b.tokens)) for b in g.members)
+        members = (MemberRecord(b.path, b.start_line, b.end_line, b.size) for b in g.members)
         return cls(g.version, g.group_id, tuple(members))
 
 

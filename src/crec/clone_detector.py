@@ -1,8 +1,8 @@
 """Lexing, block extraction, and near-miss clone detection over token bags.
 
 The lexical grammar is C-family/Java-like. Public tokens are keywords,
-identifiers, and literals only; the full lexeme stream (with punctuation) is
-kept on each block because several downstream heuristics need source
+identifiers, and literals only. A block is a span over its file's token list,
+punctuation included, because several downstream heuristics need source
 adjacency (call sites, operators, declaration patterns).
 """
 
@@ -12,6 +12,7 @@ import math
 import re
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,15 +41,33 @@ class Token(NamedTuple):
 
 @dataclass(eq=False)
 class CodeBlock:
+    """The span ``lex[first:stop]`` of its file's tokens; *size* counts the non-punctuation."""
+
     path: str
     start_line: int
     end_line: int
-    tokens: tuple[Token, ...]
+    lex: Sequence[Token] = field(repr=False)
+    first: int
+    stop: int
+    size: int
     token_bag: Counter
     enclosing_method_name: str | None = None
     enclosing_method_line_count: int | None = None
     enclosing_method_start: int | None = None
-    raw_tokens: tuple[Token, ...] = field(default=(), repr=False)
+
+    @property
+    def raw_tokens(self) -> Sequence[Token]:
+        return self.lex[self.first : self.stop]
+
+    @property
+    def tokens(self) -> list[Token]:
+        return [t for t in self.raw_tokens if t.kind != "punct"]
+
+    def contains(self, other: CodeBlock) -> bool:
+        """Whether *other* is another span of this path's token list inside this one."""
+        if other is self or other.path != self.path or other.lex is not self.lex:
+            return False
+        return self.first <= other.first and other.stop <= self.stop
 
     @property
     def key(self) -> tuple[str, int, int]:
@@ -235,8 +254,8 @@ def extract_blocks(
             methods.append((o, c))
         method_open = methods[-1][0] if methods else None
         start, end = spans[o]
-        toks = tuple(t for t in lex[headers[o] : c + 1] if t.kind != "punct")
-        if not toks:
+        bag = Counter(t.text for t in lex[headers[o] : c + 1] if t.kind != "punct")
+        if not bag:
             continue
         if method_open is not None:
             m_start, m_end = spans[method_open]
@@ -248,12 +267,14 @@ def extract_blocks(
                 path=path,
                 start_line=start,
                 end_line=end,
-                tokens=toks,
-                token_bag=Counter(t.text for t in toks),
+                lex=lex,
+                first=headers[o],
+                stop=c + 1,
+                size=bag.total(),
+                token_bag=bag,
                 enclosing_method_name=m_name,
                 enclosing_method_line_count=m_count,
                 enclosing_method_start=m_start,
-                raw_tokens=tuple(lex[headers[o] : c + 1]),
             )
         )
     blocks.sort(key=lambda b: b.key)
@@ -314,9 +335,9 @@ def detect_clones(
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
     if conjunctive:
-        qualified = [b for b in blocks if len(b.tokens) >= min_tokens and b.line_span >= min_lines]
+        qualified = [b for b in blocks if b.size >= min_tokens and b.line_span >= min_lines]
     else:
-        qualified = [b for b in blocks if len(b.tokens) >= min_tokens or b.line_span >= min_lines]
+        qualified = [b for b in blocks if b.size >= min_tokens or b.line_span >= min_lines]
     qualified.sort(key=lambda b: b.key)
 
     parent = list(range(len(qualified)))
@@ -333,7 +354,7 @@ def detect_clones(
     rank = {token: r for r, token in enumerate(sorted(df, key=lambda t: (df[t], t)))}.__getitem__
     index: dict[str, list[int]] = {}
     for i, block in enumerate(qualified):
-        bag, size = block.token_bag, len(block.tokens)
+        bag, size = block.token_bag, block.size
         left = size - max(1, math.ceil(theta * size) - 1) + 1  # prefix length
         candidates: set[int] = set()
         for token in sorted(bag, key=rank):
@@ -344,7 +365,7 @@ def detect_clones(
             postings.append(i)
             left -= bag[token]
         for j in candidates:
-            size_j = len(qualified[j].tokens)
+            size_j = qualified[j].size
             if min(size, size_j) < theta * max(size, size_j):
                 continue  # overlap cannot reach theta
             if similarity(qualified[j], block) >= theta:
@@ -371,21 +392,10 @@ def detect_clones(
 
 
 def _drop_nested(members: list[CodeBlock]) -> list[CodeBlock]:
-    kept = []
-    for b in members:
-        contained = any(
-            o.path == b.path
-            and o.start_line <= b.start_line
-            and o.end_line >= b.end_line
-            and o.key != b.key
-            for o in members
-        )
-        if not contained:
-            kept.append(b)
-    return kept
+    return [b for b in members if not any(o.contains(b) for o in members)]
 
 
-def invoked_names(raw_tokens: tuple[Token, ...]) -> Counter:
+def invoked_names(raw_tokens: Sequence[Token]) -> Counter:
     """Identifiers immediately followed by '(' in the lexeme stream."""
     calls: Counter = Counter()
     for t, nxt in zip(raw_tokens, raw_tokens[1:]):

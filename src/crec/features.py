@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import posixpath
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .clone_detector import CodeBlock, Token, scan
@@ -228,7 +229,7 @@ def _is_test_path(path: str) -> bool:
 def extract_code_features(clone: CodeBlock, fctx: FileContext) -> tuple[float, ...]:
     raw = clone.raw_tokens
     f1 = float(clone.line_span)
-    f2 = float(len(clone.tokens))
+    f2 = float(clone.size)
     f3 = 1.0 + sum(1 for t in raw if t.text in _DECISION_POINTS)
 
     f4 = 0.0
@@ -253,7 +254,7 @@ def extract_code_features(clone: CodeBlock, fctx: FileContext) -> tuple[float, .
     )
     f7 = sum(1 for s in stmts if _is_arithmetic(s)) / len(stmts) if stmts else 0.0
 
-    first = clone.tokens[0].text if clone.tokens else ""
+    first = next((t.text for t in raw if t.kind != "punct"), "")
     f8 = 1.0 if _braces_balanced(raw) and first not in _INCOMPLETE_STARTERS else 0.0
     f9 = 1.0 if first in _CONTROL_STARTERS else 0.0
 
@@ -496,7 +497,7 @@ def extract_location_features(
 # -- token alignment and diff features (F24-F29) -------------------------------
 
 
-def classify_identifier(raw_tokens: tuple[Token, ...], i: int) -> str:
+def classify_identifier(raw_tokens: Sequence[Token], i: int) -> str:
     """Lexical role of raw_tokens[i]: variable, method, type, or none."""
     t = raw_tokens[i]
     if t.kind != "identifier":
@@ -532,11 +533,11 @@ def classify_identifier(raw_tokens: tuple[Token, ...], i: int) -> str:
 
 def classified_sequence(block: CodeBlock) -> list[AlignedToken]:
     """The block's token sequence with each identifier's lexical role attached."""
-    out = []
-    for i, t in enumerate(block.raw_tokens):
+    out, raw = [], block.raw_tokens
+    for i, t in enumerate(raw):
         if t.kind == "punct":
             continue
-        category = classify_identifier(block.raw_tokens, i) if t.kind == "identifier" else "none"
+        category = classify_identifier(raw, i) if t.kind == "identifier" else "none"
         out.append(AlignedToken(t.text, category))
     return out
 

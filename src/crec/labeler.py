@@ -93,7 +93,7 @@ def method_body_tokens(block: CodeBlock) -> Counter:
 
 def reduced_clones(links: list[CloneLink]) -> list[CloneLink]:
     """Links whose successor lost tokens; empty unless at least two did."""
-    shrunk = [l for l in links if len(l.target.tokens) < len(l.source.tokens)]
+    shrunk = [l for l in links if l.target.size < l.source.size]
     return shrunk if len(shrunk) >= 2 else []
 
 

@@ -150,8 +150,8 @@ def materialize_groups(
         members = []
         for m in rec.members:
             block = vdata.blocks(rec.version).get((m.path, m.start, m.end))
-            if block is None or len(block.tokens) != m.tokens:
-                found = "not found" if block is None else f"lexed to {len(block.tokens)} tokens"
+            if block is None or block.size != m.tokens:
+                found = "not found" if block is None else f"lexed to {block.size} tokens"
                 raise MissingInput(
                     f"block {m.path}:{m.start}-{m.end} of {m.tokens} tokens {found} at version "
                     f"{rec.version}; clones file is stale (re-run detect)"

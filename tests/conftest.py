@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import os
 import subprocess
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from crec import artifacts
+from crec.clone_detector import CodeBlock, Token
 from crec.config import PipelineConfig
 from crec.features import FEATURES, FeatureRow
 from crec.repo_miner import diff_file_hunks
@@ -106,6 +108,22 @@ def feature_row(
     for feature, value in (assignments or {}).items():
         values[feature - 1] = value
     return FeatureRow(lineage, version, tuple(values), label)
+
+
+def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> CodeBlock:
+    """A block over a token list of its own: one identifier per text, all on
+    line *start*, in a block of *span* lines from *start*."""
+    lex = [Token("identifier", t, start) for t in texts]
+    return CodeBlock(
+        path=path,
+        start_line=start,
+        end_line=start + span - 1,
+        lex=lex,
+        first=0,
+        stop=len(lex),
+        size=len(lex),
+        token_bag=Counter(texts),
+    )
 
 
 def read_sweep(path) -> list[tuple[float, int]]:

@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
-from conftest import RepoBuilder, SnapshotRepo, feature_row, read_sweep
+from conftest import RepoBuilder, SnapshotRepo, feature_row, read_sweep, span_block
 from crec import artifacts, pipeline
-from crec.clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
+from crec.clone_detector import CloneGroup, CodeBlock, detect_clones, extract_blocks, scan
 from crec.config import PipelineConfig
 from crec.eval_harness import (
     ConfusionCounts,
@@ -69,15 +69,7 @@ def _synthetic_block(rng: random.Random, idx: int) -> CodeBlock:
     size = rng.randrange(15, 45)
     span = rng.choice([4, 5, 6, 8, 10])
     texts = [rng.choice(vocab) for _ in range(size)]
-    tokens = tuple(Token("identifier", t, 1) for t in texts)
-    return CodeBlock(
-        path=f"f{idx % 9}.java",
-        start_line=1 + 100 * idx,
-        end_line=100 * idx + span,
-        tokens=tokens,
-        token_bag=Counter(texts),
-        raw_tokens=tokens,
-    )
+    return span_block(texts, path=f"f{idx % 9}.java", start=1 + 100 * idx, span=span)
 
 
 def _oracle_groups(blocks, min_tokens=30, min_lines=6, theta=0.8):

@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import NoneType, UnionType
@@ -15,11 +14,11 @@ from typing import Union, get_args, get_origin, get_type_hints
 import pytest
 
 from clone_fixtures import commit_corpora, end_to_end_corpora
-from conftest import feature_row, read_sweep, save_config
+from conftest import feature_row, read_sweep, save_config, span_block
 from crec import artifacts
 from crec.artifacts import GroupRecord, LineageRecord, MemberRecord, load_config, model_to_dict
 from crec.cli import main
-from crec.clone_detector import CloneGroup, CodeBlock, Token
+from crec.clone_detector import CloneGroup
 from crec.config import PipelineConfig
 from crec.errors import ConfigError, FormatVersionMismatch, ParseError
 from crec.features import FEATURES, FeatureRow
@@ -30,15 +29,7 @@ from crec.repo_miner import CommitRecord, SampledVersion
 
 
 def _block(path="A.java", start=1):
-    tokens = tuple(Token("identifier", f"t{i}", start) for i in range(35))
-    return CodeBlock(
-        path=path,
-        start_line=start,
-        end_line=start + 7,
-        tokens=tokens,
-        token_bag=Counter(t.text for t in tokens),
-        raw_tokens=tokens,
-    )
+    return span_block([f"t{i}" for i in range(35)], path, start)
 
 
 class TestRoundTrips:

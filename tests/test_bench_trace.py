@@ -67,6 +67,12 @@ def test_pipeline_runs_under_tracer(make_repo, tmp_path, monkeypatch):
         assert counts.get("git_spawns", 0) == counts.get("repo_miner.git_spawns", 0), command
         if command == "ablate":
             assert "learner.best_stump" in called
+        if command == "detect":
+            # the tracer sizes blocks by len(block.tokens)
+            hit, verified, candidate = (
+                counts.get(f"clone_detector.pairs_{k}", 0) for k in ("hit", "verified", "candidate")
+            )
+            assert 0 < candidate and hit <= verified <= candidate, (hit, verified, candidate)
     assert set(_traced_names(monkeypatch)) <= names
     assert (out / "recommendations.csv").exists()
     assert (out / "ablation.csv").exists()

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import _sha1
+import dataclasses
 import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
+from clone_fixtures import CONTROLS, PLANTED, end_to_end_corpora
+from conftest import span_block
 from crec import clone_detector
 from crec.clone_detector import (
     CloneGroup,
@@ -207,16 +212,159 @@ class TestEnclosingMethod:
         assert elapsed < 2.0, f"extract_blocks took {elapsed:.2f}s on 20,000 lines"
 
 
-def _block(texts, path="A.java", start=1, span=8) -> CodeBlock:
-    tokens = tuple(Token("identifier", t, start) for t in texts)
-    return CodeBlock(
-        path=path,
-        start_line=start,
-        end_line=start + span - 1,
-        tokens=tokens,
-        token_bag=Counter(texts),
-        raw_tokens=tokens,
+class BlockViews(NamedTuple):
+    """What a block shows its readers, as `copying_extract_blocks` built it."""
+
+    key: tuple
+    tokens: tuple
+    raw_tokens: tuple
+    token_bag: Counter
+    size: int
+    enclosing_method_name: str | None
+    enclosing_method_line_count: int | None
+    enclosing_method_start: int | None
+
+
+def _views(b: CodeBlock) -> BlockViews:
+    return BlockViews(
+        b.key, tuple(b.tokens), tuple(b.raw_tokens), b.token_bag, b.size,
+        b.enclosing_method_name, b.enclosing_method_line_count, b.enclosing_method_start,
     )
+
+
+def copying_extract_blocks(lex, path, diagnostics=None) -> list[BlockViews]:
+    """`extract_blocks` as it was before blocks were spans, kept as the oracle:
+    each block copies its tokens, with and without punctuation, into tuples."""
+    stack: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for idx, t in enumerate(lex):
+        if t.kind != "punct":
+            continue
+        if t.text == "{":
+            stack.append(idx)
+        elif t.text == "}":
+            if not stack:
+                if diagnostics is not None:
+                    diagnostics.append(f"{path}:{t.line}: unmatched closing brace")
+                continue
+            pairs.append((stack.pop(), idx))
+    for idx in stack:
+        if diagnostics is not None:
+            diagnostics.append(f"{path}:{lex[idx].line}: unclosed brace")
+    pairs.sort()
+
+    headers = {o: _header_start(lex, o) for o, _ in pairs}
+    names = {o: _method_name(lex, o, headers[o]) for o, _ in pairs}
+    spans = {
+        o: (lex[headers[o]].line if headers[o] < o else lex[o].line, lex[c].line)
+        for o, c in pairs
+    }
+    blocks = []
+    methods: list[tuple[int, int]] = []
+    for o, c in pairs:
+        while methods and methods[-1][1] < o:
+            methods.pop()
+        if names[o] is not None:
+            methods.append((o, c))
+        method_open = methods[-1][0] if methods else None
+        start, end = spans[o]
+        toks = tuple(t for t in lex[headers[o] : c + 1] if t.kind != "punct")
+        if not toks:
+            continue
+        if method_open is not None:
+            m_start, m_end = spans[method_open]
+            m_name, m_count = names[method_open], m_end - m_start + 1
+        else:
+            m_start = m_name = m_count = None
+        blocks.append(BlockViews(
+            (path, start, end), toks, tuple(lex[headers[o] : c + 1]),
+            Counter(t.text for t in toks), len(toks), m_name, m_count, m_start,
+        ))
+    blocks.sort(key=lambda b: b.key)
+    return blocks
+
+
+def _nested_ifs(depth: int) -> str:
+    """A method whose body holds *depth* nested `if` blocks; 14 tokens a level."""
+    return (
+        "class Deep {\n    int f(int x) {\n"
+        + "        if (x > 0) { x = x + 1;\n" * depth
+        + "        }\n" * depth
+        + "    }\n}\n"
+    )
+
+
+NESTED_METHOD = (
+    "int sum(int[] values) {\n"
+    "    int total = 0;\n"
+    "    if (values.length > 0) {\n"
+    + "".join(f"        total = total + values[{i}];\n" for i in range(10))
+    + "    }\n"
+    "    return total;\n"
+    "}\n"
+)
+
+_STATEMENTS = " ".join(f"total = total + values[{i}];" for i in range(8))
+SIBLINGS = (
+    "class A {\n"
+    f"  int f(int[] values) {{ int total = 0;\n {_STATEMENTS}\n return total; }}"
+    f" int g(int[] values) {{ int total = 0; {_STATEMENTS} return total; }}\n"
+    "}\n"
+)
+
+
+class TestSpanExtractorOracle:
+    @staticmethod
+    def _check(source: str, path: str = "A.java") -> int:
+        lex = scan(source)
+        diags, expected_diags = [], []
+        got = [_views(b) for b in extract_blocks(lex, path, diags)]
+        assert got == copying_extract_blocks(lex, path, expected_diags), source
+        assert diags == expected_diags
+        return len(got)
+
+    def test_every_blob_of_the_fixture_corpora(self):
+        corpora = [fn() for fn in (*PLANTED.values(), *CONTROLS.values())]
+        corpora.append(end_to_end_corpora())
+        assert len(corpora) == 6
+        blobs = {text for versions in corpora for version in versions for text in version.values()}
+        assert sum(self._check(text) for text in sorted(blobs)) > 0
+
+    def test_generated_nested_files(self):
+        for depth in (1, 2, 7, 60):
+            assert self._check(_nested_ifs(depth), "Deep.java") == depth + 2
+        assert self._check(_methods_file(40)) == 3 * 40 + 1
+        assert self._check(NESTED_METHOD) == 2
+
+    def test_one_line_file_with_many_methods(self):
+        methods = " ".join(
+            f"int m{i}(int x) {{ if (x > {i}) {{ x = x - 1; }} return x; }}" for i in range(30)
+        )
+        assert self._check(f"class One {{ {methods} }}") == 61
+        assert self._check(SIBLINGS) == 3
+
+    def test_unbalanced_braces(self):
+        for source in ("void f() {\n  a();\n", "}\nvoid f() {\n  a();\n}\n",
+                       "{ { a(); }", "} } { a(); } }", "if (x) { {\n} b(); }\n}"):
+            self._check(source)
+        pieces = ["{", "}", "(", ")", ";", "f", "g(x)", "new", "x", "int", "\n", "f() {"]
+        rng = random.Random(43)
+        for _ in range(300):
+            self._check(" ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 120))))
+
+
+def test_deep_nesting_in_bounded_memory():
+    # the blocks share the file's token list instead of each copying its range
+    lex = scan(_nested_ifs(1000))
+    assert len(lex) == 14012
+    tracemalloc.start()
+    try:
+        blocks = extract_blocks(lex, "Deep.java")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 1002
+    assert peak < 30_000_000, f"extract_blocks peaked at {peak / 1e6:.1f} MB"
 
 
 def _oracle_similarity(a: CodeBlock, b: CodeBlock) -> float:
@@ -237,27 +385,27 @@ def _oracle_similarity(a: CodeBlock, b: CodeBlock) -> float:
 
 class TestSimilarity:
     def test_identical_blocks(self):
-        a = _block(["x"] * 10)
+        a = span_block(["x"] * 10)
         assert similarity(a, a) == 1.0
 
     def test_disjoint_bags(self):
-        assert similarity(_block(["a", "b"]), _block(["c", "d"])) == 0.0
+        assert similarity(span_block(["a", "b"]), span_block(["c", "d"])) == 0.0
 
     def test_three_quarters_overlap(self):
-        a = _block(["a", "b", "c", "d"])
-        b = _block(["a", "b", "c", "e"])
+        a = span_block(["a", "b", "c", "d"])
+        b = span_block(["a", "b", "c", "e"])
         assert similarity(a, b) == 0.75
 
     def test_multiset_not_set_semantics(self):
-        a = _block(["x", "x", "y"])
-        b = _block(["x", "y", "y"])
+        a = span_block(["x", "x", "y"])
+        b = span_block(["x", "y", "y"])
         assert similarity(a, b) == pytest.approx(2 / 3)
 
     def test_symmetric_and_matches_oracle(self):
         rng = random.Random(3)
         for _ in range(200):
-            a = _block([rng.choice("abcdef") for _ in range(rng.randrange(1, 20))])
-            b = _block([rng.choice("abcdef") for _ in range(rng.randrange(1, 20))])
+            a = span_block([rng.choice("abcdef") for _ in range(rng.randrange(1, 20))])
+            b = span_block([rng.choice("abcdef") for _ in range(rng.randrange(1, 20))])
             assert similarity(a, b) == similarity(b, a)
             assert similarity(a, b) == pytest.approx(_oracle_similarity(a, b))
 
@@ -314,28 +462,28 @@ def _random_corpus(rng: random.Random, n_blocks: int) -> list[CodeBlock]:
         span = rng.choice([4, 5, 6, 8, 10])
         texts = [rng.choice(vocab) for _ in range(size)]
         blocks.append(
-            _block(texts, path=f"f{i % 7}.java", start=1 + 100 * i, span=span)
+            span_block(texts, path=f"f{i % 7}.java", start=1 + 100 * i, span=span)
         )
     return blocks
 
 
 class TestDetectClones:
     def test_identical_pair_above_thresholds(self):
-        a = _block([f"t{i}" for i in range(40)], start=1, span=8)
-        b = _block([f"t{i}" for i in range(40)], start=101, span=8)
+        a = span_block([f"t{i}" for i in range(40)], start=1, span=8)
+        b = span_block([f"t{i}" for i in range(40)], start=101, span=8)
         groups = detect_clones([a, b])
         assert len(groups) == 1
         assert {m.key for m in groups[0].members} == {a.key, b.key}
 
     def test_small_pair_excluded_by_thresholds(self):
-        a = _block([f"t{i}" for i in range(20)], start=1, span=4)
-        b = _block([f"t{i}" for i in range(20)], start=101, span=4)
+        a = span_block([f"t{i}" for i in range(20)], start=1, span=4)
+        b = span_block([f"t{i}" for i in range(20)], start=101, span=4)
         assert detect_clones([a, b]) == []
 
     def test_disjunctive_thresholds(self):
         # 20 tokens but 6 lines: qualifies via the line arm
-        a = _block([f"t{i}" for i in range(20)], start=1, span=6)
-        b = _block([f"t{i}" for i in range(20)], start=101, span=6)
+        a = span_block([f"t{i}" for i in range(20)], start=1, span=6)
+        b = span_block([f"t{i}" for i in range(20)], start=101, span=6)
         assert len(detect_clones([a, b])) == 1
         assert detect_clones([a, b], conjunctive=True) == []
 
@@ -343,9 +491,9 @@ class TestDetectClones:
         w = [f"w{i}" for i in range(100)]
         bs = [f"b{i}" for i in range(15)]
         cs = [f"c{i}" for i in range(18)]
-        a = _block(w, start=1)
-        b = _block(w[:85] + bs, start=101)
-        c = _block(w[:70] + bs[:12] + cs, start=201)
+        a = span_block(w, start=1)
+        b = span_block(w[:85] + bs, start=101)
+        c = span_block(w[:70] + bs[:12] + cs, start=201)
         assert similarity(a, b) == 0.85
         assert similarity(b, c) == 0.82
         assert similarity(a, c) == 0.70
@@ -383,13 +531,29 @@ class TestDetectClones:
                 assert len(m.tokens) >= 30 or m.line_span >= 6
 
     def test_nested_block_suppressed(self):
-        texts = [f"t{i}" for i in range(40)]
-        outer = _block(texts, path="A.java", start=10, span=12)
-        inner = _block(texts, path="A.java", start=12, span=8)
-        other = _block(texts, path="B.java", start=1, span=12)
-        groups = detect_clones([outer, inner, other])
+        outer, inner = extract_blocks(scan(NESTED_METHOD), "A.java")
+        other, other_inner = extract_blocks(scan(NESTED_METHOD), "B.java")
+        assert outer.contains(inner) and not inner.contains(outer)
+        assert not outer.contains(other_inner)
+        assert similarity(outer, inner) >= 0.8  # the inner block joins the group
+        groups = detect_clones([outer, inner, other, other_inner])
         assert len(groups) == 1
         assert {m.key for m in groups[0].members} == {outer.key, other.key}
+
+    def test_method_starting_on_its_clones_last_line_is_kept(self):
+        # g starts on the line where f ends; neither span holds the other
+        f, g = extract_blocks(scan(SIBLINGS), "A.java")[1:]
+        assert (f.key, g.key) == (("A.java", 2, 4), ("A.java", 4, 4))
+        groups = detect_clones(extract_blocks(scan(SIBLINGS), "A.java"))
+        assert [[m.key for m in g.members] for g in groups] == [[f.key, g.key]]
+
+    def test_one_blob_at_two_paths_is_a_pair(self):
+        # both paths' blocks are spans over the one token list of their blob
+        lex = scan(NESTED_METHOD)
+        a, b = extract_blocks(lex, "A.java"), extract_blocks(lex, "B.java")
+        assert a[0].lex is b[0].lex
+        groups = detect_clones(a + b)
+        assert [[m.key for m in g.members] for g in groups] == [[a[0].key, b[0].key]]
 
     def test_group_ids_stable_across_runs(self):
         corpus = _random_corpus(random.Random(31), 30)
@@ -466,7 +630,8 @@ def _hit_pairs(monkeypatch, blocks, **kwargs) -> tuple[list[CloneGroup], set]:
 def _family_corpus(rng: random.Random, n_blocks: int) -> list[CodeBlock]:
     """Blocks drawn as edited copies of a few base bags over a vocabulary of 3 to
     300 tokens, some with one token repeated dozens of times, sized 1 to 200,
-    with spans that overlap and nest inside a file."""
+    with line ranges that overlap inside a file; about one in five is a span
+    inside an earlier block's token list."""
     vocab = [f"v{i}" for i in range(rng.randrange(3, 301))]
     bases = []
     for _ in range(rng.randrange(1, 8)):
@@ -486,10 +651,23 @@ def _family_corpus(rng: random.Random, n_blocks: int) -> list[CodeBlock]:
             else:
                 texts[rng.randrange(len(texts))] = rng.choice(vocab)
         rng.shuffle(texts)
-        texts = texts[:200]
-        blocks.append(
-            _block(texts, path=f"f{i % 3}.java", start=1 + 4 * i, span=rng.randrange(1, 14))
+        block = span_block(
+            texts[:200], path=f"f{i % 3}.java", start=1 + 4 * i, span=rng.randrange(1, 14)
         )
+        if i >= 3 and rng.random() < 0.2:  # nested in the file's block before
+            outer = blocks[i - 3]
+            first = rng.randrange(outer.first, outer.stop)
+            stop = rng.randrange(first + 1, outer.stop + 1)
+            block = dataclasses.replace(
+                block,
+                lex=outer.lex,
+                first=first,
+                stop=stop,
+                size=stop - first,
+                token_bag=Counter(t.text for t in outer.lex[first:stop]),
+            )
+            assert outer.contains(block)
+        blocks.append(block)
     return blocks
 
 
@@ -519,10 +697,10 @@ class TestFilteredDetectorOracle:
 
     def test_pair_sharing_only_the_most_frequent_token(self):
         # "hot" is in every block, so it sorts last; the pair shares nothing else
-        others = [_block(["hot", f"u{i}", f"w{i}"], path="B.java", start=1 + 10 * i)
+        others = [span_block(["hot", f"u{i}", f"w{i}"], path="B.java", start=1 + 10 * i)
                   for i in range(20)]
-        a = _block(["hot"] * 9 + ["a"], path="A.java", start=1)
-        b = _block(["hot"] * 9 + ["b"], path="A.java", start=101)
+        a = span_block(["hot"] * 9 + ["a"], path="A.java", start=1)
+        b = span_block(["hot"] * 9 + ["b"], path="A.java", start=101)
         assert similarity(a, b) == 0.9
         groups = detect_clones([a, b, *others], min_tokens=1, min_lines=1, theta=0.9)
         assert [[m.key for m in g.members] for g in groups] == [[a.key, b.key]]
@@ -531,8 +709,8 @@ class TestFilteredDetectorOracle:
 class TestDetectThresholdBoundaries:
     @staticmethod
     def _grouped(a_texts, b_texts, theta) -> bool:
-        a = _block(a_texts, start=1)
-        b = _block(b_texts, start=101)
+        a = span_block(a_texts, start=1)
+        b = span_block(b_texts, start=101)
         return len(detect_clones([a, b], theta=theta)) == 1
 
     def test_shared_count_at_theta_0_8(self):

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SnapshotRepo
-from crec.clone_detector import CloneGroup, CodeBlock, Token, extract_blocks, scan
+from conftest import SnapshotRepo, span_block
+from crec.clone_detector import CloneGroup, CodeBlock, extract_blocks, scan
 from crec.errors import RangeViolation
 from crec.features import (
     FEATURES,
@@ -474,14 +474,7 @@ def _cochange_setup():
     view = WindowView(repo, window)
 
     members = tuple(
-        CodeBlock(
-            path=p,
-            start_line=2,
-            end_line=9,
-            tokens=(Token("identifier", "t", 2),),
-            token_bag=Counter({"t": 1}),
-            raw_tokens=(Token("identifier", "t", 2),),
-        )
+        span_block(["t"], path=p, start=2)
         for p in paths
     )
     groups = [CloneGroup(version=v, members=members, group_id=f"g{v}") for v in range(5)]
@@ -514,14 +507,7 @@ class TestCochangeFeatures:
         samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
         view = WindowView(repo, checked_window(samples, Fraction(1, 1), Fraction(1, 4)))
         members = tuple(
-            CodeBlock(
-                path=p,
-                start_line=2,
-                end_line=9,
-                tokens=(Token("identifier", "t", 2),),
-                token_bag=Counter({"t": 1}),
-                raw_tokens=(Token("identifier", "t", 2),),
-            )
+            span_block(["t"], path=p, start=2)
             for p in paths
         )
         groups = [CloneGroup(version=v, members=members, group_id=f"g{v}") for v in range(5)]

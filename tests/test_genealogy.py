@@ -3,22 +3,10 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 
-from crec.clone_detector import CloneGroup, CodeBlock, Token
+from conftest import span_block
+from crec.clone_detector import CloneGroup
 from crec.genealogy import build_genealogies, link_clones
-
-
-def _block(texts, path="A.java", start=1, span=8) -> CodeBlock:
-    tokens = tuple(Token("identifier", t, start) for t in texts)
-    return CodeBlock(
-        path=path,
-        start_line=start,
-        end_line=start + span - 1,
-        tokens=tokens,
-        token_bag=Counter(texts),
-        raw_tokens=tokens,
-    )
 
 
 def _group(version, members, gid) -> CloneGroup:
@@ -34,24 +22,24 @@ BASE = [f"t{i}" for i in range(40)]
 
 class TestLinkClones:
     def test_identity_link_scores_one(self):
-        a = _block(BASE, path="a.java", start=5)
-        b = _block(BASE, path="a.java", start=5)
+        a = span_block(BASE, path="a.java", start=5)
+        b = span_block(BASE, path="a.java", start=5)
         links = link_clones([_group(0, [a, a], "g0")], [_group(1, [b, b], "g1")])
         assert len(links) == 1
         assert links[0].score == 1.0
 
     def test_no_link_when_file_gone(self):
-        a = _block(BASE, path="gone.java")
-        b = _block(BASE, path="other.java")
+        a = span_block(BASE, path="gone.java")
+        b = span_block(BASE, path="other.java")
         links = link_clones([_group(0, [a, a], "g0")], [_group(1, [b, b], "g1")])
         assert links == []
 
     def test_prefers_higher_similarity(self):
-        a = _block(BASE, path="a.java", start=1)
-        strong = _block(BASE[:36] + ["x"] * 4, path="a.java", start=50)  # 0.9
-        weak = _block(BASE[:28] + ["y"] * 12, path="a.java", start=90)  # 0.7
+        a = span_block(BASE, path="a.java", start=1)
+        strong = span_block(BASE[:36] + ["x"] * 4, path="a.java", start=50)  # 0.9
+        weak = span_block(BASE[:28] + ["y"] * 12, path="a.java", start=90)  # 0.7
         links = link_clones(
-            [_group(0, [a, _block(BASE, path="z.java")], "g0")],
+            [_group(0, [a, span_block(BASE, path="z.java")], "g0")],
             [_group(1, [strong, weak], "g1")],
         )
         by_source = {l.source.key: l for l in links}
@@ -59,8 +47,8 @@ class TestLinkClones:
         assert by_source[a.key].score == 0.9
 
     def test_scores_below_floor_discarded(self):
-        a = _block(BASE, path="a.java")
-        faint = _block(BASE[:10] + ["z"] * 30, path="a.java", start=60)  # 0.25
+        a = span_block(BASE, path="a.java")
+        faint = span_block(BASE[:10] + ["z"] * 30, path="a.java", start=60)  # 0.25
         links = link_clones(
             [_group(0, [a, a], "g0")], [_group(1, [faint, faint], "g1")]
         )
@@ -72,11 +60,11 @@ class TestLinkClones:
         groups_a, groups_b = [], []
         for g in range(4):
             ms_a = [
-                _block([rng.choice(vocab) for _ in range(30)], path=f"f{g}.java", start=1 + 40 * i)
+                span_block([rng.choice(vocab) for _ in range(30)], path=f"f{g}.java", start=1 + 40 * i)
                 for i in range(3)
             ]
             ms_b = [
-                _block([rng.choice(vocab) for _ in range(30)], path=f"f{g}.java", start=1 + 40 * i)
+                span_block([rng.choice(vocab) for _ in range(30)], path=f"f{g}.java", start=1 + 40 * i)
                 for i in range(3)
             ]
             groups_a.append(_group(0, ms_a, f"a{g}"))
@@ -90,10 +78,10 @@ class TestLinkGroups:
     """A group's successor needs links from a majority (ceil of half) of its members."""
 
     def _linked(self, size_a, matched):
-        members_a = [_block(BASE, path=f"m{i}.java") for i in range(size_a)]
-        members_b = [_block(BASE, path=f"m{i}.java", start=60) for i in range(matched)]
+        members_a = [span_block(BASE, path=f"m{i}.java") for i in range(size_a)]
+        members_b = [span_block(BASE, path=f"m{i}.java", start=60) for i in range(matched)]
         ga = _group(0, members_a, "ga")
-        gb = _group(1, members_b + [_block(BASE, path="extra.java", start=60)], "gb")
+        gb = _group(1, members_b + [span_block(BASE, path="extra.java", start=60)], "gb")
         lineages = build_genealogies([[ga], [gb]])
         chains = [[g.group_id for _, g in lin.groups] for lin in lineages]
         assert chains in ([["ga", "gb"]], [["ga"], ["gb"]])
@@ -111,16 +99,16 @@ class TestLinkGroups:
 
 def _evolution_fixture():
     """Four clones shrink to three, then to two, across three versions."""
-    a0 = _block(BASE, path="a.java", start=1)
-    b0 = _block(BASE, path="b.java", start=1)
-    c0 = _block(BASE, path="c.java", start=1)
-    d0 = _block(BASE, path="d.java", start=1)
+    a0 = span_block(BASE, path="a.java", start=1)
+    b0 = span_block(BASE, path="b.java", start=1)
+    c0 = span_block(BASE, path="c.java", start=1)
+    d0 = span_block(BASE, path="d.java", start=1)
     drift = BASE[:36] + ["changed"] * 4  # 0.9 to BASE
-    a1 = _block(drift, path="a.java", start=1)
-    b1 = _block(drift, path="b.java", start=1)
-    c1 = _block(BASE, path="c.java", start=1)
-    a2 = _block(drift, path="a.java", start=1)
-    b2 = _block(drift, path="b.java", start=1)
+    a1 = span_block(drift, path="a.java", start=1)
+    b1 = span_block(drift, path="b.java", start=1)
+    c1 = span_block(BASE, path="c.java", start=1)
+    a2 = span_block(drift, path="a.java", start=1)
+    b2 = span_block(drift, path="b.java", start=1)
     g1 = _group(0, [a0, b0, c0, d0], "g1")
     g2 = _group(1, [a1, b1, c1], "g2")
     g3 = _group(2, [a2, b2], "g3")
@@ -130,7 +118,7 @@ def _evolution_fixture():
 class TestBuildGenealogies:
     def test_stable_group_spans_all_versions(self):
         versions = [
-            [_group(v, [_block(BASE, path=p) for p in ("x.java", "y.java")], f"g{v}")]
+            [_group(v, [span_block(BASE, path=p) for p in ("x.java", "y.java")], f"g{v}")]
             for v in range(4)
         ]
         lineages = build_genealogies(versions)
@@ -139,7 +127,7 @@ class TestBuildGenealogies:
         assert lineages[0].end_state == "alive_at_last_version"
 
     def test_vanishing_group_dissolves(self):
-        g = _group(0, [_block(BASE, path="x.java"), _block(BASE, path="y.java")], "g0")
+        g = _group(0, [span_block(BASE, path="x.java"), span_block(BASE, path="y.java")], "g0")
         lineages = build_genealogies([[g], []])
         assert len(lineages) == 1
         assert lineages[0].end_state == "dissolved"
@@ -155,7 +143,7 @@ class TestBuildGenealogies:
 
     def test_occurrences_partition_into_lineages(self):
         versions = _evolution_fixture()
-        extra = _group(1, [_block(["q"] * 35, path="q.java"), _block(["q"] * 35, path="r.java")], "gx")
+        extra = _group(1, [span_block(["q"] * 35, path="q.java"), span_block(["q"] * 35, path="r.java")], "gx")
         versions[1].append(extra)
         lineages = build_genealogies(versions)
         seen = []
@@ -167,14 +155,14 @@ class TestBuildGenealogies:
 
     def test_competing_predecessors_resolved_once(self):
         # two groups at v0 both majority-match the same v1 group; only one wins
-        a0 = _block(BASE, path="a.java", start=1)
-        b0 = _block(BASE, path="b.java", start=1)
-        c0 = _block(BASE, path="c.java", start=1)
+        a0 = span_block(BASE, path="a.java", start=1)
+        b0 = span_block(BASE, path="b.java", start=1)
+        c0 = span_block(BASE, path="c.java", start=1)
         ga = _group(0, [a0, b0], "ga")
         gb = _group(0, [c0], "gb")
-        a1 = _block(BASE, path="a.java", start=1)
-        b1 = _block(BASE, path="b.java", start=1)
-        c1 = _block(BASE, path="c.java", start=1)
+        a1 = span_block(BASE, path="a.java", start=1)
+        b1 = span_block(BASE, path="b.java", start=1)
+        c1 = span_block(BASE, path="c.java", start=1)
         gm = _group(1, [a1, b1, c1], "gm")
         lineages = build_genealogies([[ga, gb], [gm]])
         extended = [lin for lin in lineages if len(lin.groups) == 2]

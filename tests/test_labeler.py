@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED
-from crec.clone_detector import Token, CodeBlock, detect_clones, extract_blocks, overlap, scan
+from conftest import span_block
+from crec.clone_detector import detect_clones, extract_blocks, overlap, scan
 from crec.genealogy import CloneLink, build_genealogies
 from crec.labeler import (
     ExtractedMethodCandidate,
@@ -20,25 +21,10 @@ from crec.labeler import (
 )
 
 
-def _block(texts, path="A.java", start=1, raw_source=None):
-    tokens = tuple(Token("identifier", t, start) for t in texts)
-    raw = tokens
-    if raw_source is not None:
-        raw = tuple(extract_blocks(scan(raw_source), path)[0].raw_tokens)
-    return CodeBlock(
-        path=path,
-        start_line=start,
-        end_line=start + 7,
-        tokens=tokens,
-        token_bag=Counter(texts),
-        raw_tokens=raw,
-    )
-
-
 def _link(src_texts, dst_texts, path="A.java"):
     return CloneLink(
-        _block(src_texts, path=path, start=1),
-        _block(dst_texts, path=path, start=1),
+        span_block(src_texts, path=path, start=1),
+        span_block(dst_texts, path=path, start=1),
         score=1.0,
     )
 
