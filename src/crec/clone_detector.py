@@ -1,9 +1,12 @@
 """Lexing, block extraction, and near-miss clone detection over token bags.
 
 The lexical grammar is C-family/Java-like. Public tokens are keywords,
-identifiers, and literals only. A block is a span over its file's token list,
-punctuation included, because several downstream heuristics need source
-adjacency (call sites, operators, declaration patterns).
+identifiers, and literals only. A token is a ``(kind, text)`` pair, and a
+file's token list keeps the line of each token in its ``lines`` list. Tokens
+are lexed per line through a memo that the caller may share across files, so
+that a line seen before reuses its tokens. A block is a span over its file's
+token list, punctuation included, because several downstream heuristics need
+source adjacency (call sites, operators, declaration patterns).
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ _OPS2 = ("->", "::", "++", "--", "&&", "||", "==", "!=", "<=", ">=",
 class Token(NamedTuple):
     kind: str  # keyword | identifier | literal | punct
     text: str
-    line: int
+
+
+class TokenList(list):
+    """A file's tokens as ``scan`` returns them; ``lines[i]`` is the line of token ``i``."""
+
+    __slots__ = ("lines",)
 
 
 @dataclass(eq=False)
@@ -98,10 +106,12 @@ class CloneGroup:
 # A word or number goes on over the characters that str.isalnum admits, as \w
 # does; a "." before a non-ASCII character is left to `_unicode_token`, since
 # it starts a number when that character is a digit (".²").
+_COMMENT = r"//[^\n]*|/\*(?:[\s\S]*?\*/|[\s\S]*)"
+_LITERAL = r""""(?:[^"\n\\]+|\\[\s\S]?)*"?|'(?:[^'\n\\]+|\\[\s\S]?)*'?"""
 _TOKEN = re.compile(
-    r"([ \t\n\r\f\v]*(?:(?://[^\n]*|/\*(?:[\s\S]*?\*/|[\s\S]*))[ \t\n\r\f\v]*)*)"
+    r"([ \t\n\r\f\v]*(?:(?:" + _COMMENT + r")[ \t\n\r\f\v]*)*)"
     r"(?:([A-Za-z_$][\w$]*)"
-    r"""|("(?:[^"\n\\]+|\\[\s\S]?)*"?|'(?:[^'\n\\]+|\\[\s\S]?)*'?"""
+    r"|(" + _LITERAL +
     r"|\.?[0-9](?:[\w.]|(?<=[eEpP])[+-])*"
     r"|" + "|".join(map(re.escape, _OPS3 + _OPS2)) + r"|(?!\.[^\x00-\x7f])[\x00-\x7f]))?"
 )
@@ -112,33 +122,126 @@ _PUNCT = frozenset(_OPS3 + _OPS2) | {
 }
 
 
-def scan(source: str) -> list[Token]:
+# The comments and literals of a source, in order, as _TOKEN meets them; one
+# that holds a newline joins the lines it spans into one piece for `scan`.
+_SPANNING = re.compile(_COMMENT + "|" + _LITERAL)
+
+
+def scan(source: str, memo: dict[str, tuple] | None = None) -> TokenList:
     """Total lexical scan; emits punctuation too. Never raises.
 
-    A token's line is 1 + the number of newlines before it. Token texts are
-    interned, so equal texts across files share one string.
+    ``lines[i]`` of the result is the line of token ``i``: 1 + the number of
+    newlines before it. The source is lexed as a sequence of lines, except
+    that the lines spanned by a block comment, or by a string or char literal
+    with an escaped newline, form one piece. *memo* maps each line to its
+    tuple of tokens, and each piece to its tokens and the line of each
+    counted from the piece's first. Only lines and pieces missing from *memo*
+    are lexed, all in one pass over their texts joined by newlines, so
+    passing one memo to many sources lexes each distinct line once, and every
+    occurrence of a line shares its tokens. Token texts are interned, so
+    equal texts across files share one string.
     """
+    if memo is None:
+        memo = {}
+    units: list[str] = []
+    pos = 0
+    for start, stop in _joined(source):
+        if start > pos:
+            units += source[pos : start - 1].split("\n")
+        units.append(source[start:stop])
+        pos = stop + 1
+    if pos <= len(source):
+        units += source[pos:].split("\n")
+
+    # Every unit but the source's last ends between tokens, and the last one
+    # comes last among the missing unless its text occurs earlier (and so ends
+    # between tokens too), so joining them with newlines changes no token.
+    missing = [u for u in dict.fromkeys(units) if u not in memo]
+    if missing:
+        tokens, breaks = _lex("\n".join(missing))
+        bounds = (0, *breaks, len(tokens))  # tokens before each line of the joined text
+        k = 0
+        for unit in missing:
+            first, inner = k, unit.count("\n")  # `unit` is lines first..first + inner
+            k += inner + 1
+            if not inner:
+                memo[unit] = tokens[bounds[first] : bounds[k]]
+            elif bounds[first] == bounds[k]:
+                memo[unit] = ((), ())
+            else:  # a piece with tokens, and the line of each counted from its first
+                offsets: list[int] = []
+                for r in range(inner + 1):
+                    offsets += [r] * (bounds[first + r + 1] - bounds[first + r])
+                memo[unit] = (tokens[bounds[first] : bounds[k]], tuple(offsets))
+
+    out = TokenList()
+    lines = out.lines = []
+    extend, extend_lines = out.extend, lines.extend
+    line = 1
+    for unit in units:
+        entry = memo[unit]
+        if "\n" in unit:
+            piece, offsets = entry
+            if piece:
+                extend(piece)
+                extend_lines([line + r for r in offsets])
+            line += unit.count("\n") + 1
+        else:
+            if entry:
+                extend(entry)
+                extend_lines([line] * len(entry))
+            line += 1
+    return out
+
+
+def _joined(source: str) -> list[list[int]]:
+    """[start, stop) of each run of whole lines that comments and literals
+    holding a newline join, in order; *stop* is the offset of the newline
+    that ends the run, or the source's length. Runs that share a line are one
+    run."""
+    runs: list[list[int]] = []
+    if "/*" not in source and "\\\n" not in source:
+        return runs
+    find, n = source.find, len(source)
+    stop = -1
+    for m in _SPANNING.finditer(source):
+        start, end = m.span()
+        if find("\n", start, end) < 0:
+            continue
+        if start > stop:
+            runs.append([source.rfind("\n", 0, start) + 1, n])
+        stop = find("\n", end)
+        if stop < 0:
+            stop = n
+        runs[-1][1] = stop
+    return runs
+
+
+def _lex(source: str) -> tuple[tuple[Token, ...], tuple[int, ...]]:
+    """The tokens of *source* by the _TOKEN match loop, and for each newline the
+    number of tokens before it."""
     out: list[Token] = []
+    breaks: list[int] = []
     append, new, intern, match = out.append, tuple.__new__, sys.intern, _TOKEN.match
     word_kinds, punct = _WORD_KINDS, _PUNCT
-    n, pos, line = len(source), 0, 1
+    n, pos = len(source), 0
     while True:
         m = match(source, pos)
         skipped, word, text = m.groups()
         pos = m.end()
-        if skipped:
-            line += skipped.count("\n")
+        if skipped and "\n" in skipped:
+            breaks += [len(out)] * skipped.count("\n")
         if word:
-            append(new(Token, (word_kinds.get(word, "identifier"), intern(word), line)))
+            append(new(Token, (word_kinds.get(word, "identifier"), intern(word))))
         elif text:
-            append(new(Token, ("punct" if text in punct else "literal", intern(text), line)))
+            append(new(Token, ("punct" if text in punct else "literal", intern(text))))
             if "\n" in text:  # a literal with an escaped newline
-                line += text.count("\n")
+                breaks += [len(out)] * text.count("\n")
         elif pos == n:
-            return out
+            return tuple(out), tuple(breaks)
         else:  # a token led by a non-ASCII character, or a "." before one
             kind, end = _unicode_token(source, pos)
-            append(new(Token, (kind, intern(source[pos:end]), line)))
+            append(new(Token, (kind, intern(source[pos:end]))))
             pos = end
 
 
@@ -210,7 +313,7 @@ def _method_name(lex: list[Token], open_idx: int, header_start: int) -> str | No
 
 
 def extract_blocks(
-    lex: list[Token], path: str, diagnostics: list[str] | None = None
+    lex: TokenList, path: str, diagnostics: list[str] | None = None
 ) -> list[CodeBlock]:
     """One block per balanced brace region of *lex* (``scan`` of the file at
     *path*), header tokens included.
@@ -218,6 +321,7 @@ def extract_blocks(
     Unbalanced braces are reported into *diagnostics* (when given) and the
     balanced portion is still emitted.
     """
+    lines = lex.lines
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []
     for idx, t in enumerate(lex):
@@ -228,20 +332,17 @@ def extract_blocks(
         elif t.text == "}":
             if not stack:
                 if diagnostics is not None:
-                    diagnostics.append(f"{path}:{t.line}: unmatched closing brace")
+                    diagnostics.append(f"{path}:{lines[idx]}: unmatched closing brace")
                 continue
             pairs.append((stack.pop(), idx))
     for idx in stack:
         if diagnostics is not None:
-            diagnostics.append(f"{path}:{lex[idx].line}: unclosed brace")
+            diagnostics.append(f"{path}:{lines[idx]}: unclosed brace")
     pairs.sort()
 
     headers = {o: _header_start(lex, o) for o, _ in pairs}
     names = {o: _method_name(lex, o, headers[o]) for o, _ in pairs}
-    spans = {
-        o: (lex[headers[o]].line if headers[o] < o else lex[o].line, lex[c].line)
-        for o, c in pairs
-    }
+    spans = {o: (lines[headers[o]], lines[c]) for o, c in pairs}  # a header starts at or before its "{"
 
     # Brace pairs nest or are disjoint, so in opening order the method bodies
     # still open at `o` form a stack whose top is the innermost enclosing one.
@@ -328,7 +429,10 @@ def detect_clones(
     prefix that holds ``(token, k)`` holds ``(token, 1)``, so the index maps
     each token to the blocks whose prefix holds it. Each candidate that also
     passes the size filter is confirmed with ``similarity``, so the groups are
-    those of checking every pair.
+    those of checking every pair; a pair where one block's span holds the
+    other's is confirmed by the ratio of their sizes, which is the value
+    ``similarity`` returns for it, since the inner bag is a sub-multiset of
+    the outer one.
     """
     from _sha1 import sha1  # only `detect` names groups; the later stages read their ids
 
@@ -365,10 +469,15 @@ def detect_clones(
             postings.append(i)
             left -= bag[token]
         for j in candidates:
-            size_j = qualified[j].size
-            if min(size, size_j) < theta * max(size, size_j):
+            other = qualified[j]
+            low, high = (size, other.size) if size < other.size else (other.size, size)
+            if low < theta * high:
                 continue  # overlap cannot reach theta
-            if similarity(qualified[j], block) >= theta:
+            if other.contains(block) or block.contains(other):
+                hit = low / high >= theta  # the inner bag is a sub-multiset of the outer
+            else:
+                hit = similarity(other, block) >= theta
+            if hit:
                 parent[find(i)] = find(j)
 
     components: dict[int, list[CodeBlock]] = {}

@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .clone_detector import CodeBlock, Token, scan
+from .clone_detector import CodeBlock, Token, TokenList, scan
 from .config import DEFAULTS
 from .errors import RangeViolation
 from .genealogy import Lineage
@@ -336,7 +336,7 @@ def extract_history_features(path: str, view: WindowView, commits) -> tuple[floa
 # -- group location features (F18-F23) ----------------------------------------
 
 
-def top_level_classes(lex: list[Token]) -> list[tuple[str, int, int, list[str]]]:
+def top_level_classes(lex: TokenList) -> list[tuple[str, int, int, list[str]]]:
     """(name, start_line, end_line, related names) for each top-level type of a
     file's tokens."""
     classes = []
@@ -356,7 +356,7 @@ def top_level_classes(lex: list[Token]) -> list[tuple[str, int, int, list[str]]]
             and lex[i + 1].kind == "identifier"
         ):
             name = lex[i + 1].text
-            start = t.line
+            start = lex.lines[i]
             related = []
             j = i + 2
             in_generics = 0
@@ -380,7 +380,7 @@ def top_level_classes(lex: list[Token]) -> list[tuple[str, int, int, list[str]]]
                 elif lex[j].kind == "punct" and lex[j].text == "}":
                     body_depth -= 1
                     if body_depth == 0:
-                        end = lex[j].line
+                        end = lex.lines[j]
                         break
                 j += 1
             classes.append((name, start, end, related))

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from . import artifacts
 from .artifacts import GroupRecord, LineageRecord
-from .clone_detector import CloneGroup, CodeBlock, Token, detect_clones, extract_blocks, scan
+from .clone_detector import CloneGroup, CodeBlock, TokenList, detect_clones, extract_blocks, scan
 from .config import PipelineConfig
 from .errors import ConfigError, DegenerateData, MissingInput
 from .repo_miner import Repository, SOURCE_SUFFIXES, checked_window, sample_versions
@@ -60,12 +60,15 @@ class VersionData:
     read, decoded and lexed once, and each view of it is derived once, so a
     file unchanged across versions is neither read nor lexed again. All views
     share one memo, keyed by the view's name and what the view depends on.
+    Every blob is lexed through one line memo, so a line that recurs across
+    blobs is lexed once and its tokens are shared.
     """
 
     def __init__(self, repo: Repository, samples):
         self.repo = repo
         self.samples = samples
         self._memo: dict[tuple, object] = {}
+        self._lines: dict[str, tuple] = {}
 
     def _once(self, key: tuple, build):
         if key not in self._memo:
@@ -73,11 +76,11 @@ class VersionData:
         return self._memo[key]
 
     def files(self, version: int) -> dict[str, str | None]:
-        """path -> blob id of each source file; None for a gitlink."""
+        """path -> blob id of each source file; None for a gitlink. Symlinks are not listed."""
         commit = self.samples[version].commit_id
-        return self._once(("files", version), lambda: {
-            p: self.repo.blob_id(commit, p) for p in self.repo.list_files(commit, SOURCE_SUFFIXES)
-        })
+        return self._once(
+            ("files", version), lambda: self.repo.source_files(commit, SOURCE_SUFFIXES)
+        )
 
     def _decode(self, version: int, path: str) -> str:
         data = self.repo.file_at(self.samples[version].commit_id, path)
@@ -89,9 +92,9 @@ class VersionData:
             for path, blob in self.files(version).items()
         })
 
-    def _lex(self, version: int, path: str) -> list[Token]:
+    def _lex(self, version: int, path: str) -> TokenList:
         blob = self.files(version)[path]
-        return self._once(("lex", blob), lambda: scan(self.corpus(version)[path]))
+        return self._once(("lex", blob), lambda: scan(self.corpus(version)[path], self._lines))
 
     def file_blocks(self, version: int, path: str) -> list[CodeBlock]:
         key = ("blocks", self.files(version)[path], path)

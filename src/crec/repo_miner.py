@@ -79,6 +79,7 @@ def _path_text(raw: bytes) -> str:
 
 
 _GITLINK = "160000"  # tree mode of a submodule commit, which has no blob here
+_SYMLINK = "120000"  # tree mode of a symbolic link, whose blob is the target's path
 _S_IFMT, _S_IFDIR, _S_IFREG, _S_IFLNK = 0o170000, 0o040000, 0o100000, 0o120000
 
 
@@ -237,6 +238,15 @@ class Repository:
         if suffixes is not None:
             paths = [p for p in paths if p.endswith(suffixes)]
         return paths
+
+    def source_files(self, commit_id: str, suffixes: tuple[str, ...]) -> dict[str, str | None]:
+        """path -> blob id of each file whose name ends with one of *suffixes*,
+        in tree order; None for a gitlink. Symlinks are left out: the blob of
+        one holds its target's path, and a checkout shows the target's text,
+        so neither is the link's own source."""
+        paths = self.list_files(commit_id, suffixes)
+        entries = self._trees[commit_id]
+        return {p: self.blob_id(commit_id, p) for p in paths if entries[p][0] != _SYMLINK}
 
     def _walk_tree(self, commit_id: str) -> dict[str, tuple[str, str]]:
         """path -> (mode, object id) of every non-tree entry, as `ls-tree -r` lists them.

@@ -111,9 +111,9 @@ def feature_row(
 
 
 def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> CodeBlock:
-    """A block over a token list of its own: one identifier per text, all on
-    line *start*, in a block of *span* lines from *start*."""
-    lex = [Token("identifier", t, start) for t in texts]
+    """A block over a token list of its own: one identifier per text, in a
+    block of *span* lines from *start*."""
+    lex = [Token("identifier", t) for t in texts]
     return CodeBlock(
         path=path,
         start_line=start,

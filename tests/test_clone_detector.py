@@ -56,7 +56,7 @@ class TestTokenize:
         source = "int a;\n/* two\nlines */\nfoo();\n"
         tokens = tokenize(source)
         assert [t.text for t in tokens] == ["int", "a", "foo"]
-        assert tokens[-1].line == 4
+        assert scan(source).lines == [1, 1, 1, 4, 4, 4, 4]
 
     def test_string_is_single_literal(self):
         tokens = tokenize('log("a + b; // not code");')
@@ -152,7 +152,7 @@ def _enclosing_by_all_pairs(lex) -> list[tuple]:
     headers = {o: _header_start(lex, o) for o, _ in pairs}
     names = {o: _method_name(lex, o, headers[o]) for o, _ in pairs}
     spans = {
-        o: (lex[headers[o]].line if headers[o] < o else lex[o].line, lex[c].line)
+        o: (lex.lines[headers[o]] if headers[o] < o else lex.lines[o], lex.lines[c])
         for o, c in pairs
     }
     rows = []
@@ -203,7 +203,7 @@ class TestEnclosingMethod:
 
     def test_linear_in_brace_pairs(self):
         lex = scan(_methods_file(5000))
-        assert lex[-1].line == 20002
+        assert lex.lines[-1] == 20002
         start = time.perf_counter()
         blocks = extract_blocks(lex, "Big.java")
         elapsed = time.perf_counter() - start
@@ -245,18 +245,18 @@ def copying_extract_blocks(lex, path, diagnostics=None) -> list[BlockViews]:
         elif t.text == "}":
             if not stack:
                 if diagnostics is not None:
-                    diagnostics.append(f"{path}:{t.line}: unmatched closing brace")
+                    diagnostics.append(f"{path}:{lex.lines[idx]}: unmatched closing brace")
                 continue
             pairs.append((stack.pop(), idx))
     for idx in stack:
         if diagnostics is not None:
-            diagnostics.append(f"{path}:{lex[idx].line}: unclosed brace")
+            diagnostics.append(f"{path}:{lex.lines[idx]}: unclosed brace")
     pairs.sort()
 
     headers = {o: _header_start(lex, o) for o, _ in pairs}
     names = {o: _method_name(lex, o, headers[o]) for o, _ in pairs}
     spans = {
-        o: (lex[headers[o]].line if headers[o] < o else lex[o].line, lex[c].line)
+        o: (lex.lines[headers[o]] if headers[o] < o else lex.lines[o], lex.lines[c])
         for o, c in pairs
     }
     blocks = []
@@ -582,11 +582,12 @@ def all_pairs_detect_clones(
             x = parent[x]
         return x
 
+    sizes = [len(b.tokens) for b in qualified]
     edges = set()
     for i in range(len(qualified)):
-        size_i = len(qualified[i].tokens)
+        size_i = sizes[i]
         for j in range(i + 1, len(qualified)):
-            size_j = len(qualified[j].tokens)
+            size_j = sizes[j]
             if min(size_i, size_j) < theta * max(size_i, size_j):
                 continue
             if similarity(qualified[i], qualified[j]) >= theta:
@@ -614,7 +615,8 @@ def all_pairs_detect_clones(
 
 
 def _hit_pairs(monkeypatch, blocks, **kwargs) -> tuple[list[CloneGroup], set]:
-    """Groups of `detect_clones` and the block pairs it confirmed at theta."""
+    """Groups of `detect_clones` and the block pairs it confirmed at theta
+    through `similarity`; a nested pair is confirmed by its sizes instead."""
     theta, hits = kwargs["theta"], set()
 
     def recording(a, b):
@@ -671,12 +673,16 @@ def _family_corpus(rng: random.Random, n_blocks: int) -> list[CodeBlock]:
     return blocks
 
 
+def _nested(a: CodeBlock, b: CodeBlock) -> bool:
+    return a.contains(b) or b.contains(a)
+
+
 class TestFilteredDetectorOracle:
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8, 0.9, 1.0])
     @pytest.mark.parametrize("conjunctive", [False, True])
     def test_matches_all_pairs_detector(self, monkeypatch, theta, conjunctive):
         rng = random.Random(int(theta * 10) + 100 * conjunctive)
-        found = 0
+        found = nested = 0
         for _ in range(12):
             corpus = _family_corpus(rng, rng.randrange(2, 90))
             kwargs = dict(
@@ -688,12 +694,41 @@ class TestFilteredDetectorOracle:
             )
             expected, edges = all_pairs_detect_clones(corpus, **kwargs)
             groups, hits = _hit_pairs(monkeypatch, corpus, **kwargs)
-            assert hits == edges
+            by_key = {b.key: b for b in corpus}
+            nested_edges = {e for e in edges if _nested(*(by_key[k] for k in e))}
+            assert hits == edges - nested_edges
             assert [(g.group_id, g.members) for g in groups] == [
                 (g.group_id, g.members) for g in expected
             ]
+            for i, a in enumerate(corpus):
+                for b in corpus[i + 1 :]:
+                    if _nested(a, b):
+                        low, high = sorted((a.size, b.size))
+                        assert low / high == similarity(a, b)
+                        nested += 1
             found += len(groups)
-        assert found > 0
+        assert found > 0 and nested > 0
+
+    @pytest.mark.parametrize("depth", [50, 200, 600])
+    def test_deep_nesting_matches_all_pairs_detector(self, depth):
+        varied = min(depth, 60)  # a literal of its own on each level, so bags are wide
+        files = {
+            "Deep.java": _nested_ifs(depth),
+            "Copy.java": _nested_ifs(depth),
+            "Varied.java": "".join(
+                line.replace("x + 1;", f"x + {i};")
+                for i, line in enumerate(_nested_ifs(varied).splitlines(True))
+            ),
+            "Other.java": _nested_ifs(varied),
+        }
+        blocks = [b for path, text in files.items() for b in extract_blocks(scan(text), path)]
+        assert len(blocks) == 2 * (depth + 2) + 2 * (varied + 2)
+        expected, _ = all_pairs_detect_clones(blocks, version=depth)
+        groups = detect_clones(blocks, version=depth)
+        assert [(g.group_id, g.members) for g in groups] == [
+            (g.group_id, g.members) for g in expected
+        ]
+        assert groups
 
     def test_pair_sharing_only_the_most_frequent_token(self):
         # "hot" is in every block, so it sorts last; the pair shares nothing else

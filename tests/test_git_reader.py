@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
+from clone_fixtures import CONTROLS, PERSISTENT_PAIR, PLANTED, commit_corpora, end_to_end_corpora
 from crec import pipeline
 from crec.cli import main
 from crec.config import PipelineConfig
@@ -256,6 +256,41 @@ class TestTreeWalk:
                 repo.list_files(commit)
         for raw in (b"A\xfe.java", b"A\xff.java"):
             assert repr(raw) in str(raised.value)
+
+
+class TestSymlinks:
+    def test_no_stage_lexes_or_reports_a_java_symlink(self, tmp_path, monkeypatch):
+        # a link's blob is its target's path; Keep3.java's target is a clone's text
+        repo_path = tmp_path / "linked"
+        subprocess.run(["git", "init", "-q", str(repo_path)], check=True)
+        target = PERSISTENT_PAIR["src/keep/Keep1.java"].replace("Keep1", "Keep3")
+        for version in end_to_end_corpora():
+            files = {p.encode(): ("100644", text.encode()) for p, text in version.items()}
+            files[b"src/keep/Link.java"] = ("120000", b"Keep1.java")
+            files[b"src/keep/Keep3.java"] = ("120000", target.encode())
+            _commit_raw_paths(repo_path, files)
+        lexed, scan = [], pipeline.scan
+        monkeypatch.setattr(
+            pipeline, "scan", lambda source, memo=None: lexed.append(source) or scan(source, memo)
+        )
+        out = tmp_path / "out"
+        config = PipelineConfig(delta_threshold=1)
+        pipeline.stage_mine(config, repo_path, out)
+        for stage in (pipeline.stage_detect, pipeline.stage_genealogy,
+                      pipeline.stage_label, pipeline.stage_featurize):
+            stage(config, repo_path, out)
+        assert lexed and "Keep1.java" not in lexed and target not in lexed
+        # commits.txt keeps every changed path of the history, links included
+        written = "".join(
+            (out / name).read_text(encoding="utf-8")
+            for name in ("clones.txt", "lineages.txt", "labels.txt", "features.csv")
+        )
+        assert "src/keep/Keep1.java" in written  # the real pair is still reported
+        assert "Link.java" not in written and "Keep3" not in written
+        with Repository(repo_path) as repo:
+            head = repo.commits()[-1].id
+            assert "src/keep/Link.java" in repo.list_files(head, (".java",))
+            assert "src/keep/Link.java" not in repo.source_files(head, (".java",))
 
 
 class TestCommitRecords:

@@ -218,16 +218,17 @@ class TestVersionDataOracle:
 
     def test_each_blob_read_and_lexed_once(self, shared_blobs, monkeypatch):
         repo, samples, corpora = shared_blobs
-        reads, lexed = [], []
+        reads, lexed, memos = [], [], set()
         file_at, scan = Repository.file_at, pipeline.scan
 
         def counting_file_at(self, commit_id, path):
             reads.append(path)
             return file_at(self, commit_id, path)
 
-        def counting_scan(source):
+        def counting_scan(source, memo=None):
             lexed.append(source)
-            return scan(source)
+            memos.add(id(memo))
+            return scan(source, memo)
 
         monkeypatch.setattr(Repository, "file_at", counting_file_at)
         monkeypatch.setattr(pipeline, "scan", counting_scan)
@@ -245,6 +246,7 @@ class TestVersionDataOracle:
         assert len(set(listed)) < len(listed)  # the versions share blobs
         assert len(reads) == len(set(listed))
         assert len(lexed) == len(set(listed))
+        assert len(memos) == 1 and id(None) not in memos  # one line memo per VersionData
 
         assert vdata.files(3)[self.GITLINK] is None
         for version, corpus in enumerate(corpora):

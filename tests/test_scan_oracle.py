@@ -4,11 +4,16 @@
 token starts. The two agree on every token's kind and text. A token's line is
 1 + the newlines before its start; the loop agrees with that except after a
 backslash-newline inside a literal, which it skipped without counting.
+
+`scan` takes each line's tokens from a memo, and lexes the lines that a
+comment or literal joins as one piece, so every check runs both with a fresh
+memo and with one memo shared across all the sources of a test.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -85,13 +90,14 @@ def reference_scan(source: str) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def assert_matches_reference(source: str) -> None:
+def assert_matches_reference(source: str, memo: dict | None = None) -> None:
     expected = reference_scan(source)
-    tokens = scan(source)
+    tokens = scan(source, memo)
     assert [(t.kind, t.text) for t in tokens] == [(k, text) for k, text, _, _ in expected], source
-    for token, (_, _, line, start) in zip(tokens, expected):
-        assert token.line == 1 + source.count("\n", 0, start), source
-        assert token.line == line or "\\\n" in source[:start], source
+    assert len(tokens.lines) == len(tokens), source
+    for token_line, (_, _, line, start) in zip(tokens.lines, expected):
+        assert token_line == 1 + source.count("\n", 0, start), source
+        assert token_line == line or "\\\n" in source[:start], source
 
 
 def _fixture_blobs() -> list[str]:
@@ -109,8 +115,10 @@ def _fixture_blobs() -> list[str]:
 def test_fixture_corpora_lex_as_the_reference():
     blobs = _fixture_blobs()
     assert len(blobs) > 10
+    memo: dict = {}
     for text in blobs:
         assert_matches_reference(text)
+        assert_matches_reference(text, memo)
 
 
 # quotes, escapes, comment marks, odd whitespace, exponents, operators, words,
@@ -124,12 +132,65 @@ _PIECES = (
 _UNICODE = ("é", "²", "٣", "½", "五", "\xa0", "\u2028")
 
 
-@pytest.mark.parametrize("alphabet", ["ascii", "unicode"])
-def test_random_strings_lex_as_the_reference(alphabet):
+def _random_strings(alphabet: str) -> list[str]:
     pieces = _PIECES + (_UNICODE if alphabet == "unicode" else ())
     rng = random.Random(20181)
-    for _ in range(60_000):
-        assert_matches_reference("".join(rng.choices(pieces, k=rng.randrange(25))))
+    return ["".join(rng.choices(pieces, k=rng.randrange(25))) for _ in range(60_000)]
+
+
+@pytest.mark.parametrize("alphabet", ["ascii", "unicode"])
+def test_random_strings_lex_as_the_reference(alphabet):
+    for source in _random_strings(alphabet):
+        assert_matches_reference(source)
+
+
+@pytest.mark.parametrize("alphabet", ["ascii", "unicode"])
+def test_random_strings_lex_as_the_reference_through_one_memo(alphabet):
+    memo: dict = {}
+    for source in _random_strings(alphabet):
+        assert_matches_reference(source, memo)
+    assert len(memo) > 10_000
+
+
+def test_long_random_strings_with_many_lines():
+    # hundreds of pieces and many newlines each, so that comments and
+    # literals join lines that other strings hold on their own
+    pieces = _PIECES + _UNICODE + ("\n",) * 12 + ("int x; ", "*/ ", "/* ", "\\\n", "\r\n")
+    rng = random.Random(20182)
+    memo: dict = {}
+    for _ in range(2_000):
+        source = "".join(rng.choices(pieces, k=rng.randrange(100, 600)))
+        assert_matches_reference(source)
+        assert_matches_reference(source, memo)
+    assert any("\n" in key for key in memo)
+
+
+_SHARED_LINES = [
+    # "int x; */" inside a block comment and as code
+    "int x; */\n/* a\nint x; */\nint x; */\n",
+    "/* a\nint x; */ int y;\nint x; */ int y;\n",
+    # a literal continued by a backslash-newline, and its lines on their own
+    'String s = "a\\\nb";\nb";\nString s = "a\\\n',
+    "char c = '\\\n'; int z;\n'; int z;\n",
+    # a comment left open to the end, after its first line as code
+    "int x; /* open\nint x; /* open",
+    "/* open\nint q;\nint q;\n/* open\nint q;",
+    # CRLF lines, inside a comment and outside
+    "int x;\r\n/* c\r\nint x;\r\n*/\r\nint x;\r\n",
+    "a /* b */ c /* d\ne */ f \"g\\\nh\" i\nj\n",
+    "",
+    "\n\n",
+    "x\\",
+    '"x\\',
+]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh_memo", "shared_memo"])
+def test_lines_that_occur_both_joined_and_alone(shared):
+    memo: dict | None = {} if shared else None
+    for _ in range(2):  # the second round is answered from the memo
+        for source in _SHARED_LINES + list(reversed(_SHARED_LINES)):
+            assert_matches_reference(source, memo)
 
 
 @pytest.mark.parametrize(
@@ -145,16 +206,55 @@ def test_characters_outside_ascii(source):
 
 def test_escaped_newline_in_a_literal_is_counted():
     source = 'class A {\n  String s = "a\\\nb";\n  void f() {\n    g();\n  }\n}\n'
-    assert next(t.line for t in scan(source) if t.text == "void") == 4
+    lex = scan(source)
+    assert lex.lines[[t.text for t in lex].index("void")] == 4
     spans = {(b.start_line, b.end_line) for b in extract_blocks(scan(source), "A.java")}
     assert spans == {(1, 7), (4, 6)}
 
 
 def test_token_is_an_immutable_value_with_interned_text():
-    token = scan("int x;")[1]
-    assert token == Token("identifier", "x", 1)
-    assert (token.kind, token.text, token.line) == ("identifier", "x", 1)
+    lex = scan("int x;")
+    token = lex[1]
+    assert token == Token("identifier", "x")
+    assert (token.kind, token.text, lex.lines[1]) == ("identifier", "x", 1)
     with pytest.raises(AttributeError):
-        token.line = 2
+        token.text = "y"
     first, second = scan("alpha beta"), scan("beta\nalpha")
     assert first[0].text is second[1].text
+
+
+def test_a_memo_shares_each_line_tokens():
+    memo: dict = {}
+    first = scan("int x;\nint y;\n", memo)
+    second = scan("int y;\nint x;\nint x;", memo)
+    assert second.lines == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert all(a is b for a, b in zip(first[:3], second[3:6]))
+    assert all(a is b for a, b in zip(second[3:6], second[6:]))
+    assert memo["int x;"] == tuple(first[:3])
+
+
+def _best_scan_times(*sources: str) -> list[float]:
+    """The least of five timed scans of each source, taken in turns."""
+    best = [float("inf")] * len(sources)
+    for _ in range(5):
+        for i, source in enumerate(sources):
+            start = time.perf_counter()
+            scan(source)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize(
+    "unit",
+    ["/* note {i}\n   end {i} */\n", "    int v{i} = f{i}(a{i}, {i});\n"],
+    ids=["two_line_comments", "distinct_lines"],
+)
+def test_scan_time_is_linear(unit):
+    # each joined piece's lines are counted from where the last piece ended;
+    # counting them from the start of the source would be quadratic
+    n = 2_500
+    small, large = ("".join(unit.format(i=i) for i in range(k)) for k in (n, 4 * n))
+    assert scan(large).lines[-1:] in ([], [4 * n])
+    small_s, large_s = _best_scan_times(small, large)
+    ratio = large_s / small_s
+    assert ratio <= 6, f"4x the input took {ratio:.1f}x the time"
