@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per pipeline stage.
 
-Only argument parsing is imported up front. The stages come in with
-`pipeline` once the arguments are parsed, and each stage imports the modules
-it runs when it runs, so `crec --help` and `crec detect` do not pay for the
-learners or the feature code."""
+Only argument parsing is imported up front, and only the command being run
+gets its arguments built. The stages come in with `pipeline` once the
+arguments are parsed, and each stage imports the modules it runs when it
+runs, so `crec --help` and `crec detect` do not pay for the learners or the
+feature code."""
 
 from __future__ import annotations
 
@@ -22,51 +23,73 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + f.name.replace("_", "-"), help=f"default: {f.default}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _repo_stage(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--repo", required=True, help="Path to the git repository.")
+
+
+def _label(parser: argparse.ArgumentParser) -> None:
+    _repo_stage(parser)
+    parser.add_argument(
+        "--sweep",
+        nargs="+",
+        help="Also emit R-label counts for these similarity thresholds (each an l_th).",
+    )
+
+
+def _train(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--rounds", dest="boost_rounds", help="Same as --boost-rounds.")
+    parser.add_argument("--algorithm", default="adaboost", choices=ALGORITHMS)
+
+
+def _eval_stage(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--features", nargs="+", required=True,
+                        help="Feature files, one per project.")
+    parser.add_argument("--setting", choices=("within", "cross"), required=True)
+    parser.add_argument("--balance", action="store_true",
+                        help="Balance classes by seeded NR subsampling.")
+
+
+def _evaluate(parser: argparse.ArgumentParser) -> None:
+    _eval_stage(parser)
+    parser.add_argument("--algorithm", default="adaboost", choices=ALGORITHMS)
+
+
+def _compare(parser: argparse.ArgumentParser) -> None:
+    _eval_stage(parser)
+    parser.add_argument("--algorithms", nargs="+", required=True, choices=ALGORITHMS)
+
+
+# command -> (help, the function that adds its arguments), in `crec --help` order
+_COMMANDS = {
+    "mine": ("Enumerate commits and sample versions.", _repo_stage),
+    "detect": ("Detect clone groups at every sampled version.", _repo_stage),
+    "genealogy": ("Link clone groups across versions into lineages.", _repo_stage),
+    "label": ("Label lineages as R/NR (Extract Method history).", _label),
+    "featurize": ("Compute the 34-feature vector per lineage.", _repo_stage),
+    "train": ("Train a classifier on labeled vectors.", _train),
+    "recommend": ("Rank current clone groups by refactoring likelihood.", _add_common),
+    "evaluate": ("Ten-fold or leave-one-project-out evaluation.", _evaluate),
+    "ablate": ("Re-run evaluation with each feature category removed.", _eval_stage),
+    "compare": ("Evaluate several learning algorithms on shared folds.", _compare),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given *command*, only the subcommand of that
+    name gets its arguments, and the others stay bare: `crec --help` and the
+    check of a command's name read no more of them."""
     parser = argparse.ArgumentParser(
         prog="crec",
         description="Mine a repository's clone history and recommend groups to refactor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def stage(name: str, help_text: str, repo: bool = False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if repo:
-            p.add_argument("--repo", required=True, help="Path to the git repository.")
-        return p
-
-    stage("mine", "Enumerate commits and sample versions.", repo=True)
-    stage("detect", "Detect clone groups at every sampled version.", repo=True)
-    stage("genealogy", "Link clone groups across versions into lineages.", repo=True)
-    label = stage("label", "Label lineages as R/NR (Extract Method history).", repo=True)
-    label.add_argument(
-        "--sweep",
-        nargs="+",
-        help="Also emit R-label counts for these similarity thresholds (each an l_th).",
-    )
-    stage("featurize", "Compute the 34-feature vector per lineage.", repo=True)
-
-    train = stage("train", "Train a classifier on labeled vectors.")
-    train.add_argument("--rounds", dest="boost_rounds", help="Same as --boost-rounds.")
-    train.add_argument("--algorithm", default="adaboost", choices=ALGORITHMS)
-
-    stage("recommend", "Rank current clone groups by refactoring likelihood.")
-
-    def eval_stage(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = stage(name, help_text)
-        p.add_argument("--features", nargs="+", required=True,
-                       help="Feature files, one per project.")
-        p.add_argument("--setting", choices=("within", "cross"), required=True)
-        p.add_argument("--balance", action="store_true",
-                       help="Balance classes by seeded NR subsampling.")
-        return p
-
-    evaluate = eval_stage("evaluate", "Ten-fold or leave-one-project-out evaluation.")
-    evaluate.add_argument("--algorithm", default="adaboost", choices=ALGORITHMS)
-    eval_stage("ablate", "Re-run evaluation with each feature category removed.")
-    compare = eval_stage("compare", "Evaluate several learning algorithms on shared folds.")
-    compare.add_argument("--algorithms", nargs="+", required=True, choices=ALGORITHMS)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        stage = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(stage)
     return parser
 
 
@@ -91,7 +114,12 @@ def _sweep_thresholds(config: PipelineConfig, raw: list[str] | None) -> list[flo
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse runs the subcommand that the first positional names; the top
+    # level takes no other positional, so that is the first command name
+    command = next((arg for arg in argv if arg in _COMMANDS), "")
+    args = build_parser(command).parse_args(argv)
     from . import pipeline
 
     try:

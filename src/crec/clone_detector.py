@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .config import DEFAULTS
@@ -49,7 +50,11 @@ class TokenList(list):
 
 @dataclass(eq=False)
 class CodeBlock:
-    """The span ``lex[first:stop]`` of its file's tokens; *size* counts the non-punctuation."""
+    """The span ``lex[first:stop]`` of its file's tokens; *size* counts the non-punctuation.
+
+    The token bag is counted from the span the first time it is read, so
+    only the blocks that are compared pay for one.
+    """
 
     path: str
     start_line: int
@@ -58,10 +63,13 @@ class CodeBlock:
     first: int
     stop: int
     size: int
-    token_bag: Counter
     enclosing_method_name: str | None = None
     enclosing_method_line_count: int | None = None
     enclosing_method_start: int | None = None
+
+    @cached_property
+    def token_bag(self) -> Counter:
+        return Counter(t.text for t in self.raw_tokens if t.kind != "punct")
 
     @property
     def raw_tokens(self) -> Sequence[Token]:
@@ -106,7 +114,8 @@ class CloneGroup:
 # A word or number goes on over the characters that str.isalnum admits, as \w
 # does; a "." before a non-ASCII character is left to `_unicode_token`, since
 # it starts a number when that character is a digit (".²").
-_COMMENT = r"//[^\n]*|/\*(?:[\s\S]*?\*/|[\s\S]*)"
+_BLOCK_COMMENT = r"/\*(?:[\s\S]*?\*/|[\s\S]*)"
+_COMMENT = r"//[^\n]*|" + _BLOCK_COMMENT
 _LITERAL = r""""(?:[^"\n\\]+|\\[\s\S]?)*"?|'(?:[^'\n\\]+|\\[\s\S]?)*'?"""
 _TOKEN = re.compile(
     r"([ \t\n\r\f\v]*(?:(?:" + _COMMENT + r")[ \t\n\r\f\v]*)*)"
@@ -122,9 +131,13 @@ _PUNCT = frozenset(_OPS3 + _OPS2) | {
 }
 
 
-# The comments and literals of a source, in order, as _TOKEN meets them; one
-# that holds a newline joins the lines it spans into one piece for `scan`.
-_SPANNING = re.compile(_COMMENT + "|" + _LITERAL)
+# The comments and literals of a source, in order, as _TOKEN meets them, with
+# block comments that only whitespace parts taken as one, as _TOKEN's group 1
+# skips them in one match; one that holds a newline joins the lines it spans
+# into one piece for `scan`.
+_SPANNING = re.compile(
+    _BLOCK_COMMENT + r"(?:[ \t\n\r\f\v]*" + _BLOCK_COMMENT + r")*|" + _COMMENT + "|" + _LITERAL
+)
 
 
 def scan(source: str, memo: dict[str, tuple] | None = None) -> TokenList:
@@ -322,57 +335,51 @@ def extract_blocks(
     balanced portion is still emitted.
     """
     lines = lex.lines
-    stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    stack: list[tuple[int, int]] = []  # (index, non-punctuation before it) of each open "{"
+    pairs: list[tuple[int, int, int]] = []  # "{", "}", non-punctuation between them
+    count = 0
     for idx, t in enumerate(lex):
         if t.kind != "punct":
-            continue
-        if t.text == "{":
-            stack.append(idx)
+            count += 1
+        elif t.text == "{":
+            stack.append((idx, count))
         elif t.text == "}":
             if not stack:
                 if diagnostics is not None:
                     diagnostics.append(f"{path}:{lines[idx]}: unmatched closing brace")
                 continue
-            pairs.append((stack.pop(), idx))
-    for idx in stack:
+            o, before = stack.pop()
+            pairs.append((o, idx, count - before))
+    for idx, _ in stack:
         if diagnostics is not None:
             diagnostics.append(f"{path}:{lines[idx]}: unclosed brace")
     pairs.sort()
 
-    headers = {o: _header_start(lex, o) for o, _ in pairs}
-    names = {o: _method_name(lex, o, headers[o]) for o, _ in pairs}
-    spans = {o: (lines[headers[o]], lines[c]) for o, c in pairs}  # a header starts at or before its "{"
-
     # Brace pairs nest or are disjoint, so in opening order the method bodies
     # still open at `o` form a stack whose top is the innermost enclosing one.
     blocks = []
-    methods: list[tuple[int, int]] = []
-    for o, c in pairs:
-        while methods and methods[-1][1] < o:
+    methods: list[tuple] = []  # (close, start line, name, line count) of open method bodies
+    for o, c, inside in pairs:
+        header = _header_start(lex, o)
+        name = _method_name(lex, o, header)
+        start, end = lines[header], lines[c]  # a header starts at or before its "{"
+        while methods and methods[-1][0] < o:
             methods.pop()
-        if names[o] is not None:
-            methods.append((o, c))
-        method_open = methods[-1][0] if methods else None
-        start, end = spans[o]
-        bag = Counter(t.text for t in lex[headers[o] : c + 1] if t.kind != "punct")
-        if not bag:
+        if name is not None:
+            methods.append((c, start, name, end - start + 1))
+        size = inside + sum(1 for t in lex[header:o] if t.kind != "punct")
+        if not size:
             continue
-        if method_open is not None:
-            m_start, m_end = spans[method_open]
-            m_name, m_count = names[method_open], m_end - m_start + 1
-        else:
-            m_start = m_name = m_count = None
+        m_start, m_name, m_count = methods[-1][1:] if methods else (None, None, None)
         blocks.append(
             CodeBlock(
                 path=path,
                 start_line=start,
                 end_line=end,
                 lex=lex,
-                first=headers[o],
+                first=header,
                 stop=c + 1,
-                size=bag.total(),
-                token_bag=bag,
+                size=size,
                 enclosing_method_name=m_name,
                 enclosing_method_line_count=m_count,
                 enclosing_method_start=m_start,

@@ -56,9 +56,11 @@ class VersionData:
     """Per-sampled-version views of the repository, and the one place where
     file content is decoded and lexed.
 
-    A version's source files are listed once as path -> blob id. Each blob is
-    read, decoded and lexed once, and each view of it is derived once, so a
-    file unchanged across versions is neither read nor lexed again. All views
+    A version's source files are listed once as path -> blob id. The blobs
+    that no earlier version read are read in one burst (`Repository.read_ahead`)
+    and taken one by one through `file_at`. Each blob is read, decoded and
+    lexed once, and each view of it is derived once, so a file unchanged
+    across versions is neither read nor lexed again. All views
     share one memo, keyed by the view's name and what the view depends on.
     Every blob is lexed through one line memo, so a line that recurs across
     blobs is lexed once and its tokens are shared.
@@ -87,10 +89,18 @@ class VersionData:
         return (data or b"").decode("utf-8", errors="replace")
 
     def corpus(self, version: int) -> dict[str, str]:
-        return self._once(("corpus", version), lambda: {
-            path: self._once(("text", blob), lambda: self._decode(version, path))
-            for path, blob in self.files(version).items()
-        })
+        def build() -> dict[str, str]:
+            files = self.files(version)
+            self.repo.read_ahead(
+                blob for blob in files.values()
+                if blob is not None and ("text", blob) not in self._memo
+            )
+            return {
+                path: self._once(("text", blob), lambda: self._decode(version, path))
+                for path, blob in files.items()
+            }
+
+        return self._once(("corpus", version), build)
 
     def _lex(self, version: int, path: str) -> TokenList:
         blob = self.files(version)[path]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import subprocess
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -93,11 +94,8 @@ def _canonical_mode(mode: int) -> int:
     return 0o160000  # every other kind reads as a gitlink
 
 
-def _tree_entries(
-    data: bytes, width: int, prefix: bytes, tree_id: str
-) -> list[tuple[bytes, int, str]]:
-    """(prefix + name, canonical mode, object id) of each entry of a raw tree
-    object, last entry first, so that popping them yields stored order."""
+def _tree_entries(data: bytes, width: int, tree_id: str) -> list[tuple[bytes, int, str]]:
+    """(name, canonical mode, object id) of each entry of a raw tree object, in stored order."""
     entries = []
     start = 0
     try:
@@ -108,12 +106,18 @@ def _tree_entries(
             if end > len(data):
                 raise ValueError("object id cut short")
             mode = _canonical_mode(int(data[start:space], 8))
-            entries.append((prefix + data[space + 1 : nul], mode, data[nul + 1 : end].hex()))
+            entries.append((data[space + 1 : nul], mode, data[nul + 1 : end].hex()))
             start = end
     except ValueError:
         raise GitError(f"malformed tree object {tree_id}") from None
-    entries.reverse()
     return entries
+
+
+# Request bytes written to cat-file at once. Every earlier request has been
+# answered before a burst is written, so the pipe to git is empty, and a pipe
+# takes at least one page without blocking: the write cannot wait on git while
+# git waits for us to read its replies.
+_BURST_BYTES = 4096
 
 
 class Repository:
@@ -121,9 +125,12 @@ class Repository:
 
     Each commit's tree is read once (path -> blob id) and file contents by
     blob id, both through one long-lived `git cat-file --batch`, started on the
-    first read. Tree entries are raw bytes, so non-ASCII names come back
-    verbatim. Use the repository as a context manager, or call close(), to stop
-    and reap that process.
+    first read. Objects are asked for in pipelined bursts: a tree walk asks
+    for all the subtrees of one level at once, and `read_ahead` for all of a
+    version's blobs, which `file_at` then hands out. Tree bodies are kept by
+    tree id, so a subtree that no version changed is read once. Tree entries
+    are raw bytes, so non-ASCII names come back verbatim. Use the repository
+    as a context manager, or call close(), to stop and reap that process.
     """
 
     def __init__(self, path: str | Path):
@@ -136,6 +143,8 @@ class Repository:
         self._commits: list[CommitRecord] | None = None
         self._known: frozenset[str] | None = None
         self._trees: dict[str, dict[str, tuple[str, str]]] = {}  # commit -> path -> (mode, id)
+        self._tree_bodies: dict[str, bytes] = {}  # tree id -> raw tree object
+        self._ahead: dict[str, bytes] = {}  # blob id -> body, from the last read_ahead
 
     def __enter__(self) -> Repository:
         return self
@@ -251,23 +260,42 @@ class Repository:
     def _walk_tree(self, commit_id: str) -> dict[str, tuple[str, str]]:
         """path -> (mode, object id) of every non-tree entry, as `ls-tree -r` lists them.
 
-        Tree objects come through the batch reader and are walked depth first
-        in stored order, which is `ls-tree -r`'s order, with an explicit stack
-        so that depth is unbounded. Object ids are as wide as the reply's, and
-        modes are git's canonical ones (a stored 100664 reads as 100644).
-        Gitlinks stay entries and are not read. Two paths that decode to the
-        same text raise GitError rather than one hiding the other.
+        The root tree comes through the batch reader, then the subtrees of
+        each level in one burst, leaving out those already read. The entries
+        are then walked depth first in stored order, which is `ls-tree -r`'s
+        order, with an explicit stack so that depth is unbounded. Object ids
+        are as wide as the reply's, and modes are git's canonical ones (a
+        stored 100664 reads as 100644). Gitlinks stay entries and are not
+        read. Two paths that decode to the same text raise GitError rather
+        than one hiding the other.
         """
         root_id, data = self._read_object(f"{commit_id}^{{tree}}", b"tree")
         width = len(root_id) // 2
+        bodies = self._tree_bodies
+        bodies[root_id] = data
+        trees = {root_id: _tree_entries(data, width, root_id)}  # this walk's trees, parsed
+        level = [root_id]
+        while level:
+            subtrees = list(dict.fromkeys(
+                object_id
+                for tree_id in level
+                for _, mode, object_id in trees[tree_id]
+                if mode == _S_IFDIR and object_id not in trees
+            ))
+            unread = [tree_id for tree_id in subtrees if tree_id not in bodies]
+            bodies.update(zip(unread, (body for _, body in self._read_objects(unread, b"tree"))))
+            for tree_id in subtrees:
+                trees[tree_id] = _tree_entries(bodies[tree_id], width, tree_id)
+            level = subtrees
+
         entries: dict[str, tuple[str, str]] = {}
         raw_paths: dict[str, bytes] = {}
-        stack = _tree_entries(data, width, b"", root_id)
+        stack = trees[root_id][::-1]
         while stack:
             raw, mode, object_id = stack.pop()
             if mode == _S_IFDIR:
-                _, data = self._read_object(object_id, b"tree")
-                stack += _tree_entries(data, width, raw + b"/", object_id)
+                prefix = raw + b"/"
+                stack += [(prefix + name, m, o) for name, m, o in reversed(trees[object_id])]
                 continue
             path = _path_text(raw)
             if path in entries:
@@ -289,15 +317,43 @@ class Repository:
     def file_at(self, commit_id: str, path: str) -> bytes | None:
         """Exact bytes of *path* at *commit_id*, or None when absent there.
 
-        An object the tree names but the batch reader cannot deliver raises
-        GitError rather than reading as absent.
+        A blob of the last `read_ahead` is taken from it; any other is asked
+        for on its own. An object the tree names but the batch reader cannot
+        deliver raises GitError rather than reading as absent.
         """
         self._check_commit(commit_id)
         object_id = self.blob_id(commit_id, path)
-        return None if object_id is None else self._read_object(object_id, b"blob")[1]
+        if object_id is None:
+            return None
+        data = self._ahead.pop(object_id, None)
+        return self._read_object(object_id, b"blob")[1] if data is None else data
+
+    def read_ahead(self, blob_ids: Iterable[str]) -> None:
+        """Read the blobs *blob_ids* in one burst, for `file_at` to hand out.
+
+        The bodies of an earlier read-ahead that `file_at` did not take are
+        dropped, so the bodies of one read-ahead at most are held.
+        """
+        self._ahead = {}
+        wanted = list(dict.fromkeys(blob_ids))
+        self._ahead = dict(zip(wanted, (body for _, body in self._read_objects(wanted, b"blob"))))
 
     def _read_object(self, name: str, kind: bytes) -> tuple[str, bytes]:
         """(object id, body) of the object *name* resolves to, which must be a *kind*."""
+        return self._read_objects([name], kind)[0]
+
+    def _read_objects(self, names: list[str], kind: bytes) -> list[tuple[str, bytes]]:
+        """(object id, body) of the object each of *names* resolves to, in
+        order; each must be a *kind*.
+
+        The requests go out in bursts of at most _BURST_BYTES, and a burst's
+        replies are all read before the next burst is written. A missing or
+        mistyped object raises GitError once the rest of its burst's replies
+        are read, so the next request still lines up. A reply that cannot be
+        read stops the process, and the next read starts a new one.
+        """
+        if not names:
+            return []
         if self._batch is None:
             self._batch = subprocess.Popen(
                 ["git", "-C", str(self.path), "cat-file", "--batch"],
@@ -306,25 +362,54 @@ class Repository:
                 stderr=subprocess.DEVNULL,
             )
         batch = self._batch
-        try:
-            batch.stdin.write(name.encode() + b"\n")
-            batch.stdin.flush()
-            header = batch.stdout.readline()
-        except OSError as exc:
-            raise GitError(f"git cat-file --batch is gone: {exc}") from None
+        out: list[tuple[str, bytes]] = []
+        start = 0
+        while start < len(names):
+            stop, size = start + 1, len(names[start]) + 1
+            while stop < len(names) and size + len(names[stop]) + 1 <= _BURST_BYTES:
+                size += len(names[stop]) + 1
+                stop += 1
+            burst = names[start:stop]
+            try:
+                batch.stdin.write("".join(name + "\n" for name in burst).encode())
+                batch.stdin.flush()
+                replies = [self._read_reply(batch, name, kind) for name in burst]
+            except GitError:
+                self.close()
+                raise
+            except OSError as exc:
+                self.close()
+                raise GitError(f"git cat-file --batch is gone: {exc}") from None
+            for reply in replies:
+                if isinstance(reply, GitError):
+                    raise reply
+            out += replies
+            start = stop
+        return out
+
+    def _read_reply(
+        self, batch: subprocess.Popen, name: str, kind: bytes
+    ) -> tuple[str, bytes] | GitError:
+        """(object id, body) of the reply for *name*, read whole.
+
+        The error for a missing or mistyped object is returned, not raised,
+        so that the caller can read the rest of the burst first; a reply that
+        cannot be read raises GitError.
+        """
+        header = batch.stdout.readline()
         fields = header.split()
         if not fields:
             raise GitError(f"git cat-file --batch is gone (exit status {batch.poll()})")
         if fields[-1] == b"missing":
-            raise GitError(f"object {name} is missing from {self.path}")
+            return GitError(f"object {name} is missing from {self.path}")
         if len(fields) != 3:
             raise GitError(f"unexpected git cat-file reply for {name}: {header!r}")
         size = int(fields[2])
         data = batch.stdout.read(size)
         if len(data) != size or batch.stdout.read(1) != b"\n":
             raise GitError(f"short read of object {name}: {len(data)} of {size} bytes")
-        if fields[1] != kind:  # checked after the body is read, so the next reply lines up
-            raise GitError(f"object {name} is a {fields[1].decode()}, not a {kind.decode()}")
+        if fields[1] != kind:
+            return GitError(f"object {name} is a {fields[1].decode()}, not a {kind.decode()}")
         return fields[0].decode(), data
 
     def changed_paths(self, commit_a: str, commit_b: str) -> list[str]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import os
 import subprocess
-from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -122,7 +121,6 @@ def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> Co
         first=0,
         stop=len(lex),
         size=len(lex),
-        token_bag=Counter(texts),
     )
 
 

@@ -641,3 +641,44 @@ class TestMalformedArtifacts:
         artifacts.write_artifact(tmp_path / "model.txt", "model", [row])
         assert _run("recommend", "--out", str(tmp_path)) == 1
         assert _one_error_line(capsys).startswith(f"error: ParseError: line 2: {message}")
+
+
+_PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["bogus"], ["--xyz"], ["--xyz", "detect", "--repo", "r"],
+    *([stage, "--help"] for stage in STAGES),
+    ["detect"], ["mine", "--repo"], ["detect", "--repo", "r", "--bogus"], ["recommend", "extra"],
+    ["label", "--repo", "r", "--sweep"], ["train", "--algorithm", "nope"],
+    ["evaluate", "--features", "f"], ["ablate", "--features", "f", "--setting", "both"],
+    ["compare", "--features", "f", "--setting", "within", "--algorithms", "nope"],
+]
+_VALID_ARGVS = [
+    ["mine", "--repo", "r", "--seed", "4"],
+    ["label", "--repo", "r", "--sweep", "0.3", "0.5", "--out", "o"],
+    ["train", "--rounds", "7", "--algorithm", "naive_bayes"],
+    ["recommend", "--config", "c"],
+    ["evaluate", "--features", "a", "b", "--setting", "cross", "--balance"],
+    ["compare", "--features", "a", "--setting", "within", "--algorithms", "adaboost", "decision_tree"],
+]
+
+
+class TestParserPerCommand:
+    """`main` builds the arguments of the command it runs only; what it prints
+    and parses is what the parser with every command's arguments gives."""
+
+    @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+    def test_help_and_usage_errors_print_the_full_parsers_bytes(self, capsys, argv):
+        def outcome(run) -> tuple:
+            with pytest.raises(SystemExit) as exited:
+                run()
+            printed = capsys.readouterr()
+            return exited.value.code, printed.out, printed.err
+
+        expected = outcome(lambda: build_parser().parse_args(argv))
+        assert expected[1] or expected[2]
+        assert outcome(lambda: main(list(argv))) == expected
+
+    @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=lambda argv: argv[0])
+    def test_one_commands_parser_parses_as_the_full_one(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+        bare = build_parser(argv[0])._subparsers._group_actions[0].choices
+        assert [name for name, p in bare.items() if len(p._actions) > 1] == [argv[0]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import _sha1
 import dataclasses
+import gc
 import hashlib
 import random
 import time
@@ -331,7 +332,7 @@ class TestSpanExtractorOracle:
         assert sum(self._check(text) for text in sorted(blobs)) > 0
 
     def test_generated_nested_files(self):
-        for depth in (1, 2, 7, 60):
+        for depth in (1, 2, 7, 60, 250):
             assert self._check(_nested_ifs(depth), "Deep.java") == depth + 2
         assert self._check(_methods_file(40)) == 3 * 40 + 1
         assert self._check(NESTED_METHOD) == 2
@@ -353,18 +354,40 @@ class TestSpanExtractorOracle:
             self._check(" ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 120))))
 
 
-def test_deep_nesting_in_bounded_memory():
-    # the blocks share the file's token list instead of each copying its range
-    lex = scan(_nested_ifs(1000))
-    assert len(lex) == 14012
+def _peak(lex) -> int:
+    """The tracemalloc peak of one `extract_blocks` call."""
     tracemalloc.start()
     try:
         blocks = extract_blocks(lex, "Deep.java")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(blocks) == 1002
-    assert peak < 30_000_000, f"extract_blocks peaked at {peak / 1e6:.1f} MB"
+    assert len(blocks) == sum(1 for t in lex if t.text == "{")
+    return peak
+
+
+def test_deep_nesting_in_linear_time_and_memory():
+    # blocks are spans whose sizes come from one running count, and whose bags
+    # are counted only when read, so neither grows with depth x file size
+    small, large = scan(_nested_ifs(250)), scan(_nested_ifs(1000))
+    assert (len(small), len(large)) == (3512, 14012)  # the large file is 3.99x the small
+    # the least of 15 calls each, taken in turns with the collector off, as timeit does
+    best = [float("inf")] * 2
+    gc.disable()
+    try:
+        for _ in range(15):
+            for i, lex in enumerate((small, large)):
+                start = time.perf_counter()
+                extract_blocks(lex, "Deep.java")
+                best[i] = min(best[i], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    small_peak, large_peak = _peak(small), _peak(large)
+    # 4x the time and memory of the small file, with room for the timer's noise
+    # and for the line and index ints above 256 that CPython does not share
+    assert best[1] <= 4.5 * best[0], f"{best[1] / best[0]:.2f}x the time"
+    assert large_peak <= 4.5 * small_peak, f"{large_peak / small_peak:.2f}x the memory"
+    assert large_peak < 1_000_000
 
 
 def _oracle_similarity(a: CodeBlock, b: CodeBlock) -> float:
@@ -666,7 +689,6 @@ def _family_corpus(rng: random.Random, n_blocks: int) -> list[CodeBlock]:
                 first=first,
                 stop=stop,
                 size=stop - first,
-                token_bag=Counter(t.text for t in outer.lex[first:stop]),
             )
             assert outer.contains(block)
         blocks.append(block)

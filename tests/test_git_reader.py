@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from clone_fixtures import CONTROLS, PERSISTENT_PAIR, PLANTED, commit_corpora, end_to_end_corpora
+from conftest import RepoBuilder
 from crec import pipeline
 from crec.cli import main
 from crec.config import PipelineConfig
 from crec.errors import GitError
-from crec.repo_miner import Repository
+from crec.repo_miner import _S_IFDIR, Repository, SampledVersion, _canonical_mode, _path_text
 
 UTF8_PATH = "src/é/Q.java"
 
@@ -64,6 +65,54 @@ def _assert_trees_match_ls_tree(repo_path, commits: list[str]) -> None:
             expected = ls_tree_entries(repo_path, commit)
             assert list(repo._entries(commit).items()) == list(expected.items()), commit
             assert repo.list_files(commit) == list(expected), commit
+
+
+def one_by_one_walk(repo: Repository, commit_id: str) -> dict[str, tuple[str, str]]:
+    """The tree walk that asked cat-file for one object at a time, kept as the
+    oracle: the root, then each subtree as the depth-first walk meets it."""
+
+    def entries(data: bytes, width: int, prefix: bytes) -> list[tuple[bytes, int, str]]:
+        out, start = [], 0
+        while start < len(data):
+            space = data.index(b" ", start)
+            nul = data.index(b"\0", space)
+            mode = _canonical_mode(int(data[start:space], 8))
+            out.append((prefix + data[space + 1 : nul], mode, data[nul + 1 : nul + 1 + width].hex()))
+            start = nul + 1 + width
+        return out[::-1]
+
+    root_id, data = repo._read_object(f"{commit_id}^{{tree}}", b"tree")
+    width = len(root_id) // 2
+    found: dict[str, tuple[str, str]] = {}
+    stack = entries(data, width, b"")
+    while stack:
+        raw, mode, object_id = stack.pop()
+        if mode == _S_IFDIR:
+            stack += entries(repo._read_object(object_id, b"tree")[1], width, raw + b"/")
+            continue
+        assert _path_text(raw) not in found
+        found[_path_text(raw)] = (f"{mode:06o}", object_id)
+    return found
+
+
+def _assert_reads_match_one_by_one(repo_path, commits: list[str]) -> None:
+    """Pipelined reads give what one request per object gives: the same trees,
+    source files and bytes."""
+    with Repository(repo_path) as repo, Repository(repo_path) as oracle:
+        for commit in commits:
+            expected = one_by_one_walk(oracle, commit)
+            assert list(repo._entries(commit).items()) == list(expected.items()), commit
+            assert repo.list_files(commit) == list(expected), commit
+            sources = repo.source_files(commit, (".java",))
+            assert sources == {
+                p: object_id for p, (mode, object_id) in expected.items()
+                if p.endswith(".java") and mode not in ("120000", "160000")
+            }
+            repo.read_ahead(sources.values())
+            for path, (mode, object_id) in expected.items():
+                want = None if mode == "160000" else oracle._read_object(object_id, b"blob")[1]
+                assert repo.file_at(commit, path) == want, (commit, path)
+            assert repo._ahead == {}
 
 
 IDENTITY = {
@@ -245,6 +294,72 @@ class TestTreeWalk:
             assert repo.file_at(crafted, DEEP_PATH.decode()) == b"class Deep {}\n"
             assert repo.file_at(crafted, "line\nbreak.java") == b"class Break {}\n"
 
+    @pytest.mark.parametrize("object_format", ["sha1", "sha256"])
+    def test_pipelined_reads_match_one_request_per_object(self, tmp_path, object_format):
+        corpora = [build() for build in (*PLANTED.values(), *CONTROLS.values())]
+        for i, corpus in enumerate([*corpora, end_to_end_corpora()]):
+            path = tmp_path / f"fixture{i}"
+            subprocess.run(
+                ["git", "init", "-q", f"--object-format={object_format}", str(path)], check=True
+            )
+            rb = RepoBuilder(path)
+            commit_corpora(rb, corpus)
+            _assert_reads_match_one_by_one(path, _git(rb, "rev-list", "HEAD").decode().split())
+        crafted = _crafted_history(tmp_path / "crafted", object_format)
+        _assert_reads_match_one_by_one(tmp_path / "crafted", crafted)
+
+    @pytest.mark.parametrize("object_format", ["sha1", "sha256"])
+    def test_bursts_longer_than_one_write(self, tmp_path, object_format):
+        # 150 directories on one level and 150 blobs: each burst of requests
+        # takes two or more writes of at most 4,096 bytes
+        repo_path = tmp_path / "wide"
+        subprocess.run(
+            ["git", "init", "-q", f"--object-format={object_format}", str(repo_path)], check=True
+        )
+        rb = RepoBuilder(repo_path)
+        first = rb.commit({f"d{i:03d}/W{i}.java": f"class W{i} {{}}\n" for i in range(150)})
+        second = rb.commit({"d007/W7.java": "class W7 { int x; }\n"})
+        with Repository(repo_path) as repo:
+            repo.list_files(first)
+            writes = _record_writes(repo)
+            repo.read_ahead(repo.source_files(first, (".java",)).values())
+            assert len(writes) >= 2 and max(writes) <= 4096, writes
+            writes.clear()
+            repo.list_files(second)
+            assert len(writes) == 2, writes  # the root, then the one subtree that changed
+        _assert_reads_match_one_by_one(repo_path, [first, second])
+
+    def test_missing_or_mistyped_subtree_mid_burst_raises_and_the_next_read_lines_up(
+        self, make_repo
+    ):
+        rb = make_repo()
+        files = {f"{d}/{d.upper()}.java": f"class {d.upper()} {{}}\n" for d in "abcde"}
+        good = rb.commit(files)
+        broken = rb.commit({"c/C.java": "class C { int gone; }\n"})
+        blob = _git(rb, "rev-parse", f"{good}:a/A.java").decode().strip()
+        subtrees = [_git(rb, "rev-parse", f"{good}:{d}").decode().strip() for d in "ab"]
+        raw = b"".join(
+            f"40000 {name}\0".encode() + bytes.fromhex(object_id)
+            for name, object_id in zip("abc", (subtrees[0], blob, subtrees[1]))
+        )
+        mistyped = _commit_literal_tree(rb.path, raw)
+        gone = _git(rb, "rev-parse", f"{broken}:c").decode().strip()
+        _delete_object(rb, gone)
+        with Repository(rb.path) as repo:
+            with pytest.raises(GitError, match=f"object {gone} is missing from"):
+                repo.list_files(broken)
+            batch = repo._batch  # the same process serves every read below
+            assert repo.list_files(good) == sorted(files)
+            with pytest.raises(GitError, match=f"object {blob} is a blob, not a tree"):
+                repo.list_files(mistyped)
+            assert repo.file_at(good, "e/E.java") == b"class E {}\n"
+            ids = list(repo.source_files(good, (".java",)).values())
+            with pytest.raises(GitError, match=f"object {subtrees[0]} is a tree, not a blob"):
+                repo.read_ahead([ids[0], subtrees[0], ids[1]])
+            repo.read_ahead(ids)
+            assert [repo.file_at(good, p) for p in files] == [t.encode() for t in files.values()]
+            assert repo._batch is batch
+
     def test_paths_that_decode_alike_raise(self, tmp_path):
         repo_path = tmp_path / "alike"
         subprocess.run(["git", "init", "-q", str(repo_path)], check=True)
@@ -256,6 +371,27 @@ class TestTreeWalk:
                 repo.list_files(commit)
         for raw in (b"A\xfe.java", b"A\xff.java"):
             assert repr(raw) in str(raised.value)
+
+
+class TestReadAhead:
+    def test_a_versions_unread_blobs_come_in_one_burst(self, make_repo):
+        rb = make_repo()
+        versions = end_to_end_corpora()
+        commit_corpora(rb, versions + versions[:1])  # the last version reads no new blob
+        with Repository(rb.path) as repo:
+            samples = [SampledVersion(i, c.id, 0) for i, c in enumerate(repo.commits())]
+            vdata = pipeline.VersionData(repo, samples)
+            for version in range(len(samples)):
+                vdata.files(version)
+            writes, seen = _record_writes(repo), set()
+            for version, expected in enumerate(versions + versions[:1]):
+                unread = set(vdata.files(version).values()) - seen
+                seen |= unread
+                before = len(writes)
+                assert vdata.corpus(version) == expected
+                assert len(writes) - before == (1 if unread else 0), version
+                assert repo._ahead == {}
+            assert len(writes) == len(versions)
 
 
 class TestSymlinks:
@@ -382,6 +518,30 @@ class TestGitErrors:
                 repo.file_at(commit, "A.java")
 
 
+class _RecordingPipe:
+    """A cat-file stdin that records the size of each write."""
+
+    def __init__(self, pipe, writes: list[int]):
+        self.pipe, self.writes = pipe, writes
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(len(data))
+        return self.pipe.write(data)
+
+    def flush(self) -> None:
+        self.pipe.flush()
+
+    def close(self) -> None:
+        self.pipe.close()
+
+
+def _record_writes(repo: Repository) -> list[int]:
+    """The sizes of the writes to the repository's running cat-file from now on."""
+    writes: list[int] = []
+    repo._batch.stdin = _RecordingPipe(repo._batch.stdin, writes)
+    return writes
+
+
 @pytest.fixture
 def popen_log(monkeypatch):
     """Every subprocess.Popen started while the fixture is active."""
@@ -390,6 +550,9 @@ def popen_log(monkeypatch):
     class Recording(subprocess.Popen):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.writes: list[int] = []
+            if self.stdin is not None:
+                self.stdin = _RecordingPipe(self.stdin, self.writes)
             started.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recording)
@@ -406,6 +569,8 @@ class TestProcessesPerStage:
         pipeline.stage_mine(config, rb.path, out)
         samples = len((out / "samples.txt").read_text().splitlines()) - 1
         assert samples >= 10
+        # tree levels on the longest path, the root's included
+        depth = 1 + max(path.count("/") for version in versions for path in version)
         for stage in (
             pipeline.stage_detect,
             pipeline.stage_genealogy,
@@ -417,3 +582,5 @@ class TestProcessesPerStage:
             assert all(Path(p.args[0]).name == "git" for p in popen_log)
             assert len(popen_log) <= 3, stage.__name__
             assert all(p.returncode is not None for p in popen_log), stage.__name__
+            bursts = sum(len(p.writes) for p in popen_log)  # a write to cat-file is a burst
+            assert 0 < bursts <= samples * (depth + 1), (stage.__name__, bursts)

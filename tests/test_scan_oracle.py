@@ -178,6 +178,11 @@ _SHARED_LINES = [
     # CRLF lines, inside a comment and outside
     "int x;\r\n/* c\r\nint x;\r\n*/\r\nint x;\r\n",
     "a /* b */ c /* d\ne */ f \"g\\\nh\" i\nj\n",
+    # block comments that only whitespace parts: one piece, which _TOKEN skips
+    # in one match; their lines recur alone and after code
+    "/* a\n*/ /* b\n*/\n\n\t/* c */\n/* d\n*/\nint x;\n/* a\n*/\n",
+    "int x; /* a\n*/\n  \n/* b\n*/ int y; /* c\n*/\f/* d\n*/",
+    "/* a\n*/\n/* open\n",
     "",
     "\n\n",
     "x\\",
@@ -231,6 +236,23 @@ def test_a_memo_shares_each_line_tokens():
     assert all(a is b for a, b in zip(first[:3], second[3:6]))
     assert all(a is b for a, b in zip(second[3:6], second[6:]))
     assert memo["int x;"] == tuple(first[:3])
+
+
+def test_a_run_of_block_comments_is_one_piece():
+    run = "/* a\n   b */\n\n  /* c\n d */ \t/* e */\r\n/* f\n*/"
+    pieces = {  # source -> the one piece its lines form
+        run: run,
+        f"int x;\n{run}\nint y;\n": run,
+        f"int x; {run} int y;": f"int x; {run} int y;",
+    }
+    for source, piece in pieces.items():
+        memo: dict = {}
+        assert_matches_reference(source, memo)
+        assert [unit for unit in memo if "\n" in unit] == [piece]
+    memo = {}
+    many = "".join(f"/* note {i}\n   end {i} */\n" for i in range(10_000))
+    assert scan(many, memo) == []
+    assert [unit for unit in memo if "\n" in unit] == [many[:-1]]
 
 
 def _best_scan_times(*sources: str) -> list[float]:
