@@ -53,13 +53,15 @@ class CodeBlock:
     """The span ``lex[first:stop]`` of its file's tokens; *size* counts the non-punctuation.
 
     The token bag is counted from the span the first time it is read, so
-    only the blocks that are compared pay for one.
+    only the blocks that are compared pay for one. Blocks compare by
+    identity, since two spans can share their lines (``{ { a(); } }``);
+    ``key`` is the location.
     """
 
     path: str
     start_line: int
     end_line: int
-    lex: Sequence[Token] = field(repr=False)
+    lex: TokenList = field(repr=False)
     first: int
     stop: int
     size: int
@@ -92,12 +94,6 @@ class CodeBlock:
     @property
     def line_span(self) -> int:
         return self.end_line - self.start_line + 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CodeBlock) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .clone_detector import CodeBlock, Token, TokenList, scan
+from .clone_detector import CodeBlock, Token, TokenList
 from .config import DEFAULTS
 from .errors import RangeViolation
 from .genealogy import Lineage
@@ -112,19 +112,9 @@ class TokenMultisetDiff:
     differential: tuple[DifferentialMultiset, ...]
 
 
-@dataclass(frozen=True)
-class FileContext:
-    lines: tuple[str, ...]
-    field_names: frozenset[str]
-
-
-def file_context(text: str, lex: list[Token]) -> FileContext:
-    """*lex* is the token list of *text*. Lines break at newlines only, as ``scan`` counts them."""
-    return FileContext(lines=tuple(text.split("\n")), field_names=frozenset(_field_names(lex)))
-
-
-def _field_names(lex: list[Token]) -> set[str]:
-    """Shallow scan for names declared directly inside the outermost type body."""
+def file_context(lex: TokenList) -> frozenset[str]:
+    """Names declared directly inside the outermost type body of a file's
+    tokens: a shallow scan, read by F4."""
     names: set[str] = set()
     depth = 0
     segment: list[Token] = []
@@ -141,7 +131,7 @@ def _field_names(lex: list[Token]) -> set[str]:
                 segment = []
             else:
                 segment.append(t)
-    return names
+    return frozenset(names)
 
 
 def _declared_names(segment: list[Token]) -> set[str]:
@@ -226,7 +216,8 @@ def _is_test_path(path: str) -> bool:
     return stem.endswith("Test") or stem.endswith("Tests")
 
 
-def extract_code_features(clone: CodeBlock, fctx: FileContext) -> tuple[float, ...]:
+def extract_code_features(clone: CodeBlock, field_names: frozenset[str]) -> tuple[float, ...]:
+    """F1-F11 of *clone*; *field_names* is the ``file_context`` of its file."""
     raw = clone.raw_tokens
     f1 = float(clone.line_span)
     f2 = float(clone.size)
@@ -242,7 +233,7 @@ def extract_code_features(clone: CodeBlock, fctx: FileContext) -> tuple[float, .
             and raw[i - 1].text == "."
             and raw[i - 2].text == "this"
         )
-        if after_this or t.text in fctx.field_names:
+        if after_this or t.text in field_names:
             f4 += 1.0
 
     stmts = _statements(raw)
@@ -258,13 +249,14 @@ def extract_code_features(clone: CodeBlock, fctx: FileContext) -> tuple[float, .
     f8 = 1.0 if _braces_balanced(raw) and first not in _INCOMPLETE_STARTERS else 0.0
     f9 = 1.0 if first in _CONTROL_STARTERS else 0.0
 
-    f10 = 0.0
-    for line in reversed(fctx.lines[: clone.start_line - 1]):
-        if not line.strip():
-            continue
-        lead = scan(line)
-        f10 = 1.0 if lead and lead[0].kind == "keyword" and lead[0].text in _CONTROL_KEYWORDS else 0.0
-        break
+    # F10 reads the first token of the nearest earlier line that holds a token
+    # (a control keyword's text always lexes as a keyword)
+    lines, i = clone.lex.lines, clone.first - 1
+    while i >= 0 and lines[i] == clone.start_line:
+        i -= 1
+    while i > 0 and lines[i - 1] == lines[i]:
+        i -= 1
+    f10 = 1.0 if i >= 0 and clone.lex[i].text in _CONTROL_KEYWORDS else 0.0
 
     f11 = 1.0 if _is_test_path(clone.path) else 0.0
     return (f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11)

@@ -17,15 +17,6 @@ from .genealogy import CloneLink, Lineage
 
 
 @dataclass(frozen=True)
-class ExtractedMethodCandidate:
-    name: str
-    declaring_path: str
-    start_line: int
-    end_line: int
-    body_tokens: tuple[str, ...]  # multiset, canonically sorted
-
-
-@dataclass(frozen=True)
 class LabelDecision:
     lineage_id: str
     step_version: int | None  # earliest qualifying step for R, None for NR
@@ -42,38 +33,27 @@ class LabelDecision:
 
 
 class LabelContext:
-    """Corpus access for method resolution, keyed by sampled-version index.
+    """The method bodies of each sampled version, keyed by its index, for
+    method resolution.
 
     *blocks_at(version)* maps each path of that version to the file's blocks.
     """
 
     def __init__(self, blocks_at: Callable[[int], dict[str, list[CodeBlock]]]):
         self._blocks_at = blocks_at
-        self._methods: dict[int, dict[str, list[ExtractedMethodCandidate]]] = {}
+        self._methods: dict[int, dict[str, list[CodeBlock]]] = {}
 
-    def methods_at(self, version: int) -> dict[str, list[ExtractedMethodCandidate]]:
+    def methods_at(self, version: int) -> dict[str, list[CodeBlock]]:
+        """Method name -> the body blocks of the methods by that name, in path
+        and then block order; a body with no token inside its braces is left out."""
         if version not in self._methods:
-            index: dict[str, list[ExtractedMethodCandidate]] = {}
+            index: dict[str, list[CodeBlock]] = {}
             files = self._blocks_at(version)
             for path in sorted(files):
                 for block in files[path]:
-                    if (
-                        block.enclosing_method_name is None
-                        or block.enclosing_method_start != block.start_line
-                    ):
-                        continue  # not a method body block
-                    body = method_body_tokens(block)
-                    if not body:
-                        continue
-                    index.setdefault(block.enclosing_method_name, []).append(
-                        ExtractedMethodCandidate(
-                            name=block.enclosing_method_name,
-                            declaring_path=path,
-                            start_line=block.start_line,
-                            end_line=block.end_line,
-                            body_tokens=tuple(sorted(body.elements())),
-                        )
-                    )
+                    is_body = block.enclosing_method_start == block.start_line
+                    if is_body and method_body_tokens(block):
+                        index.setdefault(block.enclosing_method_name, []).append(block)
             self._methods[version] = index
         return self._methods[version]
 
@@ -99,9 +79,10 @@ def reduced_clones(links: list[CloneLink]) -> list[CloneLink]:
 
 def new_invocations(
     c_links: list[CloneLink],
-    methods: dict[str, list[ExtractedMethodCandidate]],
-) -> dict[ExtractedMethodCandidate, list[CloneLink]]:
-    """Map each qualifying extracted-method candidate to the clones calling it.
+    methods: dict[str, list[CodeBlock]],
+) -> list[tuple[CodeBlock, list[CloneLink]]]:
+    """Each qualifying extracted-method candidate, a method body block of
+    *methods*, with the clones calling it, in name order.
 
     A candidate qualifies when at least two clones newly invoke its name and a
     method body by that name is resolvable in the corpus at the later version.
@@ -113,14 +94,12 @@ def new_invocations(
         )
         for name in sorted(added):
             per_name.setdefault(name, []).append(link)
-    result: dict[ExtractedMethodCandidate, list[CloneLink]] = {}
-    for name in sorted(per_name):
-        links = per_name[name]
-        if len(links) < 2:
-            continue
-        for candidate in methods.get(name, ()):
-            result[candidate] = links
-    return result
+    return [
+        (method, links)
+        for name, links in sorted(per_name.items())
+        if len(links) >= 2
+        for method in methods.get(name, ())
+    ]
 
 
 def label_lineage(
@@ -134,10 +113,12 @@ def label_lineage(
             continue
         candidates = new_invocations(c, ctx.methods_at(v_i1))
         best = None
-        for cand in sorted(candidates, key=lambda m: (m.name, m.declaring_path, m.start_line)):
-            body = Counter(cand.body_tokens)
+        for method, links in sorted(
+            candidates, key=lambda m: (m[0].enclosing_method_name, m[0].path, m[0].start_line)
+        ):
+            body = method_body_tokens(method)
             qualifying = []
-            for link in candidates[cand]:
+            for link in links:
                 removed = link.source.token_bag - link.target.token_bag
                 score = overlap(removed, body)
                 if score >= l_th:
@@ -146,13 +127,13 @@ def label_lineage(
                 continue
             rank = (len(qualifying), sum(s for _, s in qualifying) / len(qualifying))
             if best is None or rank > best[0]:
-                best = (rank, cand, qualifying)
+                best = (rank, method, qualifying)
         if best is not None:
-            _, cand, qualifying = best
+            _, method, qualifying = best
             evidence = {
-                "method": cand.name,
-                "method_path": cand.declaring_path,
-                "method_lines": [cand.start_line, cand.end_line],
+                "method": method.enclosing_method_name,
+                "method_path": method.path,
+                "method_lines": [method.start_line, method.end_line],
                 "clones": [
                     {
                         "path": link.source.path,

@@ -9,6 +9,7 @@ some stages run (`genealogy`, `labeler`, `features`, `learner`,
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -21,7 +22,7 @@ from .repo_miner import Repository, SOURCE_SUFFIXES, checked_window, sample_vers
 
 if TYPE_CHECKING:
     from .eval_harness import LearnerConfig
-    from .features import FeatureRow, FileContext
+    from .features import FeatureRow
     from .genealogy import Lineage
     from .labeler import LabelContext
 
@@ -120,13 +121,11 @@ class VersionData:
 
         return self._once(("index", version), index)
 
-    def context(self, version: int, path: str) -> FileContext:
+    def context(self, version: int, path: str) -> frozenset[str]:
         from .features import file_context
 
-        return self._once(
-            ("context", self.files(version)[path]),
-            lambda: file_context(self.corpus(version)[path], self._lex(version, path)),
-        )
+        key = ("context", self.files(version)[path])
+        return self._once(key, lambda: file_context(self._lex(version, path)))
 
     def classes(self, version: int, path: str) -> list:
         from .features import top_level_classes
@@ -152,7 +151,8 @@ class VersionData:
 def materialize_groups(
     vdata: VersionData, records: list[GroupRecord], version_count: int
 ) -> list[list[CloneGroup]]:
-    """Rebuild CloneGroup objects (with token data) from their stored locations."""
+    """Rebuild CloneGroup objects (with token data) from their stored locations;
+    only the files that hold a member are lexed."""
     per_version: list[list[CloneGroup]] = [[] for _ in range(version_count)]
     for rec in records:
         if not 0 <= rec.version < version_count:
@@ -162,7 +162,12 @@ def materialize_groups(
             )
         members = []
         for m in rec.members:
-            block = vdata.blocks(rec.version).get((m.path, m.start, m.end))
+            # the first block at the member's location, as `VersionData.blocks` keeps it
+            key = (m.path, m.start, m.end)
+            listed = m.path in vdata.files(rec.version)
+            blocks = vdata.file_blocks(rec.version, m.path) if listed else []
+            i = bisect_left(blocks, key, key=lambda b: b.key)
+            block = blocks[i] if i < len(blocks) and blocks[i].key == key else None
             if block is None or block.size != m.tokens:
                 found = "not found" if block is None else f"lexed to {block.size} tokens"
                 raise MissingInput(

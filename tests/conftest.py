@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from crec import artifacts
-from crec.clone_detector import CodeBlock, Token
+from crec.clone_detector import CodeBlock, Token, TokenList
 from crec.config import PipelineConfig
 from crec.features import FEATURES, FeatureRow
 from crec.repo_miner import diff_file_hunks
@@ -112,7 +112,8 @@ def feature_row(
 def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> CodeBlock:
     """A block over a token list of its own: one identifier per text, in a
     block of *span* lines from *start*."""
-    lex = [Token("identifier", t) for t in texts]
+    lex = TokenList(Token("identifier", t) for t in texts)
+    lex.lines = [start] * len(lex)
     return CodeBlock(
         path=path,
         start_line=start,

@@ -244,7 +244,7 @@ def test_criterion_3_feature_property_suite():
         )
         for i in range(6)
     ]
-    contexts = {path: file_context(text, scan(text)) for path, text in corpus.items()}
+    contexts = {path: file_context(scan(text)) for path, text in corpus.items()}
     classes = {path: top_level_classes(scan(text)) for path, text in corpus.items()}
     hierarchy = hierarchy_components(corpus, classes.__getitem__)
     pool = [b for path, text in sorted(corpus.items()) for b in extract_blocks(scan(text), path)]

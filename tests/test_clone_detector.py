@@ -138,6 +138,11 @@ class TestExtractBlocks:
         blocks = extract_blocks(scan(source), "A.java")
         assert blocks[0].enclosing_method_name is None
 
+    def test_nested_blocks_on_one_line_are_two_blocks(self):
+        outer, inner = extract_blocks(scan("{ { a(); } }"), "A.java")
+        assert outer.key == inner.key and outer.contains(inner)
+        assert len({outer, inner}) == 2  # blocks compare by identity, not location
+
 
 def _enclosing_by_all_pairs(lex) -> list[tuple]:
     """For each block `extract_blocks` keeps, in its order: the span and the

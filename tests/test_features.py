@@ -67,7 +67,7 @@ def _method_block(source: str, name: str, path: str = "A.java") -> CodeBlock:
 class TestCodeFeatures:
     def test_for_loop_clone(self):
         loop = next(b for b in _blocks(FOR_CLONE) if b.tokens[0].text == "for")
-        f = extract_code_features(loop, file_context(FOR_CLONE, scan(FOR_CLONE)))
+        f = extract_code_features(loop, file_context(scan(FOR_CLONE)))
         assert f[0] == 6.0  # F1 line span
         assert f[2] == 2.0  # F3: base 1 + the for
         assert f[4] == 0.5  # F5: foo() of two statements
@@ -78,7 +78,7 @@ class TestCodeFeatures:
     def test_straight_line_block(self):
         source = "void tick() {\n    advance();\n}\n"
         block = _method_block(source, "tick")
-        f = extract_code_features(block, file_context(source, scan(source)))
+        f = extract_code_features(block, file_context(scan(source)))
         assert f[2] == 1.0  # F3 base complexity
         assert f[7] == 1.0  # F8 complete block
         assert f[8] == 0.0  # F9 not a control starter
@@ -92,7 +92,7 @@ class TestCodeFeatures:
             "}\n"
         )
         block = _method_block(source, "paths")
-        f = extract_code_features(block, file_context(source, scan(source)))
+        f = extract_code_features(block, file_context(scan(source)))
         assert f[2] == 1.0 + 5  # if, &&, while, ||, ?
 
     def test_field_access_count(self):
@@ -108,16 +108,16 @@ class TestCodeFeatures:
             "}\n"
         )
         block = _method_block(source, "bump")
-        fctx = file_context(source, scan(source))
-        assert fctx.field_names == {"counter", "limit"}
-        f = extract_code_features(block, fctx)
+        field_names = file_context(scan(source))
+        assert field_names == {"counter", "limit"}
+        f = extract_code_features(block, field_names)
         assert f[3] == 4.0  # counter x2, this.counter, limit
 
     def test_incomplete_block_starters(self):
         source = "void f() {\n    if (a) {\n        b();\n    } else {\n        c();\n    }\n}\n"
         blocks = _blocks(source)
         else_block = next(b for b in blocks if b.tokens and b.tokens[0].text == "else")
-        f = extract_code_features(else_block, file_context(source, scan(source)))
+        f = extract_code_features(else_block, file_context(scan(source)))
         assert f[7] == 0.0  # F8: else branch is an incomplete control flow
 
     def test_follows_control_line(self):
@@ -130,7 +130,7 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(source) if b.start_line == 3)
-        f = extract_code_features(bare, file_context(source, scan(source)))
+        f = extract_code_features(bare, file_context(scan(source)))
         assert f[9] == 1.0
         negative = (
             "void f() {\n"
@@ -141,7 +141,7 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(negative) if b.start_line == 3)
-        f = extract_code_features(bare, file_context(negative, scan(negative)))
+        f = extract_code_features(bare, file_context(scan(negative)))
         assert f[9] == 0.0
 
     @pytest.mark.parametrize("separator", ["\f", "\u2028", "\r"], ids=["ff", "u2028", "bare-cr"])
@@ -157,8 +157,25 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(source) if b.start_line == 4)
-        f = extract_code_features(bare, file_context(source, scan(source)))
+        f = extract_code_features(bare, file_context(scan(source)))
         assert f[9] == 1.0
+
+    @pytest.mark.parametrize(
+        "before,expected",
+        [
+            ("    /* retry\n       do not */\n", 0.0),
+            ("    /* retry\n    */ while (x) x--;\n", 1.0),
+            ("    if (ready) step();\n    // then\n", 1.0),
+        ],
+        ids=["keyword-in-comment", "keyword-after-comment", "comment-line-skipped"],
+    )
+    def test_follows_control_skips_comments(self, before, expected):
+        # F10 reads the block's own tokens: comment text is not code, and a
+        # line that holds only a comment is skipped as a blank line is
+        source = "void f() {\n" + before + "    {\n        step();\n    }\n}\n"
+        bare = next(b for b in _blocks(source) if b.tokens[0].text == "step")
+        f = extract_code_features(bare, file_context(scan(source)))
+        assert f[9] == expected
 
     @pytest.mark.parametrize(
         "path,expected",
@@ -174,7 +191,7 @@ class TestCodeFeatures:
     def test_test_code_paths(self, path, expected):
         source = "void f() {\n    a();\n}\n"
         block = extract_blocks(scan(source), path)[0]
-        f = extract_code_features(block, file_context(source, scan(source)))
+        f = extract_code_features(block, file_context(scan(source)))
         assert f[10] == expected
 
 

@@ -11,7 +11,6 @@ from conftest import span_block
 from crec.clone_detector import detect_clones, extract_blocks, overlap, scan
 from crec.genealogy import CloneLink, build_genealogies
 from crec.labeler import (
-    ExtractedMethodCandidate,
     LabelContext,
     label_lineage,
     method_body_tokens,
@@ -65,13 +64,9 @@ def _raw_link(before: str, after: str, path="A.java"):
 
 
 def _candidate(name="extracted", path="Helper.java"):
-    return ExtractedMethodCandidate(
-        name=name,
-        declaring_path=path,
-        start_line=3,
-        end_line=8,
-        body_tokens=tuple(sorted(["int", "b", "a", "b"])),
-    )
+    """The body block of a method *name* declared in *path*."""
+    (method,) = extract_blocks(scan(f"\n\nvoid {name}(int a) {{\n    int b = a;\n    b++;\n}}\n"), path)
+    return method
 
 
 class TestNewInvocations:
@@ -81,27 +76,26 @@ class TestNewInvocations:
         links = [_raw_link(b1, a1, "X.java"), _raw_link(b2, a2, "Y.java")]
         cand = _candidate()
         result = new_invocations(links, {"extracted": [cand]})
-        assert list(result) == [cand]
-        assert len(result[cand]) == 2
+        assert [(method, len(calling)) for method, calling in result] == [(cand, 2)]
 
     def test_no_new_calls(self):
         b1, a1 = _source_pair("use(b);", "use(b);")
         b2, a2 = _source_pair("use(b);", "use(b);")
         links = [_raw_link(b1, a1, "X.java"), _raw_link(b2, a2, "Y.java")]
-        assert new_invocations(links, {"extracted": [_candidate()]}) == {}
+        assert new_invocations(links, {"extracted": [_candidate()]}) == []
 
     def test_calls_to_different_methods_disqualified(self):
         b1, a1 = _source_pair("use(b);", "first(b);")
         b2, a2 = _source_pair("use(b);", "second(b);")
         links = [_raw_link(b1, a1, "X.java"), _raw_link(b2, a2, "Y.java")]
         methods = {"first": [_candidate("first")], "second": [_candidate("second")]}
-        assert new_invocations(links, methods) == {}
+        assert new_invocations(links, methods) == []
 
     def test_unresolvable_name_disqualified(self):
         b1, a1 = _source_pair("use(b);", "ghost(b);")
         b2, a2 = _source_pair("use(b);", "ghost(b);")
         links = [_raw_link(b1, a1, "X.java"), _raw_link(b2, a2, "Y.java")]
-        assert new_invocations(links, {}) == {}
+        assert new_invocations(links, {}) == []
 
 
 class TestRemovedCodeSimilarity:
@@ -235,7 +229,7 @@ class TestRepositoryContext:
             ctx = VersionData(repo, samples).label_context()
             methods = ctx.methods_at(1)
             assert "applyScaling" in methods
-            assert methods["applyScaling"][0].declaring_path == "src/exact/Alpha.java"
+            assert methods["applyScaling"][0].path == "src/exact/Alpha.java"
             assert "applyScaling" not in ctx.methods_at(0)
 
 

@@ -129,6 +129,22 @@ class TestStaleArtifactGuards:
         with pytest.raises(MissingInput):
             pipeline.materialize_groups(vdata, [moved], len(samples))
 
+    def test_member_in_a_missing_file_rejected(self, staged):
+        config, repo_path, out = staged
+        samples = artifacts.read_samples(out / "samples.txt")
+        rec = artifacts.read_groups(out / "clones.txt")[0]
+        vdata = pipeline.VersionData(Repository(repo_path), samples)
+        gone = artifacts.GroupRecord(
+            rec.version,
+            rec.group_id,
+            tuple(
+                artifacts.MemberRecord("src/Gone.java", m.start, m.end, m.tokens)
+                for m in rec.members
+            ),
+        )
+        with pytest.raises(MissingInput):
+            pipeline.materialize_groups(vdata, [gone], len(samples))
+
     def test_changed_token_count_rejected_by_genealogy(self, staged, capsys):
         """A clones file whose token counts another lexer wrote is stale, even
         where every block still starts and ends on the recorded lines."""
@@ -193,7 +209,7 @@ class TestStaleArtifactGuards:
 
 
 def _fields(block) -> tuple:
-    """Every field of a CodeBlock; its == compares the location only."""
+    """Every field of a CodeBlock, which compares by identity."""
     return tuple(getattr(block, f.name) for f in dataclasses.fields(block))
 
 
@@ -256,7 +272,33 @@ class TestVersionDataOracle:
                 map(_fields, vdata.blocks(version).values())
             )
             assert fresh.hierarchy(version) == vdata.hierarchy(version)
-            assert fresh.label_context().methods_at(version) == methods_at(version)
+            fresh_methods = fresh.label_context().methods_at(version)
+            assert {name: list(map(_fields, bodies)) for name, bodies in fresh_methods.items()} == {
+                name: list(map(_fields, bodies)) for name, bodies in methods_at(version).items()
+            }
             for path in corpus:
                 assert fresh.context(version, path) == vdata.context(version, path)
                 assert fresh.classes(version, path) == vdata.classes(version, path)
+
+
+def test_genealogy_lexes_only_the_files_that_hold_a_member(make_repo, tmp_path, monkeypatch):
+    lone = "class Lone {\n    int count;\n}\n"
+    corpora = [{**corpus, "src/Lone.java": lone} for corpus in _three_version_corpora()]
+    rb = make_repo("lone")
+    commit_corpora(rb, corpora)
+    out = tmp_path / "out"
+    config = PipelineConfig(delta_threshold=1)
+    pipeline.stage_mine(config, rb.path, out)
+    pipeline.stage_detect(config, rb.path, out)
+    records = artifacts.read_groups(out / "clones.txt")
+    lexed, scan = [], pipeline.scan
+
+    def counting_scan(source, memo=None):
+        lexed.append(source)
+        return scan(source, memo)
+
+    monkeypatch.setattr(pipeline, "scan", counting_scan)
+    pipeline.stage_genealogy(config, rb.path, out)
+    assert lone not in lexed
+    member_texts = {corpora[rec.version][m.path] for rec in records for m in rec.members}
+    assert sorted(lexed) == sorted(member_texts)  # each blob once

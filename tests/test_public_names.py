@@ -64,3 +64,26 @@ def test_every_function_reads_its_parameters():
                 if a is not None and a.arg not in read
             ]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def _calls(node: ast.AST, scope: tuple[str, ...]):
+    """(qualified name of the enclosing def or class, called name) of each call under *node*."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call):
+            func = child.func
+            yield ".".join(scope), getattr(func, "id", getattr(func, "attr", None))
+        yield from _calls(child, inner)
+
+
+def test_one_lexer():
+    """Repository content is lexed in one place: `scan` is called only by `VersionData._lex`."""
+    callers = [
+        caller
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name == "scan"
+    ]
+    assert callers == ["pipeline.VersionData._lex"]
