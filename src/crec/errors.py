@@ -21,10 +21,6 @@ class GitError(CrecError):
     """A git process failed, died, or answered with missing or truncated objects."""
 
 
-class TooFewSamples(CrecError):
-    pass
-
-
 class RangeViolation(CrecError):
     """A computed feature fell outside its documented range (internal bug signal)."""
 

@@ -15,13 +15,17 @@ import posixpath
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .clone_detector import CodeBlock, Token, TokenList
 from .config import DEFAULTS
 from .errors import RangeViolation
 from .genealogy import Lineage
-from .repo_miner import CheckedWindow, Hunk, hunk_touches, distinct_authors
+from .repo_miner import CheckedWindow, hunk_touches, distinct_authors
 from .repo_miner import _lcs_pairs  # shared LCS core
+
+if TYPE_CHECKING:
+    from .pipeline import VersionData
 
 # F1..F34 in order as (name, category, kind); kind is the range that
 # validate_values checks: count (>= 0), ratio (in [0, 1]) or bool (exactly 0 or
@@ -265,55 +269,27 @@ def extract_code_features(clone: CodeBlock, field_names: frozenset[str]) -> tupl
 # -- per-clone history features (F12-F17) -------------------------------------
 
 
-class WindowView:
-    """Cached per-step diff state over a checked window. window=None means the
-    history is too short; history and co-change features then fall back to 0."""
-
-    def __init__(self, repo, window: CheckedWindow | None):
-        self.repo = repo
-        self.steps = window.steps if window is not None else ()
-        recent = len(window.recent_steps) if window is not None else 0
-        self.recent_indices = range(len(self.steps) - recent, len(self.steps))
-        self._changed: dict[int, set[str]] = {}
-        self._hunks: dict[tuple[int, str], list[Hunk]] = {}
-
-    def changed_paths(self, step: int) -> set[str]:
-        if step not in self._changed:
-            a, b = self.steps[step]
-            self._changed[step] = set(self.repo.changed_paths(a.commit_id, b.commit_id))
-        return self._changed[step]
-
-    def hunks(self, step: int, path: str) -> list[Hunk]:
-        key = (step, path)
-        if key not in self._hunks:
-            a, b = self.steps[step]
-            self._hunks[key] = self.repo.diff_hunks(a.commit_id, b.commit_id, path)
-        return self._hunks[key]
-
-    def exists_at_end(self, step: int, path: str) -> bool:
-        _, b = self.steps[step]
-        return self.repo.blob_id(b.commit_id, path) is not None
-
-
-def extract_history_features(path: str, view: WindowView, commits) -> tuple[float, ...]:
-    if not view.steps:
+def extract_history_features(
+    path: str, window: CheckedWindow, vdata: VersionData, commits
+) -> tuple[float, ...]:
+    if not window.steps:
         return (0.0,) * 6
-    n = len(view.steps)
+    n = len(window.steps)
+    recent_from = n - len(window.recent_steps)
     directory = posixpath.dirname(path)
     exists = changed = dir_changed = recent_changed = recent_dir = 0
-    for i in range(n):
-        if view.exists_at_end(i, path):
+    for i, (a, b) in enumerate(window.steps):
+        if vdata.exists(b.index, path):
             exists += 1
-        touched = path in view.changed_paths(i)
-        dir_touched = any(
-            posixpath.dirname(p) == directory for p in view.changed_paths(i)
-        )
+        paths = vdata.changed_paths(a.index, b.index)
+        touched = path in paths
+        dir_touched = any(posixpath.dirname(p) == directory for p in paths)
         changed += touched
         dir_changed += dir_touched
-        if i in view.recent_indices:
+        if i >= recent_from:
             recent_changed += touched
             recent_dir += dir_touched
-    recent_n = len(view.recent_indices)
+    recent_n = n - recent_from
     touching, everyone = distinct_authors(path, commits)
     return (
         exists / n,
@@ -630,19 +606,19 @@ def _chain_positions(lineage: Lineage) -> dict[tuple[int, int], CodeBlock]:
 
 
 def extract_cochange_features(
-    group, lineage: Lineage, version: int, view: WindowView
+    group, lineage: Lineage, version: int, window: CheckedWindow, vdata: VersionData
 ) -> tuple[float, ...]:
-    if not view.steps:
+    if not window.steps:
         return (0.0,) * 5
     positions = _chain_positions(lineage)
     chain_by_pos = {(v, blk.key): cid for (v, cid), blk in positions.items()}
     member_chains = [chain_by_pos.get((version, m.key)) for m in group.members]
 
-    n = len(view.steps)
+    n = len(window.steps)
     members = len(group.members)
     all_changed = none_changed = 0
     partial = Counter()  # exactly-k buckets, disjoint from the all-changed case
-    for i, (sample_a, _) in enumerate(view.steps):
+    for sample_a, sample_b in window.steps:
         v = sample_a.index
         changed = 0
         for cid in member_chains:
@@ -651,7 +627,7 @@ def extract_cochange_features(
             block = positions.get((v, cid))
             if block is None:
                 continue
-            hunks = view.hunks(i, block.path)
+            hunks = vdata.hunks(v, sample_b.index, block.path)
             if any(hunk_touches(h, block.start_line, block.end_line) for h in hunks):
                 changed += 1
         if changed == members:

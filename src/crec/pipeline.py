@@ -18,7 +18,7 @@ from .artifacts import GroupRecord, LineageRecord
 from .clone_detector import CloneGroup, CodeBlock, TokenList, detect_clones, extract_blocks, scan
 from .config import PipelineConfig
 from .errors import ConfigError, DegenerateData, MissingInput
-from .repo_miner import Repository, SOURCE_SUFFIXES, checked_window, sample_versions
+from .repo_miner import Hunk, Repository, SOURCE_SUFFIXES, checked_window, sample_versions
 
 if TYPE_CHECKING:
     from .eval_harness import LearnerConfig
@@ -140,6 +140,20 @@ class VersionData:
             self.corpus(version), lambda path: self.classes(version, path)
         ))
 
+    def changed_paths(self, a: int, b: int) -> set[str]:
+        """Paths whose tree entry differs between versions *a* and *b*."""
+        commits = self.samples[a].commit_id, self.samples[b].commit_id
+        return self._once(("changed", a, b), lambda: set(self.repo.changed_paths(*commits)))
+
+    def hunks(self, a: int, b: int, path: str) -> list[Hunk]:
+        """Line hunks of *path* from version *a* to version *b*."""
+        commits = self.samples[a].commit_id, self.samples[b].commit_id
+        return self._once(("hunks", a, b, path), lambda: self.repo.diff_hunks(*commits, path))
+
+    def exists(self, version: int, path: str) -> bool:
+        """Whether *path* names a file at the version; a dict lookup, so not memoized."""
+        return self.repo.blob_id(self.samples[version].commit_id, path) is not None
+
     def label_context(self) -> LabelContext:
         from .labeler import LabelContext
 
@@ -215,10 +229,9 @@ def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) ->
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
         for s in samples:
-            blocks = sorted(vdata.blocks(s.index).values(), key=lambda b: b.key)
             all_groups.extend(
                 detect_clones(
-                    blocks,
+                    list(vdata.blocks(s.index).values()),
                     min_tokens=config.min_tokens,
                     min_lines=config.min_lines,
                     theta=config.theta,
@@ -270,7 +283,6 @@ def stage_label(
 def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
     from .features import (
         FeatureRow,
-        WindowView,
         assemble_vector,
         extract_cochange_features,
         extract_code_features,
@@ -287,12 +299,10 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
         if labels_path.exists()
         else {}
     )
-    window_note = ""
-    if len(samples) >= 2:
-        window = checked_window(samples, config.window_fraction, config.recent_fraction)
-    else:
-        window = None
-        window_note = " (WindowUnavailable: <2 samples; history/co-change features zeroed)"
+    window = checked_window(samples, config.window_fraction, config.recent_fraction)
+    window_note = "" if window.steps else (
+        " (WindowUnavailable: <2 samples; history/co-change features zeroed)"
+    )
 
     rows = []
     with Repository(repo_path) as repo:
@@ -304,7 +314,6 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
                 f"labels file names lineage {min(unknown)}, which genealogy did not "
                 "build; labels file is stale (re-run label)"
             )
-        view = WindowView(repo, window)
         for lineage in lineages:
             decision = decisions.get(lineage.lineage_id)
             if decision is not None and decision.label == "R":
@@ -320,7 +329,7 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
             per_clone = []
             for member in group.members:
                 code = extract_code_features(member, vdata.context(version, member.path))
-                history = extract_history_features(member.path, view, commits)
+                history = extract_history_features(member.path, window, vdata, commits)
                 per_clone.append(code + history)
             group_values = (
                 extract_location_features(
@@ -330,7 +339,7 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
                     lambda: vdata.hierarchy(version),
                 )
                 + extract_diff_features(group)
-                + extract_cochange_features(group, lineage, version, view)
+                + extract_cochange_features(group, lineage, version, window, vdata)
             )
             values = assemble_vector(per_clone, group_values, config.aggregation)
             label = None if decision is None else (1 if decision.label == "R" else 0)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import DEFAULTS
-from .errors import EmptyRepository, GitError, NotARepository, TooFewSamples, UnknownCommit
+from .errors import EmptyRepository, GitError, NotARepository, UnknownCommit
 
 SOURCE_SUFFIXES = (".java",)
 
@@ -348,9 +348,8 @@ class Repository:
 
         The requests go out in bursts of at most _BURST_BYTES, and a burst's
         replies are all read before the next burst is written. A missing or
-        mistyped object raises GitError once the rest of its burst's replies
-        are read, so the next request still lines up. A reply that cannot be
-        read stops the process, and the next read starts a new one.
+        mistyped object, or a reply that cannot be read, raises GitError and
+        stops the process; the next read starts a new one.
         """
         if not names:
             return []
@@ -380,28 +379,18 @@ class Repository:
             except OSError as exc:
                 self.close()
                 raise GitError(f"git cat-file --batch is gone: {exc}") from None
-            for reply in replies:
-                if isinstance(reply, GitError):
-                    raise reply
             out += replies
             start = stop
         return out
 
-    def _read_reply(
-        self, batch: subprocess.Popen, name: str, kind: bytes
-    ) -> tuple[str, bytes] | GitError:
-        """(object id, body) of the reply for *name*, read whole.
-
-        The error for a missing or mistyped object is returned, not raised,
-        so that the caller can read the rest of the burst first; a reply that
-        cannot be read raises GitError.
-        """
+    def _read_reply(self, batch: subprocess.Popen, name: str, kind: bytes) -> tuple[str, bytes]:
+        """(object id, body) of the reply for *name*, read whole."""
         header = batch.stdout.readline()
         fields = header.split()
         if not fields:
             raise GitError(f"git cat-file --batch is gone (exit status {batch.poll()})")
         if fields[-1] == b"missing":
-            return GitError(f"object {name} is missing from {self.path}")
+            raise GitError(f"object {name} is missing from {self.path}")
         if len(fields) != 3:
             raise GitError(f"unexpected git cat-file reply for {name}: {header!r}")
         size = int(fields[2])
@@ -409,7 +398,7 @@ class Repository:
         if len(data) != size or batch.stdout.read(1) != b"\n":
             raise GitError(f"short read of object {name}: {len(data)} of {size} bytes")
         if fields[1] != kind:
-            return GitError(f"object {name} is a {fields[1].decode()}, not a {kind.decode()}")
+            raise GitError(f"object {name} is a {fields[1].decode()}, not a {kind.decode()}")
         return fields[0].decode(), data
 
     def changed_paths(self, commit_a: str, commit_b: str) -> list[str]:
@@ -571,13 +560,12 @@ def checked_window(
     window_fraction: Fraction = DEFAULTS.window_fraction,
     recent_fraction: Fraction = DEFAULTS.recent_fraction,
 ) -> CheckedWindow:
-    """Window over the last ``ceil(S * window_fraction)`` samples (minimum 2)."""
-    if len(samples) < 2:
-        raise TooFewSamples(f"need at least 2 samples, have {len(samples)}")
-    width = math.ceil(len(samples) * window_fraction)
-    if width < 2:
-        width = 2
-    tail = samples[-width:]
+    """Window over the last ``ceil(S * window_fraction)`` samples (minimum 2).
+
+    With fewer than 2 samples the window has no steps, and the history and
+    co-change features it drives are 0.
+    """
+    tail = samples[-max(2, math.ceil(len(samples) * window_fraction)) :]
     steps = tuple(zip(tail, tail[1:]))
     recent = steps[len(steps) - math.ceil(len(steps) * recent_fraction) :]
     return CheckedWindow(steps=steps, recent_steps=recent)

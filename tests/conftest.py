@@ -68,10 +68,11 @@ class RepoBuilder:
 
 
 class SnapshotRepo:
-    """In-memory file snapshots keyed by commit ids 'v0', 'v1', ... for WindowView.
+    """In-memory file snapshots keyed by commit ids 'v0', 'v1', ..., as the
+    Repository under a VersionData that answers featurize's window questions.
 
-    It answers only what WindowView asks a Repository: changed paths, blob ids
-    (a hash of the text, None when the file is absent) and line-diff hunks.
+    It answers only what those questions ask a Repository: changed paths, blob
+    ids (a hash of the text, None when the file is absent) and line-diff hunks.
     """
 
     def __init__(self, snapshots: list[dict[str, str]]):

@@ -29,7 +29,6 @@ from crec.eval_harness import (
 from crec.features import (
     AlignedToken,
     FeatureRow,
-    WindowView,
     assemble_vector,
     classified_sequence,
     extract_cochange_features,
@@ -233,7 +232,8 @@ def test_criterion_3_feature_property_suite():
         )
     repo = SnapshotRepo(snapshots)
     samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
-    view = WindowView(repo, checked_window(samples, Fraction(1, 1), Fraction(1, 4)))
+    window = checked_window(samples, Fraction(1, 1), Fraction(1, 4))
+    vdata = pipeline.VersionData(repo, samples)
     commits = [
         CommitRecord(
             f"c{i}",
@@ -267,13 +267,13 @@ def test_criterion_3_feature_property_suite():
         try:
             per_clone = [
                 extract_code_features(m, contexts[m.path])
-                + extract_history_features(m.path, view, commits)
+                + extract_history_features(m.path, window, vdata, commits)
                 for m in members
             ]
             group_values = (
                 extract_location_features(group, corpus, classes.__getitem__, lambda: hierarchy)
                 + extract_diff_features(group)
-                + extract_cochange_features(group, lineage, 4, view)
+                + extract_cochange_features(group, lineage, 4, window, vdata)
             )
             assemble_vector(per_clone, group_values, aggregation=rng.choice(["mean", "max"]))
         except Exception as exc:  # RangeViolation or anything else

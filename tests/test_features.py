@@ -15,7 +15,6 @@ from crec.errors import RangeViolation
 from crec.features import (
     FEATURES,
     AlignedToken,
-    WindowView,
     assemble_vector,
     classified_sequence,
     classify_identifier,
@@ -33,12 +32,8 @@ from crec.features import (
     validate_values,
 )
 from crec.genealogy import CloneLink, Lineage
-from crec.repo_miner import (
-    Repository,
-    SampledVersion,
-    checked_window,
-    sample_versions,
-)
+from crec.pipeline import VersionData
+from crec.repo_miner import CommitRecord, SampledVersion, checked_window
 
 FOR_CLONE = """\
 void wrap() {
@@ -195,27 +190,25 @@ class TestCodeFeatures:
         assert f[10] == expected
 
 
-def _history_repo(make_repo, edits):
-    """Five commits; edits[i] applied at commit i (files merged over a base)."""
-    rb = make_repo()
-    state = {
-        "src/a.java": "class A { int x; }\n",
-        "lib/other.java": "class O { int y; }\n",
-    }
-    rb.commit(dict(state))
+def _history_view(edits):
+    """A window over a base snapshot and one more per edit (files merged over the
+    one before), the VersionData that answers it, and one commit per snapshot by
+    one author."""
+    snapshots = [{"src/a.java": "class A { int x; }\n", "lib/other.java": "class O { int y; }\n"}]
     for extra in edits:
-        rb.commit(extra)
-    repo = Repository(rb.path)
-    samples = sample_versions(repo.commits(), delta_threshold=1)
-    assert len(samples) == len(edits) + 1
+        snapshots.append({**snapshots[-1], **extra})
+    samples = [SampledVersion(i, f"v{i}", 1) for i in range(len(snapshots))]
+    commits = [
+        CommitRecord(f"v{i}", i, "dev one <dev1@example.com>", frozenset(changed), 1)
+        for i, changed in enumerate([snapshots[0], *edits])
+    ]
     window = checked_window(samples, Fraction(1, 1), Fraction(1, 4))
-    return repo, WindowView(repo, window)
+    return window, VersionData(SnapshotRepo(snapshots), samples), commits
 
 
 class TestHistoryFeatures:
-    def test_existing_file_changed_half_the_steps(self, make_repo):
-        repo, view = _history_repo(
-            make_repo,
+    def test_existing_file_changed_half_the_steps(self):
+        window, vdata, commits = _history_view(
             [
                 {"src/a.java": "class A { int x2; }\n"},
                 {"lib/other.java": "class O { int y2; }\n"},
@@ -223,7 +216,7 @@ class TestHistoryFeatures:
                 {"lib/other.java": "class O { int y3; }\n"},
             ],
         )
-        f = extract_history_features("src/a.java", view, repo.commits())
+        f = extract_history_features("src/a.java", window, vdata, commits)
         assert f[0] == 1.0  # F12 exists at the end of all 4 steps
         assert f[1] == 0.5  # F13 changed in 2 of 4
         assert f[2] == 0.5  # F14 same-directory changes
@@ -231,9 +224,8 @@ class TestHistoryFeatures:
         assert f[4] == 0.0
         assert f[5] == 1.0  # F17 sole author touched the file
 
-    def test_file_created_at_last_step(self, make_repo):
-        repo, view = _history_repo(
-            make_repo,
+    def test_file_created_at_last_step(self):
+        window, vdata, commits = _history_view(
             [
                 {"lib/other.java": "class O { int y2; }\n"},
                 {"lib/other.java": "class O { int y3; }\n"},
@@ -241,25 +233,24 @@ class TestHistoryFeatures:
                 {"src/b.java": "class B { int z; }\n"},
             ],
         )
-        f = extract_history_features("src/b.java", view, repo.commits())
+        f = extract_history_features("src/b.java", window, vdata, commits)
         assert f[0] == 0.25  # F12: exists only at the final step's end
         assert f[3] == 1.0  # F15: created in the recent step
 
-    def test_untouched_window_gives_zero_change_rates(self, make_repo):
-        repo, view = _history_repo(
-            make_repo,
+    def test_untouched_window_gives_zero_change_rates(self):
+        window, vdata, commits = _history_view(
             [
                 {"lib/other.java": f"class O {{ int y{i}; }}\n"}
                 for i in range(2, 6)
             ],
         )
-        f = extract_history_features("src/a.java", view, repo.commits())
+        f = extract_history_features("src/a.java", window, vdata, commits)
         assert f[1] == f[3] == 0.0
         assert f[2] == f[4] == 0.0  # different directory
 
     def test_unavailable_window_falls_back_to_zeros(self):
-        view = WindowView(repo=None, window=None)
-        assert extract_history_features("src/a.java", view, []) == (0.0,) * 6
+        window, vdata, commits = _history_view([])  # one sample: a window with no steps
+        assert extract_history_features("src/a.java", window, vdata, commits) == (0.0,) * 6
 
 
 def _group_of(blocks) -> CloneGroup:
@@ -488,7 +479,6 @@ def _cochange_setup():
     repo = SnapshotRepo([base, v1, v2, v3, v4])
     samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
     window = checked_window(samples, Fraction(1, 1), Fraction(1, 4))
-    view = WindowView(repo, window)
 
     members = tuple(
         span_block(["t"], path=p, start=2)
@@ -505,13 +495,13 @@ def _cochange_setup():
         links=links,
         end_state="alive_at_last_version",
     )
-    return lineage, groups, view
+    return lineage, groups, window, VersionData(repo, samples)
 
 
 class TestCochangeFeatures:
     def test_change_buckets_are_disjoint(self):
-        lineage, groups, view = _cochange_setup()
-        f = extract_cochange_features(groups[4], lineage, 4, view)
+        lineage, groups, window, vdata = _cochange_setup()
+        f = extract_cochange_features(groups[4], lineage, 4, window, vdata)
         # steps: all-change, none, one-change, tail-only (outside every block)
         assert f == (0.25, 0.5, 0.25, 0.0, 0.0)
         assert sum(f) == pytest.approx(1.0, abs=1e-12)
@@ -522,7 +512,7 @@ class TestCochangeFeatures:
         drift = [{**base, "other.java": f"v{i}\n"} for i in range(5)]
         repo = SnapshotRepo(drift)
         samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
-        view = WindowView(repo, checked_window(samples, Fraction(1, 1), Fraction(1, 4)))
+        window = checked_window(samples, Fraction(1, 1), Fraction(1, 4))
         members = tuple(
             span_block(["t"], path=p, start=2)
             for p in paths
@@ -530,25 +520,25 @@ class TestCochangeFeatures:
         groups = [CloneGroup(version=v, members=members, group_id=f"g{v}") for v in range(5)]
         links = [[CloneLink(m, m, 1.0) for m in members] for _ in range(4)]
         lineage = Lineage("lin", list(enumerate(groups)), links, "alive_at_last_version")
-        f = extract_cochange_features(groups[4], lineage, 4, view)
+        f = extract_cochange_features(groups[4], lineage, 4, window, VersionData(repo, samples))
         assert f == (0.0, 1.0, 0.0, 0.0, 0.0)
 
     def test_untracked_steps_count_as_unchanged(self):
-        lineage, groups, view = _cochange_setup()
+        lineage, groups, window, vdata = _cochange_setup()
         short = Lineage(
             lineage_id="short",
             groups=[(3, groups[3]), (4, groups[4])],
             links=[lineage.links[3]],
             end_state="alive_at_last_version",
         )
-        f = extract_cochange_features(groups[4], short, 4, view)
+        f = extract_cochange_features(groups[4], short, 4, window, vdata)
         # only the final step is tracked, and its edits fall outside the blocks
         assert f == (0.0, 1.0, 0.0, 0.0, 0.0)
 
     def test_window_unavailable_falls_back(self):
-        lineage, groups, _ = _cochange_setup()
-        view = WindowView(repo=None, window=None)
-        assert extract_cochange_features(groups[4], lineage, 4, view) == (0.0,) * 5
+        lineage, groups, _, vdata = _cochange_setup()
+        window = checked_window(vdata.samples[:1])  # no steps
+        assert extract_cochange_features(groups[4], lineage, 4, window, vdata) == (0.0,) * 5
 
 
 def _lev_oracle(a: str, b: str) -> int:

@@ -348,7 +348,6 @@ class TestTreeWalk:
         with Repository(rb.path) as repo:
             with pytest.raises(GitError, match=f"object {gone} is missing from"):
                 repo.list_files(broken)
-            batch = repo._batch  # the same process serves every read below
             assert repo.list_files(good) == sorted(files)
             with pytest.raises(GitError, match=f"object {blob} is a blob, not a tree"):
                 repo.list_files(mistyped)
@@ -358,7 +357,6 @@ class TestTreeWalk:
                 repo.read_ahead([ids[0], subtrees[0], ids[1]])
             repo.read_ahead(ids)
             assert [repo.file_at(good, p) for p in files] == [t.encode() for t in files.values()]
-            assert repo._batch is batch
 
     def test_paths_that_decode_alike_raise(self, tmp_path):
         repo_path = tmp_path / "alike"

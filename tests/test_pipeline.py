@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -302,3 +303,40 @@ def test_genealogy_lexes_only_the_files_that_hold_a_member(make_repo, tmp_path, 
     assert lone not in lexed
     member_texts = {corpora[rec.version][m.path] for rec in records for m in rec.members}
     assert sorted(lexed) == sorted(member_texts)  # each blob once
+
+
+def test_featurize_asks_each_window_question_once(make_repo, tmp_path, monkeypatch):
+    tally = PERSISTENT_PAIR["src/keep/Keep1.java"].split("\n", 1)[1].removesuffix("}\n")
+    twins = "class Keep3 {\n" + tally + tally.replace("tally(", "tallyAgain(") + "}\n"
+    corpora = [{**corpus, "src/keep/Keep3.java": twins} for corpus in _three_version_corpora()]
+    rb = make_repo("twins")
+    commit_corpora(rb, corpora)
+    out = tmp_path / "out"
+    # a window over every sample, so that it has more than one step
+    config = PipelineConfig(delta_threshold=1, window_fraction=Fraction(1))
+    for stage in (pipeline.stage_mine, pipeline.stage_detect, pipeline.stage_genealogy):
+        stage(config, rb.path, out)
+    records = artifacts.read_groups(out / "clones.txt")
+    assert any(  # two members of one group share a file
+        len({m.path for m in rec.members}) < len(rec.members) for rec in records
+    )
+    samples = artifacts.read_samples(out / "samples.txt")
+    assert len(samples) >= 3
+    steps = [(a.commit_id, b.commit_id) for a, b in zip(samples, samples[1:])]
+    changed, hunks = [], []
+    changed_paths, diff_hunks = Repository.changed_paths, Repository.diff_hunks
+
+    def counting_changed_paths(self, commit_a, commit_b):
+        changed.append((commit_a, commit_b))
+        return changed_paths(self, commit_a, commit_b)
+
+    def counting_diff_hunks(self, commit_a, commit_b, path):
+        hunks.append((commit_a, commit_b, path))
+        return diff_hunks(self, commit_a, commit_b, path)
+
+    monkeypatch.setattr(Repository, "changed_paths", counting_changed_paths)
+    monkeypatch.setattr(Repository, "diff_hunks", counting_diff_hunks)
+    pipeline.stage_featurize(config, rb.path, out)
+    assert sorted(changed) == sorted(steps)  # once per step, though every member asks
+    assert hunks and len(hunks) == len(set(hunks))  # once per (step, path)
+    assert {(a, b) for a, b, _ in hunks} <= set(steps)

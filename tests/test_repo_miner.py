@@ -11,9 +11,12 @@ from fractions import Fraction
 import pytest
 
 import clone_fixtures
+from conftest import SnapshotRepo, span_block
 from crec import features
-from crec.clone_detector import detect_clones, extract_blocks, scan
-from crec.errors import EmptyRepository, NotARepository, TooFewSamples, UnknownCommit
+from crec.clone_detector import CloneGroup, detect_clones, extract_blocks, scan
+from crec.errors import EmptyRepository, NotARepository, UnknownCommit
+from crec.genealogy import Lineage
+from crec.pipeline import VersionData
 from crec.repo_miner import (
     CommitRecord,
     Repository,
@@ -476,9 +479,19 @@ class TestCheckedWindow:
         assert len(window.steps) == 1
         assert window.steps[0][0].index == 8
 
-    def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
-            checked_window(_samples(1))
+    def test_too_few_samples_give_no_steps(self):
+        members = (span_block(["t"], path="A.java"), span_block(["t"], path="B.java"))
+        group = CloneGroup(version=0, members=members, group_id="g")
+        lineage = Lineage("lin", [(0, group)], [], "alive_at_last_version")
+        for n in (0, 1):
+            samples = _samples(n)
+            window = checked_window(samples, Fraction(1, 1))
+            assert window.steps == window.recent_steps == ()
+            vdata = VersionData(SnapshotRepo([{"A.java": "t\n", "B.java": "t\n"}] * n), samples)
+            assert features.extract_history_features("A.java", window, vdata, []) == (0.0,) * 6
+            assert features.extract_cochange_features(group, lineage, 0, window, vdata) == (
+                (0.0,) * 5
+            )
 
     def test_window_is_suffix_of_samples(self):
         for n in range(2, 45):
