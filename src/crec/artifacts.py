@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -20,7 +21,7 @@ from types import UnionType
 from typing import TYPE_CHECKING, Union, get_args, get_origin, get_type_hints
 
 from .config import PipelineConfig, parse_value
-from .errors import ConfigError, FormatVersionMismatch, MissingInput, ParseError
+from .errors import ConfigError, FormatVersionMismatch, MissingInput, ParseError, WriteError
 from .repo_miner import CommitRecord, SampledVersion
 
 if TYPE_CHECKING:
@@ -39,9 +40,21 @@ def _dumps(obj) -> str:
 
 
 def write_artifact(path: str | Path, kind: str, lines: list[str]) -> None:
+    """Write a *kind* file whole or not at all: the text goes to a temporary
+    file beside *path*, which then replaces it. The temporary file never
+    outlives the call, and an OSError becomes a WriteError naming *path*."""
     body = [f"{FORMAT_PREFIX} {FORMAT_VERSION} {kind}"] + lines
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(body) + "\n", encoding="utf-8")
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            temporary.write_text("\n".join(body) + "\n", encoding="utf-8")
+            os.replace(temporary, path)
+        finally:  # after a replace, there is nothing left to remove
+            temporary.unlink(missing_ok=True)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def read_artifact(path: str | Path, kind: str) -> list[str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .config import ALGORITHMS, PipelineConfig, parse_value
 from .errors import CrecError
@@ -18,21 +18,22 @@ from .errors import CrecError
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="Path to a config file.")
-    parser.add_argument("--out", default="crec-out", help="Artifact directory.")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", default="crec-out",
+                        help="Artifact directory.")
     for f in fields(PipelineConfig):  # parsed and checked by resolve_config
         parser.add_argument("--" + f.name.replace("_", "-"), help=f"default: {f.default}")
 
 
 def _repo_stage(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
-    parser.add_argument("--repo", required=True, help="Path to the git repository.")
+    parser.add_argument("--repo", dest="repo_path", metavar="REPO", required=True,
+                        help="Path to the git repository.")
 
 
 def _label(parser: argparse.ArgumentParser) -> None:
     _repo_stage(parser)
     parser.add_argument(
-        "--sweep",
-        nargs="+",
+        "--sweep", dest="sweep_thresholds", metavar="SWEEP", nargs="+",
         help="Also emit R-label counts for these similarity thresholds (each an l_th).",
     )
 
@@ -45,8 +46,8 @@ def _train(parser: argparse.ArgumentParser) -> None:
 
 def _eval_stage(parser: argparse.ArgumentParser) -> None:
     _add_common(parser)
-    parser.add_argument("--features", nargs="+", required=True,
-                        help="Feature files, one per project.")
+    parser.add_argument("--features", dest="feature_paths", metavar="FEATURES", nargs="+",
+                        required=True, help="Feature files, one per project.")
     parser.add_argument("--setting", choices=("within", "cross"), required=True)
     parser.add_argument("--balance", action="store_true",
                         help="Balance classes by seeded NR subsampling.")
@@ -62,19 +63,24 @@ def _compare(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algorithms", nargs="+", required=True, choices=ALGORITHMS)
 
 
-# command -> (help, the function that adds its arguments), in `crec --help` order
+# command -> (help, the function that adds its arguments, the name of the
+# `pipeline` function it runs), in `crec --help` order. The stage is named, not
+# referenced: `pipeline` is imported only once a command runs, and `main` finds
+# whatever that name is bound to then (bench/trace_stage.py rebinds it).
 _COMMANDS = {
-    "mine": ("Enumerate commits and sample versions.", _repo_stage),
-    "detect": ("Detect clone groups at every sampled version.", _repo_stage),
-    "genealogy": ("Link clone groups across versions into lineages.", _repo_stage),
-    "label": ("Label lineages as R/NR (Extract Method history).", _label),
-    "featurize": ("Compute the 34-feature vector per lineage.", _repo_stage),
-    "train": ("Train a classifier on labeled vectors.", _train),
-    "recommend": ("Rank current clone groups by refactoring likelihood.", _add_common),
-    "evaluate": ("Ten-fold or leave-one-project-out evaluation.", _evaluate),
-    "ablate": ("Re-run evaluation with each feature category removed.", _eval_stage),
-    "compare": ("Evaluate several learning algorithms on shared folds.", _compare),
+    "mine": ("Enumerate commits and sample versions.", _repo_stage, "stage_mine"),
+    "detect": ("Detect clone groups at every sampled version.", _repo_stage, "stage_detect"),
+    "genealogy": ("Link clone groups across versions into lineages.", _repo_stage, "stage_genealogy"),
+    "label": ("Label lineages as R/NR (Extract Method history).", _label, "stage_label"),
+    "featurize": ("Compute the 34-feature vector per lineage.", _repo_stage, "stage_featurize"),
+    "train": ("Train a classifier on labeled vectors.", _train, "stage_train"),
+    "recommend": ("Rank current clone groups by refactoring likelihood.", _add_common, "stage_recommend"),
+    "evaluate": ("Ten-fold or leave-one-project-out evaluation.", _evaluate, "stage_evaluate"),
+    "ablate": ("Re-run evaluation with each feature category removed.", _eval_stage, "stage_ablate"),
+    "compare": ("Evaluate several learning algorithms on shared folds.", _compare, "stage_compare"),
 }
+# the parsed arguments that `resolve_config` reads; each other dest names a stage parameter
+_CONFIG_ARGS = {"command", "config", *(f.name for f in fields(PipelineConfig))}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -86,7 +92,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Mine a repository's clone history and recommend groups to refactor.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         stage = sub.add_parser(name, help=help_text)
         if command is None or command == name:
             add_arguments(stage)
@@ -105,14 +111,6 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
-def _sweep_thresholds(config: PipelineConfig, raw: list[str] | None) -> list[float]:
-    """The --sweep values, each parsed and checked as an l_th would be."""
-    thresholds = [parse_value("l_th", text) for text in raw or ()]
-    for th in thresholds:
-        replace(config, l_th=th).validate()
-    return thresholds
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -124,33 +122,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = resolve_config(args)
-        if args.command == "mine":
-            summary = pipeline.stage_mine(config, args.repo, args.out)
-        elif args.command == "detect":
-            summary = pipeline.stage_detect(config, args.repo, args.out)
-        elif args.command == "genealogy":
-            summary = pipeline.stage_genealogy(config, args.repo, args.out)
-        elif args.command == "label":
-            sweep = _sweep_thresholds(config, args.sweep)
-            summary = pipeline.stage_label(config, args.repo, args.out, sweep)
-        elif args.command == "featurize":
-            summary = pipeline.stage_featurize(config, args.repo, args.out)
-        elif args.command == "train":
-            summary = pipeline.stage_train(config, args.out, args.algorithm)
-        elif args.command == "recommend":
-            summary = pipeline.stage_recommend(config, args.out)
-        elif args.command == "evaluate":
-            summary = pipeline.stage_evaluate(
-                config, args.features, args.setting, args.out, args.algorithm, args.balance
-            )
-        elif args.command == "ablate":
-            summary = pipeline.stage_ablate(
-                config, args.features, args.setting, args.out, args.balance
-            )
-        else:  # compare
-            summary = pipeline.stage_compare(
-                config, args.features, args.setting, args.algorithms, args.out, args.balance
-            )
+        stage = getattr(pipeline, _COMMANDS[args.command][2])
+        summary = stage(config, **{k: v for k, v in vars(args).items() if k not in _CONFIG_ARGS})
     except CrecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

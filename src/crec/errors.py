@@ -45,6 +45,10 @@ class MissingInput(CrecError):
     pass
 
 
+class WriteError(CrecError):
+    """An artifact could not be written; the file it would replace is kept."""
+
+
 class ConfigError(CrecError):
     pass
 

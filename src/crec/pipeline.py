@@ -3,6 +3,9 @@ from the output directory, writes its own, and returns a one-line summary.
 Token-level detail is re-derived from the repository on demand, so artifact
 files stay small and every stage is independently re-runnable.
 
+`FILES` names each artifact's file and the command that writes it. A stage's
+parameters are named as the CLI's parsed arguments, which `cli.main` passes by keyword.
+
 Each CLI command runs one stage in a fresh process, so the modules that only
 some stages run (`genealogy`, `labeler`, `features`, `learner`,
 `eval_harness`) are imported inside the functions that call them."""
@@ -10,13 +13,14 @@ some stages run (`genealogy`, `labeler`, `features`, `learner`,
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import artifacts
 from .artifacts import GroupRecord, LineageRecord
 from .clone_detector import CloneGroup, CodeBlock, TokenList, detect_clones, extract_blocks, scan
-from .config import PipelineConfig
+from .config import PipelineConfig, parse_value
 from .errors import ConfigError, DegenerateData, MissingInput
 from .repo_miner import Hunk, Repository, SOURCE_SUFFIXES, checked_window, sample_versions
 
@@ -26,30 +30,31 @@ if TYPE_CHECKING:
     from .genealogy import Lineage
     from .labeler import LabelContext
 
+# artifact -> (file name, the command that writes it)
 FILES = {
-    "commits": "commits.txt",
-    "samples": "samples.txt",
-    "clones": "clones.txt",
-    "lineages": "lineages.txt",
-    "labels": "labels.txt",
-    "sweep": "label_sweep.txt",
-    "features": "features.csv",
-    "model": "model.txt",
-    "recommendations": "recommendations.csv",
-    "report": "report.txt",
-    "ablation": "ablation.csv",
-    "comparison": "comparison.csv",
+    "commits": ("commits.txt", "mine"),
+    "samples": ("samples.txt", "mine"),
+    "clones": ("clones.txt", "detect"),
+    "lineages": ("lineages.txt", "genealogy"),
+    "labels": ("labels.txt", "label"),
+    "sweep": ("label_sweep.txt", "label"),
+    "features": ("features.csv", "featurize"),
+    "model": ("model.txt", "train"),
+    "recommendations": ("recommendations.csv", "recommend"),
+    "report": ("report.txt", "evaluate"),
+    "ablation": ("ablation.csv", "ablate"),
+    "comparison": ("comparison.csv", "compare"),
 }
 
 
 def _path(out_dir: str | Path, name: str) -> Path:
-    return Path(out_dir) / FILES[name]
+    return Path(out_dir) / FILES[name][0]
 
 
-def _require(out_dir: str | Path, name: str, producer: str) -> Path:
+def _require(out_dir: str | Path, name: str) -> Path:
     p = _path(out_dir, name)
     if not p.exists():
-        raise MissingInput(f"{p} not found (run `{producer}` first)")
+        raise MissingInput(f"{p} not found (run `{FILES[name][1]}` first)")
     return p
 
 
@@ -200,8 +205,8 @@ def _rebuild_lineages(
 ) -> list[Lineage]:
     from .genealogy import build_genealogies
 
-    records = artifacts.read_groups(_require(out_dir, "clones", "detect"))
-    lineage_records = artifacts.read_lineages(_require(out_dir, "lineages", "genealogy"))
+    records = artifacts.read_groups(_require(out_dir, "clones"))
+    lineage_records = artifacts.read_lineages(_require(out_dir, "lineages"))
     groups = materialize_groups(vdata, records, version_count)
     lineages = build_genealogies(groups, config.link_floor)
     expected = {r.lineage_id: r.groups for r in lineage_records}
@@ -224,7 +229,7 @@ def stage_mine(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> s
 
 
 def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
-    samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
+    samples = artifacts.read_samples(_require(out_dir, "samples"))
     all_groups = []
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
@@ -245,8 +250,8 @@ def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) ->
 def stage_genealogy(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
     from .genealogy import build_genealogies
 
-    samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
-    records = artifacts.read_groups(_require(out_dir, "clones", "detect"))
+    samples = artifacts.read_samples(_require(out_dir, "samples"))
+    records = artifacts.read_groups(_require(out_dir, "clones"))
     with Repository(repo_path) as repo:
         groups = materialize_groups(VersionData(repo, samples), records, len(samples))
     lineages = build_genealogies(groups, config.link_floor)
@@ -258,17 +263,22 @@ def stage_label(
     config: PipelineConfig,
     repo_path: str,
     out_dir: str | Path,
-    sweep_thresholds: list[float] | None = None,
+    sweep_thresholds: list[str | float] | None = None,
 ) -> str:
+    """Label every lineage; with *sweep_thresholds*, each parsed and checked as
+    an l_th before any input is read, also count R labels at each of them."""
     from .labeler import label_lineage, sweep
 
-    samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
+    thresholds = [parse_value("l_th", th) for th in sweep_thresholds or ()]
+    for th in thresholds:
+        replace(config, l_th=th).validate()
+    samples = artifacts.read_samples(_require(out_dir, "samples"))
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
         lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
         ctx = vdata.label_context()
         decisions = [label_lineage(lin, ctx, config.l_th) for lin in lineages]
-        rows = sweep(lineages, ctx, sweep_thresholds) if sweep_thresholds else None
+        rows = sweep(lineages, ctx, thresholds) if thresholds else None
     artifacts.write_labels(_path(out_dir, "labels"), decisions)
     summary = (
         f"label: {sum(1 for d in decisions if d.label == 'R')} R / "
@@ -291,8 +301,8 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
         extract_location_features,
     )
 
-    samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
-    commits = artifacts.read_commits(_require(out_dir, "commits", "mine"))
+    samples = artifacts.read_samples(_require(out_dir, "samples"))
+    commits = artifacts.read_commits(_require(out_dir, "commits"))
     labels_path = _path(out_dir, "labels")
     decisions = (
         {d.lineage_id: d for d in artifacts.read_labels(labels_path)}
@@ -353,7 +363,7 @@ def stage_train(
 ) -> str:
     from .learner import train_alt
 
-    rows = artifacts.read_features(_require(out_dir, "features", "featurize"))
+    rows = artifacts.read_features(_require(out_dir, "features"))
     examples = [r for r in rows if r.label is not None]
     if not examples:
         raise DegenerateData("no labeled feature rows to train on (run label + featurize)")
@@ -367,10 +377,10 @@ def stage_train(
 def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
     from .learner import recommend
 
-    model = artifacts.read_model(_require(out_dir, "model", "train"))
-    rows = artifacts.read_features(_require(out_dir, "features", "featurize"))
-    samples = artifacts.read_samples(_require(out_dir, "samples", "mine"))
-    lineage_records = artifacts.read_lineages(_require(out_dir, "lineages", "genealogy"))
+    model = artifacts.read_model(_require(out_dir, "model"))
+    rows = artifacts.read_features(_require(out_dir, "features"))
+    samples = artifacts.read_samples(_require(out_dir, "samples"))
+    lineage_records = artifacts.read_lineages(_require(out_dir, "lineages"))
     final = len(samples) - 1
     group_at = {
         rec.lineage_id: dict(rec.groups) for rec in lineage_records
@@ -470,13 +480,11 @@ def stage_evaluate(
     return f"evaluate[{setting}]: avg P={p:.3f} R={r:.3f} F={f:.3f} -> {_path(out_dir, 'report')}"
 
 
-def _write_experiment(
-    out_dir: str | Path, command: str, setting: str, name: str, column: str, rows: list[tuple]
-) -> str:
+def _write_experiment(out_dir: str | Path, setting: str, name: str, column: str, rows: list[tuple]) -> str:
     """Write an ablate or compare table: one (*column*, precision, recall, F) row per run."""
     path = _path(out_dir, name)
     artifacts.write_table(path, name, f"{column},precision,recall,fscore", rows)
-    return f"{command}[{setting}]: {len(rows)} {column}s -> {path}"
+    return f"{FILES[name][1]}[{setting}]: {len(rows)} {column}s -> {path}"
 
 
 def stage_ablate(
@@ -490,7 +498,7 @@ def stage_ablate(
 
     projects = _load_projects(feature_paths, balance, config.seed)
     rows = ablation(projects, setting, _learner_config(config, "adaboost"))
-    return _write_experiment(out_dir, "ablate", setting, "ablation", "variant", rows)
+    return _write_experiment(out_dir, setting, "ablation", "variant", rows)
 
 
 def stage_compare(
@@ -508,4 +516,4 @@ def stage_compare(
         raise ConfigError(f"algorithm {repeated!r} is given twice")
     projects = _load_projects(feature_paths, balance, config.seed)
     rows = compare_learners(projects, setting, algorithms, _learner_config(config, "adaboost"))
-    return _write_experiment(out_dir, "compare", setting, "comparison", "algorithm", rows)
+    return _write_experiment(out_dir, setting, "comparison", "algorithm", rows)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
+import os
 import random
 import re
 from fractions import Fraction
@@ -20,7 +22,7 @@ from crec.artifacts import GroupRecord, LineageRecord, MemberRecord, load_config
 from crec.cli import main
 from crec.clone_detector import CloneGroup
 from crec.config import PipelineConfig
-from crec.errors import ConfigError, FormatVersionMismatch, ParseError
+from crec.errors import ConfigError, FormatVersionMismatch, ParseError, WriteError
 from crec.features import FEATURES, FeatureRow
 from crec.genealogy import Lineage
 from crec.labeler import LabelDecision
@@ -190,6 +192,68 @@ _PINNED_MODEL_SHA256 = {
     ("naive_bayes", None): "ea548c233da0cc593b3f383064fb995de7e713ea795ccf39a2f5868f1dde4d6e",
     ("naive_bayes", (1, 2, 4)): "617a8ab8b68010b438fd9b58cf02e2114739f08a48a88186c0982eb9b8c577f6",
 }
+
+
+class _HalfWriter:
+    """A text file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh, error: BaseException, seen: list):
+        self.fh, self.error, self.seen = fh, error, seen
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text: str) -> None:
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        self.seen.append((Path(self.fh.name).name, os.path.getsize(self.fh.name)))
+        raise self.error
+
+
+class TestWholeOrAbsent:
+    """A write that fails midway leaves the old artifact, or none, and no temporary file."""
+
+    @pytest.mark.parametrize("old", [b"crec-format v1 samples\n", None], ids=["replace", "create"])
+    @pytest.mark.parametrize(
+        "error, raised",
+        [(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), WriteError),
+         (KeyboardInterrupt(), KeyboardInterrupt)],
+        ids=["disk-full", "interrupt"],
+    )
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, old, error, raised):
+        path = tmp_path / "samples.txt"
+        if old is not None:
+            path.write_bytes(old)
+        seen = []
+        real_open = Path.open
+
+        def failing_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return _HalfWriter(fh, error, seen) if "w" in mode else fh
+
+        monkeypatch.setattr(Path, "open", failing_open)
+        samples = [SampledVersion(i, f"c{i}", i) for i in range(5)]
+        with pytest.raises(raised) as caught:
+            artifacts.write_samples(path, samples)
+        monkeypatch.undo()
+        [(temporary, written)] = seen
+        assert temporary != path.name and written > 0  # the write began beside the artifact
+        if raised is WriteError:
+            assert str(caught.value) == f"cannot write {path}: No space left on device"
+        assert sorted(tmp_path.iterdir()) == ([path] if old is not None else [])
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_out_that_is_a_file_named(self, tmp_path):
+        (tmp_path / "out").write_bytes(b"")
+        path = tmp_path / "out" / "samples.txt"
+        with pytest.raises(WriteError) as caught:
+            artifacts.write_samples(path, [])
+        assert str(caught.value) == f"cannot write {path}: File exists"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestModelBytes:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import re
+import resource
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,11 +18,12 @@ from pathlib import Path
 import pytest
 
 from clone_fixtures import commit_corpora, end_to_end_corpora
-from conftest import feature_row, read_sweep, save_config
-from crec import artifacts
+from conftest import RepoBuilder, feature_row, read_sweep, save_config
+from crec import artifacts, pipeline
 from crec.artifacts import LineageRecord
-from crec.cli import build_parser, main, resolve_config
+from crec.cli import _COMMANDS, _CONFIG_ARGS, build_parser, main, resolve_config
 from crec.config import PipelineConfig
+from crec.errors import ConfigError
 from crec.learner import train_alt
 from crec.repo_miner import SampledVersion
 
@@ -214,6 +218,117 @@ class TestPipelineStages:
     def test_rounds_flag_validated_like_boost_rounds(self, tmp_path, capsys):
         assert _run("train", "--out", str(tmp_path), "--rounds", "0") == 1
         assert _one_error_line(capsys).startswith("error: ConfigError:")
+
+
+def _command_argv(command: str, repo: Path, out: Path, project: Path) -> list[str]:
+    """The argv that runs *command* over *repo*, or over the feature file *project*."""
+    if command in ("evaluate", "ablate", "compare"):
+        algorithms = ["--algorithms", "adaboost", "naive_bayes"] if command == "compare" else []
+        return [command, "--features", str(project), "--setting", "within", *algorithms,
+                "--out", str(out)]
+    if command in ("train", "recommend"):
+        return [command, "--out", str(out)]
+    return [command, *_pipeline_args(repo, out)]
+
+
+@pytest.fixture(scope="module")
+def complete_out(tmp_path_factory):
+    """(repository, --out after every command has run, feature file of 20 labeled rows)."""
+    root = tmp_path_factory.mktemp("complete")
+    rb = RepoBuilder(root / "repo")
+    commit_corpora(rb, end_to_end_corpora())
+    out, project = root / "out", root / "project.csv"
+    _write_project(project)
+    for command in STAGES:
+        assert main(_command_argv(command, rb.path, out, project)) == 0
+    return rb.path, out, project
+
+
+class TestMissingInputNamesItsWriter:
+    @pytest.mark.parametrize(
+        "command, file, writer",
+        [
+            ("detect", "samples.txt", "mine"),
+            ("genealogy", "samples.txt", "mine"),
+            ("genealogy", "clones.txt", "detect"),
+            ("label", "samples.txt", "mine"),
+            ("label", "clones.txt", "detect"),
+            ("label", "lineages.txt", "genealogy"),
+            ("featurize", "samples.txt", "mine"),
+            ("featurize", "commits.txt", "mine"),
+            ("featurize", "clones.txt", "detect"),
+            ("featurize", "lineages.txt", "genealogy"),
+            ("train", "features.csv", "featurize"),
+            ("recommend", "model.txt", "train"),
+            ("recommend", "features.csv", "featurize"),
+            ("recommend", "samples.txt", "mine"),
+            ("recommend", "lineages.txt", "genealogy"),
+        ],
+    )
+    def test_missing_file_names_the_command_that_writes_it(
+        self, complete_out, tmp_path, capsys, command, file, writer
+    ):
+        repo, complete, project = complete_out
+        out = tmp_path / "out"
+        shutil.copytree(complete, out)
+        (out / file).unlink()
+        capsys.readouterr()
+        assert main(_command_argv(command, repo, out, project)) == 1
+        assert _one_error_line(capsys) == (
+            f"error: MissingInput: {out / file} not found (run `{writer}` first)\n"
+        )
+
+    def test_bad_sweep_value_rejected_before_any_input_is_read(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^bad value for l_th: 'abc'$"):
+            pipeline.stage_label(PipelineConfig(), str(tmp_path), tmp_path, ["0.3", "abc"])
+        assert not any(tmp_path.iterdir())
+
+
+def _cap_file_size(limit: int):
+    def cap() -> None:  # runs in the child only, between fork and exec
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    return cap
+
+
+class TestWriteFailure:
+    """A command whose write fails exits 1 with one WriteError line, and leaves
+    its earlier artifact and the rest of --out as they were."""
+
+    @pytest.mark.parametrize(
+        "command, file",
+        [
+            ("mine", "commits.txt"),
+            ("detect", "clones.txt"),
+            ("genealogy", "lineages.txt"),
+            ("label", "labels.txt"),
+            ("featurize", "features.csv"),
+            ("train", "model.txt"),
+            ("recommend", "recommendations.csv"),
+            ("evaluate", "report.txt"),
+            ("ablate", "ablation.csv"),
+            ("compare", "comparison.csv"),
+        ],
+    )
+    def test_capped_file_size_keeps_the_old_artifact(self, complete_out, tmp_path, command, file):
+        repo, complete, project = complete_out
+        out = tmp_path / "out"
+        shutil.copytree(complete, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before[file]) > 16
+        proc = subprocess.run(
+            [sys.executable, "-m", "crec.cli", *_command_argv(command, repo, out, project)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+            # every write past the 16th byte of a file fails with EFBIG, so the
+            # artifact's text, whose header alone is longer, is cut midway
+            preexec_fn=_cap_file_size(16),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"error: WriteError: cannot write {out / file}: File too large\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestRecommendStage:
@@ -676,6 +791,28 @@ class TestParserPerCommand:
         expected = outcome(lambda: build_parser().parse_args(argv))
         assert expected[1] or expected[2]
         assert outcome(lambda: main(list(argv))) == expected
+
+    @pytest.mark.parametrize("command", STAGES)
+    def test_each_command_runs_a_stage_that_takes_its_arguments(self, command):
+        """The stage named in `_COMMANDS` exists, and its parameters after
+        `config` are the dests of the command's own arguments, which `main`
+        passes by keyword; the renamed dests keep their flags' metavars."""
+        stage = getattr(pipeline, _COMMANDS[command][2])
+        parameters = list(inspect.signature(stage).parameters)
+        assert parameters[0] == "config"
+        parser = build_parser(command)._subparsers._group_actions[0].choices[command]
+        dests = {a.dest for a in parser._actions if a.dest != "help"} - _CONFIG_ARGS
+        assert set(parameters[1:]) == dests
+        usage = " ".join(parser.format_usage().split())  # unwrapped
+        shown = {
+            "repo_path": "--repo REPO",
+            "out_dir": "--out OUT",
+            "feature_paths": "--features FEATURES [FEATURES ...]",
+            "sweep_thresholds": "--sweep SWEEP [SWEEP ...]",
+        }
+        assert dests & shown.keys()
+        for dest, text in shown.items():
+            assert (text in usage) == (dest in dests), text
 
     @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=lambda argv: argv[0])
     def test_one_commands_parser_parses_as_the_full_one(self, argv):
