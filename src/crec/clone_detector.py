@@ -52,10 +52,12 @@ class TokenList(list):
 class CodeBlock:
     """The span ``lex[first:stop]`` of its file's tokens; *size* counts the non-punctuation.
 
-    The token bag is counted from the span the first time it is read, so
-    only the blocks that are compared pay for one. Blocks compare by
-    identity, since two spans can share their lines (``{ { a(); } }``);
-    ``key`` is the location.
+    ``lex[brace]`` is its own ``{``. *method* is the body block of the
+    innermost method around it, named *enclosing_method_name*: the block
+    itself for a body, None outside any method. The token bag is counted when
+    first read, so only the blocks that are compared pay for one. Blocks
+    compare by identity, since two spans can share their lines
+    (``{ { a(); } }``); ``key`` is the location.
     """
 
     path: str
@@ -63,11 +65,11 @@ class CodeBlock:
     end_line: int
     lex: TokenList = field(repr=False)
     first: int
+    brace: int
     stop: int
     size: int
     enclosing_method_name: str | None = None
-    enclosing_method_line_count: int | None = None
-    enclosing_method_start: int | None = None
+    method: CodeBlock | None = field(default=None, repr=False)
 
     @cached_property
     def token_bag(self) -> Counter:
@@ -354,33 +356,23 @@ def extract_blocks(
     # Brace pairs nest or are disjoint, so in opening order the method bodies
     # still open at `o` form a stack whose top is the innermost enclosing one.
     blocks = []
-    methods: list[tuple] = []  # (close, start line, name, line count) of open method bodies
+    methods: list[CodeBlock] = []  # the open method bodies
     for o, c, inside in pairs:
         header = _header_start(lex, o)
         name = _method_name(lex, o, header)
-        start, end = lines[header], lines[c]  # a header starts at or before its "{"
-        while methods and methods[-1][0] < o:
+        while methods and methods[-1].stop <= o:
             methods.pop()
-        if name is not None:
-            methods.append((c, start, name, end - start + 1))
         size = inside + sum(1 for t in lex[header:o] if t.kind != "punct")
-        if not size:
+        if not size:  # never a method body: its name is a token of its header
             continue
-        m_start, m_name, m_count = methods[-1][1:] if methods else (None, None, None)
-        blocks.append(
-            CodeBlock(
-                path=path,
-                start_line=start,
-                end_line=end,
-                lex=lex,
-                first=header,
-                stop=c + 1,
-                size=size,
-                enclosing_method_name=m_name,
-                enclosing_method_line_count=m_count,
-                enclosing_method_start=m_start,
-            )
-        )
+        # a header starts at or before its "{", so its line is the block's first
+        block = CodeBlock(path, lines[header], lines[c], lex, header, o, c + 1, size, name)
+        if name is not None:
+            methods.append(block)
+        if methods:
+            block.method = methods[-1]
+            block.enclosing_method_name = block.method.enclosing_method_name
+        blocks.append(block)
     blocks.sort(key=lambda b: b.key)
     return blocks
 

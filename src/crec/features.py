@@ -242,11 +242,7 @@ def extract_code_features(clone: CodeBlock, field_names: frozenset[str]) -> tupl
 
     stmts = _statements(raw)
     f5 = sum(1 for s in stmts if _is_invocation(s)) / len(stmts) if stmts else 0.0
-    f6 = (
-        clone.line_span / clone.enclosing_method_line_count
-        if clone.enclosing_method_line_count
-        else 1.0
-    )
+    f6 = clone.line_span / clone.method.line_span if clone.method is not None else 1.0
     f7 = sum(1 for s in stmts if _is_arithmetic(s)) / len(stmts) if stmts else 0.0
 
     first = next((t.text for t in raw if t.kind != "punct"), "")
@@ -435,14 +431,8 @@ def extract_location_features(
     else:
         f20 = 0.0
 
-    methods = {
-        (m.path, m.enclosing_method_start, m.enclosing_method_name) for m in members
-    }
-    f21 = (
-        1.0
-        if len(methods) == 1 and members[0].enclosing_method_name is not None
-        else 0.0
-    )
+    methods = {m.method for m in members}
+    f21 = 1.0 if len(methods) == 1 and None not in methods else 0.0
 
     names = [m.enclosing_method_name or "" for m in members]
     f22 = float(

@@ -45,30 +45,23 @@ class LabelContext:
 
     def methods_at(self, version: int) -> dict[str, list[CodeBlock]]:
         """Method name -> the body blocks of the methods by that name, in path
-        and then block order; a body with no token inside its braces is left out."""
+        and then block order. A body is a block whose method is itself; one
+        with no token inside its braces is left out."""
         if version not in self._methods:
             index: dict[str, list[CodeBlock]] = {}
             files = self._blocks_at(version)
             for path in sorted(files):
                 for block in files[path]:
-                    is_body = block.enclosing_method_start == block.start_line
-                    if is_body and method_body_tokens(block):
+                    if block.method is block and method_body_tokens(block):
                         index.setdefault(block.enclosing_method_name, []).append(block)
             self._methods[version] = index
         return self._methods[version]
 
 
 def method_body_tokens(block: CodeBlock) -> Counter:
-    """Token multiset strictly inside the block's outermost braces."""
-    out: Counter = Counter()
-    started = False
-    for t in block.raw_tokens[:-1]:  # final lexeme is the closing brace
-        if not started:
-            started = t.kind == "punct" and t.text == "{"
-            continue
-        if t.kind != "punct":
-            out[t.text] += 1
-    return out
+    """Token multiset strictly inside the block's own braces."""
+    inside = block.lex[block.brace + 1 : block.stop - 1]
+    return Counter(t.text for t in inside if t.kind != "punct")
 
 
 def reduced_clones(links: list[CloneLink]) -> list[CloneLink]:

@@ -156,8 +156,8 @@ class VersionData:
         return self._once(("hunks", a, b, path), lambda: self.repo.diff_hunks(*commits, path))
 
     def exists(self, version: int, path: str) -> bool:
-        """Whether *path* names a file at the version; a dict lookup, so not memoized."""
-        return self.repo.blob_id(self.samples[version].commit_id, path) is not None
+        """Whether *path* names a source file of `files` at the version."""
+        return self.files(version).get(path) is not None
 
     def label_context(self) -> LabelContext:
         from .labeler import LabelContext

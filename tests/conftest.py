@@ -71,8 +71,8 @@ class SnapshotRepo:
     """In-memory file snapshots keyed by commit ids 'v0', 'v1', ..., as the
     Repository under a VersionData that answers featurize's window questions.
 
-    It answers only what those questions ask a Repository: changed paths, blob
-    ids (a hash of the text, None when the file is absent) and line-diff hunks.
+    It answers only what those questions ask a Repository: changed paths, the
+    source files and their blob ids (a hash of the text) and line-diff hunks.
     """
 
     def __init__(self, snapshots: list[dict[str, str]]):
@@ -89,9 +89,12 @@ class SnapshotRepo:
         fa, fb = self._files(a), self._files(b)
         return sorted(p for p in set(fa) | set(fb) if fa.get(p) != fb.get(p))
 
-    def blob_id(self, cid: str, path: str) -> str | None:
-        data = self._bytes(cid, path)
-        return None if data is None else hashlib.sha1(data).hexdigest()
+    def source_files(self, cid: str, suffixes: tuple[str, ...]) -> dict[str, str]:
+        return {
+            path: hashlib.sha1(text.encode()).hexdigest()
+            for path, text in sorted(self._files(cid).items())
+            if path.endswith(suffixes)
+        }
 
     def diff_hunks(self, a: str, b: str, path: str):
         return diff_file_hunks(self._bytes(a, path), self._bytes(b, path))
@@ -121,6 +124,7 @@ def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> Co
         end_line=start + span - 1,
         lex=lex,
         first=0,
+        brace=0,
         stop=len(lex),
         size=len(lex),
     )

@@ -102,7 +102,9 @@ class TestExtractBlocks:
         assert (loop.start_line, loop.end_line) == (4, 9)
         assert method.enclosing_method_name == "sum"
         assert loop.enclosing_method_name == "sum"
-        assert loop.enclosing_method_line_count == 11
+        assert method.method is method and loop.method is method
+        assert loop.method.line_span == 11
+        assert [method.lex[b.brace].text for b in blocks] == ["{", "{"]
         assert loop.tokens[0].text == "for"
 
     def test_empty_file(self):
@@ -112,6 +114,7 @@ class TestExtractBlocks:
         blocks = extract_blocks(scan("class Holder {\n    int x;\n    int y;\n}\n"), "A.java")
         assert len(blocks) == 1
         assert blocks[0].enclosing_method_name is None
+        assert blocks[0].method is None
         assert blocks[0].tokens[0].text == "class"
 
     def test_token_bag_matches_tokens(self):
@@ -145,9 +148,10 @@ class TestExtractBlocks:
 
 
 def _enclosing_by_all_pairs(lex) -> list[tuple]:
-    """For each block `extract_blocks` keeps, in its order: the span and the
-    enclosing method's name, start and line count, found as the block lookup
-    did before the stack of open method bodies, by checking every brace pair."""
+    """For each block `extract_blocks` keeps, in its order: the span, the index
+    of its `{`, and the innermost enclosing method's name and body span
+    `(first, stop)`, found as the block lookup did before the stack of open
+    method bodies, by checking every brace pair."""
     stack, pairs = [], []
     for idx, t in enumerate(lex):
         if t.kind == "punct" and t.text == "{":
@@ -157,6 +161,7 @@ def _enclosing_by_all_pairs(lex) -> list[tuple]:
     pairs.sort()
     headers = {o: _header_start(lex, o) for o, _ in pairs}
     names = {o: _method_name(lex, o, headers[o]) for o, _ in pairs}
+    closes = dict(pairs)
     spans = {
         o: (lex.lines[headers[o]] if headers[o] < o else lex.lines[o], lex.lines[c])
         for o, c in pairs
@@ -175,9 +180,8 @@ def _enclosing_by_all_pairs(lex) -> list[tuple]:
             continue
         m = (None, None, None)
         if method_open is not None:
-            m_start, m_end = spans[method_open]
-            m = (names[method_open], m_start, m_end - m_start + 1)
-        rows.append((*spans[o], *m))
+            m = (names[method_open], headers[method_open], closes[method_open] + 1)
+        rows.append((*spans[o], o, *m))
     rows.sort(key=lambda r: r[:2])
     return rows
 
@@ -201,8 +205,8 @@ class TestEnclosingMethod:
             source = " ".join(rng.choice(pieces) for _ in range(rng.randrange(0, 120)))
             lex = scan(source)
             got = [
-                (b.start_line, b.end_line, b.enclosing_method_name,
-                 b.enclosing_method_start, b.enclosing_method_line_count)
+                (b.start_line, b.end_line, b.brace, b.enclosing_method_name,
+                 *((b.method.first, b.method.stop) if b.method else (None, None)))
                 for b in extract_blocks(lex, "A.java")
             ]
             assert got == _enclosing_by_all_pairs(lex), source
@@ -226,15 +230,15 @@ class BlockViews(NamedTuple):
     raw_tokens: tuple
     token_bag: Counter
     size: int
+    brace: int
     enclosing_method_name: str | None
-    enclosing_method_line_count: int | None
-    enclosing_method_start: int | None
+    method_span: tuple[int, int] | None  # (first, stop) of the enclosing method's body
 
 
 def _views(b: CodeBlock) -> BlockViews:
     return BlockViews(
-        b.key, tuple(b.tokens), tuple(b.raw_tokens), b.token_bag, b.size,
-        b.enclosing_method_name, b.enclosing_method_line_count, b.enclosing_method_start,
+        b.key, tuple(b.tokens), tuple(b.raw_tokens), b.token_bag, b.size, b.brace,
+        b.enclosing_method_name, (b.method.first, b.method.stop) if b.method else None,
     )
 
 
@@ -272,19 +276,18 @@ def copying_extract_blocks(lex, path, diagnostics=None) -> list[BlockViews]:
             methods.pop()
         if names[o] is not None:
             methods.append((o, c))
-        method_open = methods[-1][0] if methods else None
         start, end = spans[o]
         toks = tuple(t for t in lex[headers[o] : c + 1] if t.kind != "punct")
         if not toks:
             continue
-        if method_open is not None:
-            m_start, m_end = spans[method_open]
-            m_name, m_count = names[method_open], m_end - m_start + 1
+        if methods:
+            m_open, m_close = methods[-1]
+            m_name, m_span = names[m_open], (headers[m_open], m_close + 1)
         else:
-            m_start = m_name = m_count = None
+            m_name = m_span = None
         blocks.append(BlockViews(
             (path, start, end), toks, tuple(lex[headers[o] : c + 1]),
-            Counter(t.text for t in toks), len(toks), m_name, m_count, m_start,
+            Counter(t.text for t in toks), len(toks), o, m_name, m_span,
         ))
     blocks.sort(key=lambda b: b.key)
     return blocks

@@ -55,7 +55,7 @@ def _method_block(source: str, name: str, path: str = "A.java") -> CodeBlock:
     return next(
         b
         for b in _blocks(source, path)
-        if b.enclosing_method_name == name and b.enclosing_method_start == b.start_line
+        if b.enclosing_method_name == name and b.method is b
     )
 
 
@@ -290,6 +290,16 @@ class TestLocationFeatures:
         assert f[2] == 1.0  # F20 same class
         assert f[3] == 1.0  # F21 same method instance
         assert f[4] == 0.0  # F22 identical method names
+
+    def test_overloads_on_one_line_are_different_methods(self):
+        source = "class C {\n  void run() { { p(); q(); } } void run(int i) { { p(); q(); } }\n}\n"
+        inner = [b for b in _blocks(source, "C.java") if b.tokens[0].text == "p"]
+        assert len(inner) == 2
+        f = _location_features(_group_of(inner), {"C.java": source})
+        assert f[3] == 0.0  # F21: two methods that share a name and a line
+        assert f[4] == 0.0  # F22: identical method names
+        for block in inner:
+            assert extract_code_features(block, frozenset())[5] == 1.0  # F6: one line of one
 
     def test_method_name_distance(self):
         src_a = "class A {\n    void getFoo() {\n        x = 1;\n    }\n}\n"

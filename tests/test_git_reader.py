@@ -426,6 +426,19 @@ class TestSymlinks:
             assert "src/keep/Link.java" in repo.list_files(head, (".java",))
             assert "src/keep/Link.java" not in repo.source_files(head, (".java",))
 
+    def test_a_file_replaced_by_a_symlink_no_longer_exists(self, tmp_path):
+        repo_path = tmp_path / "relinked"
+        subprocess.run(["git", "init", "-q", str(repo_path)], check=True)
+        other = {b"B.java": ("100644", b"class B {}\n")}
+        _commit_raw_paths(repo_path, {b"A.java": ("100644", b"class A {}\n"), **other})
+        _commit_raw_paths(repo_path, {b"A.java": ("120000", b"B.java"), **other})
+        with Repository(repo_path) as repo:
+            samples = [SampledVersion(i, c.id, 0) for i, c in enumerate(repo.commits())]
+            vdata = pipeline.VersionData(repo, samples)
+            assert list(vdata.files(1)) == ["B.java"]
+            assert [vdata.exists(v, "A.java") for v in (0, 1)] == [True, False]
+            assert vdata.exists(1, "B.java")
+
 
 class TestCommitRecords:
     def test_one_log_matches_per_commit_numstat(self, make_repo):

@@ -233,6 +233,53 @@ class TestRepositoryContext:
             assert "applyScaling" not in ctx.methods_at(0)
 
 
+def _methods_of(source: str) -> dict:
+    blocks = extract_blocks(scan(source), "A.java")
+    return LabelContext(lambda version: {"A.java": blocks}).methods_at(0)
+
+
+class TestMethodBodies:
+    """A method body is the block `extract_blocks` made for the method, even
+    when other blocks share its line or its header holds braces."""
+
+    def test_one_body_for_a_method_with_a_block_on_its_line(self):
+        methods = _methods_of("class A {\n  void helper() { if (x) { y(); } z(); }\n}\n")
+        assert list(methods) == ["helper"]
+        (body,) = methods["helper"]
+        assert body.tokens[0].text == "void"
+        assert method_body_tokens(body) == Counter(["if", "x", "y", "z"])
+
+    def test_body_tokens_skip_braces_of_the_header(self):
+        source = (
+            "class A {\n"
+            "    int total;\n"
+            '    @SuppressWarnings({"unchecked", "rawtypes"})\n'
+            "    void add(int k) {\n"
+            "        total = total + k;\n"
+            "    }\n"
+            "}\n"
+        )
+        (body,) = _methods_of(source)["add"]
+        assert body.tokens[0].text == "SuppressWarnings"  # the header holds the annotation
+        assert method_body_tokens(body) == Counter({"total": 2, "k": 1})
+
+    def test_overloads_on_one_line_are_two_bodies(self):
+        methods = _methods_of(
+            "class C {\n  void run() { { p(); q(); } } void run(int i) { { p(); q(); } }\n}\n"
+        )
+        assert [body.size for body in methods["run"]] == [4, 6]  # void run p q, and int i
+
+    def test_one_line_file_of_2000_methods(self):
+        source = "class G { " + " ".join(
+            f"void m{i}(int x) {{ if (x > {i}) {{ x = x - 1; }} }}" for i in range(2000)
+        ) + " }"
+        methods = _methods_of(source)
+        assert sorted(methods) == sorted(f"m{i}" for i in range(2000))
+        assert sum(map(len, methods.values())) == 2000
+        for name, (body,) in methods.items():
+            assert body.method is body and body.tokens[1].text == name
+
+
 class TestSweep:
     def test_counts_non_increasing_over_combined_corpora(self):
         counts = Counter()

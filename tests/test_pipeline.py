@@ -210,8 +210,11 @@ class TestStaleArtifactGuards:
 
 
 def _fields(block) -> tuple:
-    """Every field of a CodeBlock, which compares by identity."""
-    return tuple(getattr(block, f.name) for f in dataclasses.fields(block))
+    """Every field of a CodeBlock, which compares by identity; its method body,
+    a block too and the block itself when it is one, as that body's span."""
+    values = {f.name: getattr(block, f.name) for f in dataclasses.fields(block)}
+    method = values.pop("method")
+    return (*values.values(), None if method is None else (method.first, method.stop))
 
 
 class TestVersionDataOracle:

@@ -87,3 +87,15 @@ def test_one_lexer():
         if name == "scan"
     ]
     assert callers == ["pipeline.VersionData._lex"]
+
+
+def test_one_block_builder():
+    """Method structure has one owner: `CodeBlock` is built only by `extract_blocks`,
+    which sets each block's own `{` and its method's body block."""
+    callers = [
+        caller
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name == "CodeBlock"
+    ]
+    assert callers == ["clone_detector.extract_blocks"]
