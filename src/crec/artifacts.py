@@ -39,10 +39,11 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=sorted)
 
 
-def write_artifact(path: str | Path, kind: str, lines: list[str]) -> None:
-    """Write a *kind* file whole or not at all: the text goes to a temporary
-    file beside *path*, which then replaces it. The temporary file never
-    outlives the call, and an OSError becomes a WriteError naming *path*."""
+def write_artifact(path: str | Path, kind: str, lines: list[str], *more) -> None:
+    """Write a *kind* file, and each further ``(path, kind, lines)`` of *more*,
+    whole or not at all: each text goes to a temporary file beside its path,
+    and none replaces its file until all are written. No temporary file
+    outlives the call, and an OSError becomes a WriteError naming the path."""
     body = [f"{FORMAT_PREFIX} {FORMAT_VERSION} {kind}"] + lines
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -50,6 +51,8 @@ def write_artifact(path: str | Path, kind: str, lines: list[str]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             temporary.write_text("\n".join(body) + "\n", encoding="utf-8")
+            if more:  # the rest are written and in place before this one is
+                write_artifact(*more[0], *more[1:])
             os.replace(temporary, path)
         finally:  # after a replace, there is nothing left to remove
             temporary.unlink(missing_ok=True)
@@ -139,9 +142,10 @@ def _read_rows(path: str | Path, kind: str, build) -> list:
     return out
 
 
-def _write_rows(path: str | Path, kind: str, records, row=asdict) -> None:
-    """Write a *kind* artifact of one JSON row per record, the dict ``row(record)``."""
-    write_artifact(path, kind, [_dumps(row(record)) for record in records])
+def _write_rows(path: str | Path, kind: str, records, row=asdict, *more) -> None:
+    """Write a *kind* artifact of one JSON row per record, the dict ``row(record)``,
+    with the files of *more*, as `write_artifact` does."""
+    write_artifact(path, kind, [_dumps(row(record)) for record in records], *more)
 
 
 def _csv_lines(header: str, rows) -> list[str]:
@@ -270,11 +274,16 @@ def read_lineages(path) -> list[LineageRecord]:
 # -- labels and the threshold sweep -------------------------------------------
 
 
-def write_labels(path, decisions: list[LabelDecision]) -> None:
-    """One row per decision, its `step_version` saved under the key `step`."""
+def write_labels(path, decisions: list[LabelDecision], sweep=None) -> None:
+    """One row per decision, its `step_version` saved under the key `step`; with
+    *sweep*, a ``(path, [(threshold, R count), ...])`` pair, the sweep file too:
+    both files or neither."""
+    more = [] if sweep is None else [(sweep[0], "label-sweep", [
+        _dumps({"threshold": th, "reported": n}) for th, n in sweep[1]
+    ])]
     _write_rows(path, "labels", decisions, lambda d: {
         ("step" if k == "step_version" else k): v for k, v in asdict(d).items()
-    })
+    }, *more)
 
 
 def read_labels(path) -> list[LabelDecision]:
@@ -283,10 +292,6 @@ def read_labels(path) -> list[LabelDecision]:
     return _read_rows(
         path, "labels", lambda d: _decode(LabelDecision, {**d, "step_version": d["step"]})
     )
-
-
-def write_sweep(path, rows: list[tuple[float, int]]) -> None:
-    _write_rows(path, "label-sweep", rows, lambda r: {"threshold": r[0], "reported": r[1]})
 
 
 # -- feature table ------------------------------------------------------------

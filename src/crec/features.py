@@ -300,67 +300,44 @@ def extract_history_features(
 # -- group location features (F18-F23) ----------------------------------------
 
 
-def top_level_classes(lex: TokenList) -> list[tuple[str, int, int, list[str]]]:
-    """(name, start_line, end_line, related names) for each top-level type of a
-    file's tokens."""
+def top_level_classes(blocks: list[CodeBlock]) -> list[tuple[str, CodeBlock, list[str]]]:
+    """(name, body block, related names) for each top-level type among a file's
+    `extract_blocks`: a block that no other holds, whose header holds ``class``,
+    ``interface`` or ``enum`` and a name, and then the related names after
+    ``extends`` or ``implements``, generics skipped."""
     classes = []
-    depth = 0
-    i = 0
-    while i < len(lex):
-        t = lex[i]
-        if t.kind == "punct" and t.text == "{":
-            depth += 1
-        elif t.kind == "punct" and t.text == "}":
-            depth -= 1
-        elif (
-            depth == 0
-            and t.kind == "keyword"
-            and t.text in ("class", "interface", "enum")
-            and i + 1 < len(lex)
-            and lex[i + 1].kind == "identifier"
-        ):
-            name = lex[i + 1].text
-            start = lex.lines[i]
-            related = []
-            j = i + 2
-            in_generics = 0
-            collecting = False
-            while j < len(lex) and not (lex[j].kind == "punct" and lex[j].text == "{"):
-                tj = lex[j]
-                if tj.kind == "punct" and tj.text == "<":
-                    in_generics += 1
-                elif tj.kind == "punct" and tj.text == ">":
-                    in_generics -= 1
-                elif tj.kind == "keyword" and tj.text in ("extends", "implements"):
-                    collecting = True
-                elif collecting and not in_generics and tj.kind == "identifier":
-                    related.append(tj.text)
-                j += 1
-            body_depth = 0
-            end = start
-            while j < len(lex):
-                if lex[j].kind == "punct" and lex[j].text == "{":
-                    body_depth += 1
-                elif lex[j].kind == "punct" and lex[j].text == "}":
-                    body_depth -= 1
-                    if body_depth == 0:
-                        end = lex.lines[j]
-                        break
-                j += 1
-            classes.append((name, start, end, related))
-            i = j
-        i += 1
+    stop = 0  # the end of the last block that no other holds
+    for block in sorted(blocks, key=lambda b: b.brace):
+        if block.brace < stop:
+            continue
+        stop = block.stop
+        header = block.lex[block.first : block.brace]
+        for i, (t, name) in enumerate(zip(header, header[1:])):
+            if t.text in ("class", "interface", "enum") and name.kind == "identifier":
+                break
+        else:
+            continue  # no type declared here
+        related, in_generics, collecting = [], 0, False
+        for t in header[i + 2 :]:
+            if t.text == "<":
+                in_generics += 1
+            elif t.text == ">":
+                in_generics -= 1
+            elif t.text in ("extends", "implements"):
+                collecting = True
+            elif collecting and not in_generics and t.kind == "identifier":
+                related.append(t.text)
+        classes.append((name.text, block, related))
     return classes
 
 
-def hierarchy_components(corpus: dict[str, str], classes_of) -> dict[str, int]:
-    """Connected components of the shallow extends/implements graph.
-
-    *classes_of(path)* gives the top-level classes of a file of *corpus*.
-    """
+def hierarchy_components(paths, classes_of) -> dict[str, int]:
+    """Connected components of the shallow extends/implements graph over the
+    `top_level_classes` that *classes_of(path)* gives for each of *paths*, the
+    version's source files; keyed by type name."""
     adjacency: dict[str, set[str]] = {}
-    for path in sorted(corpus):
-        for name, _, _, related in classes_of(path):
+    for path in sorted(paths):
+        for name, _, related in classes_of(path):
             adjacency.setdefault(name, set())
             for other in related:
                 adjacency.setdefault(other, set())
@@ -380,11 +357,11 @@ def hierarchy_components(corpus: dict[str, str], classes_of) -> dict[str, int]:
     return component
 
 
-def _member_class(member: CodeBlock, corpus: dict[str, str], classes_of) -> str | None:
-    if member.path not in corpus:
-        return None
-    for name, start, end, _ in classes_of(member.path):
-        if start <= member.start_line and member.end_line <= end:
+def _member_class(member: CodeBlock, classes_of) -> str | None:
+    """The top-level type whose braces, in the member's own token list, hold
+    the member's ``{``; a type's body block belongs to that type."""
+    for name, body, _ in classes_of(member.path):
+        if body.lex is member.lex and body.brace <= member.brace < body.stop:
             return name
     return None
 
@@ -410,20 +387,19 @@ def path_copy_score(dir_a: str, dir_b: str, corpus_paths: list[str]) -> float:
     return ratio * overlap
 
 
-def extract_location_features(
-    group, corpus: dict[str, str], classes_of, hierarchy
-) -> tuple[float, ...]:
-    """F18-F23 of a group within *corpus*, the version's path -> text map.
+def extract_location_features(group, paths, classes_of, hierarchy) -> tuple[float, ...]:
+    """F18-F23 of a group among *paths*, the version's source files.
 
-    *classes_of(path)* gives a file's top_level_classes and *hierarchy()* the
-    version's hierarchy_components; callers cache both per version.
+    *classes_of(path)* gives a file's `top_level_classes`, over the blocks
+    that the members are taken from, and *hierarchy()* the version's
+    `hierarchy_components`; callers cache both per version.
     """
     members = group.members
     dirs = [posixpath.dirname(m.path) for m in members]
     f18 = 1.0 if len(set(dirs)) == 1 else 0.0
     f19 = 1.0 if len({m.path for m in members}) == 1 else 0.0
 
-    classes = [_member_class(m, corpus, classes_of) for m in members]
+    classes = [_member_class(m, classes_of) for m in members]
     if all(c is not None for c in classes):
         component = hierarchy()
         ids = {component.get(c) for c in classes}
@@ -443,7 +419,7 @@ def extract_location_features(
         )
     )
 
-    paths = sorted(corpus)
+    paths = sorted(paths)
     f23 = max(
         path_copy_score(dirs[i], dirs[j], paths)
         for i in range(len(dirs))

@@ -79,6 +79,8 @@ def new_invocations(
 
     A candidate qualifies when at least two clones newly invoke its name and a
     method body by that name is resolvable in the corpus at the later version.
+    Candidates come by name, then in *methods*' order, which `methods_at`
+    gives by path and start line; `label_lineage` keeps the first of equal rank.
     """
     per_name: dict[str, list[CloneLink]] = {}
     for link in c_links:
@@ -104,11 +106,8 @@ def label_lineage(
         c = reduced_clones(lineage.links[k])
         if not c:
             continue
-        candidates = new_invocations(c, ctx.methods_at(v_i1))
         best = None
-        for method, links in sorted(
-            candidates, key=lambda m: (m[0].enclosing_method_name, m[0].path, m[0].start_line)
-        ):
+        for method, links in new_invocations(c, ctx.methods_at(v_i1)):
             body = method_body_tokens(method)
             qualifying = []
             for link in links:

@@ -133,16 +133,18 @@ class VersionData:
         return self._once(key, lambda: file_context(self._lex(version, path)))
 
     def classes(self, version: int, path: str) -> list:
+        """`top_level_classes` of the file's `file_blocks`, the blocks its members
+        are taken from; keyed like them, since blocks carry their path."""
         from .features import top_level_classes
 
-        key = ("classes", self.files(version)[path])
-        return self._once(key, lambda: top_level_classes(self._lex(version, path)))
+        key = ("classes", self.files(version)[path], path)
+        return self._once(key, lambda: top_level_classes(self.file_blocks(version, path)))
 
     def hierarchy(self, version: int) -> dict[str, int]:
         from .features import hierarchy_components
 
         return self._once(("hierarchy", version), lambda: hierarchy_components(
-            self.corpus(version), lambda path: self.classes(version, path)
+            self.files(version), lambda path: self.classes(version, path)
         ))
 
     def changed_paths(self, a: int, b: int) -> set[str]:
@@ -278,15 +280,14 @@ def stage_label(
         lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
         ctx = vdata.label_context()
         decisions = [label_lineage(lin, ctx, config.l_th) for lin in lineages]
-        rows = sweep(lineages, ctx, thresholds) if thresholds else None
-    artifacts.write_labels(_path(out_dir, "labels"), decisions)
+        swept = (_path(out_dir, "sweep"), sweep(lineages, ctx, thresholds)) if thresholds else None
+    artifacts.write_labels(_path(out_dir, "labels"), decisions, swept)
     summary = (
         f"label: {sum(1 for d in decisions if d.label == 'R')} R / "
         f"{sum(1 for d in decisions if d.label == 'NR')} NR -> {_path(out_dir, 'labels')}"
     )
-    if rows is not None:
-        artifacts.write_sweep(_path(out_dir, "sweep"), rows)
-        summary += f"; sweep -> {_path(out_dir, 'sweep')}"
+    if swept is not None:
+        summary += f"; sweep -> {swept[0]}"
     return summary
 
 
@@ -344,7 +345,7 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
             group_values = (
                 extract_location_features(
                     group,
-                    vdata.corpus(version),
+                    vdata.files(version),
                     lambda path: vdata.classes(version, path),
                     lambda: vdata.hierarchy(version),
                 )

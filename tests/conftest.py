@@ -130,6 +130,69 @@ def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> Co
     )
 
 
+def lex_top_level_classes(lex: TokenList) -> list[tuple[str, int, int, list[str]]]:
+    """(name, start_line, end_line, related names) for each top-level type of a
+    file's tokens, by a brace-depth walk of the tokens alone: the reference that
+    `features.top_level_classes` over `extract_blocks` replaced. Its depth goes
+    negative after an unmatched ``}``, so on such files the two may differ."""
+    classes = []
+    depth = 0
+    i = 0
+    while i < len(lex):
+        t = lex[i]
+        if t.kind == "punct" and t.text == "{":
+            depth += 1
+        elif t.kind == "punct" and t.text == "}":
+            depth -= 1
+        elif (
+            depth == 0
+            and t.kind == "keyword"
+            and t.text in ("class", "interface", "enum")
+            and i + 1 < len(lex)
+            and lex[i + 1].kind == "identifier"
+        ):
+            name = lex[i + 1].text
+            start = lex.lines[i]
+            related = []
+            j = i + 2
+            in_generics = 0
+            collecting = False
+            while j < len(lex) and not (lex[j].kind == "punct" and lex[j].text == "{"):
+                tj = lex[j]
+                if tj.kind == "punct" and tj.text == "<":
+                    in_generics += 1
+                elif tj.kind == "punct" and tj.text == ">":
+                    in_generics -= 1
+                elif tj.kind == "keyword" and tj.text in ("extends", "implements"):
+                    collecting = True
+                elif collecting and not in_generics and tj.kind == "identifier":
+                    related.append(tj.text)
+                j += 1
+            body_depth = 0
+            end = start
+            while j < len(lex):
+                if lex[j].kind == "punct" and lex[j].text == "{":
+                    body_depth += 1
+                elif lex[j].kind == "punct" and lex[j].text == "}":
+                    body_depth -= 1
+                    if body_depth == 0:
+                        end = lex.lines[j]
+                        break
+                j += 1
+            classes.append((name, start, end, related))
+            i = j
+        i += 1
+    return classes
+
+
+def lex_member_class(member: CodeBlock, classes) -> str | None:
+    """The type of *classes*, a `lex_top_level_classes` list, whose lines hold the member's."""
+    for name, start, end, _ in classes:
+        if start <= member.start_line and member.end_line <= end:
+            return name
+    return None
+
+
 def read_sweep(path) -> list[tuple[float, int]]:
     """(threshold, R count) rows of a `label --sweep` file; no command reads one."""
     return artifacts._read_rows(path, "label-sweep", lambda d: (d["threshold"], d["reported"]))

@@ -13,7 +13,15 @@ from fractions import Fraction
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED, commit_corpora, end_to_end_corpora
-from conftest import RepoBuilder, SnapshotRepo, feature_row, read_sweep, span_block
+from conftest import (
+    RepoBuilder,
+    SnapshotRepo,
+    feature_row,
+    lex_member_class,
+    lex_top_level_classes,
+    read_sweep,
+    span_block,
+)
 from crec import artifacts, pipeline
 from crec.clone_detector import CloneGroup, CodeBlock, detect_clones, extract_blocks, scan
 from crec.config import PipelineConfig
@@ -29,6 +37,7 @@ from crec.eval_harness import (
 from crec.features import (
     AlignedToken,
     FeatureRow,
+    _member_class,
     assemble_vector,
     classified_sequence,
     extract_cochange_features,
@@ -245,9 +254,17 @@ def test_criterion_3_feature_property_suite():
         for i in range(6)
     ]
     contexts = {path: file_context(scan(text)) for path, text in corpus.items()}
-    classes = {path: top_level_classes(scan(text)) for path, text in corpus.items()}
-    hierarchy = hierarchy_components(corpus, classes.__getitem__)
-    pool = [b for path, text in sorted(corpus.items()) for b in extract_blocks(scan(text), path)]
+    # members and types from one block list per file, as VersionData keeps them
+    blocks_of = {path: extract_blocks(scan(text), path) for path, text in sorted(corpus.items())}
+    classes = {path: top_level_classes(blocks) for path, blocks in blocks_of.items()}
+    hierarchy = hierarchy_components(blocks_of, classes.__getitem__)
+    pool = [b for blocks in blocks_of.values() for b in blocks]
+    for path, blocks in blocks_of.items():
+        oracle = lex_top_level_classes(blocks[0].lex)
+        if [(n, r) for n, _, r in classes[path]] != [(n, r) for n, _, _, r in oracle]:
+            failures.append(f"{path}: types differ from the token walk's")
+        elif any(_member_class(b, classes.__getitem__) != lex_member_class(b, oracle) for b in blocks):
+            failures.append(f"{path}: a block's type differs from the token walk's")
 
     checked = 0
     for group_idx in range(1000):
@@ -271,7 +288,7 @@ def test_criterion_3_feature_property_suite():
                 for m in members
             ]
             group_values = (
-                extract_location_features(group, corpus, classes.__getitem__, lambda: hierarchy)
+                extract_location_features(group, blocks_of, classes.__getitem__, lambda: hierarchy)
                 + extract_diff_features(group)
                 + extract_cochange_features(group, lineage, 4, window, vdata)
             )

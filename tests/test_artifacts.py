@@ -17,7 +17,7 @@ import pytest
 
 from clone_fixtures import commit_corpora, end_to_end_corpora
 from conftest import feature_row, read_sweep, save_config, span_block
-from crec import artifacts
+from crec import artifacts, pipeline
 from crec.artifacts import GroupRecord, LineageRecord, MemberRecord, load_config, model_to_dict
 from crec.cli import main
 from crec.clone_detector import CloneGroup
@@ -97,7 +97,7 @@ class TestRoundTrips:
     def test_sweep(self, tmp_path):
         rows = [(0.3, 5), (0.4, 3), (0.5, 2)]
         path = tmp_path / "sweep.txt"
-        artifacts.write_sweep(path, rows)
+        artifacts.write_labels(tmp_path / "labels.txt", [], (path, rows))
         assert read_sweep(path) == rows
 
     def test_features_with_and_without_labels(self, tmp_path):
@@ -247,6 +247,36 @@ class TestWholeOrAbsent:
         if old is not None:
             assert path.read_bytes() == old
 
+    def test_label_sweep_writes_both_files_or_neither(self, make_repo, tmp_path, monkeypatch):
+        rb = make_repo("sweep")
+        commit_corpora(rb, end_to_end_corpora())
+        out = tmp_path / "out"
+        config = PipelineConfig(delta_threshold=1)
+        for stage in (pipeline.stage_mine, pipeline.stage_detect, pipeline.stage_genealogy):
+            stage(config, rb.path, out)
+        old = {name: f"crec-format v1 {name} from an earlier run\n".encode() for name in (
+            "labels.txt", "label_sweep.txt"
+        )}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        seen = []
+        real_open = Path.open
+
+        def failing_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            if "w" in mode and self.name.startswith(".label_sweep.txt."):
+                return _HalfWriter(fh, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), seen)
+            return fh
+
+        monkeypatch.setattr(Path, "open", failing_open)
+        with pytest.raises(WriteError) as caught:
+            pipeline.stage_label(config, rb.path, out, ["0.3", "0.4"])
+        monkeypatch.undo()
+        assert len(seen) == 1  # the sweep's temporary write began, then failed
+        assert str(caught.value) == f"cannot write {out / 'label_sweep.txt'}: No space left on device"
+        assert {name: (out / name).read_bytes() for name in old} == old
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_out_that_is_a_file_named(self, tmp_path):
         (tmp_path / "out").write_bytes(b"")
         path = tmp_path / "out" / "samples.txt"
@@ -275,7 +305,7 @@ class TestFormatGuards:
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "mixed.txt"
-        artifacts.write_sweep(path, [(0.4, 1)])
+        artifacts.write_labels(tmp_path / "labels.txt", [], (path, [(0.4, 1)]))
         with pytest.raises(ParseError):
             artifacts.read_samples(path)
 

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SnapshotRepo, span_block
+from clone_fixtures import CONTROLS, PLANTED, end_to_end_corpora
+from conftest import SnapshotRepo, lex_member_class, lex_top_level_classes, span_block
 from crec.clone_detector import CloneGroup, CodeBlock, extract_blocks, scan
 from crec.errors import RangeViolation
 from crec.features import (
     FEATURES,
     AlignedToken,
+    _member_class,
     assemble_vector,
     classified_sequence,
     classify_identifier,
@@ -51,12 +53,12 @@ def _blocks(source: str, path: str = "A.java") -> list[CodeBlock]:
     return extract_blocks(scan(source), path)
 
 
+def _body_in(blocks: list[CodeBlock], name: str) -> CodeBlock:
+    return next(b for b in blocks if b.enclosing_method_name == name and b.method is b)
+
+
 def _method_block(source: str, name: str, path: str = "A.java") -> CodeBlock:
-    return next(
-        b
-        for b in _blocks(source, path)
-        if b.enclosing_method_name == name and b.method is b
-    )
+    return _body_in(_blocks(source, path), name)
 
 
 class TestCodeFeatures:
@@ -274,18 +276,30 @@ TWIN_BLOCKS = (
 )
 
 
-def _location_features(group: CloneGroup, corpus: dict[str, str]) -> tuple[float, ...]:
-    classes = {path: top_level_classes(scan(text)) for path, text in corpus.items()}
-    hierarchy = hierarchy_components(corpus, classes.__getitem__)
-    return extract_location_features(group, corpus, classes.__getitem__, lambda: hierarchy)
+def _file_blocks(corpus: dict[str, str]) -> dict[str, list[CodeBlock]]:
+    """Each file's blocks, extracted once, as `VersionData.file_blocks` keeps them."""
+    return {path: _blocks(text, path) for path, text in corpus.items()}
+
+
+def _location_features(members, blocks_of: dict[str, list[CodeBlock]]) -> tuple[float, ...]:
+    """F18-F23 of the group of *members*, taken from *blocks_of*, whose types
+    are found among the same blocks, as `VersionData.classes` finds them."""
+    classes = {path: top_level_classes(blocks) for path, blocks in blocks_of.items()}
+    hierarchy = hierarchy_components(blocks_of, classes.__getitem__)
+    return extract_location_features(
+        _group_of(members), blocks_of, classes.__getitem__, lambda: hierarchy
+    )
+
+
+TWIN_BODY = "int s = 0; for (int i = 0; i < n; i++) { s += i * 3; } return s + n;"
 
 
 class TestLocationFeatures:
     def test_same_file_same_method(self):
-        corpus = {"M.java": TWIN_BLOCKS}
-        inner = [b for b in _blocks(TWIN_BLOCKS, "M.java") if b.tokens[0].text == "a"]
+        blocks_of = _file_blocks({"M.java": TWIN_BLOCKS})
+        inner = [b for b in blocks_of["M.java"] if b.tokens[0].text == "a"]
         assert len(inner) == 2
-        f = _location_features(_group_of(inner), corpus)
+        f = _location_features(inner, blocks_of)
         assert f[0] == 1.0 and f[1] == 1.0  # F18, F19
         assert f[2] == 1.0  # F20 same class
         assert f[3] == 1.0  # F21 same method instance
@@ -293,34 +307,50 @@ class TestLocationFeatures:
 
     def test_overloads_on_one_line_are_different_methods(self):
         source = "class C {\n  void run() { { p(); q(); } } void run(int i) { { p(); q(); } }\n}\n"
-        inner = [b for b in _blocks(source, "C.java") if b.tokens[0].text == "p"]
+        blocks_of = _file_blocks({"C.java": source})
+        inner = [b for b in blocks_of["C.java"] if b.tokens[0].text == "p"]
         assert len(inner) == 2
-        f = _location_features(_group_of(inner), {"C.java": source})
+        f = _location_features(inner, blocks_of)
         assert f[3] == 0.0  # F21: two methods that share a name and a line
         assert f[4] == 0.0  # F22: identical method names
         for block in inner:
             assert extract_code_features(block, frozenset())[5] == 1.0  # F6: one line of one
 
+    @pytest.mark.parametrize("sep", [" ", "\n"], ids=["one-line", "split-lines"])
+    def test_unrelated_types_that_share_a_line(self, sep):
+        source = sep.join([
+            "class A {", f"int f(int n) {{ {TWIN_BODY} }}", "}",
+            "class C {", f"int g(int n) {{ {TWIN_BODY} }}", "}",
+        ]) + "\n"
+        blocks_of = _file_blocks({"M.java": source})
+        members = [_body_in(blocks_of["M.java"], "f"), _body_in(blocks_of["M.java"], "g")]
+        assert _location_features(members, blocks_of)[2] == 0.0  # F20: A and C are unrelated
+
+    @pytest.mark.parametrize("sep", [" ", "\n"], ids=["one-line", "split-lines"])
+    def test_annotated_class_bodies(self, sep):
+        source = f"package p;\n@Deprecated{sep}public class A {{\n int f(int n) {{ {TWIN_BODY} }}\n}}\n"
+        blocks_of = _file_blocks({"x/p/A.java": source, "y/p/A.java": source})
+        members = [
+            next(b for b in blocks if b.lex[b.brace - 1].text == "A")
+            for blocks in blocks_of.values()
+        ]
+        assert all(m.start_line == 2 for m in members)  # from the annotation's line
+        assert _location_features(members, blocks_of)[2] == 1.0  # F20: both in a type A
+
     def test_method_name_distance(self):
         src_a = "class A {\n    void getFoo() {\n        x = 1;\n    }\n}\n"
         src_b = "class B {\n    void getBar() {\n        x = 1;\n    }\n}\n"
-        corpus = {"p/A.java": src_a, "p/B.java": src_b}
-        members = [
-            _method_block(src_a, "getFoo", "p/A.java"),
-            _method_block(src_b, "getBar", "p/B.java"),
-        ]
-        f = _location_features(_group_of(members), corpus)
+        blocks_of = _file_blocks({"p/A.java": src_a, "p/B.java": src_b})
+        members = [_body_in(blocks_of["p/A.java"], "getFoo"), _body_in(blocks_of["p/B.java"], "getBar")]
+        f = _location_features(members, blocks_of)
         assert f[4] == 3.0  # F22
         assert f[3] == 0.0  # different methods
 
     def test_copied_directory_score(self):
         src = "class M {\n    void m() {\n        x = 1;\n    }\n}\n"
-        corpus = {"a/b/d/M.java": src, "a/c/b/d/M.java": src}
-        members = [
-            _method_block(src, "m", "a/b/d/M.java"),
-            _method_block(src, "m", "a/c/b/d/M.java"),
-        ]
-        f = _location_features(_group_of(members), corpus)
+        blocks_of = _file_blocks({"a/b/d/M.java": src, "a/c/b/d/M.java": src})
+        members = [_body_in(blocks, "m") for blocks in blocks_of.values()]
+        f = _location_features(members, blocks_of)
         assert f[0] == 0.0  # different directories
         assert f[5] == pytest.approx(2 / 3)  # shared b/d suffix, identical siblings
 
@@ -333,20 +363,78 @@ class TestLocationFeatures:
     def test_class_hierarchy_via_extends(self):
         src_a = "class A extends Base {\n    void m() {\n        x = 1;\n    }\n}\n"
         src_b = "class B extends Base {\n    void m() {\n        x = 1;\n    }\n}\n"
-        corpus = {"A.java": src_a, "B.java": src_b, "Base.java": "class Base {\n}\n"}
-        members = [
-            _method_block(src_a, "m", "A.java"),
-            _method_block(src_b, "m", "B.java"),
-        ]
-        f = _location_features(_group_of(members), corpus)
-        assert f[2] == 1.0
+        blocks_of = _file_blocks({"A.java": src_a, "B.java": src_b, "Base.java": "class Base {\n}\n"})
+        members = [_body_in(blocks_of["A.java"], "m"), _body_in(blocks_of["B.java"], "m")]
+        assert _location_features(members, blocks_of)[2] == 1.0
         unrelated_b = "class B {\n    void m() {\n        x = 1;\n    }\n}\n"
-        corpus2 = {"A.java": src_a, "B.java": unrelated_b, "Base.java": "class Base {\n}\n"}
-        members2 = [
-            _method_block(src_a, "m", "A.java"),
-            _method_block(unrelated_b, "m", "B.java"),
+        blocks_of = _file_blocks(
+            {"A.java": src_a, "B.java": unrelated_b, "Base.java": "class Base {\n}\n"}
+        )
+        members = [_body_in(blocks_of["A.java"], "m"), _body_in(blocks_of["B.java"], "m")]
+        assert _location_features(members, blocks_of)[2] == 0.0
+
+
+MANY_TYPES = """\
+package p;
+import java.util.Map;
+public class Box<T extends Comparable<T>> extends Base<T> implements Api, Map.Entry<T, T> {
+    static class Inner implements Runnable { public void run() { go(); } }
+    int f(int n) { return n; }
+}
+interface Api extends Other {
+    void go();
+}
+enum Mode implements Api {
+    ON, OFF;
+    public void go() { if (this == ON) { stop(); } }
+}
+void loose() {
+    class Local { int k; }
+}
+final class Last {
+}
+"""
+
+
+class TestTopLevelClassesOracle:
+    """`top_level_classes` over a file's blocks gives the token walk's types, in
+    its order, and every block the type whose lines hold it. On a file with an
+    unmatched ``}`` the two may differ: the walk's depth goes negative there."""
+
+    @staticmethod
+    def _check(path: str, text: str) -> None:
+        blocks = _blocks(text, path)
+        classes = top_level_classes(blocks)
+        oracle = lex_top_level_classes(scan(text))
+        assert [(name, related) for name, _, related in classes] == [
+            (name, related) for name, _, _, related in oracle
         ]
-        assert _location_features(_group_of(members2), corpus2)[2] == 0.0
+        if len({line for _, start, end, _ in oracle for line in (start, end)}) == 2 * len(oracle):
+            for block in blocks:  # the types occupy distinct lines
+                assert _member_class(block, {path: classes}.__getitem__) == lex_member_class(
+                    block, oracle
+                )
+
+    @pytest.mark.parametrize(
+        "corpora",
+        [f() for f in (*PLANTED.values(), *CONTROLS.values(), end_to_end_corpora)],
+        ids=[*PLANTED, *CONTROLS, "end_to_end"],
+    )
+    def test_fixture_corpora(self, corpora):
+        for corpus in corpora:
+            for path, text in corpus.items():
+                self._check(path, text)
+
+    def test_many_types(self):
+        self._check("p/Box.java", MANY_TYPES)
+        names = [name for name, _, _ in top_level_classes(_blocks(MANY_TYPES))]
+        assert names == ["Box", "Api", "Mode", "Last"]
+
+    def test_braces_of_an_annotation_in_the_header(self):
+        source = '@SuppressWarnings({"unchecked"}) class A extends B {\n  int k;\n}\n'
+        [(name, body, related)] = top_level_classes(_blocks(source))
+        assert [(name, 1, 3, related)] == lex_top_level_classes(scan(source))
+        assert (name, body.start_line, related) == ("A", 1, ["B"])
 
 
 class TestClassifyIdentifier:

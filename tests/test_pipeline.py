@@ -217,6 +217,11 @@ def _fields(block) -> tuple:
     return (*values.values(), None if method is None else (method.first, method.stop))
 
 
+def _class_fields(classes) -> list[tuple]:
+    """A `VersionData.classes` list with each type's body block as its `_fields`."""
+    return [(name, _fields(body), related) for name, body, related in classes]
+
+
 class TestVersionDataOracle:
     """Every view of every version reads and lexes each distinct blob once, and
     gives what a fresh VersionData asked for that version alone gives."""
@@ -282,7 +287,10 @@ class TestVersionDataOracle:
             }
             for path in corpus:
                 assert fresh.context(version, path) == vdata.context(version, path)
-                assert fresh.classes(version, path) == vdata.classes(version, path)
+                classes = vdata.classes(version, path)
+                assert _class_fields(fresh.classes(version, path)) == _class_fields(classes)
+                blocks = vdata.file_blocks(version, path)  # where members are taken from
+                assert all(any(body is b for b in blocks) for _, body, _ in classes)
 
 
 def test_genealogy_lexes_only_the_files_that_hold_a_member(make_repo, tmp_path, monkeypatch):

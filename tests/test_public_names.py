@@ -99,3 +99,17 @@ def test_one_block_builder():
         if name == "CodeBlock"
     ]
     assert callers == ["clone_detector.extract_blocks"]
+
+
+def test_one_class_finder():
+    """Type structure has one source: `top_level_classes` is called only by
+    `VersionData.classes`, over the memo's `file_blocks`. F20 compares a
+    member's `{` with a type's braces, and brace indices compare only within
+    one token list, so the types must come from the blocks the members do."""
+    callers = [
+        caller
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name == "top_level_classes"
+    ]
+    assert callers == ["pipeline.VersionData.classes"]
