@@ -1,8 +1,9 @@
 """On-disk formats: line-delimited structured text, one versioned header line
 per file (`crec-format v1 <kind>`), then JSON or CSV rows or, for the config
-file, `key = value` lines. A JSON row holds the fields of one record type
-(`_write_rows`, `_decode`); every CSV table goes through one formatter and one
-parser (`_csv_lines`, `_csv_rows`). Round-trips are lossless and byte-deterministic.
+file, `key = value` lines. A JSON row holds the fields of one record type, a
+`NamedTuple` (`_write_rows`, `_decode`); every CSV table goes through one
+formatter and one parser (`_csv_lines`, `_csv_rows`). Round-trips are lossless
+and byte-deterministic.
 
 The feature, label and model formats import the modules that define their
 rows only when they are read or written, so a stage that never touches them
@@ -14,11 +15,10 @@ import itertools
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 from types import UnionType
-from typing import TYPE_CHECKING, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from .config import PipelineConfig, parse_value
 from .errors import ConfigError, FormatVersionMismatch, MissingInput, ParseError, WriteError
@@ -91,25 +91,31 @@ def read_artifact(path: str | Path, kind: str) -> list[str]:
     return lines[1:]
 
 
-_hints = cache(get_type_hints)  # a dataclass's field types, looked up once
+@cache
+def _shape(kind) -> tuple:
+    """How `_decode` reads a *kind* that is not a scalar, worked out once: a
+    record type (a NamedTuple) and its (name, type, required) fields, or else
+    the origin and arguments of the generic type."""
+    if hasattr(kind, "_fields"):
+        hints = get_type_hints(kind)
+        return kind, tuple((n, hints[n], n not in kind._field_defaults) for n in kind._fields)
+    return get_origin(kind), get_args(kind)
 
 
 def _decode(kind, value):
     """The JSON *value* as a *kind* (int, float, str, dict, ``X | None``, list,
-    frozenset, tuple or dataclass), checked all the way down: TypeError or
+    frozenset, tuple or record), checked all the way down: TypeError or
     ValueError for a bad value, KeyError for a missing field without a default."""
     if kind is int or kind is float or kind is str or kind is dict:
         # a bool is not an int, and NaN is not a float
         if (type(value) is kind or (kind is float and type(value) is int)) and value == value:
             return kind(value)
         raise TypeError(f"expected {kind.__name__}, found {value!r}")
-    if is_dataclass(kind):
+    origin, args = _shape(kind)
+    if origin is kind:
         if type(value) is not dict:
             raise TypeError(f"expected an object, found {value!r}")
-        hints = _hints(kind)
-        known = [f.name for f in fields(kind) if f.name in value or f.default is MISSING]
-        return kind(**{name: _decode(hints[name], value[name]) for name in known})
-    origin, args = get_origin(kind), get_args(kind)
+        return kind(**{n: _decode(k, value[n]) for n, k, needed in args if needed or n in value})
     if origin is UnionType or origin is Union:  # X | None
         return None if value is None else _decode(args[0], value)
     if type(value) is not list:
@@ -142,7 +148,20 @@ def _read_rows(path: str | Path, kind: str, build) -> list:
     return out
 
 
-def _write_rows(path: str | Path, kind: str, records, row=asdict, *more) -> None:
+def _plain(value, nulls: bool = True):
+    """*value* as `_dumps` writes it: each record in it, at any depth, as the
+    dict of its fields (less those that are None, unless *nulls*), and each
+    tuple as a list."""
+    if isinstance(value, tuple):
+        if not hasattr(value, "_fields"):
+            return [_plain(v, nulls) for v in value]
+        return {k: _plain(v, nulls) for k, v in zip(value._fields, value) if nulls or v is not None}
+    if isinstance(value, list):
+        return [_plain(v, nulls) for v in value]
+    return value
+
+
+def _write_rows(path: str | Path, kind: str, records, row=_plain, *more) -> None:
     """Write a *kind* artifact of one JSON row per record, the dict ``row(record)``,
     with the files of *more*, as `write_artifact` does."""
     write_artifact(path, kind, [_dumps(row(record)) for record in records], *more)
@@ -178,14 +197,15 @@ def load_config(path: str | Path) -> PipelineConfig:
     `#` comments are skipped, an unknown key or bad value is a ConfigError."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    config = PipelineConfig()
+    values = {}
     for lineno, line in enumerate(read_artifact(path, "config"), 2):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         key, eq, raw = (part.strip() for part in line.partition("="))
         if eq != "=":
             raise ParseError(f"expected 'key = value': {line!r}", lineno)
-        setattr(config, key, parse_value(key, raw))
+        values[key] = parse_value(key, raw)
+    config = PipelineConfig(**values)
     config.validate()
     return config
 
@@ -221,16 +241,14 @@ def read_samples(path) -> list[SampledVersion]:
 # -- clone groups -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MemberRecord:
+class MemberRecord(NamedTuple):
     path: str
     start: int
     end: int
     tokens: int  # token count
 
 
-@dataclass(frozen=True)
-class GroupRecord:
+class GroupRecord(NamedTuple):
     version: int
     group_id: str
     members: tuple[MemberRecord, ...]
@@ -252,8 +270,7 @@ def read_groups(path) -> list[GroupRecord]:
 # -- lineages -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineageRecord:
+class LineageRecord(NamedTuple):
     lineage_id: str
     end_state: str
     groups: tuple[tuple[int, str], ...]  # (version, group_id)
@@ -282,7 +299,7 @@ def write_labels(path, decisions: list[LabelDecision], sweep=None) -> None:
         _dumps({"threshold": th, "reported": n}) for th, n in sweep[1]
     ])]
     _write_rows(path, "labels", decisions, lambda d: {
-        ("step" if k == "step_version" else k): v for k, v in asdict(d).items()
+        ("step" if k == "step_version" else k): v for k, v in _plain(d).items()
     }, *more)
 
 
@@ -336,8 +353,7 @@ def model_to_dict(model) -> dict:
     from .learner import MODELS
 
     name = next(name for name, cls in MODELS.items() if type(model) is cls)
-    row = asdict(model, dict_factory=lambda items: {k: v for k, v in items if v is not None})
-    return {"algorithm": name, **row}
+    return {"algorithm": name, **_plain(model, nulls=False)}
 
 
 def write_model(path, model) -> None:

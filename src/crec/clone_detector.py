@@ -16,7 +16,6 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -48,7 +47,6 @@ class TokenList(list):
     __slots__ = ("lines",)
 
 
-@dataclass(eq=False)
 class CodeBlock:
     """The span ``lex[first:stop]`` of its file's tokens; *size* counts the non-punctuation.
 
@@ -60,16 +58,12 @@ class CodeBlock:
     (``{ { a(); } }``); ``key`` is the location.
     """
 
-    path: str
-    start_line: int
-    end_line: int
-    lex: TokenList = field(repr=False)
-    first: int
-    brace: int
-    stop: int
-    size: int
-    enclosing_method_name: str | None = None
-    method: CodeBlock | None = field(default=None, repr=False)
+    def __init__(self, path: str, start_line: int, end_line: int, lex: TokenList, first: int,
+                 brace: int, stop: int, size: int, enclosing_method_name: str | None = None):
+        self.path, self.start_line, self.end_line = path, start_line, end_line
+        self.lex, self.first, self.brace, self.stop, self.size = lex, first, brace, stop, size
+        self.enclosing_method_name = enclosing_method_name
+        self.method: CodeBlock | None = None
 
     @cached_property
     def token_bag(self) -> Counter:
@@ -98,8 +92,7 @@ class CodeBlock:
         return self.end_line - self.start_line + 1
 
 
-@dataclass(frozen=True)
-class CloneGroup:
+class CloneGroup(NamedTuple):
     version: int
     members: tuple[CodeBlock, ...]  # sorted by (path, start_line, end_line)
     group_id: str

@@ -3,20 +3,20 @@ parser for the values of its `key = value` file (read by `artifacts.load_config`
 
 `PipelineConfig` owns each tunable's name, default, text parser
 (`parse_value`) and allowed values (`validate`); the CLI flags, the config
-file and the library defaults (`DEFAULTS`) all come from its fields.
+file and the library defaults (`DEFAULTS`) all come from its fields. It is a
+`NamedTuple`, so an override is a `_replace`.
 `ALGORITHMS` names the learners, so that the CLI can offer them without
 importing `learner`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     delta_threshold: int = 200  # changed lines (added + deleted) per sample
     min_tokens: int = 30
     min_lines: int = 6
@@ -58,11 +58,8 @@ DEFAULTS = PipelineConfig()
 # names plus "constant"
 ALGORITHMS = ("adaboost", "decision_tree", "random_forest", "naive_bayes")
 
-# field name -> the type its text parses to; str fields stay text
-_KINDS = {
-    f.name: {"int": int, "float": float, "Fraction": Fraction}.get(str(f.type), str)
-    for f in fields(PipelineConfig)
-}
+# field name -> the type its text parses to, its default's; str fields stay text
+_KINDS = {name: type(default) for name, default in PipelineConfig._field_defaults.items()}
 
 
 def parse_value(name: str, raw: str):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .config import DEFAULTS
 from .errors import InsufficientNegatives, TooFewProjects, TooSmall
@@ -17,15 +17,21 @@ from .features import FEATURE_CATEGORIES, FEATURES, FeatureRow
 from .learner import train_alt
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class _ConfusionCounts(NamedTuple):
     recommended: int
     recommended_and_refactored: int
     known_refactored: int
 
-    def __post_init__(self):
+
+# typing.NamedTuple forbids a __new__ of its own; this subclass checks each value built
+class ConfusionCounts(_ConfusionCounts):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.recommended_and_refactored > min(self.recommended, self.known_refactored):
             raise ValueError("hits exceed recommended or known counts")
+        return self
 
 
 def precision(c: ConfusionCounts) -> float:
@@ -46,8 +52,7 @@ def fscore(p: float, r: float) -> float:
     return 2 * p * r / (p + r)
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
+class LearnerConfig(NamedTuple):
     algorithm: str = "adaboost"
     rounds: int = DEFAULTS.boost_rounds
     threshold: float = DEFAULTS.recommend_threshold
@@ -61,17 +66,15 @@ class LearnerConfig:
         return hashlib.sha256(payload).hexdigest()[:12]
 
 
-@dataclass
-class EvalRow:
+class EvalRow(NamedTuple):
     name: str
     precision: float
     recall: float
     fscore: float
-    flags: list[str] = field(default_factory=list)
+    flags: tuple[str, ...] = ()
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     setting: str  # within | cross
     rows: list[EvalRow]
     averages: tuple[float, float, float]
@@ -154,7 +157,7 @@ def cross_project(
         model = train_alt(config.algorithm, train, config.seed, config.features, config.rounds)
         c = _score(model, held_data, config.threshold)
         p, r = precision(c), recall(c)
-        flags = ["no_positives"] if c.known_refactored == 0 else []
+        flags = ("no_positives",) if c.known_refactored == 0 else ()
         rows.append(EvalRow(held_name, p, r, fscore(p, r), flags))
     return EvalReport(
         setting="cross",
@@ -219,7 +222,7 @@ def ablation(
     variants = [("AllFeatures", config)]
     for category, masked in FEATURE_CATEGORIES.items():
         kept = tuple(f for f in base if f not in masked)
-        variants.append((f"Except{category}", replace(config, features=kept)))
+        variants.append((f"Except{category}", config._replace(features=kept)))
     return _run_variants(projects, setting, variants)
 
 
@@ -230,5 +233,5 @@ def compare_learners(
     config: LearnerConfig,
 ) -> list[tuple[str, float, float, float]]:
     """One metric triple per algorithm; identical seeds so folds match exactly."""
-    variants = [(algorithm, replace(config, algorithm=algorithm)) for algorithm in algorithms]
+    variants = [(algorithm, config._replace(algorithm=algorithm)) for algorithm in algorithms]
     return _run_variants(projects, setting, variants)

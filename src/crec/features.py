@@ -14,8 +14,7 @@ from __future__ import annotations
 import posixpath
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .clone_detector import CodeBlock, Token, TokenList
 from .config import DEFAULTS
@@ -84,8 +83,7 @@ _INCOMPLETE_STARTERS = frozenset({"else", "catch", "finally", "case"})
 _PRIMITIVES = frozenset({"int", "long", "short", "byte", "float", "double", "boolean", "char", "var"})
 
 
-@dataclass(frozen=True)
-class FeatureRow:
+class FeatureRow(NamedTuple):
     """The feature vector of a lineage's group at one version, with its label:
     1 = refactored, 0 = not, None = unlabeled."""
 
@@ -95,14 +93,12 @@ class FeatureRow:
     label: int | None
 
 
-@dataclass(frozen=True)
-class AlignedToken:
+class AlignedToken(NamedTuple):
     text: str
     category: str  # variable | method | type | none
 
 
-@dataclass(frozen=True)
-class DifferentialMultiset:
+class DifferentialMultiset(NamedTuple):
     entries: tuple[AlignedToken | None, ...]  # one slot per member, None = gap
     partially_same: bool
     contains_variable: bool
@@ -110,8 +106,7 @@ class DifferentialMultiset:
     contains_type: bool
 
 
-@dataclass(frozen=True)
-class TokenMultisetDiff:
+class TokenMultisetDiff(NamedTuple):
     matched: tuple[tuple[AlignedToken | None, ...], ...]
     differential: tuple[DifferentialMultiset, ...]
 
@@ -321,8 +316,8 @@ def top_level_classes(blocks: list[CodeBlock]) -> list[tuple[str, CodeBlock, lis
         for t in header[i + 2 :]:
             if t.text == "<":
                 in_generics += 1
-            elif t.text == ">":
-                in_generics -= 1
+            elif t.text in (">", ">>", ">>>"):  # `scan` lexes `>>` as one token
+                in_generics -= len(t.text)
             elif t.text in ("extends", "implements"):
                 collecting = True
             elif collecting and not in_generics and t.kind == "identifier":

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clone_detector import CloneGroup, CodeBlock, similarity
 from .config import DEFAULTS
 
 
-@dataclass(frozen=True)
-class CloneLink:
+class CloneLink(NamedTuple):
     source: CodeBlock  # at version i
     target: CodeBlock  # at version i+1
     score: float
 
 
-@dataclass
 class Lineage:
-    lineage_id: str
-    groups: list[tuple[int, CloneGroup]]  # strictly increasing version indices
-    links: list[list[CloneLink]]  # links[k] joins groups[k] to groups[k+1]
-    end_state: str  # alive_at_last_version | dissolved
+    def __init__(self, lineage_id: str, groups: list[tuple[int, CloneGroup]],
+                 links: list[list[CloneLink]], end_state: str):
+        self.lineage_id = lineage_id
+        self.groups = groups  # strictly increasing version indices
+        self.links = links  # links[k] joins groups[k] to groups[k+1]
+        self.end_state = end_state  # alive_at_last_version | dissolved
 
 
 def link_clones(

@@ -8,28 +8,33 @@ that method's body.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .clone_detector import CodeBlock, invoked_names, overlap
 from .config import DEFAULTS
 from .genealogy import CloneLink, Lineage
 
 
-@dataclass(frozen=True)
-class LabelDecision:
+class _LabelDecision(NamedTuple):
     lineage_id: str
     step_version: int | None  # earliest qualifying step for R, None for NR
     label: str  # "R" | "NR"
     evidence: dict | None
 
-    def __post_init__(self) -> None:
+
+# typing.NamedTuple forbids a __new__ of its own; this subclass checks each value built
+class LabelDecision(_LabelDecision):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.label not in ("R", "NR"):
             raise ValueError(f"label must be R or NR, found {self.label!r}")
         if self.label == "R" and self.step_version is None:
             raise ValueError("step of an R label must be an int, found None")
         if self.label == "NR" and self.step_version is not None:
             raise ValueError(f"step of an NR label must be null, found {self.step_version!r}")
+        return self
 
 
 class LabelContext:

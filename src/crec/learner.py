@@ -12,8 +12,8 @@ import hashlib
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from itertools import groupby
+from typing import NamedTuple
 
 from .config import ALGORITHMS, DEFAULTS
 from .errors import DegenerateData
@@ -22,8 +22,7 @@ from .features import FEATURE_NAMES, FeatureRow
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class DecisionStump:
+class DecisionStump(NamedTuple):
     feature: int  # 1-based
     threshold: float
     polarity: str  # "le": predict 1 when value <= threshold; "gt": when value > it
@@ -97,8 +96,7 @@ def best_stump(
     return DecisionStump(f, t, pol, alpha=0.0), err
 
 
-@dataclass
-class BoostModel:
+class BoostModel(NamedTuple):
     stumps: list[DecisionStump]
     feature_names: tuple[str, ...]
     rounds: int
@@ -123,7 +121,7 @@ def _boost(examples: list[FeatureRow], rounds: int, features: list[int]) -> list
         stump, err = best_stump(examples, weights, runs)
         e = max(min(err / sum(weights), 1.0 - 1e-10), 1e-10)
         alpha = 0.5 * math.log((1.0 - e) / e)
-        stumps.append(replace(stump, alpha=alpha))
+        stumps.append(stump._replace(alpha=alpha))
         if err == 0.0 or err / sum(weights) >= 0.5:
             break
         norm = 0.0
@@ -152,17 +150,23 @@ def recommend(
 # -- alternative learners ------------------------------------------------------
 
 
-@dataclass
-class TreeNode:
+class _TreeNode(NamedTuple):
     prob: float  # positive-class fraction at this node
     feature: int | None = None  # 1-based; None for leaves
     threshold: float | None = None
-    left: "TreeNode | None" = None  # value <= threshold
-    right: "TreeNode | None" = None
+    left: TreeNode | None = None  # value <= threshold
+    right: TreeNode | None = None
 
-    def __post_init__(self) -> None:
+
+# typing.NamedTuple forbids a __new__ of its own; this subclass checks each value built
+class TreeNode(_TreeNode):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len({v is None for v in (self.feature, self.threshold, self.left, self.right)}) > 1:
             raise ValueError("a split node needs a feature, a threshold and two children")
+        return self
 
     def predict(self, values: tuple[float, ...]) -> float:
         node = self
@@ -230,8 +234,7 @@ def _grow_tree(
     return TreeNode(node.prob, f, threshold, left, right)
 
 
-@dataclass
-class TreeModel:
+class TreeModel(NamedTuple):
     root: TreeNode
     seed: int
     dataset_digest: str
@@ -240,8 +243,7 @@ class TreeModel:
         return self.root.predict(values)
 
 
-@dataclass
-class ForestModel:
+class ForestModel(NamedTuple):
     trees: list[TreeNode]
     seed: int
     dataset_digest: str
@@ -251,8 +253,7 @@ class ForestModel:
         return votes / len(self.trees)
 
 
-@dataclass
-class NaiveBayesModel:
+class NaiveBayesModel(NamedTuple):
     priors: tuple[float, float]
     means: tuple[tuple[float, ...], tuple[float, ...]]  # per class, per feature
     variances: tuple[tuple[float, ...], tuple[float, ...]]
@@ -274,8 +275,7 @@ class NaiveBayesModel:
         return odds[1] / (odds[0] + odds[1])
 
 
-@dataclass
-class ConstantModel:
+class ConstantModel(NamedTuple):
     likelihood: float
     dataset_digest: str
 

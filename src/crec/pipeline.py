@@ -13,7 +13,6 @@ some stages run (`genealogy`, `labeler`, `features`, `learner`,
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -273,7 +272,7 @@ def stage_label(
 
     thresholds = [parse_value("l_th", th) for th in sweep_thresholds or ()]
     for th in thresholds:
-        replace(config, l_th=th).validate()
+        config._replace(l_th=th).validate()
     samples = artifacts.read_samples(_require(out_dir, "samples"))
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)

@@ -18,9 +18,9 @@ import contextlib
 import math
 import subprocess
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import DEFAULTS
 from .errors import EmptyRepository, GitError, NotARepository, UnknownCommit
@@ -28,8 +28,7 @@ from .errors import EmptyRepository, GitError, NotARepository, UnknownCommit
 SOURCE_SUFFIXES = (".java",)
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     id: str
     timestamp: int
     author: str  # lowercased "name <email>"
@@ -37,23 +36,20 @@ class CommitRecord:
     changed_line_count: int  # added + deleted lines under `git log --numstat`
 
 
-@dataclass(frozen=True)
-class SampledVersion:
+class SampledVersion(NamedTuple):
     index: int
     commit_id: str
     cumulative_delta: int
 
 
-@dataclass(frozen=True)
-class CheckedWindow:
+class CheckedWindow(NamedTuple):
     """Trailing portion of the sample list over which history features run."""
 
     steps: tuple[tuple[SampledVersion, SampledVersion], ...]
     recent_steps: tuple[tuple[SampledVersion, SampledVersion], ...]
 
 
-@dataclass(frozen=True)
-class Hunk:
+class Hunk(NamedTuple):
     """One replacement region of a line diff, 1-based inclusive ranges.
 
     An empty side has start > end; an empty a-range (s, s-1) denotes an

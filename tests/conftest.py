@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import os
 import subprocess
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -161,8 +160,8 @@ def lex_top_level_classes(lex: TokenList) -> list[tuple[str, int, int, list[str]
                 tj = lex[j]
                 if tj.kind == "punct" and tj.text == "<":
                     in_generics += 1
-                elif tj.kind == "punct" and tj.text == ">":
-                    in_generics -= 1
+                elif tj.kind == "punct" and tj.text in (">", ">>", ">>>"):
+                    in_generics -= len(tj.text)
                 elif tj.kind == "keyword" and tj.text in ("extends", "implements"):
                     collecting = True
                 elif collecting and not in_generics and tj.kind == "identifier":
@@ -202,7 +201,7 @@ def save_config(config: PipelineConfig, path) -> None:
     """Write *config* in the format `load_config` reads; crec itself writes none."""
     config.validate()
     lines = ["crec-format v1 config"]
-    lines += [f"{f.name} = {getattr(config, f.name)}" for f in fields(config)]
+    lines += [f"{name} = {value}" for name, value in config._asdict().items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

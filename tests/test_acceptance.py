@@ -402,8 +402,7 @@ def test_criterion_4_learner_suite(tmp_path):
     baseline = sorted(probes, key=lambda v: (-model.predict_likelihood(v), v))
     artifacts.write_model(tmp_path / "model.txt", model)
     scaled = artifacts.read_model(tmp_path / "model.txt")
-    for s in scaled.stumps:
-        object.__setattr__(s, "alpha", s.alpha * 17.0)
+    scaled = scaled._replace(stumps=[s._replace(alpha=s.alpha * 17.0) for s in scaled.stumps])
     rescaled = sorted(probes, key=lambda v: (-scaled.predict_likelihood(v), v))
     if baseline != rescaled:
         failures.append("likelihood ranking not invariant under alpha scaling")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import hashlib
 import os
@@ -151,8 +150,8 @@ class TestRewriteBytes:
         assert main(["train", "--out", str(out)]) == 0
         # a stump above -Infinity votes 1 on every row, so each current group is ranked
         model = artifacts.read_model(out / "model.txt")
-        stump = dataclasses.replace(model.stumps[0], threshold=float("-inf"), polarity="gt")
-        artifacts.write_model(out / "model.txt", dataclasses.replace(model, stumps=[stump]))
+        stump = model.stumps[0]._replace(threshold=float("-inf"), polarity="gt")
+        artifacts.write_model(out / "model.txt", model._replace(stumps=[stump]))
         assert main(["recommend", "--out", str(out)]) == 0
 
         assert '"threshold":-Infinity' in (out / "model.txt").read_text()
@@ -416,7 +415,7 @@ class TestDecoder:
             artifacts.read_lineages(path)
 
     def test_every_decoded_field_type_is_handled(self):
-        """Every field type of every dataclass the readers rebuild is a kind
+        """Every field type of every record type the readers rebuild is a kind
         `_decode` checks, so a new kind of field fails here, not unchecked."""
         pending = [
             CommitRecord,
@@ -433,7 +432,7 @@ class TestDecoder:
                 continue
             seen.add(kind)
             origin, args = get_origin(kind), get_args(kind)
-            if dataclasses.is_dataclass(kind):
+            if isinstance(kind, type) and issubclass(kind, tuple) and hasattr(kind, "_fields"):
                 pending.extend(get_type_hints(kind).values())
             elif origin in (UnionType, Union) and len(args) == 2 and args[1] is NoneType:
                 pending.append(args[0])

@@ -11,7 +11,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +32,7 @@ STAGES = (
     "mine", "detect", "genealogy", "label", "featurize",
     "train", "recommend", "evaluate", "ablate", "compare",
 )
-_CONFIG_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(PipelineConfig)]
+_CONFIG_FLAGS = ["--" + name.replace("_", "-") for name in PipelineConfig._fields]
 
 
 def _run(*argv: str) -> int:
@@ -123,7 +122,8 @@ class TestPipelineStages:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     # Run one command in a fresh interpreter, as `crec` does, and print the
-    # crec modules it loaded.
+    # crec modules it loaded, with the costly stdlib ones that only some may:
+    # no command loads `dataclasses`, or the `inspect` that it imports.
     _REPORT_IMPORTS = (
         "import json, sys\n"
         "from crec.cli import main\n"
@@ -131,8 +131,9 @@ class TestPipelineStages:
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
+        "costly = ('hashlib', '_hashlib', 'dataclasses', 'inspect')\n"
         "print(json.dumps([code, sorted(m for m in sys.modules\n"
-        "                               if m.startswith('crec') or m in ('hashlib', '_hashlib'))]))\n"
+        "                               if m.startswith('crec') or m in costly)]))\n"
     )
     # the crec modules each command loads besides cli, config and errors, as
     # the README's module map lists them: a stage imports only what it runs
@@ -583,8 +584,8 @@ class TestConfigResolution:
             _run(stage, "--help")
         assert exited.value.code == 0
         out = capsys.readouterr().out
-        for f, flag in zip(fields(PipelineConfig), _CONFIG_FLAGS):
-            assert re.search(rf"{flag} \S+\s+default: {re.escape(str(f.default))}\n", out), flag
+        for default, flag in zip(PipelineConfig._field_defaults.values(), _CONFIG_FLAGS):
+            assert re.search(rf"{flag} \S+\s+default: {re.escape(str(default))}\n", out), flag
 
     @pytest.mark.parametrize(
         "raw, reason",
@@ -819,3 +820,102 @@ class TestParserPerCommand:
         assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
         bare = build_parser(argv[0])._subparsers._group_actions[0].choices
         assert [name for name, p in bare.items() if len(p._actions) > 1] == [argv[0]]
+
+
+def _spawn(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m crec.cli` with *argv* in a fresh interpreter: it ends through `cli.run`."""
+    env = {**os.environ, "PYTHONPATH": SRC, **kwargs.pop("env", {})}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "crec.cli", *argv], env=env, text=True, **streams)
+
+
+class TestProcessExit:
+    """`cli.run` ends the process without the interpreter's teardown. What a
+    process prints, writes and exits with is still what `main` gives in process."""
+
+    def test_stage_summaries_and_artifacts(self, make_repo, tmp_path, monkeypatch, capsys):
+        rb = make_repo("exit")
+        commit_corpora(rb, end_to_end_corpora())
+        spawned, in_process = tmp_path / "spawned", tmp_path / "in_process"
+        spawned.mkdir()
+        in_process.mkdir()
+        monkeypatch.chdir(in_process)  # each summary names `out/...`, relative to its own
+        repo = ["--repo", str(rb.path), "--delta-threshold", "1"]
+        for stage in ("mine", "detect", "genealogy", "label", "featurize", "train", "recommend"):
+            argv = [stage, "--out", "out", *(repo if stage not in ("train", "recommend") else [])]
+            if stage == "label":
+                argv += ["--sweep", "0.3", "0.4", "0.5"]
+            proc = _spawn(*argv, cwd=spawned)
+            assert _run(*argv) == 0
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+        names = sorted(p.name for p in (in_process / "out").iterdir())
+        assert names == sorted(p.name for p in (spawned / "out").iterdir())
+        for name in names:
+            assert (spawned / "out" / name).read_bytes() == (in_process / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--help"], 0),
+            (["mine", "--help"], 0),
+            (["mine", "--bogus"], 2),
+            (["detect", "--repo", ".", "--out", "missing"], 1),
+        ],
+        ids=["help", "command help", "usage error", "CrecError"],
+    )
+    def test_exit_code_and_output(self, tmp_path, monkeypatch, capsys, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
+        monkeypatch.chdir(tmp_path)
+        try:
+            in_process = main(argv)
+        except SystemExit as exc:
+            in_process = exc.code
+        printed = capsys.readouterr()
+        proc = _spawn(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, printed.out, printed.err)
+        assert in_process == code
+        if code == 1:
+            assert printed.err.startswith("error: MissingInput:") and printed.err.count("\n") == 1
+
+    # the exit codes of a run whose stdout was closed before it started, as they
+    # were before `cli.run`: an unbuffered stdout fails on the print itself (an
+    # uncaught BrokenPipeError, or one argparse ignores), a buffered one on the
+    # flush at exit, which Python reports as status 120
+    @pytest.mark.parametrize(
+        "unbuffered, codes", [("", {"help": 120, "stage": 120}), ("1", {"help": 0, "stage": 1})],
+        ids=["buffered", "unbuffered"],
+    )
+    def test_closed_stdout(self, make_repo, tmp_path, unbuffered, codes):
+        rb = make_repo()
+        rb.commit({"A.java": "class A {}\n"})
+        mine = ["mine", "--repo", str(rb.path), "--out", str(tmp_path / "out")]
+        env = {"PYTHONUNBUFFERED": unbuffered}
+        for name, argv in (("help", ["--help"]), ("stage", mine)):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = _spawn(*argv, stdout=write, stderr=subprocess.PIPE, env=env)
+            finally:
+                os.close(write)
+            assert proc.returncode == codes[name], (name, proc.stderr)
+            assert (proc.returncode == 0) == ("BrokenPipeError" not in proc.stderr), name
+
+    def test_every_git_process_has_exited_when_main_returns(self, make_repo, tmp_path, monkeypatch):
+        """`run` may skip the teardown because no stage leaves a process behind:
+        each git process a stage starts, `git cat-file --batch` too, has exited
+        and been reaped when `main` returns."""
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        rb = make_repo("reaped")
+        commit_corpora(rb, end_to_end_corpora())
+        out = tmp_path / "out"
+        for stage in ("mine", "detect", "genealogy", "label", "featurize"):
+            assert _run(stage, *_pipeline_args(rb.path, out)) == 0
+            assert [p.args for p in started if p.returncode is None] == [], stage
+        assert any("cat-file" in p.args for p in started)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import _sha1
-import dataclasses
 import gc
 import hashlib
 import random
@@ -691,10 +690,13 @@ def _family_corpus(rng: random.Random, n_blocks: int) -> list[CodeBlock]:
             outer = blocks[i - 3]
             first = rng.randrange(outer.first, outer.stop)
             stop = rng.randrange(first + 1, outer.stop + 1)
-            block = dataclasses.replace(
-                block,
+            block = CodeBlock(
+                block.path,
+                block.start_line,
+                block.end_line,
                 lex=outer.lex,
                 first=first,
+                brace=block.brace,
                 stop=stop,
                 size=stop - first,
             )

@@ -430,6 +430,13 @@ class TestTopLevelClassesOracle:
         names = [name for name, _, _ in top_level_classes(_blocks(MANY_TYPES))]
         assert names == ["Box", "Api", "Mode", "Last"]
 
+    def test_nested_generics_close_with_one_token(self):
+        """`scan` lexes the `>>` that closes two generics as one token."""
+        source = "public class Box<T extends Comparable<T>> extends Base<T> implements Api {\n}\n"
+        self._check("Box.java", source)
+        [(name, _, related)] = top_level_classes(_blocks(source))
+        assert (name, related) == ("Box", ["Base", "Api"])
+
     def test_braces_of_an_annotation_in_the_header(self):
         source = '@SuppressWarnings({"unchecked"}) class A extends B {\n  int k;\n}\n'
         [(name, body, related)] = top_level_classes(_blocks(source))

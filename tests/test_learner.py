@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -217,7 +216,7 @@ class TestPresortedRuns:
         for _ in range(150):
             n = rng.randrange(2, 30)
             examples = _tied_dataset(rng, n - 1) + _tied_dataset(rng, 1, labels=(0,))
-            examples[0] = replace(examples[0], label=1)
+            examples[0] = examples[0]._replace(label=1)
             features = rng.choice([None, sorted(rng.sample(range(1, 9), rng.randrange(1, 9)))])
             model = train_alt("adaboost", examples, seed=1, features=features, rounds=20)
             feats = features or list(range(1, len(examples[0].values) + 1))
@@ -346,8 +345,7 @@ class TestPredictLikelihood:
         model = train_alt("adaboost", data)
         write_model(tmp_path / "model.txt", model)
         scaled = read_model(tmp_path / "model.txt")
-        for s in scaled.stumps:
-            object.__setattr__(s, "alpha", s.alpha * 7.5)
+        scaled = scaled._replace(stumps=[s._replace(alpha=s.alpha * 7.5) for s in scaled.stumps])
         for e in data:
             assert scaled.predict_likelihood(e.values) == pytest.approx(
                 model.predict_likelihood(e.values)

@@ -3,7 +3,6 @@ earliest-step labeling, pre-refactoring feature vectors, stale-artifact guards."
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -212,9 +211,12 @@ class TestStaleArtifactGuards:
 def _fields(block) -> tuple:
     """Every field of a CodeBlock, which compares by identity; its method body,
     a block too and the block itself when it is one, as that body's span."""
-    values = {f.name: getattr(block, f.name) for f in dataclasses.fields(block)}
-    method = values.pop("method")
-    return (*values.values(), None if method is None else (method.first, method.stop))
+    method = block.method
+    return (
+        block.path, block.start_line, block.end_line, block.lex, block.first, block.brace,
+        block.stop, block.size, block.enclosing_method_name,
+        None if method is None else (method.first, method.stop),
+    )
 
 
 def _class_fields(classes) -> list[tuple]:

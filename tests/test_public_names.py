@@ -113,3 +113,17 @@ def test_one_class_finder():
         if name == "top_level_classes"
     ]
     assert callers == ["pipeline.VersionData.classes"]
+
+
+def test_no_dataclasses():
+    """No module imports `dataclasses`: it loads `inspect` with it, and each
+    `@dataclass` compiles its methods when its module is imported, costs that
+    every command would pay. Record types are `NamedTuple`s."""
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert not importers, "imports dataclasses: " + ", ".join(importers)
