@@ -274,10 +274,17 @@ class LineageRecord(NamedTuple):
     lineage_id: str
     end_state: str
     groups: tuple[tuple[int, str], ...]  # (version, group_id)
+    # links[k]: (source, target, score) from groups[k] to groups[k+1], each member by index
+    links: tuple[tuple[tuple[int, int, float], ...], ...]
 
     @classmethod
     def of(cls, lin: Lineage) -> LineageRecord:
-        return cls(lin.lineage_id, lin.end_state, tuple((v, g.group_id) for v, g in lin.groups))
+        refs = tuple((v, g.group_id) for v, g in lin.groups)
+        links = tuple(
+            tuple((a.members.index(l.source), b.members.index(l.target), l.score) for l in step)
+            for (_, a), (_, b), step in zip(lin.groups, lin.groups[1:], lin.links)
+        )
+        return cls(lin.lineage_id, lin.end_state, refs, links)
 
 
 def write_lineages(path, lineages: list[LineageRecord]) -> None:

@@ -19,11 +19,11 @@ from typing import TYPE_CHECKING, NamedTuple
 from .clone_detector import CodeBlock, Token, TokenList
 from .config import DEFAULTS
 from .errors import RangeViolation
-from .genealogy import Lineage
 from .repo_miner import CheckedWindow, hunk_touches, distinct_authors
 from .repo_miner import _lcs_pairs  # shared LCS core
 
 if TYPE_CHECKING:
+    from .genealogy import Lineage
     from .pipeline import VersionData
 
 # F1..F34 in order as (name, category, kind); kind is the range that
@@ -540,30 +540,18 @@ def extract_diff_features(group) -> tuple[float, ...]:
 # -- group co-change features (F30-F34) ---------------------------------------
 
 
-def _chain_positions(lineage: Lineage) -> dict[tuple[int, int], CodeBlock]:
-    """(version, chain id) -> the chain's block there; chains follow member links."""
-    chain_of: dict[tuple[int, tuple], int] = {}
-    positions: dict[tuple[int, int], CodeBlock] = {}
-    counter = 0
-    v0, g0 = lineage.groups[0]
-    for b in g0.members:
-        chain_of[(v0, b.key)] = counter
-        positions[(v0, counter)] = b
-        counter += 1
-    for k in range(1, len(lineage.groups)):
-        v_prev = lineage.groups[k - 1][0]
-        v, g = lineage.groups[k]
-        for link in lineage.links[k - 1]:
-            cid = chain_of.get((v_prev, link.source.key))
+def _chain_ids(lineage: Lineage) -> dict[tuple[int, CodeBlock], int]:
+    """(version, block) -> the id of its chain. A chain follows member links
+    from block to block, not by lines, which two blocks can share."""
+    chain_of: dict[tuple[int, CodeBlock], int] = {}
+    for k, (v, g) in enumerate(lineage.groups):
+        for link in lineage.links[k - 1] if k else ():
+            cid = chain_of.get((lineage.groups[k - 1][0], link.source))
             if cid is not None:
-                chain_of[(v, link.target.key)] = cid
-                positions[(v, cid)] = link.target
-        for b in g.members:
-            if (v, b.key) not in chain_of:
-                chain_of[(v, b.key)] = counter
-                positions[(v, counter)] = b
-                counter += 1
-    return positions
+                chain_of[v, link.target] = cid
+        for b in g.members:  # an unlinked member starts a chain; every id so far is below len
+            chain_of.setdefault((v, b), len(chain_of))
+    return chain_of
 
 
 def extract_cochange_features(
@@ -571,9 +559,9 @@ def extract_cochange_features(
 ) -> tuple[float, ...]:
     if not window.steps:
         return (0.0,) * 5
-    positions = _chain_positions(lineage)
-    chain_by_pos = {(v, blk.key): cid for (v, cid), blk in positions.items()}
-    member_chains = [chain_by_pos.get((version, m.key)) for m in group.members]
+    chain_of = _chain_ids(lineage)
+    positions = {(v, cid): block for (v, block), cid in chain_of.items()}
+    member_chains = [chain_of.get((version, m)) for m in group.members]
 
     n = len(window.steps)
     members = len(group.members)

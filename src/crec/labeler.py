@@ -8,11 +8,13 @@ that method's body.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .clone_detector import CodeBlock, invoked_names, overlap
 from .config import DEFAULTS
-from .genealogy import CloneLink, Lineage
+
+if TYPE_CHECKING:
+    from .genealogy import CloneLink, Lineage
 
 
 class _LabelDecision(NamedTuple):

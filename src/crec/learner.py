@@ -8,7 +8,6 @@ Agrawal & Rissanen, EDBT 1996), and each round's stump search walks them."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections.abc import Sequence
@@ -36,6 +35,7 @@ class DecisionStump(NamedTuple):
 
 
 def dataset_digest(examples: list[FeatureRow]) -> str:
+    import hashlib  # loads OpenSSL, which only training needs: `recommend` computes no digest
     payload = repr([(e.values, e.label) for e in examples]).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 

@@ -1,7 +1,9 @@
 """Stage implementations behind the CLI: each reads its predecessor's files
 from the output directory, writes its own, and returns a one-line summary.
 Token-level detail is re-derived from the repository on demand, so artifact
-files stay small and every stage is independently re-runnable.
+files stay small and every stage is independently re-runnable. Lineages are
+built once, by `genealogy`; `label` and `featurize` read them back from
+`lineages.txt`, whose links name each member by its index in its group.
 
 `FILES` names each artifact's file and the command that writes it. A stage's
 parameters are named as the CLI's parsed arguments, which `cli.main` passes by keyword.
@@ -13,6 +15,7 @@ some stages run (`genealogy`, `labeler`, `features`, `learner`,
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -201,19 +204,37 @@ def materialize_groups(
     return per_version
 
 
-def _rebuild_lineages(
-    config: PipelineConfig, vdata: VersionData, out_dir, version_count: int
-) -> list[Lineage]:
-    from .genealogy import build_genealogies
+def _read_lineages(vdata: VersionData, out_dir) -> list[Lineage]:
+    """The lineages of `lineages.txt`, each link joining the members of `clones.txt`
+    that its indices name; MissingInput unless the two files agree."""
+    from .genealogy import CloneLink, Lineage
 
-    records = artifacts.read_groups(_require(out_dir, "clones"))
-    lineage_records = artifacts.read_lineages(_require(out_dir, "lineages"))
-    groups = materialize_groups(vdata, records, version_count)
-    lineages = build_genealogies(groups, config.link_floor)
-    expected = {r.lineage_id: r.groups for r in lineage_records}
-    rebuilt = {r.lineage_id: r.groups for r in map(LineageRecord.of, lineages)}
-    if expected != rebuilt:
-        raise MissingInput("lineages file does not match clones file (re-run genealogy)")
+    clones, path = _require(out_dir, "clones"), _require(out_dir, "lineages")
+    records = artifacts.read_lineages(path)
+    per_version = materialize_groups(vdata, artifacts.read_groups(clones), len(vdata.samples))
+    groups = {(g.version, g.group_id): g for gs in per_version for g in gs}
+
+    def stale(problem: str) -> MissingInput:
+        return MissingInput(f"{path} {problem}; lineages file is stale (re-run genealogy)")
+
+    named = Counter(ref for rec in records for ref in rec.groups)
+    for v, gid in sorted(named.keys() | groups.keys(), key=lambda ref: (ref in groups, ref)):
+        if (v, gid) not in groups:
+            raise stale(f"names group {gid} at version {v}, which {clones} lacks")
+        if named[v, gid] != 1:
+            raise stale(f"names group {gid} at version {v} of {clones} {named[v, gid]} times")
+    lineages = []
+    for rec in records:
+        members = [groups[ref].members for ref in rec.groups]
+        if len(rec.links) != len(members) - 1:
+            counts = f"{len(members)} groups and {len(rec.links)} link steps"
+            raise stale(f"gives {rec.lineage_id} {counts}")
+        steps = list(zip(members, members[1:], rec.links))
+        if not all(0 <= i < len(a) and 0 <= j < len(b) for a, b, step in steps for i, j, _ in step):
+            raise stale(f"links a member index of {rec.lineage_id} outside its group")
+        links = [[CloneLink(a[i], b[j], score) for i, j, score in step] for a, b, step in steps]
+        chain = [(v, groups[v, gid]) for v, gid in rec.groups]
+        lineages.append(Lineage(rec.lineage_id, chain, links, rec.end_state))
     return lineages
 
 
@@ -276,7 +297,7 @@ def stage_label(
     samples = artifacts.read_samples(_require(out_dir, "samples"))
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
-        lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
+        lineages = _read_lineages(vdata, out_dir)
         ctx = vdata.label_context()
         decisions = [label_lineage(lin, ctx, config.l_th) for lin in lineages]
         swept = (_path(out_dir, "sweep"), sweep(lineages, ctx, thresholds)) if thresholds else None
@@ -317,7 +338,7 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
     rows = []
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
-        lineages = _rebuild_lineages(config, vdata, out_dir, len(samples))
+        lineages = _read_lineages(vdata, out_dir)
         unknown = decisions.keys() - {lineage.lineage_id for lineage in lineages}
         if unknown:
             raise MissingInput(

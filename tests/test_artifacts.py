@@ -23,7 +23,7 @@ from crec.clone_detector import CloneGroup
 from crec.config import PipelineConfig
 from crec.errors import ConfigError, FormatVersionMismatch, ParseError, WriteError
 from crec.features import FEATURES, FeatureRow
-from crec.genealogy import Lineage
+from crec.genealogy import CloneLink, Lineage
 from crec.labeler import LabelDecision
 from crec.learner import ALGORITHMS, MODELS, train_alt
 from crec.repo_miner import CommitRecord, SampledVersion
@@ -64,15 +64,20 @@ class TestRoundTrips:
         )
 
     def test_lineages(self, tmp_path):
-        g0 = CloneGroup(0, (_block(),), "g0")
-        g1 = CloneGroup(1, (_block(),), "g1")
-        lin = Lineage("lin-0-g0", [(0, g0), (1, g1)], [[]], "alive_at_last_version")
+        """Each link names its members by their indices in their groups, found
+        by identity: two blocks on one line stay apart. Its score reads back exact."""
+        a, b, c = _block("A.java"), _block("A.java"), _block("C.java")
+        g0 = CloneGroup(0, (a, b), "g0")
+        g1 = CloneGroup(1, (c, b), "g1")
+        links = [[CloneLink(b, b, 1.0), CloneLink(a, c, 0.1 + 0.2)]]
+        lin = Lineage("lin-0-g0", [(0, g0), (1, g1)], links, "alive_at_last_version")
         path = tmp_path / "lineages.txt"
         artifacts.write_lineages(path, [LineageRecord.of(lin)])
         records = artifacts.read_lineages(path)
         assert records[0].lineage_id == "lin-0-g0"
         assert records[0].groups == ((0, "g0"), (1, "g1"))
         assert records[0].end_state == "alive_at_last_version"
+        assert records[0].links == (((1, 1, 1.0), (0, 0, 0.1 + 0.2)),)
 
     def test_labels_with_evidence(self, tmp_path):
         decisions = [
@@ -310,7 +315,7 @@ class TestFormatGuards:
 
     def test_truncated_json_names_line(self, tmp_path):
         path = tmp_path / "lineages.txt"
-        good = '{"end_state":"dissolved","groups":[[0,"g0"]],"lineage_id":"lin-0"}'
+        good = '{"end_state":"dissolved","groups":[[0,"g0"]],"lineage_id":"lin-0","links":[]}'
         path.write_text(
             f"crec-format v1 lineages\n{good}\n{good[:20]}\n", encoding="utf-8"
         )
@@ -409,7 +414,7 @@ class TestDecoder:
 
     def test_fixed_length_tuple_checks_its_length(self, tmp_path):
         path = tmp_path / "lineages.txt"
-        row = '{"end_state":"dissolved","groups":[[0,"g0",1]],"lineage_id":"lin-0"}'
+        row = '{"end_state":"dissolved","groups":[[0,"g0",1]],"lineage_id":"lin-0","links":[]}'
         artifacts.write_artifact(path, "lineages", [row])
         with pytest.raises(ParseError, match=r"line 2: bad lineages row: zip\(\) argument 2"):
             artifacts.read_lineages(path)

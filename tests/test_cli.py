@@ -144,8 +144,8 @@ class TestPipelineStages:
         "genealogy": _READER | {"genealogy"},
         "label": _READER | {"genealogy", "labeler"},
         "featurize": _READER | {"genealogy", "labeler", "features"},
-        "train": _READER | {"genealogy", "features", "learner"},
-        "recommend": _READER | {"genealogy", "features", "learner"},
+        "train": _READER | {"features", "learner"},
+        "recommend": _READER | {"features", "learner"},
     }
 
     def test_each_stage_imports_only_what_it_runs(self, make_repo, tmp_path):
@@ -170,9 +170,9 @@ class TestPipelineStages:
                 "--out", str(out)
             ]
             expected = core | {f"crec.{name}" for name in names}
-            # `hashlib` loads OpenSSL: only the learner's model ids use it, and
-            # `detect` names groups with the built-in SHA-1
-            if "learner" in names:
+            # `hashlib` loads OpenSSL: only `train` uses it, for the model's
+            # dataset digest, and `detect` names groups with the built-in SHA-1
+            if stage == "train":
                 expected |= {"hashlib", "_hashlib"}
             assert loaded(stage, *args) == expected, stage
 
@@ -339,9 +339,9 @@ class TestRecommendStage:
         artifacts.write_lineages(
             out / "lineages.txt",
             [
-                LineageRecord("lin-a", "alive_at_last_version", ((0, "gA0"), (1, "gA1"))),
-                LineageRecord("lin-b", "alive_at_last_version", ((0, "gB0"), (1, "gB1"))),
-                LineageRecord("lin-c", "dissolved", ((0, "gC0"),)),
+                LineageRecord("lin-a", "alive_at_last_version", ((0, "gA0"), (1, "gA1")), ((),)),
+                LineageRecord("lin-b", "alive_at_last_version", ((0, "gB0"), (1, "gB1")), ((),)),
+                LineageRecord("lin-c", "dissolved", ((0, "gC0"),), ()),
             ],
         )
 
@@ -378,7 +378,9 @@ class TestRecommendStage:
             records = [r for r in records if r.lineage_id != stale]
         else:
             records = [
-                LineageRecord(r.lineage_id, "dissolved", r.groups[:-1]) if r.lineage_id == stale else r
+                LineageRecord(r.lineage_id, "dissolved", r.groups[:-1], r.links[:-1])
+                if r.lineage_id == stale
+                else r
                 for r in records
             ]
         artifacts.write_lineages(out / "lineages.txt", records)

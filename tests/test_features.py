@@ -640,6 +640,25 @@ class TestCochangeFeatures:
         # only the final step is tracked, and its edits fall outside the blocks
         assert f == (0.0, 1.0, 0.0, 0.0, 0.0)
 
+    def test_members_on_one_line_keep_their_own_chains(self):
+        """Two members share their lines at the group's version but were linked
+        from different files, one of which changed: each keeps its own history."""
+        old = {"a.java": _content({}), "b.java": _content({})}
+        edited = {**old, "a.java": _content({5: "edited\n"})}
+        repo = SnapshotRepo([old, edited, edited, edited, {**edited, "f.java": _content({})}])
+        samples = [SampledVersion(i, f"v{i}", 1) for i in range(5)]
+        window = checked_window(samples, Fraction(1, 1), Fraction(1, 4))
+        before = tuple(span_block(["t"], path=p, start=2) for p in ("a.java", "b.java"))
+        after = tuple(span_block(["t"], path="f.java", start=2) for _ in before)
+        groups = [CloneGroup(v, before if v < 4 else after, f"g{v}") for v in range(5)]
+        links = [[CloneLink(m, m, 1.0) for m in before]] * 3 + [
+            [CloneLink(a, b, 1.0) for a, b in zip(before, after)]
+        ]
+        lineage = Lineage("lin", list(enumerate(groups)), links, "alive_at_last_version")
+        f = extract_cochange_features(groups[4], lineage, 4, window, VersionData(repo, samples))
+        # steps: only a.java's member changes, then none
+        assert f == (0.0, 0.75, 0.25, 0.0, 0.0)
+
     def test_window_unavailable_falls_back(self):
         lineage, groups, _, vdata = _cochange_setup()
         window = checked_window(vdata.samples[:1])  # no steps

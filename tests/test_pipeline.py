@@ -9,18 +9,22 @@ from fractions import Fraction
 import pytest
 
 from clone_fixtures import (
+    CONTROLS,
     EXACT_HELPER,
+    PLANTED,
     PERSISTENT_PAIR,
     _base_version,
     _file,
     _filler,
     _refactored_version,
     commit_corpora,
+    end_to_end_corpora,
 )
 from crec import artifacts, pipeline
 from crec.cli import main
 from crec.config import PipelineConfig
 from crec.errors import MissingInput
+from crec.genealogy import build_genealogies
 from crec.repo_miner import Repository, SampledVersion
 
 
@@ -206,6 +210,95 @@ class TestStaleArtifactGuards:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one lineage
         with pytest.raises(MissingInput):
             pipeline.stage_label(config, repo_path, out)
+
+
+def _lineage_fields(lineage) -> tuple:
+    """Everything a Lineage holds, its blocks by identity."""
+    groups = [(v, g.group_id, g.members) for v, g in lineage.groups]
+    links = [[(l.source, l.target, l.score) for l in step] for step in lineage.links]
+    return lineage.lineage_id, lineage.end_state, groups, links
+
+
+_CORPORA = {**PLANTED, **CONTROLS, "end-to-end": end_to_end_corpora, "three": _three_version_corpora}
+
+
+@pytest.mark.parametrize("corpus", list(_CORPORA))
+def test_read_lineages_equal_built_ones(make_repo, tmp_path, corpus):
+    """The lineages `label` and `featurize` read back from lineages.txt are the
+    ones genealogy built over the same groups: members, links and scores."""
+    rb = make_repo(corpus)
+    commit_corpora(rb, _CORPORA[corpus]())
+    out = tmp_path / "out"
+    config = PipelineConfig(delta_threshold=1)
+    for stage in (pipeline.stage_mine, pipeline.stage_detect, pipeline.stage_genealogy):
+        stage(config, rb.path, out)
+    samples = artifacts.read_samples(out / "samples.txt")
+    records = artifacts.read_groups(out / "clones.txt")
+    with Repository(rb.path) as repo:
+        vdata = pipeline.VersionData(repo, samples)
+        built = build_genealogies(pipeline.materialize_groups(vdata, records, len(samples)))
+        read = pipeline._read_lineages(vdata, out)
+    assert any(step for lineage in built for step in lineage.links)
+    assert list(map(_lineage_fields, read)) == list(map(_lineage_fields, built))
+
+
+def _linked_row(rows: list[dict]) -> dict:
+    return next(row for row in rows if any(row["links"]))
+
+
+def _rewrite_lineages(path, change) -> None:
+    """Rewrite the lineages file at *path* after ``change(rows)`` edits its JSON rows."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    change(rows)
+    artifacts.write_artifact(path, "lineages", [json.dumps(row) for row in rows])
+
+
+# (edit of the lineages.txt rows, what the one error line then says)
+_STALE_LINEAGES = {
+    "unknown-group": (
+        lambda rows: rows[0]["groups"][0].__setitem__(1, "gone"), "names group gone at version 0"
+    ),
+    "group-twice": (lambda rows: rows.append(rows[0]), "2 times"),
+    "group-in-no-lineage": (lambda rows: rows.pop(), "0 times"),
+    "extra-link-step": (lambda rows: rows[0]["links"].append([]), "link steps"),
+    "missing-link-step": (lambda rows: _linked_row(rows)["links"].pop(), "link steps"),
+    "index-past-end": (
+        lambda rows: _linked_row(rows)["links"][0][0].__setitem__(1, 99), "outside its group"
+    ),
+    "negative-index": (
+        lambda rows: _linked_row(rows)["links"][0][0].__setitem__(0, -1), "outside its group"
+    ),
+}
+
+
+class TestStaleLineages:
+    """`label` and `featurize` check the lineages they read against clones.txt:
+    each failed check is one error line naming the lineages file."""
+
+    @pytest.mark.parametrize("stage", ["label", "featurize"])
+    @pytest.mark.parametrize("edit", list(_STALE_LINEAGES))
+    def test_structural_check(self, staged, capsys, stage, edit):
+        config, repo_path, out = staged
+        path = out / "lineages.txt"
+        change, says = _STALE_LINEAGES[edit]
+        _rewrite_lineages(path, change)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([stage, "--repo", str(repo_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: MissingInput: {path} ")
+        assert says in err and err.endswith("lineages file is stale (re-run genealogy)\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("stage", ["label", "featurize"])
+    def test_lineages_without_links_refused(self, staged, capsys, stage):
+        config, repo_path, out = staged
+        _rewrite_lineages(out / "lineages.txt", lambda rows: [row.pop("links") for row in rows])
+        capsys.readouterr()
+        assert main([stage, "--repo", str(repo_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ParseError: line 2: missing field 'links'\n"
 
 
 def _fields(block) -> tuple:

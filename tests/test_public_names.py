@@ -127,3 +127,38 @@ def test_no_dataclasses():
         or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
     ]
     assert not importers, "imports dataclasses: " + ", ".join(importers)
+
+
+# the field that holds the name of each kind of node that names something
+_NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.alias: "name",
+          ast.FunctionDef: "name", ast.AsyncFunctionDef: "name", ast.ClassDef: "name"}
+
+
+def _mentions(node: ast.AST, scope: tuple[str, ...]):
+    """(qualified name of the enclosing def or class, name) of each name,
+    attribute, parameter, import or definition under *node*."""
+    for child in ast.iter_child_nodes(node):
+        if type(child) in _NAMED:
+            yield ".".join(scope), getattr(child, _NAMED[type(child)])
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        yield from _mentions(child, inner)
+
+
+def test_lineages_are_built_once():
+    """Only `genealogy` builds lineages: outside its module, `build_genealogies`
+    and the `link_floor` it links by are named only by `stage_genealogy`; `label`
+    and `featurize` read the lineages it writes. `config` declares and checks
+    `link_floor` with the other options."""
+    outside = {
+        (name, caller)
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        if path.stem not in ("genealogy", "config")
+        for caller, name in _mentions(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name in ("build_genealogies", "link_floor")
+    }
+    assert outside == {
+        ("build_genealogies", "pipeline.stage_genealogy"),
+        ("link_floor", "pipeline.stage_genealogy"),
+    }
