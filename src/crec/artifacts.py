@@ -25,7 +25,7 @@ from .errors import ConfigError, FormatVersionMismatch, MissingInput, ParseError
 from .repo_miner import CommitRecord, SampledVersion
 
 if TYPE_CHECKING:
-    from .clone_detector import CloneGroup
+    from .clone_detector import CloneGroup, CodeBlock
     from .features import FeatureRow
     from .genealogy import Lineage
     from .labeler import LabelDecision
@@ -75,19 +75,19 @@ def read_artifact(path: str | Path, kind: str) -> list[str]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"undecodable byte {data[exc.start]:#04x}", lineno) from None
+        raise ParseError(f"undecodable byte {data[exc.start]:#04x}", lineno, path) from None
     lines = [line.removesuffix("\r") for line in text.split("\n")]
     if not lines[-1]:  # the text after the final LF
         lines.pop()
     if not lines:
-        raise ParseError("empty artifact file", 1)
+        raise ParseError("empty artifact file", 1, path)
     head = lines[0].split()
     if len(head) != 3 or head[0] != FORMAT_PREFIX:
-        raise ParseError(f"bad header: {lines[0]!r}", 1)
+        raise ParseError(f"bad header: {lines[0]!r}", 1, path)
     if head[1] != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"unsupported format version {head[1]}")
+        raise FormatVersionMismatch(f"{path}: unsupported format version {head[1]}")
     if head[2] != kind:
-        raise ParseError(f"expected {kind} artifact, found {head[2]}", 1)
+        raise ParseError(f"expected {kind} artifact, found {head[2]}", 1, path)
     return lines[1:]
 
 
@@ -140,11 +140,11 @@ def _read_rows(path: str | Path, kind: str, build) -> list:
         try:
             out.append(build(json.loads(line)))
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc.msg}", lineno) from None
+            raise ParseError(f"bad JSON: {exc.msg}", lineno, path) from None
         except KeyError as exc:
-            raise ParseError(f"missing field {exc}", lineno) from None
+            raise ParseError(f"missing field {exc}", lineno, path) from None
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad {kind} row: {exc}", lineno) from None
+            raise ParseError(f"bad {kind} row: {exc}", lineno, path) from None
     return out
 
 
@@ -178,14 +178,14 @@ def _csv_rows(path, kind: str, header: str):
     for a missing or wrong *header* line or a row without its column count."""
     lines = read_artifact(path, kind)
     if not lines or lines[0] != header:
-        raise ParseError(f"missing or wrong {kind} header row", 2)
+        raise ParseError(f"missing or wrong {kind} header row", 2, path)
     columns = header.count(",") + 1
     for lineno, line in enumerate(lines[1:], 3):
         if not line.strip():
             continue
         cells = line.split(",")
         if len(cells) != columns:
-            raise ParseError(f"expected {columns} columns, found {len(cells)}", lineno)
+            raise ParseError(f"expected {columns} columns, found {len(cells)}", lineno, path)
         yield lineno, cells
 
 
@@ -203,7 +203,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             continue
         key, eq, raw = (part.strip() for part in line.partition("="))
         if eq != "=":
-            raise ParseError(f"expected 'key = value': {line!r}", lineno)
+            raise ParseError(f"expected 'key = value': {line!r}", lineno, path)
         values[key] = parse_value(key, raw)
     config = PipelineConfig(**values)
     config.validate()
@@ -243,9 +243,14 @@ def read_samples(path) -> list[SampledVersion]:
 
 class MemberRecord(NamedTuple):
     path: str
+    brace: int  # the index of the block's own `{` in its file's tokens
     start: int
     end: int
     tokens: int  # token count
+
+    @classmethod
+    def of(cls, b: CodeBlock) -> MemberRecord:
+        return cls(b.path, b.brace, b.start_line, b.end_line, b.size)
 
 
 class GroupRecord(NamedTuple):
@@ -255,8 +260,7 @@ class GroupRecord(NamedTuple):
 
     @classmethod
     def of(cls, g: CloneGroup) -> GroupRecord:
-        members = (MemberRecord(b.path, b.start_line, b.end_line, b.size) for b in g.members)
-        return cls(g.version, g.group_id, tuple(members))
+        return cls(g.version, g.group_id, tuple(map(MemberRecord.of, g.members)))
 
 
 def write_groups(path, groups: list[GroupRecord]) -> None:
@@ -338,15 +342,15 @@ def read_features(path) -> list[FeatureRow]:
     out = []
     for lineno, (lineage, version, *cells, label) in _csv_rows(path, "features", _feature_header()):
         if label not in ("", "0", "1"):
-            raise ParseError(f"label must be 0, 1 or empty, got {label!r}", lineno)
+            raise ParseError(f"label must be 0, 1 or empty, got {label!r}", lineno, path)
         try:
             values = tuple(map(float, cells))
             row = FeatureRow(lineage, int(version), values, int(label) if label else None)
         except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+            raise ParseError(str(exc), lineno, path) from None
         for num, value in enumerate(row.values, 1):
             if not math.isfinite(value):
-                raise ParseError(f"F{num}={value} not finite", lineno)
+                raise ParseError(f"F{num}={value} not finite", lineno, path)
         out.append(row)
     return out
 
@@ -379,7 +383,7 @@ def read_model(path):
 
     models = _read_rows(path, "model", model)
     if not models:
-        raise ParseError("empty model artifact", 2)
+        raise ParseError("empty model artifact", 2, path)
     return models[0]
 
 
@@ -399,7 +403,7 @@ def read_recommendations(path) -> list[tuple[str, float]]:
         except ValueError:
             likelihood = math.nan
         if not 0.0 <= likelihood <= 1.0:
-            raise ParseError(f"likelihood {lik!r} is not a number in [0, 1]", lineno)
+            raise ParseError(f"likelihood {lik!r} is not a number in [0, 1]", lineno, path)
         out.append((gid, likelihood))
     return out
 

@@ -55,7 +55,8 @@ class CodeBlock:
     itself for a body, None outside any method. The token bag is counted when
     first read, so only the blocks that are compared pay for one. Blocks
     compare by identity, since two spans can share their lines
-    (``{ { a(); } }``); ``key`` is the location.
+    (``{ { a(); } }``); across versions, a block is named by its path and
+    ``brace``.
     """
 
     def __init__(self, path: str, start_line: int, end_line: int, lex: TokenList, first: int,
@@ -84,17 +85,13 @@ class CodeBlock:
         return self.first <= other.first and other.stop <= self.stop
 
     @property
-    def key(self) -> tuple[str, int, int]:
-        return (self.path, self.start_line, self.end_line)
-
-    @property
     def line_span(self) -> int:
         return self.end_line - self.start_line + 1
 
 
 class CloneGroup(NamedTuple):
     version: int
-    members: tuple[CodeBlock, ...]  # sorted by (path, start_line, end_line)
+    members: tuple[CodeBlock, ...]  # sorted by (path, brace)
     group_id: str
 
 
@@ -320,7 +317,7 @@ def extract_blocks(
     lex: TokenList, path: str, diagnostics: list[str] | None = None
 ) -> list[CodeBlock]:
     """One block per balanced brace region of *lex* (``scan`` of the file at
-    *path*), header tokens included.
+    *path*), header tokens included, in the order of their ``{``.
 
     Unbalanced braces are reported into *diagnostics* (when given) and the
     balanced portion is still emitted.
@@ -366,7 +363,6 @@ def extract_blocks(
             block.method = methods[-1]
             block.enclosing_method_name = block.method.enclosing_method_name
         blocks.append(block)
-    blocks.sort(key=lambda b: b.key)
     return blocks
 
 
@@ -430,7 +426,7 @@ def detect_clones(
         qualified = [b for b in blocks if b.size >= min_tokens and b.line_span >= min_lines]
     else:
         qualified = [b for b in blocks if b.size >= min_tokens or b.line_span >= min_lines]
-    qualified.sort(key=lambda b: b.key)
+    qualified.sort(key=lambda b: (b.path, b.brace))
 
     parent = list(range(len(qualified)))
 
@@ -477,14 +473,11 @@ def detect_clones(
         members = _drop_nested(members)
         if len(members) < 2:
             continue
-        members.sort(key=lambda b: b.key)
-        digest = sha1(
-            "|".join(
-                [str(version)] + [f"{b.path}:{b.start_line}-{b.end_line}" for b in members]
-            ).encode()
-        ).hexdigest()[:12]
+        members.sort(key=lambda b: (b.path, b.brace))
+        names = [str(version)] + [f"{b.path}:{b.brace}" for b in members]
+        digest = sha1("|".join(names).encode()).hexdigest()[:12]
         groups.append(CloneGroup(version=version, members=tuple(members), group_id=digest))
-    groups.sort(key=lambda g: g.members[0].key)
+    groups.sort(key=lambda g: (g.members[0].path, g.members[0].brace))
     return groups
 
 

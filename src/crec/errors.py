@@ -1,5 +1,7 @@
 """Exception types shared across the pipeline."""
 
+from os import PathLike
+
 
 class CrecError(Exception):
     """Base class for all pipeline errors."""
@@ -58,6 +60,8 @@ class FormatVersionMismatch(CrecError):
 
 
 class ParseError(CrecError):
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    """A malformed line of the file at *path*, which the message names first."""
+
+    def __init__(self, message: str, line_number: int, path: str | PathLike):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number

@@ -297,12 +297,13 @@ def extract_history_features(
 
 def top_level_classes(blocks: list[CodeBlock]) -> list[tuple[str, CodeBlock, list[str]]]:
     """(name, body block, related names) for each top-level type among a file's
-    `extract_blocks`: a block that no other holds, whose header holds ``class``,
-    ``interface`` or ``enum`` and a name, and then the related names after
-    ``extends`` or ``implements``, generics skipped."""
+    `extract_blocks`, which come in the order of their ``{``: a block that no
+    other holds, whose header holds ``class``, ``interface`` or ``enum`` and a
+    name, and then the related names after ``extends`` or ``implements``,
+    generics skipped."""
     classes = []
     stop = 0  # the end of the last block that no other holds
-    for block in sorted(blocks, key=lambda b: b.brace):
+    for block in blocks:
         if block.brace < stop:
             continue
         stop = block.stop

@@ -32,7 +32,8 @@ def link_clones(
 
     Candidates are restricted to the same file path; assignment is greedy by
     descending similarity with deterministic tie-breaks (closest start line,
-    then location order). Scores below *link_floor* are discarded.
+    then path, then the order of the source's and the target's ``{``).
+    Scores below *link_floor* are discarded.
     """
     sources = _distinct_members(groups_i)
     targets = _distinct_members(groups_i1)
@@ -48,13 +49,10 @@ def link_clones(
                 candidates.append((a, b, score))
     candidates.sort(
         key=lambda c: (
-            -c[2],
-            abs(c[0].start_line - c[1].start_line),
-            c[0].key,
-            c[1].key,
+            -c[2], abs(c[0].start_line - c[1].start_line), c[0].path, c[0].brace, c[1].brace
         )
     )
-    kept = _greedy_one_to_one(candidates, lambda c: (c[0].key, c[1].key))
+    kept = _greedy_one_to_one(candidates, lambda c: c[:2])
     return [CloneLink(a, b, score) for a, b, score in kept]
 
 
@@ -76,11 +74,7 @@ def _greedy_one_to_one(candidates: list, sides) -> list:
 
 
 def _distinct_members(groups: list[CloneGroup]) -> list[CodeBlock]:
-    seen: dict[tuple, CodeBlock] = {}
-    for g in groups:
-        for b in g.members:
-            seen.setdefault(b.key, b)
-    return [seen[k] for k in sorted(seen)]
+    return list(dict.fromkeys(b for g in groups for b in g.members))
 
 
 def _match_groups(
@@ -91,13 +85,13 @@ def _match_groups(
     A pair of groups qualifies when member links join a majority (ceil of
     half) of the earlier group's members to the later group.
     """
-    owner_a = {b.key: g for g in groups_a for b in g.members}
-    owner_b = {b.key: g for g in groups_b for b in g.members}
+    owner_a = {b: g for g in groups_a for b in g.members}
+    owner_b = {b: g for g in groups_b for b in g.members}
     by_id_b = {g.group_id: g for g in groups_b}
     pair_links: dict[tuple[str, str], list[CloneLink]] = {}
     for l in links:
-        ga = owner_a.get(l.source.key)
-        gb = owner_b.get(l.target.key)
+        ga = owner_a.get(l.source)
+        gb = owner_b.get(l.target)
         if ga is not None and gb is not None:
             pair_links.setdefault((ga.group_id, gb.group_id), []).append(l)
 
@@ -146,7 +140,7 @@ def build_genealogies(
             if group_id in successor:
                 gb, ls = successor[group_id]
                 lin.groups.append((v + 1, gb))
-                lin.links.append(sorted(ls, key=lambda l: l.source.key))
+                lin.links.append(sorted(ls, key=lambda l: (l.source.path, l.source.brace)))
                 next_tips[gb.group_id] = lin
         tips = next_tips
 

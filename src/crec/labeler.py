@@ -52,7 +52,7 @@ class LabelContext:
 
     def methods_at(self, version: int) -> dict[str, list[CodeBlock]]:
         """Method name -> the body blocks of the methods by that name, in path
-        and then block order. A body is a block whose method is itself; one
+        and `{` order. A body is a block whose method is itself; one
         with no token inside its braces is left out."""
         if version not in self._methods:
             index: dict[str, list[CodeBlock]] = {}
@@ -87,7 +87,7 @@ def new_invocations(
     A candidate qualifies when at least two clones newly invoke its name and a
     method body by that name is resolvable in the corpus at the later version.
     Candidates come by name, then in *methods*' order, which `methods_at`
-    gives by path and start line; `label_lineage` keeps the first of equal rank.
+    gives by path and `{` order; `label_lineage` keeps the first of equal rank.
     """
     per_name: dict[str, list[CloneLink]] = {}
     for link in c_links:

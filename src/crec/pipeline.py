@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import artifacts
-from .artifacts import GroupRecord, LineageRecord
+from .artifacts import GroupRecord, LineageRecord, MemberRecord
 from .clone_detector import CloneGroup, CodeBlock, TokenList, detect_clones, extract_blocks, scan
 from .config import PipelineConfig, parse_value
 from .errors import ConfigError, DegenerateData, MissingInput
@@ -118,15 +118,9 @@ class VersionData:
         key = ("blocks", self.files(version)[path], path)
         return self._once(key, lambda: extract_blocks(self._lex(version, path), path))
 
-    def blocks(self, version: int) -> dict[tuple, CodeBlock]:
-        def index() -> dict[tuple, CodeBlock]:
-            out: dict[tuple, CodeBlock] = {}
-            for path in sorted(self.files(version)):
-                for block in self.file_blocks(version, path):
-                    out.setdefault(block.key, block)
-            return out
-
-        return self._once(("index", version), index)
+    def blocks(self, version: int) -> list[CodeBlock]:
+        """Every block of the version: the `file_blocks` of each path, by path."""
+        return [b for path in sorted(self.files(version)) for b in self.file_blocks(version, path)]
 
     def context(self, version: int, path: str) -> frozenset[str]:
         from .features import file_context
@@ -174,8 +168,10 @@ class VersionData:
 def materialize_groups(
     vdata: VersionData, records: list[GroupRecord], version_count: int
 ) -> list[list[CloneGroup]]:
-    """Rebuild CloneGroup objects (with token data) from their stored locations;
-    only the files that hold a member are lexed."""
+    """Rebuild CloneGroup objects (with token data) from their stored locations:
+    each member is the block of its file whose `{` it names, and must have the
+    lines and token count it was written with. Only the files that hold a
+    member are lexed."""
     per_version: list[list[CloneGroup]] = [[] for _ in range(version_count)]
     for rec in records:
         if not 0 <= rec.version < version_count:
@@ -185,17 +181,18 @@ def materialize_groups(
             )
         members = []
         for m in rec.members:
-            # the first block at the member's location, as `VersionData.blocks` keeps it
-            key = (m.path, m.start, m.end)
             listed = m.path in vdata.files(rec.version)
             blocks = vdata.file_blocks(rec.version, m.path) if listed else []
-            i = bisect_left(blocks, key, key=lambda b: b.key)
-            block = blocks[i] if i < len(blocks) and blocks[i].key == key else None
-            if block is None or block.size != m.tokens:
-                found = "not found" if block is None else f"lexed to {block.size} tokens"
+            i = bisect_left(blocks, m.brace, key=lambda b: b.brace)
+            block = blocks[i] if i < len(blocks) and blocks[i].brace == m.brace else None
+            if block is None or MemberRecord.of(block) != m:
+                found = "not found" if block is None else (
+                    f"lexed to lines {block.start_line}-{block.end_line}, {block.size} tokens"
+                )
                 raise MissingInput(
-                    f"block {m.path}:{m.start}-{m.end} of {m.tokens} tokens {found} at version "
-                    f"{rec.version}; clones file is stale (re-run detect)"
+                    f"block {m.path}:{m.start}-{m.end} of {m.tokens} tokens, its {{ at token "
+                    f"{m.brace}, {found} at version {rec.version}; clones file is stale "
+                    "(re-run detect)"
                 )
             members.append(block)
         per_version[rec.version].append(
@@ -258,7 +255,7 @@ def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) ->
         for s in samples:
             all_groups.extend(
                 detect_clones(
-                    list(vdata.blocks(s.index).values()),
+                    vdata.blocks(s.index),
                     min_tokens=config.min_tokens,
                     min_lines=config.min_lines,
                     theta=config.theta,

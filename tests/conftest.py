@@ -114,7 +114,9 @@ def feature_row(
 
 def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> CodeBlock:
     """A block over a token list of its own: one identifier per text, in a
-    block of *span* lines from *start*."""
+    block of *span* lines from *start*. Its `{` is taken to be token *start* of
+    its file, so that blocks of one path that start on different lines have
+    different braces, as the blocks of one file do."""
     lex = TokenList(Token("identifier", t) for t in texts)
     lex.lines = [start] * len(lex)
     return CodeBlock(
@@ -123,7 +125,7 @@ def span_block(texts, path: str = "A.java", start: int = 1, span: int = 8) -> Co
         end_line=start + span - 1,
         lex=lex,
         first=0,
-        brace=0,
+        brace=start,
         stop=len(lex),
         size=len(lex),
     )

@@ -59,8 +59,8 @@ class TestRoundTrips:
         records = artifacts.read_groups(path)
         assert [r.group_id for r in records] == ["gid1", "gid2"]
         assert records[0].members == (
-            MemberRecord("A.java", 1, 8, 35),
-            MemberRecord("B.java", 1, 8, 35),
+            MemberRecord("A.java", 1, 1, 8, 35),
+            MemberRecord("B.java", 1, 1, 8, 35),
         )
 
     def test_lineages(self, tmp_path):
@@ -304,7 +304,7 @@ class TestFormatGuards:
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "future.txt"
         path.write_text("crec-format v2 samples\n", encoding="utf-8")
-        with pytest.raises(FormatVersionMismatch):
+        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: unsupported format version v2$"):
             artifacts.read_samples(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
@@ -339,7 +339,7 @@ class TestFormatGuards:
         lines = path.read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0] + "," + label
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=f"line 4: label must be 0, 1 or empty, got '{label}'"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 4: label must be 0, 1 or empty, got '{label}'$"):
             artifacts.read_features(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -351,7 +351,7 @@ class TestFormatGuards:
         parts[4] = value  # F3 of the second row
         lines[3] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=f"line 4: F3={value} not finite"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 4: F3={value} not finite$"):
             artifacts.read_features(path)
 
     @pytest.mark.parametrize(
@@ -370,7 +370,7 @@ class TestFormatGuards:
         path = tmp_path / "recommendations.csv"
         artifacts.write_recommendations(path, [("g0", 1.0)])
         path.write_text(path.read_text() + row + "\n")
-        with pytest.raises(ParseError, match=f"^line 4: {re.escape(message)}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: line 4: {message}')}$"):
             artifacts.read_recommendations(path)
 
     def test_missing_json_field_named(self, tmp_path):
@@ -383,7 +383,7 @@ class TestFormatGuards:
     def test_sweep_row_without_threshold(self, tmp_path):
         path = tmp_path / "label_sweep.txt"
         path.write_text('crec-format v1 label-sweep\n{"reported":1}\n', encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2: missing field 'threshold'"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: missing field 'threshold'$"):
             read_sweep(path)
 
 
@@ -393,7 +393,7 @@ class TestDecoder:
         path = tmp_path / "samples.txt"
         row = f'{{"index":{value},"commit_id":"c0","cumulative_delta":0}}'
         artifacts.write_artifact(path, "samples", [row])
-        with pytest.raises(ParseError, match="line 2: bad samples row: expected int, found"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: bad samples row: expected int, found"):
             artifacts.read_samples(path)
 
     ADABOOST_ROW = (
@@ -404,7 +404,7 @@ class TestDecoder:
     def test_nan_in_a_model_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         artifacts.write_artifact(path, "model", [self.ADABOOST_ROW % ("0.5", "NaN")])
-        with pytest.raises(ParseError, match="^line 2: bad model row: expected float, found nan$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: bad model row: expected float, found nan$"):
             artifacts.read_model(path)
 
     def test_infinite_threshold_in_a_model_kept(self, tmp_path):
@@ -416,7 +416,7 @@ class TestDecoder:
         path = tmp_path / "lineages.txt"
         row = '{"end_state":"dissolved","groups":[[0,"g0",1]],"lineage_id":"lin-0","links":[]}'
         artifacts.write_artifact(path, "lineages", [row])
-        with pytest.raises(ParseError, match=r"line 2: bad lineages row: zip\(\) argument 2"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: bad lineages row: zip\\(\\) argument 2"):
             artifacts.read_lineages(path)
 
     def test_every_decoded_field_type_is_handled(self):
@@ -532,7 +532,7 @@ class TestConfigFile:
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "crec.conf"
         path.write_text("crec-format v9 config\n", encoding="utf-8")
-        with pytest.raises(FormatVersionMismatch):
+        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: unsupported format version v9$"):
             load_config(path)
 
     def test_out_of_range_value_rejected(self, tmp_path):

@@ -613,7 +613,7 @@ class TestConfigResolution:
         conf = tmp_path / "crec.conf"
         conf.write_bytes(b"crec-format v1 config\nseed = 1\n# \xff\n")
         assert _run("mine", "--repo", str(tmp_path), "--config", str(conf)) == 1
-        assert _one_error_line(capsys) == "error: ParseError: line 3: undecodable byte 0xff\n"
+        assert _one_error_line(capsys) == f"error: ParseError: {conf}: line 3: undecodable byte 0xff\n"
 
     def test_config_directory_reported(self, tmp_path, capsys):
         assert _run("mine", "--repo", str(tmp_path), "--config", str(tmp_path)) == 1
@@ -636,7 +636,9 @@ class TestMalformedArtifacts:
     def test_samples_row_not_an_object(self, tmp_path, capsys):
         artifacts.write_artifact(tmp_path / "samples.txt", "samples", ["5"])
         assert _run("detect", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
-        assert _one_error_line(capsys).startswith("error: ParseError: line 2: bad samples row")
+        assert _one_error_line(capsys).startswith(
+            f"error: ParseError: {tmp_path / 'samples.txt'}: line 2: bad samples row"
+        )
 
     def test_feature_label_rejected_by_train(self, tmp_path, capsys):
         artifacts.write_features(tmp_path / "features.csv", [feature_row(0), feature_row(1)])
@@ -645,7 +647,8 @@ class TestMalformedArtifacts:
         (tmp_path / "features.csv").write_text("\n".join(lines) + "\n")
         assert _run("train", "--out", str(tmp_path)) == 1
         assert _one_error_line(capsys).startswith(
-            "error: ParseError: line 4: label must be 0, 1 or empty, got '2'"
+            f"error: ParseError: {tmp_path / 'features.csv'}: line 4: "
+            "label must be 0, 1 or empty, got '2'"
         )
 
     def test_nan_feature_rejected_by_train(self, tmp_path):
@@ -661,7 +664,8 @@ class TestMalformedArtifacts:
             env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.returncode == 1
-        assert proc.stderr == "error: ParseError: line 4: F2=nan not finite\n"
+        features = tmp_path / "features.csv"
+        assert proc.stderr == f"error: ParseError: {features}: line 4: F2=nan not finite\n"
 
     @pytest.mark.parametrize(
         "row, message",
@@ -686,7 +690,8 @@ class TestMalformedArtifacts:
         artifacts.write_commits(tmp_path / "commits.txt", [])
         artifacts.write_artifact(tmp_path / "labels.txt", "labels", [row])
         assert _run("featurize", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
-        assert _one_error_line(capsys) == f"error: ParseError: line 2: {message}\n"
+        labels = tmp_path / "labels.txt"
+        assert _one_error_line(capsys) == f"error: ParseError: {labels}: line 2: {message}\n"
 
     @pytest.mark.parametrize(
         "command, kind, row, message",
@@ -719,14 +724,18 @@ class TestMalformedArtifacts:
         artifacts.write_artifact(tmp_path / f"{kind}.txt", kind, [row])
         repo = ["--repo", str(tmp_path)] if command != "recommend" else []
         assert _run(command, *repo, "--out", str(tmp_path)) == 1
-        assert _one_error_line(capsys) == f"error: ParseError: line 2: bad {kind} row: {message}\n"
+        path = tmp_path / f"{kind}.txt"
+        assert _one_error_line(capsys) == (
+            f"error: ParseError: {path}: line 2: bad {kind} row: {message}\n"
+        )
 
     def test_sample_index_not_its_position_rejected(self, tmp_path, capsys):
         samples = [SampledVersion(0, "c0", 0), SampledVersion(7, "c1", 5)]
         artifacts.write_samples(tmp_path / "samples.txt", samples)
         assert _run("detect", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
         assert _one_error_line(capsys) == (
-            "error: ParseError: line 3: bad samples row: index 7 is not the row's position 1\n"
+            f"error: ParseError: {tmp_path / 'samples.txt'}: line 3: "
+            "bad samples row: index 7 is not the row's position 1\n"
         )
 
     def test_undecodable_byte_rejected(self, tmp_path, capsys):
@@ -734,7 +743,7 @@ class TestMalformedArtifacts:
         artifacts.write_samples(path, [SampledVersion(0, "c0", 0), SampledVersion(1, "c1", 5)])
         path.write_bytes(path.read_bytes().replace(b'"c1"', b'"c\xff"'))
         assert _run("detect", "--repo", str(tmp_path), "--out", str(tmp_path)) == 1
-        assert _one_error_line(capsys) == "error: ParseError: line 3: undecodable byte 0xff\n"
+        assert _one_error_line(capsys) == f"error: ParseError: {path}: line 3: undecodable byte 0xff\n"
 
     @pytest.mark.parametrize(
         "row, message",
@@ -758,7 +767,8 @@ class TestMalformedArtifacts:
     def test_model_row_rejected_by_recommend(self, tmp_path, capsys, row, message):
         artifacts.write_artifact(tmp_path / "model.txt", "model", [row])
         assert _run("recommend", "--out", str(tmp_path)) == 1
-        assert _one_error_line(capsys).startswith(f"error: ParseError: line 2: {message}")
+        model = tmp_path / "model.txt"
+        assert _one_error_line(capsys).startswith(f"error: ParseError: {model}: line 2: {message}")
 
 
 _PARSER_ARGVS = [

@@ -142,7 +142,8 @@ class TestExtractBlocks:
 
     def test_nested_blocks_on_one_line_are_two_blocks(self):
         outer, inner = extract_blocks(scan("{ { a(); } }"), "A.java")
-        assert outer.key == inner.key and outer.contains(inner)
+        assert (outer.start_line, outer.end_line) == (inner.start_line, inner.end_line)
+        assert outer.contains(inner)
         assert len({outer, inner}) == 2  # blocks compare by identity, not location
 
 
@@ -181,7 +182,6 @@ def _enclosing_by_all_pairs(lex) -> list[tuple]:
         if method_open is not None:
             m = (names[method_open], headers[method_open], closes[method_open] + 1)
         rows.append((*spans[o], o, *m))
-    rows.sort(key=lambda r: r[:2])
     return rows
 
 
@@ -224,7 +224,7 @@ class TestEnclosingMethod:
 class BlockViews(NamedTuple):
     """What a block shows its readers, as `copying_extract_blocks` built it."""
 
-    key: tuple
+    location: tuple  # (path, start line, end line)
     tokens: tuple
     raw_tokens: tuple
     token_bag: Counter
@@ -236,7 +236,8 @@ class BlockViews(NamedTuple):
 
 def _views(b: CodeBlock) -> BlockViews:
     return BlockViews(
-        b.key, tuple(b.tokens), tuple(b.raw_tokens), b.token_bag, b.size, b.brace,
+        (b.path, b.start_line, b.end_line), tuple(b.tokens), tuple(b.raw_tokens), b.token_bag,
+        b.size, b.brace,
         b.enclosing_method_name, (b.method.first, b.method.stop) if b.method else None,
     )
 
@@ -288,7 +289,6 @@ def copying_extract_blocks(lex, path, diagnostics=None) -> list[BlockViews]:
             (path, start, end), toks, tuple(lex[headers[o] : c + 1]),
             Counter(t.text for t in toks), len(toks), o, m_name, m_span,
         ))
-    blocks.sort(key=lambda b: b.key)
     return blocks
 
 
@@ -459,18 +459,18 @@ def _oracle_groups(blocks, min_tokens=30, min_lines=6, theta=0.8):
     qualified = [
         b for b in blocks if len(b.tokens) >= min_tokens or b.line_span >= min_lines
     ]
-    adjacency = {b.key: set() for b in qualified}
+    adjacency = {b: set() for b in qualified}
     for i, a in enumerate(qualified):
         for b in qualified[i + 1 :]:
             if _oracle_similarity(a, b) >= theta:
-                adjacency[a.key].add(b.key)
-                adjacency[b.key].add(a.key)
+                adjacency[a].add(b)
+                adjacency[b].add(a)
     seen: set = set()
     components = []
     for b in qualified:
-        if b.key in seen:
+        if b in seen:
             continue
-        stack, comp = [b.key], set()
+        stack, comp = [b], set()
         while stack:
             k = stack.pop()
             if k in comp:
@@ -503,7 +503,7 @@ class TestDetectClones:
         b = span_block([f"t{i}" for i in range(40)], start=101, span=8)
         groups = detect_clones([a, b])
         assert len(groups) == 1
-        assert {m.key for m in groups[0].members} == {a.key, b.key}
+        assert set(groups[0].members) == {a, b}
 
     def test_small_pair_excluded_by_thresholds(self):
         a = span_block([f"t{i}" for i in range(20)], start=1, span=4)
@@ -529,15 +529,13 @@ class TestDetectClones:
         assert similarity(a, c) == 0.70
         groups = detect_clones([a, b, c])
         assert len(groups) == 1
-        assert {m.key for m in groups[0].members} == {a.key, b.key, c.key}
+        assert set(groups[0].members) == {a, b, c}
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(17)
         for _ in range(10):
             corpus = _random_corpus(rng, 60)
-            got = {
-                frozenset(m.key for m in g.members) for g in detect_clones(corpus)
-            }
+            got = {frozenset(g.members) for g in detect_clones(corpus)}
             assert got == _oracle_groups(corpus)
 
     def test_invariant_under_input_reordering(self):
@@ -549,9 +547,7 @@ class TestDetectClones:
             rng.shuffle(shuffled)
             groups = detect_clones(shuffled)
             assert [g.group_id for g in groups] == [g.group_id for g in baseline]
-            assert [[m.key for m in g.members] for g in groups] == [
-                [m.key for m in g.members] for g in baseline
-            ]
+            assert [g.members for g in groups] == [g.members for g in baseline]
 
     def test_no_member_violates_threshold_disjunction(self):
         rng = random.Random(29)
@@ -568,14 +564,15 @@ class TestDetectClones:
         assert similarity(outer, inner) >= 0.8  # the inner block joins the group
         groups = detect_clones([outer, inner, other, other_inner])
         assert len(groups) == 1
-        assert {m.key for m in groups[0].members} == {outer.key, other.key}
+        assert set(groups[0].members) == {outer, other}
 
     def test_method_starting_on_its_clones_last_line_is_kept(self):
         # g starts on the line where f ends; neither span holds the other
-        f, g = extract_blocks(scan(SIBLINGS), "A.java")[1:]
-        assert (f.key, g.key) == (("A.java", 2, 4), ("A.java", 4, 4))
-        groups = detect_clones(extract_blocks(scan(SIBLINGS), "A.java"))
-        assert [[m.key for m in g.members] for g in groups] == [[f.key, g.key]]
+        blocks = extract_blocks(scan(SIBLINGS), "A.java")
+        f, g = blocks[1:]
+        assert [(b.start_line, b.end_line) for b in (f, g)] == [(2, 4), (4, 4)]
+        groups = detect_clones(blocks)
+        assert [group.members for group in groups] == [(f, g)]
 
     def test_one_blob_at_two_paths_is_a_pair(self):
         # both paths' blocks are spans over the one token list of their blob
@@ -583,7 +580,19 @@ class TestDetectClones:
         a, b = extract_blocks(lex, "A.java"), extract_blocks(lex, "B.java")
         assert a[0].lex is b[0].lex
         groups = detect_clones(a + b)
-        assert [[m.key for m in g.members] for g in groups] == [[a[0].key, b[0].key]]
+        assert [g.members for g in groups] == [(a[0], b[0])]
+
+    def test_groups_on_one_line_have_their_own_ids(self):
+        # every block of a one-line class spans line 1, so only the `{` tells them apart
+        pair = ("int f{0}(int x) {{ int y = x * 2; return y + x; }}",
+                "int g{0}(int[] v) {{ for (int i : v) {{ use(i, v); }} return 0; }}")
+        members = " ".join(template.format(n) for n in range(2) for template in pair)
+        groups = detect_clones(extract_blocks(scan(f"class A {{ {members} }}"), "A.java"),
+                               min_tokens=8, min_lines=2)
+        assert [[m.enclosing_method_name for m in g.members] for g in groups] == [
+            ["f0", "f1"], ["g0", "g1"]
+        ]
+        assert len({g.group_id for g in groups}) == 2
 
     def test_group_ids_stable_across_runs(self):
         corpus = _random_corpus(random.Random(31), 30)
@@ -597,12 +606,12 @@ def all_pairs_detect_clones(
 ):
     """`detect_clones` as it was before the prefix-filtered index, kept as the
     oracle: every pair of qualified blocks that passes the size filter is
-    checked. Returns the groups and the key pairs found at or above theta."""
+    checked. Returns the groups and the block pairs found at or above theta."""
     if conjunctive:
         qualified = [b for b in blocks if len(b.tokens) >= min_tokens and b.line_span >= min_lines]
     else:
         qualified = [b for b in blocks if len(b.tokens) >= min_tokens or b.line_span >= min_lines]
-    qualified.sort(key=lambda b: b.key)
+    qualified.sort(key=lambda b: (b.path, b.brace))
 
     parent = list(range(len(qualified)))
 
@@ -622,7 +631,7 @@ def all_pairs_detect_clones(
                 continue
             if similarity(qualified[i], qualified[j]) >= theta:
                 parent[find(i)] = find(j)
-                edges.add(frozenset((qualified[i].key, qualified[j].key)))
+                edges.add(frozenset((qualified[i], qualified[j])))
 
     components: dict[int, list[CodeBlock]] = {}
     for i, block in enumerate(qualified):
@@ -633,14 +642,12 @@ def all_pairs_detect_clones(
         members = _drop_nested(members)
         if len(members) < 2:
             continue
-        members.sort(key=lambda b: b.key)
+        members.sort(key=lambda b: (b.path, b.brace))
         digest = hashlib.sha1(
-            "|".join(
-                [str(version)] + [f"{b.path}:{b.start_line}-{b.end_line}" for b in members]
-            ).encode()
+            "|".join([str(version)] + [f"{b.path}:{b.brace}" for b in members]).encode()
         ).hexdigest()[:12]
         groups.append(CloneGroup(version=version, members=tuple(members), group_id=digest))
-    groups.sort(key=lambda g: g.members[0].key)
+    groups.sort(key=lambda g: (g.members[0].path, g.members[0].brace))
     return groups, edges
 
 
@@ -652,7 +659,7 @@ def _hit_pairs(monkeypatch, blocks, **kwargs) -> tuple[list[CloneGroup], set]:
     def recording(a, b):
         value = overlap(a.token_bag, b.token_bag)
         if value >= theta:
-            hits.add(frozenset((a.key, b.key)))
+            hits.add(frozenset((a, b)))
         return value
 
     monkeypatch.setattr(clone_detector, "similarity", recording)
@@ -726,8 +733,7 @@ class TestFilteredDetectorOracle:
             )
             expected, edges = all_pairs_detect_clones(corpus, **kwargs)
             groups, hits = _hit_pairs(monkeypatch, corpus, **kwargs)
-            by_key = {b.key: b for b in corpus}
-            nested_edges = {e for e in edges if _nested(*(by_key[k] for k in e))}
+            nested_edges = {e for e in edges if _nested(*e)}
             assert hits == edges - nested_edges
             assert [(g.group_id, g.members) for g in groups] == [
                 (g.group_id, g.members) for g in expected
@@ -770,7 +776,7 @@ class TestFilteredDetectorOracle:
         b = span_block(["hot"] * 9 + ["b"], path="A.java", start=101)
         assert similarity(a, b) == 0.9
         groups = detect_clones([a, b, *others], min_tokens=1, min_lines=1, theta=0.9)
-        assert [[m.key for m in g.members] for g in groups] == [[a.key, b.key]]
+        assert [g.members for g in groups] == [(a, b)]
 
 
 class TestDetectThresholdBoundaries:

@@ -256,7 +256,7 @@ class TestHistoryFeatures:
 
 
 def _group_of(blocks) -> CloneGroup:
-    members = tuple(sorted(blocks, key=lambda b: b.key))
+    members = tuple(sorted(blocks, key=lambda b: (b.path, b.brace)))
     return CloneGroup(version=0, members=members, group_id="g")
 
 

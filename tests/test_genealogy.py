@@ -12,7 +12,7 @@ from crec.genealogy import build_genealogies, link_clones
 def _group(version, members, gid) -> CloneGroup:
     return CloneGroup(
         version=version,
-        members=tuple(sorted(members, key=lambda b: b.key)),
+        members=tuple(sorted(members, key=lambda b: (b.path, b.brace))),
         group_id=gid,
     )
 
@@ -42,9 +42,9 @@ class TestLinkClones:
             [_group(0, [a, span_block(BASE, path="z.java")], "g0")],
             [_group(1, [strong, weak], "g1")],
         )
-        by_source = {l.source.key: l for l in links}
-        assert by_source[a.key].target.key == strong.key
-        assert by_source[a.key].score == 0.9
+        by_source = {l.source: l for l in links}
+        assert by_source[a].target is strong
+        assert by_source[a].score == 0.9
 
     def test_scores_below_floor_discarded(self):
         a = span_block(BASE, path="a.java")
@@ -70,8 +70,8 @@ class TestLinkClones:
             groups_a.append(_group(0, ms_a, f"a{g}"))
             groups_b.append(_group(1, ms_b, f"b{g}"))
         links = link_clones(groups_a, groups_b)
-        assert len({l.source.key for l in links}) == len(links)
-        assert len({l.target.key for l in links}) == len(links)
+        assert len({l.source for l in links}) == len(links)
+        assert len({l.target for l in links}) == len(links)
 
 
 class TestLinkGroups:

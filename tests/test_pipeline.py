@@ -22,6 +22,7 @@ from clone_fixtures import (
 )
 from crec import artifacts, pipeline
 from crec.cli import main
+from crec.clone_detector import extract_blocks, scan
 from crec.config import PipelineConfig
 from crec.errors import MissingInput
 from crec.genealogy import build_genealogies
@@ -126,7 +127,7 @@ class TestStaleArtifactGuards:
             rec.version,
             rec.group_id,
             tuple(
-                artifacts.MemberRecord(m.path, m.start + 500, m.end + 500, m.tokens)
+                artifacts.MemberRecord(m.path, m.brace, m.start + 500, m.end + 500, m.tokens)
                 for m in rec.members
             ),
         )
@@ -142,7 +143,7 @@ class TestStaleArtifactGuards:
             rec.version,
             rec.group_id,
             tuple(
-                artifacts.MemberRecord("src/Gone.java", m.start, m.end, m.tokens)
+                artifacts.MemberRecord("src/Gone.java", m.brace, m.start, m.end, m.tokens)
                 for m in rec.members
             ),
         )
@@ -168,8 +169,8 @@ class TestStaleArtifactGuards:
         "step, error",
         [
             (5, "error: MissingInput: "),
-            (None, "error: ParseError: line "),
-            ("0", "error: ParseError: line "),
+            (None, "error: ParseError: {}: line "),
+            ("0", "error: ParseError: {}: line "),
         ],
         ids=["outside-lineage", "null", "string"],
     )
@@ -185,7 +186,7 @@ class TestStaleArtifactGuards:
         assert main(["featurize", "--repo", str(repo_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
-        assert err.startswith(error)
+        assert err.startswith(error.format(path))
         if step == 5:
             assert "labels file is stale (re-run label)" in err
 
@@ -298,7 +299,7 @@ class TestStaleLineages:
         capsys.readouterr()
         assert main([stage, "--repo", str(repo_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: ParseError: line 2: missing field 'links'\n"
+        assert err == f"error: ParseError: {out / 'lineages.txt'}: line 2: missing field 'links'\n"
 
 
 def _fields(block) -> tuple:
@@ -372,8 +373,8 @@ class TestVersionDataOracle:
         for version, corpus in enumerate(corpora):
             assert vdata.corpus(version) == corpus
             fresh = pipeline.VersionData(repo, samples)
-            assert list(map(_fields, fresh.blocks(version).values())) == list(
-                map(_fields, vdata.blocks(version).values())
+            assert list(map(_fields, fresh.blocks(version))) == list(
+                map(_fields, vdata.blocks(version))
             )
             assert fresh.hierarchy(version) == vdata.hierarchy(version)
             fresh_methods = fresh.label_context().methods_at(version)
@@ -446,3 +447,139 @@ def test_featurize_asks_each_window_question_once(make_repo, tmp_path, monkeypat
     assert sorted(changed) == sorted(steps)  # once per step, though every member asks
     assert hunks and len(hunks) == len(set(hunks))  # once per (step, path)
     assert {(a, b) for a, b, _ in hunks} <= set(steps)
+
+
+# A class on one line, whose blocks all share line 1, and its twin with one
+# member a line; f and g are clones, and h is a clone of its twin only
+_MEMBERS = (
+    "int f(int x) { int y = x * 2; return y + 1; }",
+    "int g(int x) { int y = x * 2; return y + 1; }",
+    "int h() { return 7; }",
+)
+ONE_LINE_CLASS = {
+    "src/A.java": "class A { " + " ".join(_MEMBERS) + " }\n",
+    "src/B.java": "class B {\n" + "".join(f"    {m}\n" for m in _MEMBERS) + "}\n",
+}
+
+
+def _method_braces(path: str, text: str) -> dict[str, tuple[str, int]]:
+    """Method name -> (path, the index of its body's `{`) in *text*."""
+    blocks = extract_blocks(scan(text), path)
+    return {b.enclosing_method_name: (path, b.brace) for b in blocks if b.method is b}
+
+
+def _named_groups(out) -> dict[int, set[frozenset]]:
+    """version -> the groups of clones.txt, each as its members' (path, brace)."""
+    groups: dict[int, set[frozenset]] = {}
+    for rec in artifacts.read_groups(out / "clones.txt"):
+        groups.setdefault(rec.version, set()).add(frozenset((m.path, m.brace) for m in rec.members))
+    return groups
+
+
+@pytest.fixture
+def one_line_class(make_repo, tmp_path):
+    """The pipeline through `featurize` over three versions of ONE_LINE_CLASS,
+    with thresholds that every block passes."""
+    rb = make_repo("oneline")
+    commit_corpora(rb, [{**ONE_LINE_CLASS, "src/N.java": f"class N {{ int v = {i}; }}\n"}
+                        for i in range(3)])
+    out = tmp_path / "out"
+    config = PipelineConfig(delta_threshold=1, min_tokens=10, min_lines=1)
+    for stage in (pipeline.stage_mine, pipeline.stage_detect, pipeline.stage_genealogy,
+                  pipeline.stage_label, pipeline.stage_featurize):
+        stage(config, rb.path, out)
+    return rb.path, out
+
+
+class TestBlocksThatShareALine:
+    """Blocks on one line are apart in every stage: `detect` groups each of them,
+    and genealogy links each to its own successor."""
+
+    def test_methods_of_a_one_line_class_are_grouped(self, one_line_class):
+        _, out = one_line_class
+        a, b = (_method_braces(path, text) for path, text in ONE_LINE_CLASS.items())
+        fg = frozenset((a["f"], a["g"], b["f"], b["g"]))
+        h = frozenset((a["h"], b["h"]))
+        groups = _named_groups(out)
+        assert sorted(groups) == [0, 1, 2]
+        assert all({fg, h} <= at_version for at_version in groups.values())
+
+        records = artifacts.read_groups(out / "clones.txt")
+        named = {(rec.version, rec.group_id): rec for rec in records}
+        lineages = artifacts.read_lineages(out / "lineages.txt")
+        fg_lineage = next(
+            rec for rec in lineages
+            if frozenset((m.path, m.brace) for m in named[rec.groups[0]].members) == fg
+        )
+        assert [v for v, _ in fg_lineage.groups] == [0, 1, 2]
+        for step in fg_lineage.links:  # each member linked to its own successor
+            assert sorted((i, j, score) for i, j, score in step) == [(i, i, 1.0) for i in range(4)]
+        rows = artifacts.read_features(out / "features.csv")
+        assert {r.lineage_id for r in rows} == {rec.lineage_id for rec in lineages}
+
+    @pytest.mark.parametrize("stage", ["genealogy", "label", "featurize"])
+    def test_member_naming_another_block_on_its_lines_is_stale(self, one_line_class, capsys, stage):
+        """A member whose `{` names its class body, which has the member's lines
+        but not its token count, is refused."""
+        repo_path, out = one_line_class
+        path = out / "clones.txt"
+        body = extract_blocks(scan(ONE_LINE_CLASS["src/A.java"]), "src/A.java")[0]
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        member = next(
+            m for row in rows for m in row["members"]
+            if m["path"] == "src/A.java" and m["brace"] != body.brace
+        )
+        assert (member["start"], member["end"]) == (body.start_line, body.end_line)
+        member["brace"] = body.brace
+        artifacts.write_artifact(path, "clones", [json.dumps(row) for row in rows])
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([stage, "--repo", str(repo_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: MissingInput: block src/A.java:1-1 of {member['tokens']} ")
+        assert err.endswith("clones file is stale (re-run detect)\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _copy(k: int, sep: str = " ") -> str:
+    """Method `copy<k>`, 32 tokens of its own names, one statement a piece of *sep*."""
+    a, b, s, t = (f"{name}{k}" for name in "abst")
+    return sep.join((
+        f"int copy{k}(int {a}, int {b}) {{",
+        f"int {s} = {a} * {k + 2} + {b};",
+        f"int {t} = {s} - {a} / {k + 3};",
+        f"{s} = {s} + {t} * {b};",
+        f"{t} = {t} * {s} - {k + 7} * {a};",
+        f"{b} = {b} + {a};",
+        f"return {s} + {t} - {k + 5}; }}",
+    ))
+
+
+def test_minified_file_keeps_each_method(make_repo, tmp_path, capsys):
+    """A one-line file of 300 methods, six of them clones of methods of a
+    multi-line file: each clone pair is a group, and every command repeats its bytes."""
+    cloned = range(0, 300, 50)
+    methods = [_copy(k) if k in cloned else f"int m{k}() {{ return {k}; }}" for k in range(300)]
+    minified = "class Min { " + " ".join(methods) + " }\n"
+    spread = "class Multi {\n" + "".join(_copy(k, "\n    ") + "\n" for k in cloned) + "}\n"
+    rb = make_repo("minified")
+    commit_corpora(rb, [
+        {"src/Min.java": minified, "src/Multi.java": spread, "src/N.java": f"class N {{ int v = {i}; }}\n"}
+        for i in range(3)
+    ])
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in outs:
+        for stage in ("mine", "detect", "genealogy", "label", "featurize"):
+            assert main([stage, "--repo", str(rb.path), "--out", str(out), "--delta-threshold", "1"]) == 0
+        for stage in ("train", "recommend"):
+            assert main([stage, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in outs[0].iterdir()} == {
+        p.name: p.read_bytes() for p in outs[1].iterdir()
+    }
+    a, b = _method_braces("src/Min.java", minified), _method_braces("src/Multi.java", spread)
+    pairs = {frozenset((a[f"copy{k}"], b[f"copy{k}"])) for k in cloned}
+    groups = _named_groups(outs[0])
+    assert sorted(groups) == [0, 1, 2]
+    assert all(pairs <= at_version for at_version in groups.values())

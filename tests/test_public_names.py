@@ -6,6 +6,8 @@ import ast
 import re
 from pathlib import Path
 
+from crec.clone_detector import CodeBlock
+
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = sorted((ROOT / "src" / "crec").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
@@ -162,3 +164,32 @@ def test_lineages_are_built_once():
         ("build_genealogies", "pipeline.stage_genealogy"),
         ("link_floor", "pipeline.stage_genealogy"),
     }
+
+
+def test_blocks_are_named_by_their_brace():
+    """A block's lines are read only where the question is about lines: its
+    `line_span`, F10's earlier line, the co-change hunk test (`hunk_touches`
+    takes the lines as parameters of those names), genealogy's closest-start
+    tie-break, the labeler's evidence, the record `clones.txt` keeps, and
+    `materialize_groups`' message for a record its block does not match. Every
+    lookup names a block by its path and `{`, or by the block itself, so blocks
+    that share their lines stay apart; no location key stands in for them."""
+    readers = {
+        (name, caller)
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _mentions(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name in ("start_line", "end_line")
+    }
+    both = {"start_line", "end_line"}
+    assert readers == {
+        *((name, "clone_detector.CodeBlock.__init__") for name in both),
+        *((name, "clone_detector.CodeBlock.line_span") for name in both),
+        ("start_line", "features.extract_code_features"),
+        *((name, "features.extract_cochange_features") for name in both),
+        *((name, "repo_miner.hunk_touches") for name in both),
+        ("start_line", "genealogy.link_clones"),
+        *((name, "labeler.label_lineage") for name in both),
+        *((name, "artifacts.MemberRecord.of") for name in both),
+        *((name, "pipeline.materialize_groups") for name in both),
+    }
+    assert not hasattr(CodeBlock, "key")
