@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import posixpath
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
-from .clone_detector import CodeBlock, Token, TokenList
+from .clone_detector import CodeBlock, Token
 from .config import DEFAULTS
 from .errors import RangeViolation
 from .repo_miner import CheckedWindow, hunk_touches, distinct_authors
@@ -111,25 +111,36 @@ class TokenMultisetDiff(NamedTuple):
     differential: tuple[DifferentialMultiset, ...]
 
 
-def file_context(lex: TokenList) -> frozenset[str]:
-    """Names declared directly inside the outermost type body of a file's
-    tokens: a shallow scan, read by F4."""
+def _outermost(blocks: Sequence[CodeBlock]) -> list[tuple[CodeBlock, list[CodeBlock]]]:
+    """Each of *blocks*, which come in the order of their ``{``, that no other
+    of them holds, with the blocks that it holds."""
+    outer: list[tuple[CodeBlock, list[CodeBlock]]] = []
+    for block in blocks:
+        if outer and block.brace < outer[-1][0].stop:
+            outer[-1][1].append(block)
+        else:
+            outer.append((block, []))
+    return outer
+
+
+def file_context(blocks: list[CodeBlock]) -> frozenset[str]:
+    """Names declared in the ``;``-ended statements among the own tokens of
+    each outermost block of a file's `extract_blocks`: those inside its braces
+    and outside the braces of the blocks it holds. A shallow scan, read by F4."""
     names: set[str] = set()
-    depth = 0
-    segment: list[Token] = []
-    for t in lex:
-        if t.kind == "punct" and t.text == "{":
-            depth += 1
-            segment = []
-        elif t.kind == "punct" and t.text == "}":
-            depth -= 1
-            segment = []
-        elif depth == 1:
-            if t.kind == "punct" and t.text == ";":
-                names |= _declared_names(segment)
-                segment = []
-            else:
-                segment.append(t)
+    for outer, held in _outermost(blocks):
+        start = outer.brace + 1
+        for end, resume in [(b.brace, b.stop) for b, _ in _outermost(held)] + [(outer.stop - 1, 0)]:
+            segment: list[Token] = []
+            for t in outer.lex[start:end]:
+                # a brace here belongs to a block of punctuation alone, which `extract_blocks` drops
+                if t.kind == "punct" and t.text in (";", "{", "}"):
+                    if t.text == ";":
+                        names |= _declared_names(segment)
+                    segment = []
+                else:
+                    segment.append(t)
+            start = resume
     return frozenset(names)
 
 
@@ -216,7 +227,9 @@ def _is_test_path(path: str) -> bool:
 
 
 def extract_code_features(clone: CodeBlock, field_names: frozenset[str]) -> tuple[float, ...]:
-    """F1-F11 of *clone*; *field_names* is the ``file_context`` of its file."""
+    """F1-F11 of *clone*; *field_names* is the `file_context` of the blocks
+    of its file, the blocks *clone* is one of. F8's brace check reads the
+    clone's own span, which only a header that holds braces can unbalance."""
     raw = clone.raw_tokens
     f1 = float(clone.line_span)
     f2 = float(clone.size)
@@ -302,11 +315,7 @@ def top_level_classes(blocks: list[CodeBlock]) -> list[tuple[str, CodeBlock, lis
     name, and then the related names after ``extends`` or ``implements``,
     generics skipped."""
     classes = []
-    stop = 0  # the end of the last block that no other holds
-    for block in blocks:
-        if block.brace < stop:
-            continue
-        stop = block.stop
+    for block, _ in _outermost(blocks):
         header = block.lex[block.first : block.brace]
         for i, (t, name) in enumerate(zip(header, header[1:])):
             if t.text in ("class", "interface", "enum") and name.kind == "identifier":
@@ -327,13 +336,13 @@ def top_level_classes(blocks: list[CodeBlock]) -> list[tuple[str, CodeBlock, lis
     return classes
 
 
-def hierarchy_components(paths, classes_of) -> dict[str, int]:
-    """Connected components of the shallow extends/implements graph over the
-    `top_level_classes` that *classes_of(path)* gives for each of *paths*, the
-    version's source files; keyed by type name."""
+def hierarchy_components(classes: Iterable[list]) -> dict[str, int]:
+    """Connected components of the shallow extends/implements graph over a
+    version's types, keyed by type name; *classes* holds the
+    `top_level_classes` of each of the version's source files, in path order."""
     adjacency: dict[str, set[str]] = {}
-    for path in sorted(paths):
-        for name, _, related in classes_of(path):
+    for file_classes in classes:
+        for name, _, related in file_classes:
             adjacency.setdefault(name, set())
             for other in related:
                 adjacency.setdefault(other, set())
@@ -353,16 +362,17 @@ def hierarchy_components(paths, classes_of) -> dict[str, int]:
     return component
 
 
-def _member_class(member: CodeBlock, classes_of) -> str | None:
-    """The top-level type whose braces, in the member's own token list, hold
-    the member's ``{``; a type's body block belongs to that type."""
-    for name, body, _ in classes_of(member.path):
+def _member_class(member: CodeBlock, classes: list) -> str | None:
+    """The type of *classes*, the `top_level_classes` of the member's file,
+    whose braces, in the member's own token list, hold the member's ``{``; a
+    type's body block belongs to that type."""
+    for name, body, _ in classes:
         if body.lex is member.lex and body.brace <= member.brace < body.stop:
             return name
     return None
 
 
-def path_copy_score(dir_a: str, dir_b: str, corpus_paths: list[str]) -> float:
+def path_copy_score(dir_a: str, dir_b: str, corpus_paths: Iterable[str]) -> float:
     """Shared-suffix ratio of two directories scaled by sibling-file overlap."""
     seg_a = [s for s in dir_a.split("/") if s]
     seg_b = [s for s in dir_b.split("/") if s]
@@ -383,22 +393,18 @@ def path_copy_score(dir_a: str, dir_b: str, corpus_paths: list[str]) -> float:
     return ratio * overlap
 
 
-def extract_location_features(group, paths, classes_of, hierarchy) -> tuple[float, ...]:
-    """F18-F23 of a group among *paths*, the version's source files.
-
-    *classes_of(path)* gives a file's `top_level_classes`, over the blocks
-    that the members are taken from, and *hierarchy()* the version's
-    `hierarchy_components`; callers cache both per version.
-    """
+def extract_location_features(group, vdata: VersionData) -> tuple[float, ...]:
+    """F18-F23 of a group among the source files of its version, whose types
+    and their hierarchy *vdata* finds among the blocks the members are from."""
+    version = group.version
     members = group.members
     dirs = [posixpath.dirname(m.path) for m in members]
     f18 = 1.0 if len(set(dirs)) == 1 else 0.0
     f19 = 1.0 if len({m.path for m in members}) == 1 else 0.0
 
-    classes = [_member_class(m, classes_of) for m in members]
-    if all(c is not None for c in classes):
-        component = hierarchy()
-        ids = {component.get(c) for c in classes}
+    classes = [_member_class(m, vdata.classes(version, m.path)) for m in members]
+    if None not in classes:
+        ids = {vdata.hierarchy(version).get(c) for c in classes}
         f20 = 1.0 if len(ids) == 1 and None not in ids else 0.0
     else:
         f20 = 0.0
@@ -415,7 +421,7 @@ def extract_location_features(group, paths, classes_of, hierarchy) -> tuple[floa
         )
     )
 
-    paths = sorted(paths)
+    paths = vdata.files(version)
     f23 = max(
         path_copy_score(dirs[i], dirs[j], paths)
         for i in range(len(dirs))

@@ -43,10 +43,11 @@ class LabelContext:
     """The method bodies of each sampled version, keyed by its index, for
     method resolution.
 
-    *blocks_at(version)* maps each path of that version to the file's blocks.
+    *blocks_at(version)* gives every block of that version in path and ``{``
+    order, as `VersionData.blocks` does.
     """
 
-    def __init__(self, blocks_at: Callable[[int], dict[str, list[CodeBlock]]]):
+    def __init__(self, blocks_at: Callable[[int], list[CodeBlock]]):
         self._blocks_at = blocks_at
         self._methods: dict[int, dict[str, list[CodeBlock]]] = {}
 
@@ -56,11 +57,9 @@ class LabelContext:
         with no token inside its braces is left out."""
         if version not in self._methods:
             index: dict[str, list[CodeBlock]] = {}
-            files = self._blocks_at(version)
-            for path in sorted(files):
-                for block in files[path]:
-                    if block.method is block and method_body_tokens(block):
-                        index.setdefault(block.enclosing_method_name, []).append(block)
+            for block in self._blocks_at(version):
+                if block.method is block and method_body_tokens(block):
+                    index.setdefault(block.enclosing_method_name, []).append(block)
             self._methods[version] = index
         return self._methods[version]
 

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from .eval_harness import LearnerConfig
     from .features import FeatureRow
     from .genealogy import Lineage
-    from .labeler import LabelContext
 
 # artifact -> (file name, the command that writes it)
 FILES = {
@@ -123,10 +122,11 @@ class VersionData:
         return [b for path in sorted(self.files(version)) for b in self.file_blocks(version, path)]
 
     def context(self, version: int, path: str) -> frozenset[str]:
+        """`file_context` of the file's `file_blocks`; keyed like them."""
         from .features import file_context
 
-        key = ("context", self.files(version)[path])
-        return self._once(key, lambda: file_context(self._lex(version, path)))
+        key = ("context", self.files(version)[path], path)
+        return self._once(key, lambda: file_context(self.file_blocks(version, path)))
 
     def classes(self, version: int, path: str) -> list:
         """`top_level_classes` of the file's `file_blocks`, the blocks its members
@@ -140,7 +140,7 @@ class VersionData:
         from .features import hierarchy_components
 
         return self._once(("hierarchy", version), lambda: hierarchy_components(
-            self.files(version), lambda path: self.classes(version, path)
+            [self.classes(version, path) for path in sorted(self.files(version))]
         ))
 
     def changed_paths(self, a: int, b: int) -> set[str]:
@@ -156,13 +156,6 @@ class VersionData:
     def exists(self, version: int, path: str) -> bool:
         """Whether *path* names a source file of `files` at the version."""
         return self.files(version).get(path) is not None
-
-    def label_context(self) -> LabelContext:
-        from .labeler import LabelContext
-
-        return LabelContext(
-            lambda version: {path: self.file_blocks(version, path) for path in self.files(version)}
-        )
 
 
 def materialize_groups(
@@ -286,7 +279,7 @@ def stage_label(
 ) -> str:
     """Label every lineage; with *sweep_thresholds*, each parsed and checked as
     an l_th before any input is read, also count R labels at each of them."""
-    from .labeler import label_lineage, sweep
+    from .labeler import LabelContext, label_lineage, sweep
 
     thresholds = [parse_value("l_th", th) for th in sweep_thresholds or ()]
     for th in thresholds:
@@ -295,7 +288,7 @@ def stage_label(
     with Repository(repo_path) as repo:
         vdata = VersionData(repo, samples)
         lineages = _read_lineages(vdata, out_dir)
-        ctx = vdata.label_context()
+        ctx = LabelContext(vdata.blocks)
         decisions = [label_lineage(lin, ctx, config.l_th) for lin in lineages]
         swept = (_path(out_dir, "sweep"), sweep(lineages, ctx, thresholds)) if thresholds else None
     artifacts.write_labels(_path(out_dir, "labels"), decisions, swept)
@@ -360,12 +353,7 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
                 history = extract_history_features(member.path, window, vdata, commits)
                 per_clone.append(code + history)
             group_values = (
-                extract_location_features(
-                    group,
-                    vdata.files(version),
-                    lambda path: vdata.classes(version, path),
-                    lambda: vdata.hierarchy(version),
-                )
+                extract_location_features(group, vdata)
                 + extract_diff_features(group)
                 + extract_cochange_features(group, lineage, version, window, vdata)
             )
@@ -381,8 +369,7 @@ def stage_train(
 ) -> str:
     from .learner import train_alt
 
-    rows = artifacts.read_features(_require(out_dir, "features"))
-    examples = [r for r in rows if r.label is not None]
+    examples = _labeled(artifacts.read_features(_require(out_dir, "features")))
     if not examples:
         raise DegenerateData("no labeled feature rows to train on (run label + featurize)")
     model = train_alt(
@@ -428,6 +415,12 @@ def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
     )
 
 
+def _labeled(rows: list[FeatureRow]) -> list[FeatureRow]:
+    """The labeled rows by values and then label: an order that a model and its
+    evaluation can depend on, unlike the file's, which follows lineage ids."""
+    return sorted((r for r in rows if r.label is not None), key=lambda r: (r.values, r.label))
+
+
 def _load_projects(
     feature_paths: list[str], balance: bool, seed: int
 ) -> list[tuple[str, list[FeatureRow]]]:
@@ -437,7 +430,7 @@ def _load_projects(
     for p, name in zip(feature_paths, _project_names(feature_paths)):
         if not Path(p).exists():
             raise MissingInput(f"feature file not found: {p}")
-        examples = [r for r in artifacts.read_features(Path(p)) if r.label is not None]
+        examples = _labeled(artifacts.read_features(Path(p)))
         if balance:
             r = [e for e in examples if e.label == 1]
             nr = [e for e in examples if e.label == 0]

@@ -12,7 +12,7 @@ import pytest
 from crec import artifacts
 from crec.clone_detector import CodeBlock, Token, TokenList
 from crec.config import PipelineConfig
-from crec.features import FEATURES, FeatureRow
+from crec.features import FEATURES, FeatureRow, _declared_names
 from crec.repo_miner import diff_file_hunks
 
 
@@ -68,10 +68,11 @@ class RepoBuilder:
 
 class SnapshotRepo:
     """In-memory file snapshots keyed by commit ids 'v0', 'v1', ..., as the
-    Repository under a VersionData that answers featurize's window questions.
+    Repository under a VersionData that answers featurize's questions.
 
     It answers only what those questions ask a Repository: changed paths, the
-    source files and their blob ids (a hash of the text) and line-diff hunks.
+    source files and their blob ids (a hash of the text), file content and
+    line-diff hunks.
     """
 
     def __init__(self, snapshots: list[dict[str, str]]):
@@ -80,9 +81,12 @@ class SnapshotRepo:
     def _files(self, cid: str) -> dict[str, str]:
         return self.snapshots[int(cid[1:])]
 
-    def _bytes(self, cid: str, path: str) -> bytes | None:
+    def file_at(self, cid: str, path: str) -> bytes | None:
         text = self._files(cid).get(path)
         return None if text is None else text.encode()
+
+    def read_ahead(self, blobs) -> None:
+        """Every snapshot is already in memory."""
 
     def changed_paths(self, a: str, b: str) -> list[str]:
         fa, fb = self._files(a), self._files(b)
@@ -96,7 +100,7 @@ class SnapshotRepo:
         }
 
     def diff_hunks(self, a: str, b: str, path: str):
-        return diff_file_hunks(self._bytes(a, path), self._bytes(b, path))
+        return diff_file_hunks(self.file_at(a, path), self.file_at(b, path))
 
 
 def feature_row(
@@ -184,6 +188,30 @@ def lex_top_level_classes(lex: TokenList) -> list[tuple[str, int, int, list[str]
             i = j
         i += 1
     return classes
+
+
+def lex_file_context(lex: TokenList) -> frozenset[str]:
+    """Names declared in the ``;``-ended statements at brace depth 1 of a
+    file's tokens, by a brace-depth walk of the tokens alone: the reference
+    that `features.file_context` over `extract_blocks` replaced. Its depth
+    goes wrong after an unmatched ``}``, so on such files the two may differ."""
+    names: set[str] = set()
+    depth = 0
+    segment: list[Token] = []
+    for t in lex:
+        if t.kind == "punct" and t.text == "{":
+            depth += 1
+            segment = []
+        elif t.kind == "punct" and t.text == "}":
+            depth -= 1
+            segment = []
+        elif depth == 1:
+            if t.kind == "punct" and t.text == ";":
+                names |= _declared_names(segment)
+                segment = []
+            else:
+                segment.append(t)
+    return frozenset(names)
 
 
 def lex_member_class(member: CodeBlock, classes) -> str | None:

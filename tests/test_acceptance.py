@@ -17,13 +17,14 @@ from conftest import (
     RepoBuilder,
     SnapshotRepo,
     feature_row,
+    lex_file_context,
     lex_member_class,
     lex_top_level_classes,
     read_sweep,
     span_block,
 )
 from crec import artifacts, pipeline
-from crec.clone_detector import CloneGroup, CodeBlock, detect_clones, extract_blocks, scan
+from crec.clone_detector import CloneGroup, CodeBlock, detect_clones
 from crec.config import PipelineConfig
 from crec.eval_harness import (
     ConfusionCounts,
@@ -45,11 +46,8 @@ from crec.features import (
     extract_diff_features,
     extract_history_features,
     extract_location_features,
-    file_context,
-    hierarchy_components,
     levenshtein,
     multiset_diff,
-    top_level_classes,
 )
 from crec.genealogy import CloneLink, Lineage
 from crec.learner import _feature_runs, best_stump, train_alt
@@ -253,18 +251,18 @@ def test_criterion_3_feature_property_suite():
         )
         for i in range(6)
     ]
-    contexts = {path: file_context(scan(text)) for path, text in corpus.items()}
-    # members and types from one block list per file, as VersionData keeps them
-    blocks_of = {path: extract_blocks(scan(text), path) for path, text in sorted(corpus.items())}
-    classes = {path: top_level_classes(blocks) for path, blocks in blocks_of.items()}
-    hierarchy = hierarchy_components(blocks_of, classes.__getitem__)
+    # members, contexts and types of the groups' version, from one block list
+    # per file, as featurize takes them
+    blocks_of = {path: vdata.file_blocks(4, path) for path in vdata.files(4)}
     pool = [b for blocks in blocks_of.values() for b in blocks]
     for path, blocks in blocks_of.items():
-        oracle = lex_top_level_classes(blocks[0].lex)
-        if [(n, r) for n, _, r in classes[path]] != [(n, r) for n, _, _, r in oracle]:
+        classes, oracle = vdata.classes(4, path), lex_top_level_classes(blocks[0].lex)
+        if [(n, r) for n, _, r in classes] != [(n, r) for n, _, _, r in oracle]:
             failures.append(f"{path}: types differ from the token walk's")
-        elif any(_member_class(b, classes.__getitem__) != lex_member_class(b, oracle) for b in blocks):
+        elif any(_member_class(b, classes) != lex_member_class(b, oracle) for b in blocks):
             failures.append(f"{path}: a block's type differs from the token walk's")
+        if vdata.context(4, path) != lex_file_context(blocks[0].lex):
+            failures.append(f"{path}: fields differ from the token walk's")
 
     checked = 0
     for group_idx in range(1000):
@@ -283,12 +281,12 @@ def test_criterion_3_feature_property_suite():
         lineage = Lineage(f"lin{group_idx}", groups, links, "alive_at_last_version")
         try:
             per_clone = [
-                extract_code_features(m, contexts[m.path])
+                extract_code_features(m, vdata.context(4, m.path))
                 + extract_history_features(m.path, window, vdata, commits)
                 for m in members
             ]
             group_values = (
-                extract_location_features(group, blocks_of, classes.__getitem__, lambda: hierarchy)
+                extract_location_features(group, vdata)
                 + extract_diff_features(group)
                 + extract_cochange_features(group, lineage, 4, window, vdata)
             )

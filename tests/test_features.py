@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED, end_to_end_corpora
-from conftest import SnapshotRepo, lex_member_class, lex_top_level_classes, span_block
+from conftest import (
+    SnapshotRepo,
+    lex_file_context,
+    lex_member_class,
+    lex_top_level_classes,
+    span_block,
+)
 from crec.clone_detector import CloneGroup, CodeBlock, extract_blocks, scan
 from crec.errors import RangeViolation
 from crec.features import (
@@ -26,7 +32,6 @@ from crec.features import (
     extract_history_features,
     extract_location_features,
     file_context,
-    hierarchy_components,
     levenshtein,
     multiset_diff,
     path_copy_score,
@@ -64,7 +69,7 @@ def _method_block(source: str, name: str, path: str = "A.java") -> CodeBlock:
 class TestCodeFeatures:
     def test_for_loop_clone(self):
         loop = next(b for b in _blocks(FOR_CLONE) if b.tokens[0].text == "for")
-        f = extract_code_features(loop, file_context(scan(FOR_CLONE)))
+        f = extract_code_features(loop, file_context(_blocks(FOR_CLONE)))
         assert f[0] == 6.0  # F1 line span
         assert f[2] == 2.0  # F3: base 1 + the for
         assert f[4] == 0.5  # F5: foo() of two statements
@@ -75,7 +80,7 @@ class TestCodeFeatures:
     def test_straight_line_block(self):
         source = "void tick() {\n    advance();\n}\n"
         block = _method_block(source, "tick")
-        f = extract_code_features(block, file_context(scan(source)))
+        f = extract_code_features(block, file_context(_blocks(source)))
         assert f[2] == 1.0  # F3 base complexity
         assert f[7] == 1.0  # F8 complete block
         assert f[8] == 0.0  # F9 not a control starter
@@ -89,7 +94,7 @@ class TestCodeFeatures:
             "}\n"
         )
         block = _method_block(source, "paths")
-        f = extract_code_features(block, file_context(scan(source)))
+        f = extract_code_features(block, file_context(_blocks(source)))
         assert f[2] == 1.0 + 5  # if, &&, while, ||, ?
 
     def test_field_access_count(self):
@@ -105,7 +110,7 @@ class TestCodeFeatures:
             "}\n"
         )
         block = _method_block(source, "bump")
-        field_names = file_context(scan(source))
+        field_names = file_context(_blocks(source))
         assert field_names == {"counter", "limit"}
         f = extract_code_features(block, field_names)
         assert f[3] == 4.0  # counter x2, this.counter, limit
@@ -114,7 +119,7 @@ class TestCodeFeatures:
         source = "void f() {\n    if (a) {\n        b();\n    } else {\n        c();\n    }\n}\n"
         blocks = _blocks(source)
         else_block = next(b for b in blocks if b.tokens and b.tokens[0].text == "else")
-        f = extract_code_features(else_block, file_context(scan(source)))
+        f = extract_code_features(else_block, file_context(_blocks(source)))
         assert f[7] == 0.0  # F8: else branch is an incomplete control flow
 
     def test_follows_control_line(self):
@@ -127,7 +132,7 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(source) if b.start_line == 3)
-        f = extract_code_features(bare, file_context(scan(source)))
+        f = extract_code_features(bare, file_context(_blocks(source)))
         assert f[9] == 1.0
         negative = (
             "void f() {\n"
@@ -138,7 +143,7 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(negative) if b.start_line == 3)
-        f = extract_code_features(bare, file_context(scan(negative)))
+        f = extract_code_features(bare, file_context(_blocks(negative)))
         assert f[9] == 0.0
 
     @pytest.mark.parametrize("separator", ["\f", "\u2028", "\r"], ids=["ff", "u2028", "bare-cr"])
@@ -154,7 +159,7 @@ class TestCodeFeatures:
             "}\n"
         )
         bare = next(b for b in _blocks(source) if b.start_line == 4)
-        f = extract_code_features(bare, file_context(scan(source)))
+        f = extract_code_features(bare, file_context(_blocks(source)))
         assert f[9] == 1.0
 
     @pytest.mark.parametrize(
@@ -171,7 +176,7 @@ class TestCodeFeatures:
         # line that holds only a comment is skipped as a blank line is
         source = "void f() {\n" + before + "    {\n        step();\n    }\n}\n"
         bare = next(b for b in _blocks(source) if b.tokens[0].text == "step")
-        f = extract_code_features(bare, file_context(scan(source)))
+        f = extract_code_features(bare, file_context(_blocks(source)))
         assert f[9] == expected
 
     @pytest.mark.parametrize(
@@ -188,7 +193,7 @@ class TestCodeFeatures:
     def test_test_code_paths(self, path, expected):
         source = "void f() {\n    a();\n}\n"
         block = extract_blocks(scan(source), path)[0]
-        f = extract_code_features(block, file_context(scan(source)))
+        f = extract_code_features(block, file_context(_blocks(source)))
         assert f[10] == expected
 
 
@@ -276,19 +281,19 @@ TWIN_BLOCKS = (
 )
 
 
-def _file_blocks(corpus: dict[str, str]) -> dict[str, list[CodeBlock]]:
-    """Each file's blocks, extracted once, as `VersionData.file_blocks` keeps them."""
-    return {path: _blocks(text, path) for path, text in corpus.items()}
+def _one_version(corpus: dict[str, str]) -> VersionData:
+    """A VersionData over one version holding *corpus*, whose `file_blocks`
+    members are taken from, as featurize takes them."""
+    return VersionData(SnapshotRepo([corpus]), [SampledVersion(0, "v0", 1)])
 
 
-def _location_features(members, blocks_of: dict[str, list[CodeBlock]]) -> tuple[float, ...]:
-    """F18-F23 of the group of *members*, taken from *blocks_of*, whose types
-    are found among the same blocks, as `VersionData.classes` finds them."""
-    classes = {path: top_level_classes(blocks) for path, blocks in blocks_of.items()}
-    hierarchy = hierarchy_components(blocks_of, classes.__getitem__)
-    return extract_location_features(
-        _group_of(members), blocks_of, classes.__getitem__, lambda: hierarchy
-    )
+def _body(vdata: VersionData, path: str, name: str) -> CodeBlock:
+    return _body_in(vdata.file_blocks(0, path), name)
+
+
+def _location_features(members, vdata: VersionData) -> tuple[float, ...]:
+    """F18-F23 of the group of *members*, blocks of *vdata*'s one version."""
+    return extract_location_features(_group_of(members), vdata)
 
 
 TWIN_BODY = "int s = 0; for (int i = 0; i < n; i++) { s += i * 3; } return s + n;"
@@ -296,10 +301,10 @@ TWIN_BODY = "int s = 0; for (int i = 0; i < n; i++) { s += i * 3; } return s + n
 
 class TestLocationFeatures:
     def test_same_file_same_method(self):
-        blocks_of = _file_blocks({"M.java": TWIN_BLOCKS})
-        inner = [b for b in blocks_of["M.java"] if b.tokens[0].text == "a"]
+        vdata = _one_version({"M.java": TWIN_BLOCKS})
+        inner = [b for b in vdata.file_blocks(0, "M.java") if b.tokens[0].text == "a"]
         assert len(inner) == 2
-        f = _location_features(inner, blocks_of)
+        f = _location_features(inner, vdata)
         assert f[0] == 1.0 and f[1] == 1.0  # F18, F19
         assert f[2] == 1.0  # F20 same class
         assert f[3] == 1.0  # F21 same method instance
@@ -307,10 +312,10 @@ class TestLocationFeatures:
 
     def test_overloads_on_one_line_are_different_methods(self):
         source = "class C {\n  void run() { { p(); q(); } } void run(int i) { { p(); q(); } }\n}\n"
-        blocks_of = _file_blocks({"C.java": source})
-        inner = [b for b in blocks_of["C.java"] if b.tokens[0].text == "p"]
+        vdata = _one_version({"C.java": source})
+        inner = [b for b in vdata.file_blocks(0, "C.java") if b.tokens[0].text == "p"]
         assert len(inner) == 2
-        f = _location_features(inner, blocks_of)
+        f = _location_features(inner, vdata)
         assert f[3] == 0.0  # F21: two methods that share a name and a line
         assert f[4] == 0.0  # F22: identical method names
         for block in inner:
@@ -322,35 +327,35 @@ class TestLocationFeatures:
             "class A {", f"int f(int n) {{ {TWIN_BODY} }}", "}",
             "class C {", f"int g(int n) {{ {TWIN_BODY} }}", "}",
         ]) + "\n"
-        blocks_of = _file_blocks({"M.java": source})
-        members = [_body_in(blocks_of["M.java"], "f"), _body_in(blocks_of["M.java"], "g")]
-        assert _location_features(members, blocks_of)[2] == 0.0  # F20: A and C are unrelated
+        vdata = _one_version({"M.java": source})
+        members = [_body(vdata, "M.java", "f"), _body(vdata, "M.java", "g")]
+        assert _location_features(members, vdata)[2] == 0.0  # F20: A and C are unrelated
 
     @pytest.mark.parametrize("sep", [" ", "\n"], ids=["one-line", "split-lines"])
     def test_annotated_class_bodies(self, sep):
         source = f"package p;\n@Deprecated{sep}public class A {{\n int f(int n) {{ {TWIN_BODY} }}\n}}\n"
-        blocks_of = _file_blocks({"x/p/A.java": source, "y/p/A.java": source})
+        vdata = _one_version({"x/p/A.java": source, "y/p/A.java": source})
         members = [
-            next(b for b in blocks if b.lex[b.brace - 1].text == "A")
-            for blocks in blocks_of.values()
+            next(b for b in vdata.file_blocks(0, path) if b.lex[b.brace - 1].text == "A")
+            for path in vdata.files(0)
         ]
         assert all(m.start_line == 2 for m in members)  # from the annotation's line
-        assert _location_features(members, blocks_of)[2] == 1.0  # F20: both in a type A
+        assert _location_features(members, vdata)[2] == 1.0  # F20: both in a type A
 
     def test_method_name_distance(self):
         src_a = "class A {\n    void getFoo() {\n        x = 1;\n    }\n}\n"
         src_b = "class B {\n    void getBar() {\n        x = 1;\n    }\n}\n"
-        blocks_of = _file_blocks({"p/A.java": src_a, "p/B.java": src_b})
-        members = [_body_in(blocks_of["p/A.java"], "getFoo"), _body_in(blocks_of["p/B.java"], "getBar")]
-        f = _location_features(members, blocks_of)
+        vdata = _one_version({"p/A.java": src_a, "p/B.java": src_b})
+        members = [_body(vdata, "p/A.java", "getFoo"), _body(vdata, "p/B.java", "getBar")]
+        f = _location_features(members, vdata)
         assert f[4] == 3.0  # F22
         assert f[3] == 0.0  # different methods
 
     def test_copied_directory_score(self):
         src = "class M {\n    void m() {\n        x = 1;\n    }\n}\n"
-        blocks_of = _file_blocks({"a/b/d/M.java": src, "a/c/b/d/M.java": src})
-        members = [_body_in(blocks, "m") for blocks in blocks_of.values()]
-        f = _location_features(members, blocks_of)
+        vdata = _one_version({"a/b/d/M.java": src, "a/c/b/d/M.java": src})
+        members = [_body(vdata, path, "m") for path in vdata.files(0)]
+        f = _location_features(members, vdata)
         assert f[0] == 0.0  # different directories
         assert f[5] == pytest.approx(2 / 3)  # shared b/d suffix, identical siblings
 
@@ -363,15 +368,15 @@ class TestLocationFeatures:
     def test_class_hierarchy_via_extends(self):
         src_a = "class A extends Base {\n    void m() {\n        x = 1;\n    }\n}\n"
         src_b = "class B extends Base {\n    void m() {\n        x = 1;\n    }\n}\n"
-        blocks_of = _file_blocks({"A.java": src_a, "B.java": src_b, "Base.java": "class Base {\n}\n"})
-        members = [_body_in(blocks_of["A.java"], "m"), _body_in(blocks_of["B.java"], "m")]
-        assert _location_features(members, blocks_of)[2] == 1.0
+        vdata = _one_version({"A.java": src_a, "B.java": src_b, "Base.java": "class Base {\n}\n"})
+        members = [_body(vdata, "A.java", "m"), _body(vdata, "B.java", "m")]
+        assert _location_features(members, vdata)[2] == 1.0
         unrelated_b = "class B {\n    void m() {\n        x = 1;\n    }\n}\n"
-        blocks_of = _file_blocks(
+        vdata = _one_version(
             {"A.java": src_a, "B.java": unrelated_b, "Base.java": "class Base {\n}\n"}
         )
-        members = [_body_in(blocks_of["A.java"], "m"), _body_in(blocks_of["B.java"], "m")]
-        assert _location_features(members, blocks_of)[2] == 0.0
+        members = [_body(vdata, "A.java", "m"), _body(vdata, "B.java", "m")]
+        assert _location_features(members, vdata)[2] == 0.0
 
 
 MANY_TYPES = """\
@@ -411,9 +416,7 @@ class TestTopLevelClassesOracle:
         ]
         if len({line for _, start, end, _ in oracle for line in (start, end)}) == 2 * len(oracle):
             for block in blocks:  # the types occupy distinct lines
-                assert _member_class(block, {path: classes}.__getitem__) == lex_member_class(
-                    block, oracle
-                )
+                assert _member_class(block, classes) == lex_member_class(block, oracle)
 
     @pytest.mark.parametrize(
         "corpora",
@@ -442,6 +445,91 @@ class TestTopLevelClassesOracle:
         [(name, body, related)] = top_level_classes(_blocks(source))
         assert [(name, 1, 3, related)] == lex_top_level_classes(scan(source))
         assert (name, body.start_line, related) == ("A", 1, ["B"])
+
+
+# A stray `}` before a class, and one between two classes: a brace-depth walk
+# of the tokens reads class A's body one level too shallow, so it takes m's
+# local for a field and misses f
+_CLASS_A = (
+    "class A {\n    int f;\n    void m() {\n        int local = 1;\n        f = local;\n    }\n}\n"
+)
+STRAY_BRACE_FILES = {"leading": "}\n" + _CLASS_A, "between": "class Z {\n    int z;\n}\n}\n" + _CLASS_A}
+
+
+def _member(rng: random.Random, depth: int) -> str:
+    """One member of a type body, or a statement of a method body when it
+    holds braces: fields, methods, initializers, empty blocks, nested types."""
+    name = f"n{rng.randrange(6)}"
+    kind = rng.randrange(16 if depth < 2 else 10)
+    if kind == 0:
+        return f"int {name};"
+    if kind == 1:
+        return f"private static final long {name} = {rng.randrange(9)}L, other{name};"
+    if kind == 2:
+        return f"java.util.Map<String, int[]> {name} = null;"
+    if kind == 3:
+        return f"int[] {name} = {{1, 2}};"  # an array initializer block
+    if kind == 4:
+        return f"@Tag(v = {{1}}) String {name} = \"x\";"  # an annotation array in the header
+    if kind == 5:
+        return f"Runnable {name} = () -> {{ go({name}); }};"
+    if kind == 6:
+        return f"abstract void {name}(int a);"
+    if kind == 7:
+        return rng.choice(["{}", "{ ; }", ";", "{ { } }"])
+    if kind == 8:
+        return f"{rng.choice(['', 'static '])}{{ {name} = 1; {{ int inner = 2; }} }}"
+    if kind == 9:
+        return f"@Tag(v = {{1}}) void {name}() {{ if ({name} > 0) {{ {name}--; }} else {{ ; }} }}"
+    if kind in (10, 11):
+        body = " ".join(_member(rng, depth + 1) for _ in range(rng.randrange(3)))
+        return f"void {name}(int a) {{ int local = a; {body} for (int i = 0; i < a; i++) {{ }} }}"
+    if kind == 12:
+        inner = " ".join(_member(rng, depth + 1) for _ in range(rng.randrange(3)))
+        return f"Object {name} = new Object() {{ int k; {inner} }};"  # an anonymous class
+    return _type(rng, depth + 1)
+
+
+def _type(rng: random.Random, depth: int = 0) -> str:
+    """A class, interface, enum, record or annotation type with its members."""
+    name = f"T{rng.randrange(99)}"
+    members = " ".join(_member(rng, depth) for _ in range(rng.randrange(5)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return f"public class {name} extends Base implements Api {{ {members} }}"
+    if kind == 1:
+        return f"interface {name} {{ int LIMIT = 3; void go(); }}"
+    if kind == 2:
+        return f"enum {name} {{ ON, OFF {{ void m() {{ }} }}, IDLE; {members} }}"
+    if kind == 3:
+        return f"record {name}(int a, int b) {{ static int count; {name} {{ count++; }} {members} }}"
+    return f'@interface {name} {{ int value() default 1; String[] names() default {{"a"}}; }}'
+
+
+class TestFileContext:
+    @pytest.mark.parametrize("source", STRAY_BRACE_FILES.values(), ids=STRAY_BRACE_FILES)
+    def test_fields_after_a_stray_closing_brace(self, source):
+        vdata = _one_version({"A.java": source})
+        fields = vdata.context(0, "A.java")
+        assert "f" in fields and "local" not in fields
+        assert ("z" in fields) == ("class Z" in source)
+        # F4 of m's body: its one access of f, not two of the local
+        assert extract_code_features(_body(vdata, "A.java", "m"), fields)[3] == 1.0
+
+    def test_generated_sources_match_the_token_walk(self):
+        """On well-formed sources, `file_context` over the blocks finds the
+        names that a brace-depth walk of the tokens finds."""
+        rng = random.Random(29)
+        with_fields = 0
+        for _ in range(1500):
+            types = [_type(rng) for _ in range(rng.randrange(1, 3))]
+            one_line = " ".join(types)
+            for source in (one_line, re.sub(r"([;{}]) ", "\\1\n", one_line)):  # or one a line
+                lex = scan(source)
+                expected = lex_file_context(lex)
+                assert file_context(extract_blocks(lex, "A.java")) == expected, source
+            with_fields += bool(expected)
+        assert with_fields > 1000
 
 
 class TestClassifyIdentifier:

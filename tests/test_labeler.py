@@ -124,7 +124,7 @@ def _pipeline(corpora):
         per_version.append(detect_clones(blocks, version=v))
     lineages = build_genealogies(per_version)
     return lineages, LabelContext(
-        lambda v: {p: extract_blocks(scan(text), p) for p, text in corpora[v].items()}
+        lambda v: [b for p in sorted(corpora[v]) for b in extract_blocks(scan(corpora[v][p]), p)]
     )
 
 
@@ -226,7 +226,7 @@ class TestRepositoryContext:
         commit_corpora(rb, PLANTED["exact"]())
         with Repository(rb.path) as repo:
             samples = sample_versions(repo.commits(), delta_threshold=1)
-            ctx = VersionData(repo, samples).label_context()
+            ctx = LabelContext(VersionData(repo, samples).blocks)
             methods = ctx.methods_at(1)
             assert "applyScaling" in methods
             assert methods["applyScaling"][0].path == "src/exact/Alpha.java"
@@ -235,7 +235,7 @@ class TestRepositoryContext:
 
 def _methods_of(source: str) -> dict:
     blocks = extract_blocks(scan(source), "A.java")
-    return LabelContext(lambda version: {"A.java": blocks}).methods_at(0)
+    return LabelContext(lambda version: blocks).methods_at(0)
 
 
 class TestMethodBodies:

@@ -4,6 +4,7 @@ earliest-step labeling, pre-refactoring feature vectors, stale-artifact guards."
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,14 @@ from clone_fixtures import (
     commit_corpora,
     end_to_end_corpora,
 )
+from conftest import feature_row
 from crec import artifacts, pipeline
 from crec.cli import main
 from crec.clone_detector import extract_blocks, scan
-from crec.config import PipelineConfig
+from crec.config import ALGORITHMS, PipelineConfig
 from crec.errors import MissingInput
 from crec.genealogy import build_genealogies
+from crec.labeler import LabelContext
 from crec.repo_miner import Repository, SampledVersion
 
 
@@ -354,7 +357,7 @@ class TestVersionDataOracle:
         monkeypatch.setattr(Repository, "file_at", counting_file_at)
         monkeypatch.setattr(pipeline, "scan", counting_scan)
         vdata = pipeline.VersionData(repo, samples)
-        methods_at = vdata.label_context().methods_at
+        methods_at = LabelContext(vdata.blocks).methods_at
         for _ in range(2):  # the second round is answered from memory
             for version in range(len(samples)):
                 for path in vdata.corpus(version):
@@ -377,7 +380,7 @@ class TestVersionDataOracle:
                 map(_fields, vdata.blocks(version))
             )
             assert fresh.hierarchy(version) == vdata.hierarchy(version)
-            fresh_methods = fresh.label_context().methods_at(version)
+            fresh_methods = LabelContext(fresh.blocks).methods_at(version)
             assert {name: list(map(_fields, bodies)) for name, bodies in fresh_methods.items()} == {
                 name: list(map(_fields, bodies)) for name, bodies in methods_at(version).items()
             }
@@ -583,3 +586,56 @@ def test_minified_file_keeps_each_method(make_repo, tmp_path, capsys):
     groups = _named_groups(outs[0])
     assert sorted(groups) == [0, 1, 2]
     assert all(pairs <= at_version for at_version in groups.values())
+
+
+def test_featurize_reads_fields_past_a_stray_closing_brace(make_repo, tmp_path):
+    """F4 counts the accesses of the fields of a member's file. A stray `}`
+    before a class, or between two, must not shift which names are fields:
+    each method body accesses field f once, and its local twice."""
+    body = "        int local = 1;\n        f = local;\n        call(1);\n        call(2);\n"
+    methods = "".join(f"    void m{i}() {{\n{body}    }}\n" for i in (1, 2))
+    rb = make_repo("stray")
+    commit_corpora(rb, [{
+        "src/A.java": "}\nclass A {\n    int f;\n" + methods + "}\n",
+        "src/B.java": "class Z {\n    int z;\n}\n}\nclass B {\n    int f;\n" + methods + "}\n",
+    }])
+    out = tmp_path / "out"
+    config = PipelineConfig(delta_threshold=1, min_tokens=5, min_lines=3)
+    for stage in (pipeline.stage_mine, pipeline.stage_detect, pipeline.stage_genealogy,
+                  pipeline.stage_featurize):
+        stage(config, rb.path, out)
+    rows = artifacts.read_features(out / "features.csv")
+    # F2 -> F4 of the two groups: the method bodies, and the class bodies,
+    # which each name f three times
+    assert {row.values[1]: row.values[3] for row in rows} == {11.0: 1.0, 26.0: 3.0}
+
+
+@pytest.fixture
+def shuffled_features(tmp_path):
+    """Two copies of one features file, the second with its rows shuffled."""
+    rng = random.Random(11)
+    rows = [
+        feature_row(rng.randrange(2), {f: rng.randrange(3) / 2 for f in (1, 4, 9, 20, 30)},
+                    lineage=f"lin{i:02d}")
+        for i in range(40)
+    ]
+    paths = []
+    for name, ordered in (("a", rows), ("b", rng.sample(rows, len(rows)))):
+        (tmp_path / name).mkdir()
+        artifacts.write_features(tmp_path / name / "features.csv", ordered)
+        paths.append(tmp_path / name)
+    return paths
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_models_and_evaluations_do_not_depend_on_row_order(shuffled_features, algorithm):
+    """`train` and `evaluate` learn from the labeled rows in one canonical
+    order, so the order of the rows, which follows the lineage ids, changes
+    neither the model nor the report."""
+    config = PipelineConfig()
+    for out in shuffled_features:
+        pipeline.stage_train(config, out, algorithm)
+        pipeline.stage_evaluate(config, [str(out / "features.csv")], "within", out, algorithm)
+    first, second = shuffled_features
+    for name in ("model.txt", "report.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name

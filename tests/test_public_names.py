@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 from crec.clone_detector import CodeBlock
+from crec.pipeline import VersionData
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = sorted((ROOT / "src" / "crec").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
@@ -115,6 +116,37 @@ def test_one_class_finder():
         if name == "top_level_classes"
     ]
     assert callers == ["pipeline.VersionData.classes"]
+
+
+def test_one_field_finder():
+    """F4's fields have one source: `file_context` is called only by
+    `VersionData.context`, over the memo's `file_blocks`, so `extract_blocks`
+    is the one matcher of braces that F4 and F20 read."""
+    callers = [
+        caller
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name == "file_context"
+    ]
+    assert callers == ["pipeline.VersionData.context"]
+
+
+def test_features_and_labels_ask_version_data():
+    """Featurize and label reach `VersionData` directly: no call passes a
+    `lambda` to a function of `features`, and `VersionData` builds no
+    `LabelContext`; `stage_label` hands it `VersionData.blocks`."""
+    features = ast.parse((ROOT / "src" / "crec" / "features.py").read_text(encoding="utf-8"))
+    names = {node.name for node in features.body if isinstance(node, ast.FunctionDef)}
+    adapted = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+        and any(isinstance(a, ast.Lambda) for a in [*node.args, *(k.value for k in node.keywords)])
+    ]
+    assert not adapted, "passes a lambda to a features function: " + ", ".join(adapted)
+    assert not hasattr(VersionData, "label_context")
 
 
 def test_no_dataclasses():
