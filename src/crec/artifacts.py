@@ -303,23 +303,33 @@ def read_lineages(path) -> list[LineageRecord]:
 
 
 def write_labels(path, decisions: list[LabelDecision], sweep=None) -> None:
-    """One row per decision, its `step_version` saved under the key `step`; with
-    *sweep*, a ``(path, [(threshold, R count), ...])`` pair, the sweep file too:
-    both files or neither."""
+    """One row per decision, its `step_version` saved as `step` beside the
+    `label` it implies; with *sweep*, a ``(path, [(threshold, R count), ...])``
+    pair, the sweep file too: both files or neither."""
     more = [] if sweep is None else [(sweep[0], "label-sweep", [
         _dumps({"threshold": th, "reported": n}) for th, n in sweep[1]
     ])]
     _write_rows(path, "labels", decisions, lambda d: {
-        ("step" if k == "step_version" else k): v for k, v in _plain(d).items()
+        "lineage_id": d.lineage_id, "step": d.step_version, "label": d.label, "evidence": d.evidence
     }, *more)
 
 
 def read_labels(path) -> list[LabelDecision]:
+    """The decisions; a row's `label` must be R or NR and agree with its
+    `step`: an int for R, null for NR."""
     from .labeler import LabelDecision
 
-    return _read_rows(
-        path, "labels", lambda d: _decode(LabelDecision, {**d, "step_version": d["step"]})
-    )
+    def decision(d: dict) -> LabelDecision:
+        row = _decode(LabelDecision, {**d, "step_version": d["step"]})
+        label = _decode(str, d["label"])
+        if label not in ("R", "NR"):
+            raise ValueError(f"label must be R or NR, found {label!r}")
+        if label != row.label:
+            must = "an int" if label == "R" else "null"
+            raise ValueError(f"step of an {label} label must be {must}, found {row.step_version!r}")
+        return row
+
+    return _read_rows(path, "labels", decision)
 
 
 # -- feature table ------------------------------------------------------------

@@ -77,9 +77,15 @@ class EvalRow(NamedTuple):
 class EvalReport(NamedTuple):
     setting: str  # within | cross
     rows: list[EvalRow]
-    averages: tuple[float, float, float]
     config_digest: str
-    metric_mode: str = "pooled"
+
+    metric_mode = "pooled"  # fold metrics pool the test predictions; not a field
+
+    @property
+    def averages(self) -> tuple[float, float, float]:
+        """The mean precision, recall and F-score of the rows."""
+        columns = zip(*((r.precision, r.recall, r.fscore) for r in self.rows))
+        return tuple(sum(column) / len(self.rows) for column in columns)
 
 
 def _score(model, examples: list[FeatureRow], threshold: float) -> ConfusionCounts:
@@ -159,12 +165,7 @@ def cross_project(
         p, r = precision(c), recall(c)
         flags = ("no_positives",) if c.known_refactored == 0 else ()
         rows.append(EvalRow(held_name, p, r, fscore(p, r), flags))
-    return EvalReport(
-        setting="cross",
-        rows=rows,
-        averages=_averages(rows),
-        config_digest=config.digest(),
-    )
+    return EvalReport("cross", rows, config.digest())
 
 
 def within_project(
@@ -175,21 +176,7 @@ def within_project(
     for name, data in projects:
         row = ten_fold(data, config)
         rows.append(EvalRow(name, row.precision, row.recall, row.fscore))
-    return EvalReport(
-        setting="within",
-        rows=rows,
-        averages=_averages(rows),
-        config_digest=config.digest(),
-    )
-
-
-def _averages(rows: list[EvalRow]) -> tuple[float, float, float]:
-    n = len(rows)
-    return (
-        sum(r.precision for r in rows) / n,
-        sum(r.recall for r in rows) / n,
-        sum(r.fscore for r in rows) / n,
-    )
+    return EvalReport("within", rows, config.digest())
 
 
 def run_setting(

@@ -126,27 +126,45 @@ def _outermost(blocks: Sequence[CodeBlock]) -> list[tuple[CodeBlock, list[CodeBl
 def file_context(blocks: list[CodeBlock]) -> frozenset[str]:
     """Names declared in the ``;``-ended statements among the own tokens of
     each outermost block of a file's `extract_blocks`: those inside its braces
-    and outside the braces of the blocks it holds. A shallow scan, read by F4."""
+    and outside the braces of the blocks it holds. A held block ends its
+    statement, unless the statement's first ``(`` or ``=`` before it is an
+    ``=``: then the block is part of an initializer and the statement goes on.
+    An enum's constant list, the first statement of its body, declares none.
+    A shallow scan, read by F4."""
     names: set[str] = set()
     for outer, held in _outermost(blocks):
-        start = outer.brace + 1
+        header = outer.lex[outer.first : outer.brace]
+        constants = any(t.kind == "keyword" and t.text == "enum" for t in header)
+        start, segment = outer.brace + 1, []
         for end, resume in [(b.brace, b.stop) for b, _ in _outermost(held)] + [(outer.stop - 1, 0)]:
-            segment: list[Token] = []
             for t in outer.lex[start:end]:
                 # a brace here belongs to a block of punctuation alone, which `extract_blocks` drops
                 if t.kind == "punct" and t.text in (";", "{", "}"):
                     if t.text == ";":
-                        names |= _declared_names(segment)
+                        names |= set() if constants else _declared_names(segment)
+                        constants = False
                     segment = []
                 else:
                     segment.append(t)
+            if _opener(segment) != "=":
+                segment = []
             start = resume
     return frozenset(names)
 
 
+def _opener(segment: list[Token]) -> str | None:
+    """The first ``(`` or ``=`` of a statement: ``=`` starts a field's
+    initializer, and ``(`` before any ``=`` a method's parameters."""
+    return next((t.text for t in segment if t.kind == "punct" and t.text in ("(", "=")), None)
+
+
 def _declared_names(segment: list[Token]) -> set[str]:
-    if any(t.kind == "punct" and t.text == "(" for t in segment):
+    """The names a field declaration declares, read up to its first ``(``, so
+    that the calls and lambdas of an initializer declare none."""
+    if _opener(segment) == "(":
         return set()  # abstract/native method declaration, not a field
+    paren = next((i for i, t in enumerate(segment) if t.kind == "punct" and t.text == "("), None)
+    segment = segment[:paren]
     names = set()
     for i, t in enumerate(segment):
         if t.kind != "identifier":

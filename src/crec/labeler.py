@@ -17,26 +17,15 @@ if TYPE_CHECKING:
     from .genealogy import CloneLink, Lineage
 
 
-class _LabelDecision(NamedTuple):
+class LabelDecision(NamedTuple):
     lineage_id: str
     step_version: int | None  # earliest qualifying step for R, None for NR
-    label: str  # "R" | "NR"
     evidence: dict | None
 
-
-# typing.NamedTuple forbids a __new__ of its own; this subclass checks each value built
-class LabelDecision(_LabelDecision):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.label not in ("R", "NR"):
-            raise ValueError(f"label must be R or NR, found {self.label!r}")
-        if self.label == "R" and self.step_version is None:
-            raise ValueError("step of an R label must be an int, found None")
-        if self.label == "NR" and self.step_version is not None:
-            raise ValueError(f"step of an NR label must be null, found {self.step_version!r}")
-        return self
+    @property
+    def label(self) -> str:
+        """R when a step qualified, NR when none did."""
+        return "NR" if self.step_version is None else "R"
 
 
 class LabelContext:
@@ -141,8 +130,8 @@ def label_lineage(
                     for link, score in qualifying
                 ],
             }
-            return LabelDecision(lineage.lineage_id, v_i, "R", evidence)
-    return LabelDecision(lineage.lineage_id, None, "NR", None)
+            return LabelDecision(lineage.lineage_id, v_i, evidence)
+    return LabelDecision(lineage.lineage_id, None, None)
 
 
 def sweep(

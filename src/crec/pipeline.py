@@ -5,7 +5,8 @@ files stay small and every stage is independently re-runnable. Lineages are
 built once, by `genealogy`; `label` and `featurize` read them back from
 `lineages.txt`, whose links name each member by its index in its group.
 
-`FILES` names each artifact's file and the command that writes it. A stage's
+`FILES` names each artifact's file and the command that writes it, which a
+missing input (`_require`) or a stale one (`_stale`) names. A stage's
 parameters are named as the CLI's parsed arguments, which `cli.main` passes by keyword.
 
 Each CLI command runs one stage in a fresh process, so the modules that only
@@ -24,7 +25,7 @@ from .artifacts import GroupRecord, LineageRecord, MemberRecord
 from .clone_detector import CloneGroup, CodeBlock, TokenList, detect_clones, extract_blocks, scan
 from .config import PipelineConfig, parse_value
 from .errors import ConfigError, DegenerateData, MissingInput
-from .repo_miner import Hunk, Repository, SOURCE_SUFFIXES, checked_window, sample_versions
+from .repo_miner import Hunk, Repository, checked_window, sample_versions
 
 if TYPE_CHECKING:
     from .eval_harness import LearnerConfig
@@ -59,6 +60,12 @@ def _require(out_dir: str | Path, name: str) -> Path:
     return p
 
 
+def _stale(name: str, problem: str) -> MissingInput:
+    """The refusal of the *name* input, which disagrees with another: *problem*,
+    then the command that rewrites it."""
+    return MissingInput(f"{problem}; {name} file is stale (re-run {FILES[name][1]})")
+
+
 class VersionData:
     """Per-sampled-version views of the repository, and the one place where
     file content is decoded and lexed.
@@ -87,9 +94,7 @@ class VersionData:
     def files(self, version: int) -> dict[str, str | None]:
         """path -> blob id of each source file; None for a gitlink. Symlinks are not listed."""
         commit = self.samples[version].commit_id
-        return self._once(
-            ("files", version), lambda: self.repo.source_files(commit, SOURCE_SUFFIXES)
-        )
+        return self._once(("files", version), lambda: self.repo.source_files(commit))
 
     def _decode(self, version: int, path: str) -> str:
         data = self.repo.file_at(self.samples[version].commit_id, path)
@@ -158,19 +163,16 @@ class VersionData:
         return self.files(version).get(path) is not None
 
 
-def materialize_groups(
-    vdata: VersionData, records: list[GroupRecord], version_count: int
-) -> list[list[CloneGroup]]:
-    """Rebuild CloneGroup objects (with token data) from their stored locations:
-    each member is the block of its file whose `{` it names, and must have the
-    lines and token count it was written with. Only the files that hold a
-    member are lexed."""
-    per_version: list[list[CloneGroup]] = [[] for _ in range(version_count)]
+def materialize_groups(vdata: VersionData, records: list[GroupRecord]) -> list[list[CloneGroup]]:
+    """Rebuild CloneGroup objects (with token data) from their stored locations,
+    one list per sampled version of *vdata*: each member is the block of its
+    file whose `{` it names, and must have the lines and token count it was
+    written with. Only the files that hold a member are lexed."""
+    per_version: list[list[CloneGroup]] = [[] for _ in vdata.samples]
     for rec in records:
-        if not 0 <= rec.version < version_count:
-            raise MissingInput(
-                f"clones file references version {rec.version} outside the sample "
-                "list; artifacts are stale (re-run mine + detect)"
+        if not 0 <= rec.version < len(per_version):
+            raise _stale(
+                "clones", f"clones file references version {rec.version} outside the sample list"
             )
         members = []
         for m in rec.members:
@@ -182,11 +184,10 @@ def materialize_groups(
                 found = "not found" if block is None else (
                     f"lexed to lines {block.start_line}-{block.end_line}, {block.size} tokens"
                 )
-                raise MissingInput(
+                raise _stale("clones", (
                     f"block {m.path}:{m.start}-{m.end} of {m.tokens} tokens, its {{ at token "
-                    f"{m.brace}, {found} at version {rec.version}; clones file is stale "
-                    "(re-run detect)"
-                )
+                    f"{m.brace}, {found} at version {rec.version}"
+                ))
             members.append(block)
         per_version[rec.version].append(
             CloneGroup(version=rec.version, members=tuple(members), group_id=rec.group_id)
@@ -201,11 +202,11 @@ def _read_lineages(vdata: VersionData, out_dir) -> list[Lineage]:
 
     clones, path = _require(out_dir, "clones"), _require(out_dir, "lineages")
     records = artifacts.read_lineages(path)
-    per_version = materialize_groups(vdata, artifacts.read_groups(clones), len(vdata.samples))
+    per_version = materialize_groups(vdata, artifacts.read_groups(clones))
     groups = {(g.version, g.group_id): g for gs in per_version for g in gs}
 
     def stale(problem: str) -> MissingInput:
-        return MissingInput(f"{path} {problem}; lineages file is stale (re-run genealogy)")
+        return _stale("lineages", f"{path} {problem}")
 
     named = Counter(ref for rec in records for ref in rec.groups)
     for v, gid in sorted(named.keys() | groups.keys(), key=lambda ref: (ref in groups, ref)):
@@ -265,7 +266,7 @@ def stage_genealogy(config: PipelineConfig, repo_path: str, out_dir: str | Path)
     samples = artifacts.read_samples(_require(out_dir, "samples"))
     records = artifacts.read_groups(_require(out_dir, "clones"))
     with Repository(repo_path) as repo:
-        groups = materialize_groups(VersionData(repo, samples), records, len(samples))
+        groups = materialize_groups(VersionData(repo, samples), records)
     lineages = build_genealogies(groups, config.link_floor)
     artifacts.write_lineages(_path(out_dir, "lineages"), [LineageRecord.of(l) for l in lineages])
     return f"genealogy: {len(lineages)} lineages -> {_path(out_dir, 'lineages')}"
@@ -331,22 +332,19 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
         lineages = _read_lineages(vdata, out_dir)
         unknown = decisions.keys() - {lineage.lineage_id for lineage in lineages}
         if unknown:
-            raise MissingInput(
-                f"labels file names lineage {min(unknown)}, which genealogy did not "
-                "build; labels file is stale (re-run label)"
+            raise _stale(
+                "labels", f"labels file names lineage {min(unknown)}, which genealogy did not build"
             )
         for lineage in lineages:
             decision = decisions.get(lineage.lineage_id)
-            if decision is not None and decision.label == "R":
-                version = decision.step_version
-            else:
-                version = lineage.groups[-1][0]
+            step = None if decision is None else decision.step_version  # None unless R
+            version = lineage.groups[-1][0] if step is None else step
             group = dict(lineage.groups).get(version)
             if group is None:
-                raise MissingInput(
+                raise _stale("labels", (
                     f"{lineage.lineage_id} is labeled R at step {version}, which is not a "
-                    "version of its lineage; labels file is stale (re-run label)"
-                )
+                    "version of its lineage"
+                ))
             per_clone = []
             for member in group.members:
                 code = extract_code_features(member, vdata.context(version, member.path))
@@ -391,21 +389,19 @@ def stage_recommend(config: PipelineConfig, out_dir: str | Path) -> str:
         rec.lineage_id: dict(rec.groups) for rec in lineage_records
     }
     candidates = []
-    stale = "features file is stale (re-run featurize)"
     for row in rows:
         if row.lineage_id not in group_at:
-            raise MissingInput(
-                f"features file names lineage {row.lineage_id}, which the lineages file "
-                f"lacks; {stale}"
-            )
+            raise _stale("features", (
+                f"features file names lineage {row.lineage_id}, which the lineages file lacks"
+            ))
         if row.version != final:
             continue
         group_id = group_at[row.lineage_id].get(final)
         if group_id is None:
-            raise MissingInput(
+            raise _stale("features", (
                 f"{row.lineage_id} has a feature row at version {final}, where the lineages "
-                f"file gives it no group; {stale}"
-            )
+                "file gives it no group"
+            ))
         candidates.append((group_id, row.values))
     ranked = recommend(model, candidates, config.recommend_threshold)
     artifacts.write_recommendations(_path(out_dir, "recommendations"), ranked)

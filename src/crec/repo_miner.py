@@ -234,22 +234,19 @@ class Repository:
             self.list_files(commit_id)
         return self._trees[commit_id]
 
-    def list_files(self, commit_id: str, suffixes: tuple[str, ...] | None = None) -> list[str]:
+    def list_files(self, commit_id: str) -> list[str]:
         """Every path in the commit's tree, in tree order; the tree is read once."""
         self._check_commit(commit_id)
         if commit_id not in self._trees:
             self._trees[commit_id] = self._walk_tree(commit_id)
-        paths = list(self._trees[commit_id])
-        if suffixes is not None:
-            paths = [p for p in paths if p.endswith(suffixes)]
-        return paths
+        return list(self._trees[commit_id])
 
-    def source_files(self, commit_id: str, suffixes: tuple[str, ...]) -> dict[str, str | None]:
-        """path -> blob id of each file whose name ends with one of *suffixes*,
-        in tree order; None for a gitlink. Symlinks are left out: the blob of
-        one holds its target's path, and a checkout shows the target's text,
-        so neither is the link's own source."""
-        paths = self.list_files(commit_id, suffixes)
+    def source_files(self, commit_id: str) -> dict[str, str | None]:
+        """path -> blob id of each file whose name ends with one of
+        `SOURCE_SUFFIXES`, in tree order; None for a gitlink. Symlinks are left
+        out: the blob of one holds its target's path, and a checkout shows the
+        target's text, so neither is the link's own source."""
+        paths = [p for p in self.list_files(commit_id) if p.endswith(SOURCE_SUFFIXES)]
         entries = self._trees[commit_id]
         return {p: self.blob_id(commit_id, p) for p in paths if entries[p][0] != _SYMLINK}
 

@@ -12,8 +12,8 @@ import pytest
 from crec import artifacts
 from crec.clone_detector import CodeBlock, Token, TokenList
 from crec.config import PipelineConfig
-from crec.features import FEATURES, FeatureRow, _declared_names
-from crec.repo_miner import diff_file_hunks
+from crec.features import FEATURES, FeatureRow, _declared_names, _opener
+from crec.repo_miner import SOURCE_SUFFIXES, diff_file_hunks
 
 
 class RepoBuilder:
@@ -92,11 +92,11 @@ class SnapshotRepo:
         fa, fb = self._files(a), self._files(b)
         return sorted(p for p in set(fa) | set(fb) if fa.get(p) != fb.get(p))
 
-    def source_files(self, cid: str, suffixes: tuple[str, ...]) -> dict[str, str]:
+    def source_files(self, cid: str) -> dict[str, str]:
         return {
             path: hashlib.sha1(text.encode()).hexdigest()
             for path, text in sorted(self._files(cid).items())
-            if path.endswith(suffixes)
+            if path.endswith(SOURCE_SUFFIXES)
         }
 
     def diff_hunks(self, a: str, b: str, path: str):
@@ -193,22 +193,31 @@ def lex_top_level_classes(lex: TokenList) -> list[tuple[str, int, int, list[str]
 def lex_file_context(lex: TokenList) -> frozenset[str]:
     """Names declared in the ``;``-ended statements at brace depth 1 of a
     file's tokens, by a brace-depth walk of the tokens alone: the reference
-    that `features.file_context` over `extract_blocks` replaced. Its depth
-    goes wrong after an unmatched ``}``, so on such files the two may differ."""
+    that `features.file_context` over `extract_blocks` replaced. A brace pair
+    opened at depth 1 ends its statement, unless the statement's first ``(``
+    or ``=`` before it is an ``=``: then the pair is skipped and the statement
+    goes on. The statement before the first ``;`` of an enum's body lists its
+    constants and declares none. Its depth goes wrong after an unmatched
+    ``}``, so on such files the two may differ."""
     names: set[str] = set()
-    depth = 0
+    depth, held, enum = 0, False, False
     segment: list[Token] = []
     for t in lex:
-        if t.kind == "punct" and t.text == "{":
-            depth += 1
-            segment = []
-        elif t.kind == "punct" and t.text == "}":
-            depth -= 1
-            segment = []
+        if t.kind == "punct" and t.text in ("{", "}"):
+            if t.text == "{" and depth == 1:
+                held = _opener(segment) == "="
+            depth += 1 if t.text == "{" else -1
+            if not held:
+                segment = []
+            if depth <= 1:  # among a type's own tokens, or out of its body
+                held = False
+            enum = enum and depth > 0
+        elif depth == 0 and t.kind == "keyword" and t.text == "enum":
+            enum = True
         elif depth == 1:
             if t.kind == "punct" and t.text == ";":
-                names |= _declared_names(segment)
-                segment = []
+                names |= set() if enum else _declared_names(segment)
+                segment, enum = [], False
             else:
                 segment.append(t)
     return frozenset(names)

@@ -84,7 +84,6 @@ class TestRoundTrips:
             LabelDecision(
                 "lin-1",
                 0,
-                "R",
                 {
                     "method": "helper",
                     "method_path": "A.java",
@@ -92,7 +91,7 @@ class TestRoundTrips:
                     "clones": [{"path": "B.java", "lines": [1, 8], "similarity": 0.75}],
                 },
             ),
-            LabelDecision("lin-2", None, "NR", None),
+            LabelDecision("lin-2", None, None),
         ]
         path = tmp_path / "labels.txt"
         artifacts.write_labels(path, decisions)

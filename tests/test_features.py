@@ -516,6 +516,45 @@ class TestFileContext:
         # F4 of m's body: its one access of f, not two of the local
         assert extract_code_features(_body(vdata, "A.java", "m"), fields)[3] == 1.0
 
+    @pytest.mark.parametrize(
+        "source, fields",
+        [
+            (
+                "class A { int[] a = {1, 2}; Runnable r = () -> { go(); }; "
+                "Object o = new Object() { }; int b = 1; }",
+                {"a", "b", "o", "r"},
+            ),
+            ("class A { int[][] g = {{1}, {2}}; }", {"g"}),
+            ('class A { String[] s = new String[] {"x"}; }', {"s"}),
+            ("class A { Runnable r = new Runnable() { public void run() { go(); } }; }", {"r"}),
+            ("class A { Object o = x ? new A() { } : new B() { }; int y = f(a, b[0]); }", {"o", "y"}),
+            # an `=` inside an annotation's parentheses starts no initializer
+            ("class A { @A(v = 1) void m() { go(); } int z = 3; }", {"z"}),
+            ("class A { @A(v = {1}) void m() { go(); } int z = 3; }", {"z"}),
+        ],
+        ids=["mixed", "nested_array", "new_array", "anonymous_class", "conditional", "annotation",
+             "annotation_array"],
+    )
+    def test_fields_with_braces_in_their_initializer(self, source, fields):
+        """A block after a field's `=` is its initializer: the field is declared
+        when the statement's `;` comes, and the block's names are not fields."""
+        assert file_context(_blocks(source)) == fields
+        assert lex_file_context(scan(source)) == fields
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "enum E { ON, OFF, IDLE; int k; }",
+            "enum E { ON(1), OFF { void m() { } }, IDLE; int k; }",
+            "enum E { ON, OFF, IDLE }\nclass B { int k; }",
+        ],
+        ids=["plain", "arguments_and_body", "no_semicolon"],
+    )
+    def test_no_enum_constant_is_a_field(self, source):
+        """An enum's constant list declares no field, whatever its entries hold."""
+        assert file_context(_blocks(source)) == {"k"}
+        assert lex_file_context(scan(source)) == {"k"}
+
     def test_generated_sources_match_the_token_walk(self):
         """On well-formed sources, `file_context` over the blocks finds the
         names that a brace-depth walk of the tokens finds."""

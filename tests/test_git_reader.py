@@ -103,7 +103,7 @@ def _assert_reads_match_one_by_one(repo_path, commits: list[str]) -> None:
             expected = one_by_one_walk(oracle, commit)
             assert list(repo._entries(commit).items()) == list(expected.items()), commit
             assert repo.list_files(commit) == list(expected), commit
-            sources = repo.source_files(commit, (".java",))
+            sources = repo.source_files(commit)
             assert sources == {
                 p: object_id for p, (mode, object_id) in expected.items()
                 if p.endswith(".java") and mode not in ("120000", "160000")
@@ -238,7 +238,7 @@ class TestFileBytes:
         first = rb.commit({"A.java": "class A {}\n"})
         second = rb.commit({UTF8_PATH: "class Q {}\n"})
         with Repository(rb.path) as repo:
-            assert UTF8_PATH in repo.list_files(second, (".java",))
+            assert UTF8_PATH in repo.list_files(second)
             assert repo.commits()[1].changed_files == {UTF8_PATH}
             assert repo.changed_paths(first, second) == [UTF8_PATH]
             assert repo.file_at(second, UTF8_PATH) == b"class Q {}\n"
@@ -322,7 +322,7 @@ class TestTreeWalk:
         with Repository(repo_path) as repo:
             repo.list_files(first)
             writes = _record_writes(repo)
-            repo.read_ahead(repo.source_files(first, (".java",)).values())
+            repo.read_ahead(repo.source_files(first).values())
             assert len(writes) >= 2 and max(writes) <= 4096, writes
             writes.clear()
             repo.list_files(second)
@@ -352,7 +352,7 @@ class TestTreeWalk:
             with pytest.raises(GitError, match=f"object {blob} is a blob, not a tree"):
                 repo.list_files(mistyped)
             assert repo.file_at(good, "e/E.java") == b"class E {}\n"
-            ids = list(repo.source_files(good, (".java",)).values())
+            ids = list(repo.source_files(good).values())
             with pytest.raises(GitError, match=f"object {subtrees[0]} is a tree, not a blob"):
                 repo.read_ahead([ids[0], subtrees[0], ids[1]])
             repo.read_ahead(ids)
@@ -423,8 +423,8 @@ class TestSymlinks:
         assert "Link.java" not in written and "Keep3" not in written
         with Repository(repo_path) as repo:
             head = repo.commits()[-1].id
-            assert "src/keep/Link.java" in repo.list_files(head, (".java",))
-            assert "src/keep/Link.java" not in repo.source_files(head, (".java",))
+            assert "src/keep/Link.java" in repo.list_files(head)
+            assert "src/keep/Link.java" not in repo.source_files(head)
 
     def test_a_file_replaced_by_a_symlink_no_longer_exists(self, tmp_path):
         repo_path = tmp_path / "relinked"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,8 +118,9 @@ class TestStaleArtifactGuards:
         bad = [
             artifacts.GroupRecord(99, rec.group_id, rec.members) for rec in records
         ]
-        with pytest.raises(MissingInput):
-            pipeline.materialize_groups(vdata, bad, len(samples))
+        stale = "outside the sample list; clones file is stale (re-run detect)"
+        with pytest.raises(MissingInput, match=re.escape(f"references version 99 {stale}")):
+            pipeline.materialize_groups(vdata, bad)
 
     def test_moved_block_rejected(self, staged):
         config, repo_path, out = staged
@@ -135,7 +137,7 @@ class TestStaleArtifactGuards:
             ),
         )
         with pytest.raises(MissingInput):
-            pipeline.materialize_groups(vdata, [moved], len(samples))
+            pipeline.materialize_groups(vdata, [moved])
 
     def test_member_in_a_missing_file_rejected(self, staged):
         config, repo_path, out = staged
@@ -151,7 +153,7 @@ class TestStaleArtifactGuards:
             ),
         )
         with pytest.raises(MissingInput):
-            pipeline.materialize_groups(vdata, [gone], len(samples))
+            pipeline.materialize_groups(vdata, [gone])
 
     def test_changed_token_count_rejected_by_genealogy(self, staged, capsys):
         """A clones file whose token counts another lexer wrote is stale, even
@@ -240,7 +242,7 @@ def test_read_lineages_equal_built_ones(make_repo, tmp_path, corpus):
     records = artifacts.read_groups(out / "clones.txt")
     with Repository(rb.path) as repo:
         vdata = pipeline.VersionData(repo, samples)
-        built = build_genealogies(pipeline.materialize_groups(vdata, records, len(samples)))
+        built = build_genealogies(pipeline.materialize_groups(vdata, records))
         read = pipeline._read_lineages(vdata, out)
     assert any(step for lineage in built for step in lineage.links)
     assert list(map(_lineage_fields, read)) == list(map(_lineage_fields, built))

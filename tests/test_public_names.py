@@ -225,3 +225,44 @@ def test_blocks_are_named_by_their_brace():
         *((name, "pipeline.materialize_groups") for name in both),
     }
     assert not hasattr(CodeBlock, "key")
+
+
+def _strings(node: ast.AST, scope: tuple[str, ...]):
+    """(qualified name of the enclosing def or class, text) of each string
+    constant under *node*, the literal parts of f-strings included, and
+    docstrings left out."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+            continue
+        if isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield ".".join(scope), child.value
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        yield from _strings(child, inner)
+
+
+def test_stale_inputs_name_their_writer_from_files():
+    """A stale input names the command that rewrites it in one place:
+    `pipeline._stale` reads it from `FILES`, as `_require` does for a missing
+    file. No other string says `re-run` or `is stale`, and every `MissingInput`
+    built elsewhere reports a file that is missing or cannot be read."""
+    texts = [
+        (caller, text)
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, text in _strings(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if "re-run" in text or "is stale" in text
+    ]
+    assert texts and {caller for caller, _ in texts} == {"pipeline._stale"}, texts
+    built = [
+        caller
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name == "MissingInput"
+    ]
+    assert sorted(built) == [
+        "artifacts.read_artifact",
+        "pipeline._load_projects",
+        "pipeline._require",
+        "pipeline._stale",
+    ]
