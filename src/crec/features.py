@@ -152,29 +152,52 @@ def file_context(blocks: list[CodeBlock]) -> frozenset[str]:
     return frozenset(names)
 
 
+def _plain(segment: list[Token]) -> list[Token]:
+    """A statement's tokens outside its parentheses, whose ``(`` and ``)``
+    stay, less its annotations: an ``@``, a dotted name and any arguments."""
+    plain: list[Token] = []
+    depth, hidden, due = 0, False, None  # due: what continues an annotation's name
+    for t in segment:
+        punct = t.text if t.kind == "punct" else None
+        if depth:
+            depth += (punct == "(") - (punct == ")")
+            if not depth and not hidden:
+                plain.append(t)
+        elif punct == "@" or due == "." and punct == ".":
+            due = "name"
+        elif due == "name" and t.kind == "identifier":
+            due = "."
+        else:
+            hidden = punct == "(" and due == "."  # an annotation's arguments
+            depth, due = int(punct == "("), None
+            if not hidden:
+                plain.append(t)
+    return plain
+
+
 def _opener(segment: list[Token]) -> str | None:
-    """The first ``(`` or ``=`` of a statement: ``=`` starts a field's
-    initializer, and ``(`` before any ``=`` a method's parameters."""
-    return next((t.text for t in segment if t.kind == "punct" and t.text in ("(", "=")), None)
+    """The first ``(`` or ``=`` of a statement, outside its annotations: ``=``
+    starts a field's initializer, and ``(`` before any ``=`` a method's parameters."""
+    return next((t.text for t in _plain(segment) if t.kind == "punct" and t.text in ("(", "=")), None)
 
 
 def _declared_names(segment: list[Token]) -> set[str]:
-    """The names a field declaration declares, read up to its first ``(``, so
-    that the calls and lambdas of an initializer declare none."""
+    """The names a field declaration declares, read outside its parentheses,
+    so that the calls and lambdas of an initializer declare none."""
+    segment = _plain(segment)
     if _opener(segment) == "(":
         return set()  # abstract/native method declaration, not a field
-    paren = next((i for i, t in enumerate(segment) if t.kind == "punct" and t.text == "("), None)
-    segment = segment[:paren]
     names = set()
     for i, t in enumerate(segment):
         if t.kind != "identifier":
             continue
         prev = segment[i - 1] if i > 0 else None
         nxt = segment[i + 1] if i + 1 < len(segment) else None
+        # nested generics may close with `>>` or `>>>`, which `scan` lexes as one token
         prev_ok = prev is not None and (
             prev.kind == "identifier"
             or (prev.kind == "keyword" and prev.text in _PRIMITIVES)
-            or (prev.kind == "punct" and prev.text in ("]", ">", ","))
+            or (prev.kind == "punct" and prev.text in ("]", ">", ">>", ">>>", ","))
         )
         nxt_ok = nxt is None or (nxt.kind == "punct" and nxt.text in ("=", ",", "["))
         if prev_ok and nxt_ok:

@@ -11,7 +11,6 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .clone_detector import CodeBlock, invoked_names, overlap
-from .config import DEFAULTS
 
 if TYPE_CHECKING:
     from .genealogy import CloneLink, Lineage
@@ -43,11 +42,12 @@ class LabelContext:
     def methods_at(self, version: int) -> dict[str, list[CodeBlock]]:
         """Method name -> the body blocks of the methods by that name, in path
         and `{` order. A body is a block whose method is itself; one
-        with no token inside its braces is left out."""
+        with no token but punctuation inside its braces is left out."""
         if version not in self._methods:
             index: dict[str, list[CodeBlock]] = {}
             for block in self._blocks_at(version):
-                if block.method is block and method_body_tokens(block):
+                body = range(block.brace + 1, block.stop - 1)
+                if block.method is block and any(block.lex[i].kind != "punct" for i in body):
                     index.setdefault(block.enclosing_method_name, []).append(block)
             self._methods[version] = index
         return self._methods[version]
@@ -92,9 +92,7 @@ def new_invocations(
     ]
 
 
-def label_lineage(
-    lineage: Lineage, ctx: LabelContext, l_th: float = DEFAULTS.l_th
-) -> LabelDecision:
+def label_lineage(lineage: Lineage, ctx: LabelContext, l_th: float) -> LabelDecision:
     """Apply the three step criteria in order; earliest qualifying step wins."""
     for k in range(len(lineage.groups) - 1):
         (v_i, _), (v_i1, _) = lineage.groups[k], lineage.groups[k + 1]
@@ -133,12 +131,3 @@ def label_lineage(
             return LabelDecision(lineage.lineage_id, v_i, evidence)
     return LabelDecision(lineage.lineage_id, None, None)
 
-
-def sweep(
-    lineages: list[Lineage], ctx: LabelContext, thresholds: list[float]
-) -> list[tuple[float, int]]:
-    """R-label counts per threshold, mirroring the reported-groups table."""
-    return [
-        (th, sum(1 for lin in lineages if label_lineage(lin, ctx, th).label == "R"))
-        for th in thresholds
-    ]

@@ -1,9 +1,14 @@
-"""Stage implementations behind the CLI: each reads its predecessor's files
-from the output directory, writes its own, and returns a one-line summary.
-Token-level detail is re-derived from the repository on demand, so artifact
-files stay small and every stage is independently re-runnable. Lineages are
-built once, by `genealogy`; `label` and `featurize` read them back from
-`lineages.txt`, whose links name each member by its index in its group.
+"""Stage implementations behind the CLI. A core (`detect_groups`,
+`label_lineages`, `feature_row`; genealogy's is `build_genealogies`) takes a
+`VersionData`, the config values it reads and its predecessors' objects, and
+returns records. Its `stage_<command>` wrapper owns the files: it reads its
+predecessor's files from the output directory, runs the stale-input checks,
+takes its `VersionData` from `_version_data`, writes its own files, and
+returns a one-line summary. Token-level detail is re-derived from the
+repository on demand, so artifact files stay small and every stage is
+independently re-runnable. Lineages are built once, by `genealogy`; `label`
+and `featurize` read them back from `lineages.txt`, whose links name each
+member by its index in its group.
 
 `FILES` names each artifact's file and the command that writes it, which a
 missing input (`_require`) or a stale one (`_stale`) names. A stage's
@@ -17,20 +22,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import artifacts
 from .artifacts import GroupRecord, LineageRecord, MemberRecord
 from .clone_detector import CloneGroup, CodeBlock, TokenList, detect_clones, extract_blocks, scan
 from .config import PipelineConfig, parse_value
 from .errors import ConfigError, DegenerateData, MissingInput
-from .repo_miner import Hunk, Repository, checked_window, sample_versions
+from .repo_miner import CheckedWindow, CommitRecord, Hunk, Repository, checked_window, sample_versions
 
 if TYPE_CHECKING:
     from .eval_harness import LearnerConfig
     from .features import FeatureRow
     from .genealogy import Lineage
+    from .labeler import LabelDecision
 
 # artifact -> (file name, the command that writes it)
 FILES = {
@@ -229,7 +236,64 @@ def _read_lineages(vdata: VersionData, out_dir) -> list[Lineage]:
     return lineages
 
 
-# -- stages --------------------------------------------------------------------
+# -- stages: each a core, from values to records, and a wrapper around its files --
+
+
+def detect_groups(
+    vdata: VersionData, min_tokens: int, min_lines: int, theta: float
+) -> list[list[CloneGroup]]:
+    """The clone groups of each sampled version of *vdata*, one list per
+    version: `build_genealogies`' input."""
+    return [
+        detect_clones(vdata.blocks(s.index), min_tokens, min_lines, theta, s.index)
+        for s in vdata.samples
+    ]
+
+
+def label_lineages(
+    vdata: VersionData, lineages: list[Lineage], thresholds: list[float]
+) -> list[list[LabelDecision]]:
+    """Each lineage's decision at each l_th of *thresholds*, one list per
+    threshold, over one `LabelContext`: each version's methods are indexed once."""
+    from .labeler import LabelContext, label_lineage
+
+    ctx = LabelContext(vdata.blocks)
+    return [[label_lineage(lineage, ctx, th) for lineage in lineages] for th in thresholds]
+
+
+def feature_row(
+    vdata: VersionData, lineage: Lineage, decision: LabelDecision | None,
+    commits: list[CommitRecord], window: CheckedWindow, aggregation: str,
+) -> FeatureRow:
+    """The features of *lineage*'s group at its R *decision*'s step, or at its
+    last version when NR or unlabeled (*decision* None), labeled alike."""
+    from . import features
+
+    step = None if decision is None else decision.step_version  # None unless R
+    version = lineage.groups[-1][0] if step is None else step
+    group = dict(lineage.groups)[version]
+    per_clone = []
+    for member in group.members:
+        code = features.extract_code_features(member, vdata.context(version, member.path))
+        history = features.extract_history_features(member.path, window, vdata, commits)
+        per_clone.append(code + history)
+    group_values = (
+        features.extract_location_features(group, vdata)
+        + features.extract_diff_features(group)
+        + features.extract_cochange_features(group, lineage, version, window, vdata)
+    )
+    values = features.assemble_vector(per_clone, group_values, aggregation)
+    label = None if decision is None else (1 if decision.label == "R" else 0)
+    return features.FeatureRow(lineage.lineage_id, version, values, label)
+
+
+@contextmanager
+def _version_data(repo_path: str, out_dir: str | Path) -> Iterator[VersionData]:
+    """The `VersionData` of `samples.txt`'s versions over the repository at
+    *repo_path*, which closes when the block ends."""
+    samples = artifacts.read_samples(_require(out_dir, "samples"))
+    with Repository(repo_path) as repo:
+        yield VersionData(repo, samples)
 
 
 def stage_mine(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
@@ -242,31 +306,19 @@ def stage_mine(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> s
 
 
 def stage_detect(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
-    samples = artifacts.read_samples(_require(out_dir, "samples"))
-    all_groups = []
-    with Repository(repo_path) as repo:
-        vdata = VersionData(repo, samples)
-        for s in samples:
-            all_groups.extend(
-                detect_clones(
-                    vdata.blocks(s.index),
-                    min_tokens=config.min_tokens,
-                    min_lines=config.min_lines,
-                    theta=config.theta,
-                    version=s.index,
-                )
-            )
-    artifacts.write_groups(_path(out_dir, "clones"), [GroupRecord.of(g) for g in all_groups])
-    return f"detect: {len(all_groups)} clone groups over {len(samples)} versions -> {_path(out_dir, 'clones')}"
+    with _version_data(repo_path, out_dir) as vdata:
+        per_version = detect_groups(vdata, config.min_tokens, config.min_lines, config.theta)
+    records = [GroupRecord.of(g) for groups in per_version for g in groups]
+    artifacts.write_groups(_path(out_dir, "clones"), records)
+    return f"detect: {len(records)} clone groups over {len(per_version)} versions -> {_path(out_dir, 'clones')}"
 
 
 def stage_genealogy(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
     from .genealogy import build_genealogies
 
-    samples = artifacts.read_samples(_require(out_dir, "samples"))
     records = artifacts.read_groups(_require(out_dir, "clones"))
-    with Repository(repo_path) as repo:
-        groups = materialize_groups(VersionData(repo, samples), records)
+    with _version_data(repo_path, out_dir) as vdata:
+        groups = materialize_groups(vdata, records)
     lineages = build_genealogies(groups, config.link_floor)
     artifacts.write_lineages(_path(out_dir, "lineages"), [LineageRecord.of(l) for l in lineages])
     return f"genealogy: {len(lineages)} lineages -> {_path(out_dir, 'lineages')}"
@@ -280,40 +332,20 @@ def stage_label(
 ) -> str:
     """Label every lineage; with *sweep_thresholds*, each parsed and checked as
     an l_th before any input is read, also count R labels at each of them."""
-    from .labeler import LabelContext, label_lineage, sweep
-
     thresholds = [parse_value("l_th", th) for th in sweep_thresholds or ()]
     for th in thresholds:
         config._replace(l_th=th).validate()
-    samples = artifacts.read_samples(_require(out_dir, "samples"))
-    with Repository(repo_path) as repo:
-        vdata = VersionData(repo, samples)
+    with _version_data(repo_path, out_dir) as vdata:
         lineages = _read_lineages(vdata, out_dir)
-        ctx = LabelContext(vdata.blocks)
-        decisions = [label_lineage(lin, ctx, config.l_th) for lin in lineages]
-        swept = (_path(out_dir, "sweep"), sweep(lineages, ctx, thresholds)) if thresholds else None
-    artifacts.write_labels(_path(out_dir, "labels"), decisions, swept)
-    summary = (
-        f"label: {sum(1 for d in decisions if d.label == 'R')} R / "
-        f"{sum(1 for d in decisions if d.label == 'NR')} NR -> {_path(out_dir, 'labels')}"
-    )
-    if swept is not None:
-        summary += f"; sweep -> {swept[0]}"
-    return summary
+        decisions, *swept = label_lineages(vdata, lineages, [config.l_th, *thresholds])
+    r, *counts = [sum(d.label == "R" for d in ds) for ds in (decisions, *swept)]
+    sweep = (_path(out_dir, "sweep"), list(zip(thresholds, counts))) if thresholds else None
+    artifacts.write_labels(_path(out_dir, "labels"), decisions, sweep)
+    summary = f"label: {r} R / {len(decisions) - r} NR -> {_path(out_dir, 'labels')}"
+    return summary if sweep is None else f"{summary}; sweep -> {sweep[0]}"
 
 
 def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path) -> str:
-    from .features import (
-        FeatureRow,
-        assemble_vector,
-        extract_cochange_features,
-        extract_code_features,
-        extract_diff_features,
-        extract_history_features,
-        extract_location_features,
-    )
-
-    samples = artifacts.read_samples(_require(out_dir, "samples"))
     commits = artifacts.read_commits(_require(out_dir, "commits"))
     labels_path = _path(out_dir, "labels")
     decisions = (
@@ -321,14 +353,8 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
         if labels_path.exists()
         else {}
     )
-    window = checked_window(samples, config.window_fraction, config.recent_fraction)
-    window_note = "" if window.steps else (
-        " (WindowUnavailable: <2 samples; history/co-change features zeroed)"
-    )
-
-    rows = []
-    with Repository(repo_path) as repo:
-        vdata = VersionData(repo, samples)
+    with _version_data(repo_path, out_dir) as vdata:
+        window = checked_window(vdata.samples, config.window_fraction, config.recent_fraction)
         lineages = _read_lineages(vdata, out_dir)
         unknown = decisions.keys() - {lineage.lineage_id for lineage in lineages}
         if unknown:
@@ -336,28 +362,17 @@ def stage_featurize(config: PipelineConfig, repo_path: str, out_dir: str | Path)
                 "labels", f"labels file names lineage {min(unknown)}, which genealogy did not build"
             )
         for lineage in lineages:
-            decision = decisions.get(lineage.lineage_id)
-            step = None if decision is None else decision.step_version  # None unless R
-            version = lineage.groups[-1][0] if step is None else step
-            group = dict(lineage.groups).get(version)
-            if group is None:
+            step = getattr(decisions.get(lineage.lineage_id), "step_version", None)
+            if step is not None and step not in dict(lineage.groups):
                 raise _stale("labels", (
-                    f"{lineage.lineage_id} is labeled R at step {version}, which is not a "
+                    f"{lineage.lineage_id} is labeled R at step {step}, which is not a "
                     "version of its lineage"
                 ))
-            per_clone = []
-            for member in group.members:
-                code = extract_code_features(member, vdata.context(version, member.path))
-                history = extract_history_features(member.path, window, vdata, commits)
-                per_clone.append(code + history)
-            group_values = (
-                extract_location_features(group, vdata)
-                + extract_diff_features(group)
-                + extract_cochange_features(group, lineage, version, window, vdata)
-            )
-            values = assemble_vector(per_clone, group_values, config.aggregation)
-            label = None if decision is None else (1 if decision.label == "R" else 0)
-            rows.append(FeatureRow(lineage.lineage_id, version, values, label))
+        rows = [feature_row(vdata, lin, decisions.get(lin.lineage_id), commits, window, config.aggregation)
+                for lin in lineages]
+    window_note = "" if window.steps else (
+        " (WindowUnavailable: <2 samples; history/co-change features zeroed)"
+    )
     artifacts.write_features(_path(out_dir, "features"), rows)
     return f"featurize: {len(rows)} vectors -> {_path(out_dir, 'features')}{window_note}"
 

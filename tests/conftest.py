@@ -195,9 +195,11 @@ def lex_file_context(lex: TokenList) -> frozenset[str]:
     file's tokens, by a brace-depth walk of the tokens alone: the reference
     that `features.file_context` over `extract_blocks` replaced. A brace pair
     opened at depth 1 ends its statement, unless the statement's first ``(``
-    or ``=`` before it is an ``=``: then the pair is skipped and the statement
-    goes on. The statement before the first ``;`` of an enum's body lists its
-    constants and declares none. Its depth goes wrong after an unmatched
+    or ``=`` before it, outside its annotations, is an ``=``: then the pair is
+    skipped and the statement goes on. The statement before the first ``;``
+    of an enum's body lists its constants and declares none. Statements are
+    read by the rules that `file_context` reads them by (`features._opener`
+    and `_declared_names`): outside parentheses and without annotations. Its depth goes wrong after an unmatched
     ``}``, so on such files the two may differ."""
     names: set[str] = set()
     depth, held, enum = 0, False, False

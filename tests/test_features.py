@@ -542,6 +542,34 @@ class TestFileContext:
         assert lex_file_context(scan(source)) == fields
 
     @pytest.mark.parametrize(
+        "source, fields",
+        [
+            (
+                'class A { @Named("db") int x; @Deprecated int y; @A(v = 1) int z = 2; }',
+                {"x", "y", "z"},
+            ),
+            ("class A { int a = 1, b = f(2), c; }", {"a", "b", "c"}),
+            (
+                'class A { @javax.inject.Named("x") Foo foo; '
+                "@Inject Bar bar, baz = g(1, h(2)), q; }",
+                {"foo", "bar", "baz", "q"},
+            ),
+            ("class A { int d = (int) e, g[] = {h(1)}, k; }", {"d", "g", "k"}),
+            ("class A { Map<K, List<V>> y; List<List<Map<K, V>>> z; }", {"y", "z"}),
+            # an annotation's arguments leave a method a method
+            ("class A { @A(v = 1) abstract Foo m(int p); @A(1) Foo n() { go(); } int r; }", {"r"}),
+        ],
+        ids=["annotation_arguments", "declarator_after_a_call", "qualified_annotation",
+             "cast_and_array", "nested_generics", "annotated_methods"],
+    )
+    def test_fields_past_annotations_and_calls(self, source, fields):
+        """An annotation's parenthesised arguments start no method, the
+        declarators after an initializer's call are fields too, and so is a
+        field whose type ends in nested generics (`>>` is one token)."""
+        assert file_context(_blocks(source)) == fields
+        assert lex_file_context(scan(source)) == fields
+
+    @pytest.mark.parametrize(
         "source",
         [
             "enum E { ON, OFF, IDLE; int k; }",

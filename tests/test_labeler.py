@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 
 from clone_fixtures import CONTROLS, PLANTED
-from conftest import span_block
+from conftest import SnapshotRepo, span_block
 from crec.clone_detector import detect_clones, extract_blocks, overlap, scan
+from crec.config import DEFAULTS
 from crec.genealogy import CloneLink, build_genealogies
 from crec.labeler import (
     LabelContext,
@@ -16,8 +17,9 @@ from crec.labeler import (
     method_body_tokens,
     new_invocations,
     reduced_clones,
-    sweep,
 )
+from crec.pipeline import VersionData, detect_groups, label_lineages
+from crec.repo_miner import SampledVersion
 
 
 def _link(src_texts, dst_texts, path="A.java"):
@@ -263,6 +265,12 @@ class TestMethodBodies:
         assert body.tokens[0].text == "SuppressWarnings"  # the header holds the annotation
         assert method_body_tokens(body) == Counter({"total": 2, "k": 1})
 
+    def test_a_body_of_punctuation_alone_is_left_out(self):
+        """Only a body with a token other than punctuation inside its braces
+        can be an extracted method; its header's tokens do not count."""
+        methods = _methods_of("class A { void a() { } void b(int k) { ; } void c() { go(); } }")
+        assert list(methods) == ["c"]
+
     def test_overloads_on_one_line_are_two_bodies(self):
         methods = _methods_of(
             "class C {\n  void run() { { p(); q(); } } void run(int i) { { p(); q(); } }\n}\n"
@@ -282,11 +290,18 @@ class TestMethodBodies:
 
 class TestSweep:
     def test_counts_non_increasing_over_combined_corpora(self):
+        """`pipeline.label_lineages` labels at each threshold over one corpus,
+        as `label --sweep` counts them."""
         counts = Counter()
         for fn in (*PLANTED.values(), *CONTROLS.values()):
-            lineages, ctx = _pipeline(fn())
-            for th, n in sweep(lineages, ctx, [0.3, 0.4, 0.5]):
-                counts[th] += n
+            corpora = fn()
+            samples = [SampledVersion(v, f"v{v}", 1) for v in range(len(corpora))]
+            vdata = VersionData(SnapshotRepo(corpora), samples)
+            groups = detect_groups(vdata, DEFAULTS.min_tokens, DEFAULTS.min_lines, DEFAULTS.theta)
+            lineages = build_genealogies(groups)
+            thresholds = [0.3, 0.4, 0.5]
+            for th, decisions in zip(thresholds, label_lineages(vdata, lineages, thresholds)):
+                counts[th] += sum(d.label == "R" for d in decisions)
         assert counts[0.3] >= counts[0.4] >= counts[0.5]
         assert counts[0.4] == 3  # the three planted refactorings
         assert counts[0.5] == 2  # the loose one drops out

@@ -24,13 +24,14 @@ from clone_fixtures import (
 )
 from conftest import feature_row
 from crec import artifacts, pipeline
+from crec.artifacts import GroupRecord, LineageRecord
 from crec.cli import main
 from crec.clone_detector import extract_blocks, scan
 from crec.config import ALGORITHMS, PipelineConfig
 from crec.errors import MissingInput
 from crec.genealogy import build_genealogies
 from crec.labeler import LabelContext
-from crec.repo_miner import Repository, SampledVersion
+from crec.repo_miner import Repository, SampledVersion, checked_window, sample_versions
 
 
 def _three_version_corpora() -> list[dict[str, str]]:
@@ -246,6 +247,47 @@ def test_read_lineages_equal_built_ones(make_repo, tmp_path, corpus):
         read = pipeline._read_lineages(vdata, out)
     assert any(step for lineage in built for step in lineage.links)
     assert list(map(_lineage_fields, read)) == list(map(_lineage_fields, built))
+
+
+@pytest.mark.parametrize("corpus", list(_CORPORA))
+def test_cores_chained_in_memory_write_the_stage_files(make_repo, tmp_path, corpus):
+    """`mine`'s values, the detect core, `build_genealogies`, the label core
+    and `feature_row`, run over one `Repository` and one shared `VersionData`,
+    give the records that the stage commands write, byte for byte."""
+    rb = make_repo(corpus)
+    commit_corpora(rb, _CORPORA[corpus]())
+    staged, chained = tmp_path / "staged", tmp_path / "chained"
+    config = PipelineConfig(delta_threshold=1)
+    thresholds = [0.3, 0.4, 0.5]
+    for stage in (pipeline.stage_mine, pipeline.stage_detect, pipeline.stage_genealogy):
+        stage(config, rb.path, staged)
+    pipeline.stage_label(config, rb.path, staged, sweep_thresholds=thresholds)
+    pipeline.stage_featurize(config, rb.path, staged)
+
+    with Repository(rb.path) as repo:
+        commits = repo.commits()
+        samples = sample_versions(commits, config.delta_threshold)
+        vdata = pipeline.VersionData(repo, samples)
+        groups = pipeline.detect_groups(vdata, config.min_tokens, config.min_lines, config.theta)
+        lineages = build_genealogies(groups, config.link_floor)
+        decisions, *swept = pipeline.label_lineages(vdata, lineages, [config.l_th, *thresholds])
+        window = checked_window(samples, config.window_fraction, config.recent_fraction)
+        rows = [
+            pipeline.feature_row(vdata, lineage, decision, commits, window, config.aggregation)
+            for lineage, decision in zip(lineages, decisions)
+        ]
+    counts = [(th, sum(d.label == "R" for d in ds)) for th, ds in zip(thresholds, swept)]
+    artifacts.write_commits(chained / "commits.txt", commits)
+    artifacts.write_samples(chained / "samples.txt", samples)
+    artifacts.write_groups(chained / "clones.txt", [GroupRecord.of(g) for gs in groups for g in gs])
+    artifacts.write_lineages(chained / "lineages.txt", list(map(LineageRecord.of, lineages)))
+    artifacts.write_labels(chained / "labels.txt", decisions, (chained / "label_sweep.txt", counts))
+    artifacts.write_features(chained / "features.csv", rows)
+    written = sorted(path.name for path in chained.iterdir())
+    assert written == sorted(path.name for path in staged.iterdir())
+    assert any(d.label == "R" for d in decisions) == (corpus not in CONTROLS)
+    for name in written:
+        assert (chained / name).read_bytes() == (staged / name).read_bytes(), name
 
 
 def _linked_row(rows: list[dict]) -> dict:

@@ -6,6 +6,7 @@ import ast
 import re
 from pathlib import Path
 
+from crec import artifacts, labeler
 from crec.clone_detector import CodeBlock
 from crec.pipeline import VersionData
 
@@ -134,7 +135,7 @@ def test_one_field_finder():
 def test_features_and_labels_ask_version_data():
     """Featurize and label reach `VersionData` directly: no call passes a
     `lambda` to a function of `features`, and `VersionData` builds no
-    `LabelContext`; `stage_label` hands it `VersionData.blocks`."""
+    `LabelContext`; `label_lineages` hands it `VersionData.blocks`."""
     features = ast.parse((ROOT / "src" / "crec" / "features.py").read_text(encoding="utf-8"))
     names = {node.name for node in features.body if isinstance(node, ast.FunctionDef)}
     adapted = [
@@ -266,3 +267,53 @@ def test_stale_inputs_name_their_writer_from_files():
         "pipeline._require",
         "pipeline._stale",
     ]
+
+
+PIPELINE = ROOT / "src" / "crec" / "pipeline.py"
+# the stage cores of `pipeline`: values in, records out
+CORES = ("detect_groups", "label_lineages", "feature_row")
+
+
+def test_one_repository_opener():
+    """In `pipeline`, a `Repository` is built only by `_version_data`, which
+    reads `samples.txt` and yields the `VersionData` of every stage after
+    `mine`, and by `stage_mine`, which mines the history that file samples."""
+    callers = [
+        caller
+        for caller, name in _calls(ast.parse(PIPELINE.read_text(encoding="utf-8")), ("pipeline",))
+        if name == "Repository"
+    ]
+    assert sorted(callers) == ["pipeline._version_data", "pipeline.stage_mine"]
+
+
+def test_cores_touch_no_files():
+    """A core takes values and returns records; its wrapper reads and writes
+    the files and runs the stale-input checks. So no core names `out_dir`,
+    the file helpers, the readers that check stale inputs, or any reader or
+    writer of `artifacts`."""
+    edge = {"out_dir", "_path", "_require", "_read_lineages", "materialize_groups", "artifacts"}
+    edge |= {name for name in vars(artifacts) if name.startswith(("read_", "write_"))}
+    tree = ast.parse(PIPELINE.read_text(encoding="utf-8"))
+    cores = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in CORES]
+    assert sorted(node.name for node in cores) == sorted(CORES)
+    named = sorted(
+        f"{node.name} names {name}"
+        for node in cores
+        for _, name in _mentions(node, ())
+        if name in edge
+    )
+    assert not named, ", ".join(named)
+
+
+def test_one_label_loop():
+    """Labels at every threshold, `--sweep`'s included, come from one loop:
+    `label_lineage` is called only by `pipeline.label_lineages`, and the
+    labeler keeps no sweep of its own."""
+    callers = [
+        caller
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name == "label_lineage"
+    ]
+    assert callers == ["pipeline.label_lineages"]
+    assert not hasattr(labeler, "sweep")

@@ -27,6 +27,7 @@ from crec.repo_miner import (
     checked_window,
     diff_file_hunks,
     distinct_authors,
+    hunk_touches,
     line_diff_hunks,
     sample_versions,
 )
@@ -322,6 +323,30 @@ class TestChangedLineDefinitions:
         assert numstat == ["1", "1", "a.java"]
         assert changed == 2
         assert hunks == [Hunk(3, 3, 3, 3)]
+
+
+class TestHunkTouches:
+    """A pure insertion, the empty old range (a, a - 1), lands between old
+    lines a - 1 and a: it touches a block only when both lie inside it."""
+
+    @staticmethod
+    def _insertion(a_start: int) -> Hunk:
+        return Hunk(a_start, a_start - 1, a_start, a_start)
+
+    def test_insertion_is_the_empty_old_range(self):
+        assert line_diff_hunks(["1", "2", "3"], ["1", "x", "2", "3"]) == [self._insertion(2)]
+
+    @pytest.mark.parametrize(
+        "a_start, touches",
+        [(9, False), (10, False), (11, True), (12, True), (13, False), (14, False)],
+        ids=["far-above", "just-above", "first-gap", "last-gap", "just-below", "far-below"],
+    )
+    def test_insertion_around_a_block(self, a_start, touches):
+        assert hunk_touches(self._insertion(a_start), 10, 12) is touches
+
+    @pytest.mark.parametrize("a_start", [9, 10, 11, 12])
+    def test_no_insertion_touches_a_one_line_block(self, a_start):
+        assert not hunk_touches(self._insertion(a_start), 10, 10)
 
 
 def table_lcs_pairs(a: list, b: list) -> list[tuple[int, int]]:
