@@ -1,8 +1,11 @@
 """Evaluation: balanced datasets, ten-fold and leave-one-project-out runs,
 precision/recall/F-score, feature ablation, and learner comparison.
 
-Fold metrics are pooled over test predictions (noted in report headers) rather
-than averaged per fold, so tiny folds stay well-defined.
+What is recommended has one rule, `learner.recommend`: an evaluation counts
+the examples it picks, those of them labeled refactored, and the refactored
+ones. Fold counts are pooled over the test predictions (noted in report
+headers), rather than averaged per fold, so tiny folds stay well-defined, and
+`metrics` turns the pooled counts into precision, recall and F.
 """
 
 from __future__ import annotations
@@ -14,42 +17,21 @@ from typing import NamedTuple
 from .config import DEFAULTS
 from .errors import InsufficientNegatives, TooFewProjects, TooSmall
 from .features import FEATURE_CATEGORIES, FEATURES, FeatureRow
-from .learner import train_alt
-
-
-class _ConfusionCounts(NamedTuple):
-    recommended: int
-    recommended_and_refactored: int
-    known_refactored: int
-
-
-# typing.NamedTuple forbids a __new__ of its own; this subclass checks each value built
-class ConfusionCounts(_ConfusionCounts):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.recommended_and_refactored > min(self.recommended, self.known_refactored):
-            raise ValueError("hits exceed recommended or known counts")
-        return self
-
-
-def precision(c: ConfusionCounts) -> float:
-    if c.recommended == 0:
-        return 0.0
-    return c.recommended_and_refactored / c.recommended
-
-
-def recall(c: ConfusionCounts) -> float:
-    if c.known_refactored == 0:
-        return 0.0
-    return c.recommended_and_refactored / c.known_refactored
+from .learner import recommend, train_alt
 
 
 def fscore(p: float, r: float) -> float:
     if p + r == 0:
         return 0.0
     return 2 * p * r / (p + r)
+
+
+def metrics(recommended: int, hits: int, known: int) -> tuple[float, float, float]:
+    """Precision, recall and F of *hits* refactored among *recommended* picks,
+    against *known* refactored."""
+    p = hits / recommended if recommended else 0.0
+    r = hits / known if known else 0.0
+    return p, r, fscore(p, r)
 
 
 class LearnerConfig(NamedTuple):
@@ -88,14 +70,11 @@ class EvalReport(NamedTuple):
         return tuple(sum(column) / len(self.rows) for column in columns)
 
 
-def _score(model, examples: list[FeatureRow], threshold: float) -> ConfusionCounts:
-    rec = hits = known = 0
-    for ex in examples:
-        recommended = model.predict_likelihood(ex.values) >= threshold
-        rec += recommended
-        hits += recommended and ex.label == 1
-        known += ex.label == 1
-    return ConfusionCounts(rec, hits, known)
+def _counts(model, examples: list[FeatureRow], threshold: float) -> tuple[int, int, int]:
+    """(recommended, recommended and refactored, refactored) of *examples*."""
+    picked = recommend(model, [(i, ex.values) for i, ex in enumerate(examples)], threshold)
+    hits = sum(examples[i].label == 1 for i, _ in picked)
+    return len(picked), hits, sum(ex.label == 1 for ex in examples)
 
 
 def build_balanced_dataset(
@@ -133,19 +112,13 @@ def ten_fold(dataset: list[FeatureRow], config: LearnerConfig) -> EvalRow:
     if len(dataset) < 10:
         raise TooSmall(f"ten-fold needs >= 10 examples, have {len(dataset)}")
     folds = fold_assignment(dataset, config.seed)
-    rec = hits = known = 0
+    counts = []
     for test_idx in folds:
         held = set(test_idx)
         train = [ex for i, ex in enumerate(dataset) if i not in held]
-        test = [dataset[i] for i in test_idx]
         model = train_alt(config.algorithm, train, config.seed, config.features, config.rounds)
-        c = _score(model, test, config.threshold)
-        rec += c.recommended
-        hits += c.recommended_and_refactored
-        known += c.known_refactored
-    pooled = ConfusionCounts(rec, hits, known)
-    p, r = precision(pooled), recall(pooled)
-    return EvalRow("pooled", p, r, fscore(p, r))
+        counts.append(_counts(model, [dataset[i] for i in test_idx], config.threshold))
+    return EvalRow("pooled", *metrics(*map(sum, zip(*counts))))
 
 
 def cross_project(
@@ -156,15 +129,11 @@ def cross_project(
         raise TooFewProjects(f"need >= 2 projects, have {len(projects)}")
     rows = []
     for held_name, held_data in projects:
-        train: list[FeatureRow] = []
-        for name, data in projects:
-            if name != held_name:
-                train.extend(data)
+        train = [ex for name, data in projects if name != held_name for ex in data]
         model = train_alt(config.algorithm, train, config.seed, config.features, config.rounds)
-        c = _score(model, held_data, config.threshold)
-        p, r = precision(c), recall(c)
-        flags = ("no_positives",) if c.known_refactored == 0 else ()
-        rows.append(EvalRow(held_name, p, r, fscore(p, r), flags))
+        rec, hits, known = _counts(model, held_data, config.threshold)
+        flags = ("no_positives",) if known == 0 else ()
+        rows.append(EvalRow(held_name, *metrics(rec, hits, known), flags))
     return EvalReport("cross", rows, config.digest())
 
 
@@ -172,10 +141,7 @@ def within_project(
     projects: list[tuple[str, list[FeatureRow]]], config: LearnerConfig
 ) -> EvalReport:
     """Ten-fold per project; one report row per project plus averages."""
-    rows = []
-    for name, data in projects:
-        row = ten_fold(data, config)
-        rows.append(EvalRow(name, row.precision, row.recall, row.fscore))
+    rows = [ten_fold(data, config)._replace(name=name) for name, data in projects]
     return EvalReport("within", rows, config.digest())
 
 

@@ -135,13 +135,15 @@ def _boost(examples: list[FeatureRow], rounds: int, features: list[int]) -> list
 
 def recommend(
     model,
-    candidates: list[tuple[str, tuple[float, ...]]],
+    candidates: list[tuple[str | int, tuple[float, ...]]],
     threshold: float = DEFAULTS.recommend_threshold,
-) -> list[tuple[str, float]]:
-    """Ranked (group_id, likelihood) pairs at or above the cutoff."""
+) -> list[tuple[str | int, float]]:
+    """Ranked (candidate id, likelihood) pairs at or above the cutoff: the one
+    rule for what is recommended. A candidate id is a group id, or an
+    example's index when evaluation scores its examples."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    scored = [(group_id, model.predict_likelihood(values)) for group_id, values in candidates]
+    scored = [(cid, model.predict_likelihood(values)) for cid, values in candidates]
     kept = [(g, p) for g, p in scored if p >= threshold]
     kept.sort(key=lambda item: (-item[1], item[0]))
     return kept

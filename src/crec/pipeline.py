@@ -254,11 +254,14 @@ def label_lineages(
     vdata: VersionData, lineages: list[Lineage], thresholds: list[float]
 ) -> list[list[LabelDecision]]:
     """Each lineage's decision at each l_th of *thresholds*, one list per
-    threshold, over one `LabelContext`: each version's methods are indexed once."""
+    threshold, over one `LabelContext`: each version's methods are indexed
+    once, and each distinct threshold labels every lineage once."""
     from .labeler import LabelContext, label_lineage
 
     ctx = LabelContext(vdata.blocks)
-    return [[label_lineage(lineage, ctx, th) for lineage in lineages] for th in thresholds]
+    distinct = dict.fromkeys(thresholds)  # each threshold once, in order
+    by_th = {th: [label_lineage(lineage, ctx, th) for lineage in lineages] for th in distinct}
+    return [by_th[th] for th in thresholds]
 
 
 def feature_row(

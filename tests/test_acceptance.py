@@ -27,12 +27,10 @@ from crec import artifacts, pipeline
 from crec.clone_detector import CloneGroup, CodeBlock, detect_clones
 from crec.config import PipelineConfig
 from crec.eval_harness import (
-    ConfusionCounts,
     LearnerConfig,
     ablation,
     fscore,
-    precision,
-    recall,
+    metrics,
     ten_fold,
 )
 from crec.features import (
@@ -427,15 +425,14 @@ def test_criterion_5_metrics_suite():
         (100, 83, 91, Fraction(83, 100), Fraction(83, 91)),
     ]
     for rec, hits, known, p_exact, r_exact in tables:
-        c = ConfusionCounts(rec, hits, known)
-        p, r = precision(c), recall(c)
+        p, r, f = metrics(rec, hits, known)
         if abs(p - float(p_exact)) > 1e-12 or abs(r - float(r_exact)) > 1e-12:
             failures.append(f"table {(rec, hits, known)}: P/R deviate")
         if p_exact + r_exact == 0:
             expected_f = 0.0
         else:
             expected_f = float(2 * p_exact * r_exact / (p_exact + r_exact))
-        if abs(fscore(p, r) - expected_f) > 1e-12:
+        if abs(f - expected_f) > 1e-12:
             failures.append(f"table {(rec, hits, known)}: F deviates")
 
     rng = random.Random(109)

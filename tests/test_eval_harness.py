@@ -9,7 +9,6 @@ import pytest
 from conftest import feature_row
 from crec.errors import InsufficientNegatives, TooFewProjects, TooSmall
 from crec.eval_harness import (
-    ConfusionCounts,
     LearnerConfig,
     ablation,
     build_balanced_dataset,
@@ -17,33 +16,26 @@ from crec.eval_harness import (
     cross_project,
     fold_assignment,
     fscore,
-    precision,
-    recall,
+    metrics,
     ten_fold,
     within_project,
 )
 from crec.features import FEATURE_CATEGORIES, FeatureRow
+from crec.learner import ConstantModel, train_alt
 
 
 class TestMetrics:
-    def test_precision_examples(self):
-        assert precision(ConfusionCounts(10, 7, 9)) == 0.7
-        assert precision(ConfusionCounts(0, 0, 5)) == 0.0
-
-    def test_recall_examples(self):
-        assert recall(ConfusionCounts(15, 10, 20)) == 0.5
-        assert recall(ConfusionCounts(3, 0, 0)) == 0.0
+    def test_precision_and_recall_examples(self):
+        # metrics(recommended, hits, known) -> (precision, recall, F)
+        assert metrics(10, 7, 9)[0] == 0.7
+        assert metrics(0, 0, 5)[0] == 0.0
+        assert metrics(15, 10, 20)[1] == 0.5
+        assert metrics(3, 0, 0)[1] == 0.0
 
     def test_fscore_examples(self):
         assert fscore(0.6, 0.4) == pytest.approx(0.48)
         assert fscore(1.0, 1.0) == 1.0
         assert fscore(0.0, 0.0) == 0.0
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ConfusionCounts(3, 4, 10)
-        with pytest.raises(ValueError):
-            ConfusionCounts(10, 4, 3)
 
     def test_harmonic_mean_bounds(self):
         rng = random.Random(71)
@@ -129,6 +121,18 @@ class TestCrossProject:
         empty_row = next(r for r in report.rows if r.name == "empty")
         assert empty_row.recall == 0.0
         assert "no_positives" in empty_row.flags
+
+    def test_likelihood_at_the_threshold_is_recommended(self):
+        """A one-class training project gives `ConstantModel(1.0)`; at
+        threshold 1.0 every held-out example counts as recommended, as
+        `recommend` keeps a likelihood equal to its cutoff."""
+        ones = [feature_row(1, {1: float(v)}) for v in range(5)]
+        held = [feature_row(label, {1: float(v)}) for v, label in enumerate([1, 0, 1, 0, 0])]
+        assert type(train_alt("adaboost", ones, 0)) is ConstantModel
+        report = cross_project([("ones", ones), ("held", held)], LearnerConfig(threshold=1.0))
+        row = next(r for r in report.rows if r.name == "held")
+        assert (row.precision, row.recall) == (2 / 5, 1.0)
+        assert row.fscore == fscore(2 / 5, 1.0)
 
     def test_single_project_rejected(self):
         with pytest.raises(TooFewProjects):

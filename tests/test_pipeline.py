@@ -23,7 +23,7 @@ from clone_fixtures import (
     end_to_end_corpora,
 )
 from conftest import feature_row
-from crec import artifacts, pipeline
+from crec import artifacts, labeler, pipeline
 from crec.artifacts import GroupRecord, LineageRecord
 from crec.cli import main
 from crec.clone_detector import extract_blocks, scan
@@ -288,6 +288,31 @@ def test_cores_chained_in_memory_write_the_stage_files(make_repo, tmp_path, corp
     assert any(d.label == "R" for d in decisions) == (corpus not in CONTROLS)
     for name in written:
         assert (chained / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+def test_label_sweep_labels_each_lineage_once_per_distinct_threshold(
+    make_repo, tmp_path, monkeypatch
+):
+    """`label --sweep 0.3 0.4 0.5` at the default l_th 0.4 labels each lineage
+    once at each of the three thresholds, not twice at 0.4."""
+    rb = make_repo("e2e")
+    commit_corpora(rb, end_to_end_corpora())
+    out = tmp_path / "out"
+    config = PipelineConfig(delta_threshold=1)
+    for stage in (pipeline.stage_mine, pipeline.stage_detect, pipeline.stage_genealogy):
+        stage(config, rb.path, out)
+    calls = []
+    label_lineage = labeler.label_lineage
+
+    def counted(lineage, ctx, l_th):
+        calls.append((lineage.lineage_id, l_th))
+        return label_lineage(lineage, ctx, l_th)
+
+    monkeypatch.setattr(labeler, "label_lineage", counted)
+    pipeline.stage_label(config, rb.path, out, sweep_thresholds=["0.3", "0.4", "0.5"])
+    lineage_ids = [record.lineage_id for record in artifacts.read_lineages(out / "lineages.txt")]
+    assert config.l_th == 0.4 and len(lineage_ids) == 2
+    assert sorted(calls) == sorted((i, th) for i in lineage_ids for th in (0.3, 0.4, 0.5))
 
 
 def _linked_row(rows: list[dict]) -> dict:

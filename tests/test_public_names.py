@@ -6,7 +6,7 @@ import ast
 import re
 from pathlib import Path
 
-from crec import artifacts, labeler
+from crec import artifacts, eval_harness, labeler
 from crec.clone_detector import CodeBlock
 from crec.pipeline import VersionData
 
@@ -317,3 +317,27 @@ def test_one_label_loop():
     ]
     assert callers == ["pipeline.label_lineages"]
     assert not hasattr(labeler, "sweep")
+
+
+def test_one_recommend_rule():
+    """What is recommended has one owner: in `crec`, `predict_likelihood` is
+    called only by `learner.recommend`, whose `>=` cutoff evaluation counts
+    through too, so `eval_harness` compares nothing with a threshold; and one
+    `metrics` turns evaluation's pooled counts into precision, recall and F."""
+    tree = ast.parse((ROOT / "src" / "crec" / "eval_harness.py").read_text(encoding="utf-8"))
+    compared = [
+        f"eval_harness.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for side in (node.left, *node.comparators)
+        if getattr(side, "id", getattr(side, "attr", None)) == "threshold"
+    ]
+    assert not compared, "compares with a threshold: " + ", ".join(compared)
+    callers = [
+        caller
+        for path in sorted((ROOT / "src" / "crec").glob("*.py"))
+        for caller, name in _calls(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+        if name == "predict_likelihood"
+    ]
+    assert callers == ["learner.recommend"]
+    assert not any(hasattr(eval_harness, name) for name in ("ConfusionCounts", "precision", "recall"))
